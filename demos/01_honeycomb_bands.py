@@ -20,7 +20,7 @@ from dipolebands import (
 spec = build_lattice(d0=0.1, beta=1.0)
 recip = reciprocal(spec)
 path = standard_path(recip, n_per_segment=60)
-bands = bands_on_path(spec, path, n_workers=4)
+bands = bands_on_path(spec, path)
 
 print(f"lattice: d0={spec.d0}, beta={spec.beta}, "
       f"|a1|={np.linalg.norm(spec.a1):.6f}")

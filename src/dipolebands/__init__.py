@@ -20,6 +20,7 @@ from .bloch import (
     bands_on_grid,
     bands_on_path,
     eigensolve,
+    solve_k,
 )
 from .dispersion import (
     ConeTrajectory,
@@ -110,6 +111,7 @@ __all__ = [
     "reduce_to_bz",
     "sample_path",
     "solve_intracell_distance",
+    "solve_k",
     "standard_path",
     "sum_diagnostics",
     "tilt_transition_scan",

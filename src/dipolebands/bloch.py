@@ -21,8 +21,7 @@ maximal eigenvector overlap so that true crossings are preserved.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -209,18 +208,24 @@ def eigensolve(bm: BlochMatrix, arclength: float = 0.0,
     )
 
 
-def _solve_with_nudge(spec, k, mode, splitting, tolerance, recip_scale):
-    """assemble+eigensolve, retrying once with a light-line nudge."""
+def solve_k(spec: LatticeSpec, k, mode: str = "retarded",
+            splitting: float | None = None, tolerance: float = 1e-10,
+            arclength: float = 0.0) -> BandSet:
+    """Bands at one k-point: assemble and eigensolve.
+
+    A k-point on a light-line (Rayleigh) singularity is moved once by
+    1e-7 |b1| along the normal of the grazing order's |k+g| = k0 circle and
+    solved there; the BandSet carries the moved k and anomalous=True.
+    """
     k = np.asarray(k, dtype=float)
     try:
-        return eigensolve(assemble(spec, k, mode, splitting, tolerance))
-    except RayleighAnomaly:
-        kn = np.linalg.norm(k)
-        direction = k / kn if kn > 0 else np.array([1.0, 0.0])
-        k2 = k + 1e-7 * recip_scale * direction
-        return eigensolve(
-            assemble(spec, k2, mode, splitting, tolerance), anomalous=True
-        )
+        bm = assemble(spec, k, mode, splitting, tolerance)
+    except RayleighAnomaly as exc:
+        step = 1e-7 * float(np.linalg.norm(reciprocal(spec).b1))
+        bm = assemble(spec, k + step * exc.direction, mode, splitting,
+                      tolerance)
+        return eigensolve(bm, arclength, anomalous=True)
+    return eigensolve(bm, arclength)
 
 
 def _match_block(prev_vecs, cur_vecs, prev_det, cur_det, idx):
@@ -276,8 +281,8 @@ def _connect(bands: list[BandSet]) -> list[BandSet]:
 
 
 def bands_on_path(spec: LatticeSpec, path, mode: str = "retarded",
-                  splitting: float | None = None, tolerance: float = 1e-10,
-                  n_workers: int = 1) -> list[BandSet]:
+                  splitting: float | None = None,
+                  tolerance: float = 1e-10) -> list[BandSet]:
     """Connected band structure along a sampled path.
 
     Args:
@@ -285,91 +290,47 @@ def bands_on_path(spec: LatticeSpec, path, mode: str = "retarded",
         path: Iterable of (k, arclength, label) triples (see lattice module)
             or of bare k vectors.
         mode: 'retarded' or 'quasistatic'.
-        n_workers: Thread-pool width for the per-k fan-out (the per-point
-            solves are independent; connection is a sequential post-pass).
 
     Returns:
         List of BandSet with consistent band slots along the path.
     """
-    pts = []
+    bands = []
     for entry in path:
         if isinstance(entry, tuple) and len(entry) == 3:
             kvec, s, _label = entry
         else:
             kvec, s = entry, 0.0
-        pts.append((np.asarray(kvec, dtype=float), float(s)))
-    recip_scale = float(np.linalg.norm(reciprocal(spec).b1))
-
-    def solve(pt):
-        kvec, s = pt
-        bs = _solve_with_nudge(spec, kvec, mode, splitting, tolerance,
-                               recip_scale)
-        return BandSet(
-            k=bs.k, arclength=s, detuning=bs.detuning, decay=bs.decay,
-            vectors=bs.vectors, block=bs.block,
-            in_light_cone=bs.in_light_cone, anomalous=bs.anomalous,
-        )
-
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            bands = list(pool.map(solve, pts))
-    else:
-        bands = [solve(pt) for pt in pts]
+        bands.append(solve_k(spec, kvec, mode, splitting, tolerance, s))
     return _connect(bands)
 
 
 def bands_on_grid(spec: LatticeSpec, kx, ky, mode: str = "retarded",
-                  splitting: float | None = None, tolerance: float = 1e-10,
-                  n_workers: int = 1) -> BandGrid:
+                  splitting: float | None = None,
+                  tolerance: float = 1e-10) -> BandGrid:
     """Energy-ordered band sheets over a rectangular k grid.
-
-    Grid points that sit on a light-line (Rayleigh) singularity are nudged
-    radially by 1e-7 |b1| and flagged in the `anomalous` mask.
 
     Returns:
         BandGrid with slots 0..3 in-plane and 4..5 out-of-plane, each group
-        detuning-sorted per point.
+        detuning-sorted per point; light-line points are flagged in the
+        `anomalous` mask (see solve_k).
     """
     kx = np.atleast_1d(np.asarray(kx, dtype=float))
     ky = np.atleast_1d(np.asarray(ky, dtype=float))
-    recip_scale = float(np.linalg.norm(reciprocal(spec).b1))
     nx, ny = len(kx), len(ky)
     det = np.zeros((nx, ny, 6))
     dec = np.zeros((nx, ny, 6))
     lc = np.zeros((nx, ny), dtype=bool)
     anom = np.zeros((nx, ny), dtype=bool)
-
-    tasks = [(i, j) for i in range(nx) for j in range(ny)]
-
-    def solve(ij):
-        i, j = ij
-        bs = _solve_with_nudge(spec, np.array([kx[i], ky[j]]), mode,
-                               splitting, tolerance, recip_scale)
-        ip = [n for n in range(6) if bs.block[n] == IN_PLANE]
-        oop = [n for n in range(6) if bs.block[n] == OUT_OF_PLANE]
-        order = ip + oop  # energy-sorted within each group already
-        return ij, bs.detuning[order], bs.decay[order], bs.in_light_cone, \
-            bs.anomalous
-
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(solve, tasks))
-    else:
-        results = [solve(t) for t in tasks]
-    for (i, j), d, g, in_lc, a in results:
-        det[i, j] = d
-        dec[i, j] = g
-        lc[i, j] = in_lc
-        anom[i, j] = a
+    for i in range(nx):
+        for j in range(ny):
+            bs = solve_k(spec, (kx[i], ky[j]), mode, splitting, tolerance)
+            # energy-sorted within each group already
+            order = ([n for n in range(6) if bs.block[n] == IN_PLANE]
+                     + [n for n in range(6) if bs.block[n] == OUT_OF_PLANE])
+            det[i, j] = bs.detuning[order]
+            dec[i, j] = bs.decay[order]
+            lc[i, j] = bs.in_light_cone
+            anom[i, j] = bs.anomalous
     tags = (IN_PLANE,) * 4 + (OUT_OF_PLANE,) * 2
     return BandGrid(kx=kx, ky=ky, detuning=det, decay=dec, block=tags,
                     in_light_cone=lc, anomalous=anom, mode=mode)
-
-
-def block_detunings(spec: LatticeSpec, k, mode: str = "retarded",
-                    block: str = IN_PLANE, splitting: float | None = None,
-                    tolerance: float = 1e-10) -> np.ndarray:
-    """Sorted detunings of one polarization block at a single k (fast path)."""
-    bs = eigensolve(assemble(spec, k, mode, splitting, tolerance))
-    sel = [i for i in range(6) if bs.block[i] == block]
-    return bs.detuning[sel]

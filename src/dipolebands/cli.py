@@ -5,16 +5,13 @@ Configuration comes from an optional key=value file (positional argument or
 --config) plus flag overrides (flags win). Output goes to --out or stdout.
 CSV uses 17 significant digits; every output embeds the resolved config.
 Exit codes: 0 success, 2 usage/config error, 3 numerical failure.
-
-The only environment variable honored is DIPOLEBANDS_THREADS (worker count
-for the per-k fan-out; results are independent of it).
+Nothing is read from the environment.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass, replace
 
@@ -29,8 +26,6 @@ from .latticesums import NonConvergent, RayleighAnomaly
 _MODES = ("retarded", "quasistatic", "both")
 _BLOCKS = ("out_of_plane", "in_plane", "all")
 _FORMATS = ("csv", "json")
-
-THREADS_ENV = "DIPOLEBANDS_THREADS"
 
 
 class ConfigError(ValueError):
@@ -179,8 +174,17 @@ def resolve_config(file_updates: dict, flag_updates: dict) -> RunConfig:
             raise ConfigError(
                 f"{name}={val} outside "
                 f"[{lattice.BETA_MIN}, {lattice.BETA_MAX}]")
-    if cfg.d0 <= 0:
-        raise ConfigError(f"d0 must be positive, got {cfg.d0}")
+    if (cfg.beta_start is not None and cfg.beta_stop is not None
+            and cfg.beta_stop < cfg.beta_start):
+        raise ConfigError(
+            f"beta_stop={cfg.beta_stop} below beta_start={cfg.beta_start}")
+    for name in ("d0", "beta_step", "ewald_splitting", "ewald_tolerance"):
+        val = getattr(cfg, name)
+        if val is not None and not 0.0 < val < np.inf:
+            raise ConfigError(f"{name} must be positive and finite, got {val}")
+    if cfg.n_per_segment < 2:
+        raise ConfigError(
+            f"n_per_segment must be >= 2, got {cfg.n_per_segment}")
     return cfg
 
 
@@ -195,14 +199,6 @@ def _fmt(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return f"{float(x):.17g}"
-
-
-def _n_workers() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _emit(cfg: RunConfig, text: str) -> None:
@@ -246,9 +242,12 @@ def _resolve_k(cfg: RunConfig, recip) -> np.ndarray:
     except UnknownLabel:
         pass
     try:
-        return np.asarray(_parse_floats(cfg.k_point, 2))
+        k = np.asarray(_parse_floats(cfg.k_point, 2))
     except ValueError as exc:
         raise ConfigError(f"bad k_point {cfg.k_point!r}: {exc}") from exc
+    if not np.all(np.isfinite(k)):
+        raise ConfigError(f"bad k_point {cfg.k_point!r}: not finite")
+    return k
 
 
 def _path_labels(cfg: RunConfig) -> list:
@@ -282,7 +281,7 @@ def cmd_bands(cfg: RunConfig) -> str:
     modes = ("retarded", "quasistatic") if cfg.mode == "both" else (cfg.mode,)
     results = {
         m: bloch.bands_on_path(spec, samples, m, cfg.ewald_splitting,
-                               cfg.ewald_tolerance, n_workers=_n_workers())
+                               cfg.ewald_tolerance)
         for m in modes
     }
     header = ["arclength", "kx", "ky", "band_index", "block"]
@@ -315,7 +314,7 @@ def cmd_surface(cfg: RunConfig) -> str:
     spec = lattice.build_lattice(cfg.d0, cfg.beta)
     grid = bloch.bands_on_grid(
         spec, np.linspace(x0, x1, nx), np.linspace(y0, y1, ny), cfg.mode,
-        cfg.ewald_splitting, cfg.ewald_tolerance, n_workers=_n_workers())
+        cfg.ewald_splitting, cfg.ewald_tolerance)
     header = ["ix", "iy", "kx", "ky", "band_index", "block", "detuning",
               "decay", "in_light_cone", "anomalous"]
     rows = []

@@ -21,10 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .bloch import IN_PLANE, OUT_OF_PLANE, assemble, eigensolve
+from .bloch import solve_k
 from .greens import K0
 from .lattice import LatticeSpec, build_lattice, reciprocal, reduce_to_bz
-from .latticesums import RayleighAnomaly
 
 EPS_DEG = 1e-3  # detuning-units gap threshold for "degenerate"
 TILT_TOL = 0.05  # tau_t band around t = 1 for type III
@@ -110,33 +109,21 @@ class ConeTrajectory:
     events: tuple
 
 
-def _block_pair_detunings(spec, k, mode, block, pair, splitting, tolerance,
-                          recip_scale):
-    """Detunings of one band pair, nudging off light-line singularities."""
-    k = np.asarray(k, dtype=float)
-    try:
-        bs = eigensolve(assemble(spec, k, mode, splitting, tolerance))
-    except RayleighAnomaly:
-        kn = np.linalg.norm(k)
-        direction = k / kn if kn > 0 else np.array([1.0, 0.0])
-        bs = eigensolve(
-            assemble(spec, k + 1e-7 * recip_scale * direction, mode,
-                     splitting, tolerance))
-    det = bs.detuning[[i for i in range(6) if bs.block[i] == block]]
-    return det[pair[0]], det[pair[1]]
+def _block_levels(bs, block):
+    """Energy-sorted detunings of one polarization block of a BandSet."""
+    return bs.detuning[[i for i in range(6) if bs.block[i] == block]]
 
 
 def make_gap_function(spec: LatticeSpec, block: str, band_pair,
                       mode: str = "retarded", splitting: float | None = None,
                       tolerance: float = 1e-10):
     """Return gap(k) for one band pair (energy-sorted within block)."""
-    recip_scale = float(np.linalg.norm(reciprocal(spec).b1))
     pair = tuple(band_pair)
 
     def gap(k):
-        lo, hi = _block_pair_detunings(spec, k, mode, block, pair,
-                                       splitting, tolerance, recip_scale)
-        return hi - lo
+        det = _block_levels(solve_k(spec, k, mode, splitting, tolerance),
+                            block)
+        return det[pair[1]] - det[pair[0]]
 
     return gap
 
@@ -304,12 +291,12 @@ def classify(spec: LatticeSpec, location, block: str, band_pair,
     recip = reciprocal(spec)
     b1n = float(np.linalg.norm(recip.b1))
     r_out = FIT_RADIUS_FRAC * b1n if fit_radius is None else float(fit_radius)
-    recip_scale = b1n
     pair = tuple(band_pair)
 
     def both(k):
-        return _block_pair_detunings(spec, k, mode, block, pair, splitting,
-                                     tolerance, recip_scale)
+        det = _block_levels(solve_k(spec, k, mode, splitting, tolerance),
+                            block)
+        return det[pair[0]], det[pair[1]]
 
     lo0, hi0 = both(k_star)
     gap0 = hi0 - lo0
@@ -657,20 +644,11 @@ def dos_histogram(spec: LatticeSpec, block: str, energy_window,
     kys = np.linspace(-ky, ky, k_grid)
     kxy = np.array([[x, y] for x in kxs for y in kys])
     kxy = kxy[_bz_mask(recip, kxy)]
-    recip_scale = float(np.linalg.norm(recip.b1))
 
-    pair_all = {OUT_OF_PLANE: (0, 1), IN_PLANE: (0, 1, 2, 3)}[block]
     energies = []
     for k in kxy:
-        try:
-            bs = eigensolve(assemble(spec, k, mode, splitting, tolerance))
-        except RayleighAnomaly:
-            kn = np.linalg.norm(k)
-            direction = k / kn if kn > 0 else np.array([1.0, 0.0])
-            bs = eigensolve(assemble(spec, k + 1e-7 * recip_scale * direction,
-                                     mode, splitting, tolerance))
-        det = bs.detuning[[i for i in range(6) if bs.block[i] == block]]
-        energies.extend(det[list(pair_all)])
+        energies.extend(_block_levels(
+            solve_k(spec, k, mode, splitting, tolerance), block))
     energies = np.asarray(energies)
     energies = energies[(energies >= lo) & (energies <= hi)]
     hist, edges = np.histogram(energies, bins=n_bins, range=(lo, hi),

@@ -32,7 +32,7 @@ from scipy import integrate, special
 from scipy.special import erfc, wofz
 
 from .greens import K0
-from .lattice import LatticeSpec
+from .lattice import LatticeSpec, reciprocal, reduce_to_bz
 
 SQRT_PI = np.sqrt(np.pi)
 
@@ -49,7 +49,16 @@ _MODES = ("retarded", "quasistatic")
 
 
 class RayleighAnomaly(ArithmeticError):
-    """A diffraction order grazes the light line; the spectral series is singular."""
+    """A diffraction order grazes the light line; the spectral series is singular.
+
+    Attributes:
+        direction: Unit vector (k+g)/|k+g| of the grazing order, the normal
+            of its |k+g| = k0 circle: a step along it leaves the light line.
+    """
+
+    def __init__(self, message: str, direction: np.ndarray):
+        super().__init__(message)
+        self.direction = direction
 
 
 class NonConvergent(ArithmeticError):
@@ -125,22 +134,6 @@ def _shell(s: int) -> np.ndarray:
     return ring
 
 
-def _reduce_k(spec: LatticeSpec, k: np.ndarray) -> np.ndarray:
-    """Minimum-norm Brillouin-zone representative of k."""
-    a = np.array([spec.a1, spec.a2])
-    b = 2.0 * np.pi * np.linalg.inv(a).T
-    frac = np.linalg.solve(b.T, k)
-    base = np.round(frac)
-    best = None
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            cand = k - (base[0] + di) * b[0] - (base[1] + dj) * b[1]
-            key = (np.linalg.norm(cand), -cand[0], -cand[1])
-            if best is None or key < best[0]:
-                best = (key, cand)
-    return best[1]
-
-
 def _resolve_offset(spec: LatticeSpec, offset: str) -> np.ndarray:
     if offset == "same":
         return np.zeros(2)
@@ -168,10 +161,9 @@ def _self_corrections(k0_eff: float, e: float) -> tuple[complex, complex]:
     return complex(h0), complex(h2)
 
 
-def _spectral_series(spec, k, rho, k0_eff, e, tol, want_s):
+def _spectral_series(spec, recip, k, rho, k0_eff, e, tol, want_s):
     """Reciprocal-space series: returns (S, T2 (2x2 in-plane), Tzz, ...)."""
-    a = np.array([spec.a1, spec.a2])
-    b = 2.0 * np.pi * np.linalg.inv(a).T
+    b = np.array([recip.b1, recip.b2])
     area = spec.cell_area
     retarded = k0_eff != 0.0
 
@@ -187,10 +179,13 @@ def _spectral_series(spec, k, rho, k0_eff, e, tol, want_s):
         qv = g + k
         q = np.linalg.norm(qv, axis=1)
         if retarded:
-            if np.any(np.abs(q - k0_eff) < RAYLEIGH_REL_THRESHOLD * k0_eff):
+            grazing = np.abs(q - k0_eff) < RAYLEIGH_REL_THRESHOLD * k0_eff
+            if np.any(grazing):
+                i = int(np.argmax(grazing))
                 raise RayleighAnomaly(
                     f"|k+g| within {RAYLEIGH_REL_THRESHOLD:g}*k0 of the light "
-                    f"line at k={np.asarray(k)}"
+                    f"line at k={np.asarray(k)}",
+                    direction=qv[i] / q[i],
                 )
             n_prop += int(np.count_nonzero(q < k0_eff))
         gamma = -1j * np.sqrt((k0_eff**2 - q**2).astype(complex))
@@ -312,7 +307,8 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
     if req.mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {req.mode!r}")
     spec = req.spec
-    k = _reduce_k(spec, np.asarray(req.k, dtype=float))
+    recip = reciprocal(spec)
+    k = reduce_to_bz(recip, req.k)
     rho = _resolve_offset(spec, req.offset)
     e = default_splitting(spec) if req.splitting is None else float(req.splitting)
     if e <= 0.0:
@@ -323,7 +319,7 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
     same = req.offset == "same"
 
     s1, t2_1, tzz_1, n_g, n_prop, rel_g = _spectral_series(
-        spec, k, rho, k0_eff, e, tol, want_s
+        spec, recip, k, rho, k0_eff, e, tol, want_s
     )
     s2, t2_2, tzz_2, n_r, rel_r = _spatial_series(
         spec, k, rho, k0_eff, e, tol, want_s, skip_origin=same
@@ -426,7 +422,7 @@ def direct_sum_quasistatic(
     if req.mode != "quasistatic":
         raise ValueError("direct summation is provided for quasistatic mode only")
     spec = req.spec
-    k = _reduce_k(spec, np.asarray(req.k, dtype=float))
+    k = reduce_to_bz(reciprocal(spec), req.k)
     rho = _resolve_offset(spec, req.offset)
     a1n = float(np.linalg.norm(spec.a1))
     cutoff = 60.0 * a1n if cutoff_radius is None else float(cutoff_radius)

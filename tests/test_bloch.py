@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dipolebands import (
     IN_PLANE,
@@ -12,8 +14,9 @@ from dipolebands import (
     build_lattice,
     eigensolve,
     reciprocal,
+    solve_k,
 )
-from dipolebands.bloch import block_detunings
+from dipolebands.greens import K0
 from tests.conftest import spectrum
 
 
@@ -104,8 +107,9 @@ def test_k_and_kprime_spectra_coincide_at_unit_beta(iso_lattice):
 
 def test_unit_beta_dirac_contacts_at_k(iso_lattice):
     recip = reciprocal(iso_lattice)
-    oop = block_detunings(iso_lattice, recip.K, block=OUT_OF_PLANE)
-    ip = block_detunings(iso_lattice, recip.K, block=IN_PLANE)
+    bs = solve_k(iso_lattice, recip.K)
+    oop = bs.detuning[np.array(bs.block) == OUT_OF_PLANE]
+    ip = bs.detuning[np.array(bs.block) == IN_PLANE]
     assert oop[1] - oop[0] < 1e-6
     assert ip[2] - ip[1] < 1e-6
 
@@ -209,3 +213,30 @@ def test_grid_refinement_converges_near_k(iso_lattice):
     assert gaps[1] <= gaps[0]
     assert gaps[2] <= gaps[1]
     assert gaps[2] < 0.2
+
+
+@settings(max_examples=20, deadline=None)
+@given(d0=st.floats(0.08, 0.2), beta=st.floats(0.55, 1.3),
+       radius=st.floats(1.1 * K0, 40.0), angle=st.floats(0.0, 2.0 * np.pi))
+def test_solve_k_properties(d0, beta, radius, angle):
+    spec = build_lattice(d0, beta)
+    k = radius * np.array([np.cos(angle), np.sin(angle)])
+    # the single solve path is exactly assemble + eigensolve off the light
+    # line
+    bs = solve_k(spec, k)
+    bm = assemble(spec, k)
+    ref = eigensolve(bm)
+    assert not bs.anomalous
+    for name in ("k", "detuning", "decay", "vectors"):
+        np.testing.assert_array_equal(getattr(bs, name), getattr(ref, name))
+    assert bs.block == ref.block
+    assert bs.in_light_cone == ref.in_light_cone
+    # reciprocity: m(-k) = m(k)^T
+    scale = np.linalg.norm(bm.m)
+    np.testing.assert_allclose(assemble(spec, -k).m, bm.m.T, rtol=0,
+                               atol=1e-9 * scale)
+    # the lattice is mirror symmetric about the anisotropy (x) axis
+    mirror = solve_k(spec, [k[0], -k[1]])
+    np.testing.assert_allclose(np.sort(mirror.detuning),
+                               np.sort(bs.detuning), rtol=0,
+                               atol=1e-9 * scale)

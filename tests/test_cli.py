@@ -228,6 +228,42 @@ def test_exit_code_bad_beta(capsys):
     assert code == 2
 
 
+_SWEEP = ["sweep-beta", "--block", "in_plane"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["bands", "--set", "n_per_segment=1"],
+    _SWEEP + ["--set", "beta_start=0.63", "--set", "beta_stop=0.66",
+              "--set", "beta_step=0"],
+    _SWEEP + ["--set", "beta_start=0.63", "--set", "beta_stop=0.66",
+              "--set", "beta_step=-0.005"],
+    _SWEEP + ["--set", "beta_start=0.66", "--set", "beta_stop=0.63"],
+    ["bands", "--set", "ewald_splitting=0"],
+    ["bands", "--set", "ewald_splitting=-1"],
+    ["bands", "--set", "ewald_tolerance=0"],
+    ["bands", "--set", "ewald_tolerance=-1e-10"],
+    ["bands", "--d0", "inf"],
+    ["bands", "--d0", "nan"],
+    ["bands", "--beta", "nan"],
+    ["classify", "--block", "out_of_plane", "--set", "k_point=nan,0"],
+])
+def test_exit_code_bad_config(argv, capsys):
+    code, _ = run_cli(argv, capsys)
+    assert code == 2
+
+
+def test_light_line_point_nudged_and_flagged(capsys):
+    # at d0 = 1 a path midpoint puts a g != 0 order on the light line; the
+    # nudge must step off it along that order's |k+g| = k0 normal
+    code, out = run_cli(
+        ["bands", "--set", "d0=1.0", "--set", "n_per_segment=3"], capsys)
+    assert code == 0
+    lines = [ln for ln in out.splitlines() if not ln.startswith("#")]
+    cols = lines[0].split(",")
+    flags = [dict(zip(cols, ln.split(",")))["anomalous"] for ln in lines[1:]]
+    assert "1" in flags
+
+
 def test_config_flag_equivalent_to_positional(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("path = Gamma,K\nn_per_segment = 2\nblock = out_of_plane\n")

@@ -159,12 +159,10 @@ def test_critical_beta_no_closure():
 def test_dos_dip_at_dirac_energy(iso, iso_cones):
     # the untilted cone carries a vanishing density of states at the
     # contact energy (the band average at k_star)
-    from dipolebands.dispersion import _block_pair_detunings
+    from dipolebands import solve_k
 
-    b1n = np.linalg.norm(reciprocal(iso).b1)
-    lo_b, hi_b = _block_pair_detunings(
-        iso, iso_cones[0].k_star, "retarded", OUT_OF_PLANE, (0, 1), None,
-        1e-10, b1n)
+    bs = solve_k(iso, iso_cones[0].k_star, "retarded", None, 1e-10)
+    lo_b, hi_b = bs.detuning[np.array(bs.block) == OUT_OF_PLANE]
     e_cone = 0.5 * (lo_b + hi_b)
     centers, dens = dos_histogram(
         iso, OUT_OF_PLANE, (e_cone - 0.6, e_cone + 0.6), k_grid=80,
