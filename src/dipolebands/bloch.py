@@ -21,7 +21,7 @@ maximal eigenvector overlap so that true crossings are preserved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -215,7 +215,8 @@ def solve_k(spec: LatticeSpec, k, mode: str = "retarded",
 
     A k-point on a light-line (Rayleigh) singularity is moved once by
     1e-7 |b1| along the normal of the grazing order's |k+g| = k0 circle and
-    solved there; the BandSet carries the moved k and anomalous=True.
+    solved there; the BandSet keeps the requested k, carries the eigendata
+    of the moved point and has anomalous=True.
     """
     k = np.asarray(k, dtype=float)
     try:
@@ -224,7 +225,7 @@ def solve_k(spec: LatticeSpec, k, mode: str = "retarded",
         step = 1e-7 * float(np.linalg.norm(reciprocal(spec).b1))
         bm = assemble(spec, k + step * exc.direction, mode, splitting,
                       tolerance)
-        return eigensolve(bm, arclength, anomalous=True)
+        return replace(eigensolve(bm, arclength, anomalous=True), k=k)
     return eigensolve(bm, arclength)
 
 

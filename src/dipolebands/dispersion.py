@@ -426,7 +426,17 @@ def tilt_transition_scan(d0: float, beta_start: float, beta_stop: float,
 
     Returns:
         ConeTrajectory over the swept betas.
+
+    Raises:
+        ValueError: beta_step not positive and finite, or beta_stop below
+            beta_start.
     """
+    if not 0.0 < beta_step < np.inf:
+        raise ValueError(
+            f"beta_step must be positive and finite, got {beta_step}")
+    if beta_stop < beta_start:
+        raise ValueError(
+            f"beta_stop={beta_stop} below beta_start={beta_start}")
     n_steps = int(round((beta_stop - beta_start) / beta_step))
     betas = [beta_start + i * beta_step for i in range(n_steps + 1)]
     b1n = float(np.linalg.norm(reciprocal(build_lattice(d0, betas[0])).b1))

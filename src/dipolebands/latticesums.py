@@ -16,6 +16,14 @@ second-derivative matrix T; the dyadic is then
 
 with all derivatives, including d^2/dz^2 at z = 0, taken analytically.
 
+Both series decay as Gaussians, the spectral terms like
+exp(-(|k+g|^2 - k0^2)/4E^2) and the spatial ones like exp(-r^2 E^2 +
+k0^2/4E^2), so the truncation is fixed before summing: each series is one
+vectorised pass over the disk of lattice vectors on which that exponent
+stays below ln(10/tolerance) + _MARGIN. Every omitted term is then smaller
+than tolerance/10 times the leading scale, and est_error reports that
+bound relative to the result.
+
 Spatial-series kernels are evaluated through the Faddeeva function w(z) with
 arguments i r E +- k0/(2E) in the upper half plane, which keeps every factor
 bounded; e^{i k0 r} erfc(rE + i k0/(2E)) = e^{-r^2 E^2 + k0^2/(4E^2)} w(...).
@@ -36,11 +44,13 @@ from .lattice import LatticeSpec, reciprocal, reduce_to_bz
 
 SQRT_PI = np.sqrt(np.pi)
 
-# Truncation: shells are added until the newest shell contributes less than
-# tolerance/10 in relative norm, with a hard cap.
-MAX_SHELLS = 40
-_MIN_SHELLS_SPATIAL = 3
-_MIN_SHELLS_SPECTRAL = 2
+# Extra Gaussian exponent beyond ln(10/tolerance) at the disk edge; it
+# covers the polynomial factors (|k+g|^2 in T, 1/r in the spatial kernels)
+# and the growing number of terms per ring of the omitted tail.
+_MARGIN = 4.0
+# Largest lattice index a truncation disk may need; a splitting far from
+# the lattice scale exceeds it and is reported as NonConvergent.
+_MAX_INDEX = 40
 
 RAYLEIGH_REL_THRESHOLD = 1e-9
 
@@ -62,7 +72,11 @@ class RayleighAnomaly(ArithmeticError):
 
 
 class NonConvergent(ArithmeticError):
-    """Shell cap reached before the truncation target was met."""
+    """The truncation cannot be reached at this splitting.
+
+    Raised when a summation disk needs lattice indices past the cap, or
+    when the spatial prefactor exp(k0^2/4E^2) would overflow.
+    """
 
 
 @dataclass(frozen=True)
@@ -76,7 +90,8 @@ class LatticeSumRequest:
             'b_to_a' (rho = -d), d the basis offset.
         mode: 'retarded' or 'quasistatic'.
         splitting: Ewald parameter E; None selects sqrt(pi)/|a1|.
-        tolerance: Relative truncation target.
+        tolerance: Relative truncation target, finite and positive. It sets
+            the radius of both summation disks before any term is summed.
     """
 
     spec: LatticeSpec
@@ -93,8 +108,10 @@ class LatticeSumResult:
 
     Attributes:
         D: (3, 3) complex dyadic, units 1/length.
-        n_spatial, n_spectral: Term counts actually summed.
-        est_error: Relative size of the last shell in each series (max).
+        n_spatial, n_spectral: Number of lattice vectors in the spatial
+            and spectral truncation disks, i.e. the terms summed.
+        est_error: A priori relative truncation bound, tolerance/10 times
+            the summed term magnitudes over |D| (an overestimate).
         n_propagating: Number of propagating spectral orders (|k+g| < k0);
             zero outside the light cone. Always 0 in quasistatic mode.
     """
@@ -111,27 +128,29 @@ def default_splitting(spec: LatticeSpec) -> float:
     return float(SQRT_PI / np.linalg.norm(spec.a1))
 
 
-_shell_cache: dict[int, np.ndarray] = {}
+def _disk(basis: np.ndarray, centre: np.ndarray, reach: float) -> np.ndarray:
+    """Vectors v = n @ basis + centre, n integer, with |v| <= reach.
 
+    Column j of inv(basis) is the dual vector d_j with n_j = (v - centre).d_j,
+    so the disk lies in the index box |n_j + centre.d_j| <= reach |d_j|.
 
-def _shell(s: int) -> np.ndarray:
-    """Integer index pairs (m, n) with max(|m|, |n|) == s."""
-    got = _shell_cache.get(s)
-    if got is not None:
-        return got
-    if s == 0:
-        ring = np.array([[0, 0]])
-    else:
-        side = np.arange(-s, s + 1)
-        top = np.stack([side, np.full_like(side, s)], axis=1)
-        bot = np.stack([side, np.full_like(side, -s)], axis=1)
-        mid = np.arange(-s + 1, s)
-        left = np.stack([np.full_like(mid, -s), mid], axis=1)
-        right = np.stack([np.full_like(mid, s), mid], axis=1)
-        ring = np.vstack([top, bot, left, right])
-    ring.setflags(write=False)
-    _shell_cache[s] = ring
-    return ring
+    Raises:
+        NonConvergent: the box needs an index beyond _MAX_INDEX.
+    """
+    dual = np.linalg.inv(basis)
+    mid = -centre @ dual
+    half = reach * np.linalg.norm(dual, axis=0)
+    if np.any(np.abs(mid) + half > _MAX_INDEX):
+        raise NonConvergent(
+            f"truncation radius {reach:.3g} needs lattice indices beyond "
+            f"{_MAX_INDEX}"
+        )
+    lo = np.floor(mid - half).astype(int)
+    hi = np.ceil(mid + half).astype(int)
+    m, n = np.meshgrid(np.arange(lo[0], hi[0] + 1),
+                       np.arange(lo[1], hi[1] + 1), indexing="ij")
+    v = np.stack([m.ravel(), n.ravel()], axis=1) @ basis + centre
+    return v[np.einsum("ij,ij->i", v, v) <= reach * reach]
 
 
 def _resolve_offset(spec: LatticeSpec, offset: str) -> np.ndarray:
@@ -161,132 +180,86 @@ def _self_corrections(k0_eff: float, e: float) -> tuple[complex, complex]:
     return complex(h0), complex(h2)
 
 
-def _spectral_series(spec, recip, k, rho, k0_eff, e, tol, want_s):
-    """Reciprocal-space series: returns (S, T2 (2x2 in-plane), Tzz, ...)."""
-    b = np.array([recip.b1, recip.b2])
-    area = spec.cell_area
-    retarded = k0_eff != 0.0
+def _spectral_terms(spec, recip, k, rho, k0_eff, e, depth):
+    """Reciprocal-space terms over |k+g|^2 <= k0^2 + 4 E^2 depth.
 
-    s_sum = 0.0 + 0.0j
-    t2 = np.zeros((2, 2), dtype=complex)
-    tzz = 0.0 + 0.0j
-    n_terms = 0
+    Returns:
+        (w, n_prop): w is (n, 5), each row one order's contribution to
+        (S, Txx, Txy, Tyy, Tzz); n_prop counts the propagating orders.
+    """
+    qv = _disk(np.array([recip.b1, recip.b2]), k,
+               np.sqrt(k0_eff**2 + 4.0 * e**2 * depth))
+    q = np.linalg.norm(qv, axis=1)
     n_prop = 0
-    last_rel = np.inf
-    for shell_i in range(MAX_SHELLS + 1):
-        mn = _shell(shell_i)
-        g = mn @ b
-        qv = g + k
-        q = np.linalg.norm(qv, axis=1)
-        if retarded:
-            grazing = np.abs(q - k0_eff) < RAYLEIGH_REL_THRESHOLD * k0_eff
-            if np.any(grazing):
-                i = int(np.argmax(grazing))
-                raise RayleighAnomaly(
-                    f"|k+g| within {RAYLEIGH_REL_THRESHOLD:g}*k0 of the light "
-                    f"line at k={np.asarray(k)}",
-                    direction=qv[i] / q[i],
-                )
-            n_prop += int(np.count_nonzero(q < k0_eff))
-        gamma = -1j * np.sqrt((k0_eff**2 - q**2).astype(complex))
-        phase = np.exp(1j * (qv @ rho))
-        ec = erfc(gamma / (2.0 * e))
-        gnz = gamma != 0.0
-        kern = np.zeros_like(gamma)
-        np.divide(ec, gamma, out=kern, where=gnz)
-
-        ds = np.sum(phase * kern) / (2.0 * area) if want_s else 0.0
-        pk = phase * kern
-        dt2 = np.empty((2, 2), dtype=complex)
-        dt2[0, 0] = -np.sum(pk * qv[:, 0] * qv[:, 0]) / (2.0 * area)
-        dt2[0, 1] = -np.sum(pk * qv[:, 0] * qv[:, 1]) / (2.0 * area)
-        dt2[1, 1] = -np.sum(pk * qv[:, 1] * qv[:, 1]) / (2.0 * area)
-        dt2[1, 0] = dt2[0, 1]
-        zker = 2.0 * gamma * ec - (4.0 * e / SQRT_PI) * np.exp(
-            -(gamma**2) / (4.0 * e**2)
-        )
-        dtzz = np.sum(phase * zker) / (4.0 * area)
-
-        s_sum += ds
-        t2 += dt2
-        tzz += dtzz
-        n_terms += len(mn)
-
-        add = abs(ds) + np.linalg.norm(dt2) + abs(dtzz)
-        tot = abs(s_sum) + np.linalg.norm(t2) + abs(tzz)
-        last_rel = add / tot if tot > 0.0 else np.inf
-        if shell_i + 1 >= _MIN_SHELLS_SPECTRAL and last_rel < tol / 10.0:
-            return s_sum, t2, tzz, n_terms, n_prop, last_rel
-    raise NonConvergent(
-        f"spectral series not converged after {MAX_SHELLS} shells "
-        f"(last shell rel {last_rel:.2e})"
+    if k0_eff != 0.0:
+        grazing = np.abs(q - k0_eff) < RAYLEIGH_REL_THRESHOLD * k0_eff
+        if np.any(grazing):
+            i = int(np.argmax(grazing))
+            raise RayleighAnomaly(
+                f"|k+g| within {RAYLEIGH_REL_THRESHOLD:g}*k0 of the light "
+                f"line at k={np.asarray(k)}",
+                direction=qv[i] / q[i],
+            )
+        n_prop = int(np.count_nonzero(q < k0_eff))
+    gamma = -1j * np.sqrt((k0_eff**2 - q**2).astype(complex))
+    phase = np.exp(1j * (qv @ rho)) / (2.0 * spec.cell_area)
+    ec = erfc(gamma / (2.0 * e))
+    kern = np.zeros_like(gamma)
+    np.divide(ec, gamma, out=kern, where=gamma != 0.0)
+    pk = phase * kern
+    zker = 2.0 * gamma * ec - (4.0 * e / SQRT_PI) * np.exp(
+        -(gamma**2) / (4.0 * e**2)
     )
+    qx, qy = qv[:, 0], qv[:, 1]
+    w = np.stack([pk, -pk * qx * qx, -pk * qx * qy, -pk * qy * qy,
+                  0.5 * phase * zker], axis=1)
+    return w, n_prop
 
 
-def _spatial_series(spec, k, rho, k0_eff, e, tol, want_s, skip_origin):
-    """Real-space screened series: returns (S, T2, Tzz, n_terms, last_rel)."""
-    a = np.array([spec.a1, spec.a2])
+def _spatial_terms(spec, k, rho, k0_eff, e, depth):
+    """Screened real-space terms over |R + rho|^2 E^2 <= depth + k0^2/4E^2.
+
+    The R + rho = 0 term (same-site origin) is left out. Returns the (n, 5)
+    per-term contributions to (S, Txx, Txy, Tyy, Tzz).
+    """
     gau_cap = k0_eff**2 / (4.0 * e**2)
     if gau_cap > 650.0:
         raise NonConvergent(
             f"splitting {e:g} too small: spatial prefactor exp({gau_cap:.1f}) "
             "overflows"
         )
+    rvecs = _disk(np.array([spec.a1, spec.a2]), rho,
+                  np.sqrt(depth + gau_cap) / e)
+    rv = np.linalg.norm(rvecs, axis=1)
+    keep = rv > 0.0
+    rvecs, rv = rvecs[keep], rv[keep]
+    # the Bloch phase is carried by the lattice vector R alone
+    pre = np.exp(-1j * ((rvecs - rho) @ k)) / (8.0 * np.pi)
+    gau = np.exp(-(rv**2) * e**2 + gau_cap)
+    tp = gau * wofz(1j * rv * e + k0_eff / (2.0 * e))
+    tm = gau * wofz(1j * rv * e - k0_eff / (2.0 * e))
+    f = tp + tm
+    fp = 1j * k0_eff * (tm - tp) - (4.0 * e / SQRT_PI) * gau
+    fpp = -(k0_eff**2) * f + (8.0 * rv * e**3 / SQRT_PI) * gau
+    phi = f / rv
+    phip = fp / rv - f / rv**2
+    phipp = fpp / rv - 2.0 * fp / rv**2 + 2.0 * f / rv**3
 
-    s_sum = 0.0 + 0.0j
-    t2 = np.zeros((2, 2), dtype=complex)
-    tzz = 0.0 + 0.0j
-    n_terms = 0
-    last_rel = np.inf
-    for shell_i in range(MAX_SHELLS + 1):
-        mn = _shell(shell_i)
-        rvecs = mn @ a + rho
-        r = np.linalg.norm(rvecs, axis=1)
-        keep = r > 0.0 if (skip_origin and shell_i == 0) else slice(None)
-        rvecs = rvecs[keep]
-        rv = r[keep]
-        rr = mn[keep] @ a  # lattice vectors R carrying the Bloch phase
-        if len(rv) == 0:
-            continue
-        phase = np.exp(-1j * (rr @ k))
-        gau = np.exp(-(rv**2) * e**2 + gau_cap)
-        tp = gau * wofz(1j * rv * e + k0_eff / (2.0 * e))
-        tm = gau * wofz(1j * rv * e - k0_eff / (2.0 * e))
-        f = tp + tm
-        fp = 1j * k0_eff * (tm - tp) - (4.0 * e / SQRT_PI) * gau
-        fpp = -(k0_eff**2) * f + (8.0 * rv * e**3 / SQRT_PI) * gau
-        phi = f / rv
-        phip = fp / rv - f / rv**2
-        phipp = fpp / rv - 2.0 * fp / rv**2 + 2.0 * f / rv**3
+    c1 = pre * phip / rv  # delta_ab coefficient; also the zz second derivative
+    c2 = pre * (phipp - phip / rv)  # rhat_a rhat_b coefficient (in-plane)
+    ux = rvecs[:, 0] / rv
+    uy = rvecs[:, 1] / rv
+    return np.stack([pre * phi, c1 + c2 * ux * ux, c2 * ux * uy,
+                     c1 + c2 * uy * uy, c1], axis=1)
 
-        c1 = phip / rv  # delta_ab coefficient; also the zz second derivative
-        c2 = phipp - phip / rv  # rhat_a rhat_b coefficient (in-plane)
-        ux = rvecs[:, 0] / rv
-        uy = rvecs[:, 1] / rv
 
-        pre = phase / (8.0 * np.pi)
-        ds = np.sum(pre * phi) if want_s else 0.0
-        dt2 = np.empty((2, 2), dtype=complex)
-        dt2[0, 0] = np.sum(pre * (c1 + c2 * ux * ux))
-        dt2[0, 1] = np.sum(pre * (c2 * ux * uy))
-        dt2[1, 1] = np.sum(pre * (c1 + c2 * uy * uy))
-        dt2[1, 0] = dt2[0, 1]
-        dtzz = np.sum(pre * c1)
-
-        s_sum += ds
-        t2 += dt2
-        tzz += dtzz
-        n_terms += len(rv)
-
-        add = abs(ds) + np.linalg.norm(dt2) + abs(dtzz)
-        tot = abs(s_sum) + np.linalg.norm(t2) + abs(tzz)
-        last_rel = add / tot if tot > 0.0 else np.inf
-        if shell_i + 1 >= _MIN_SHELLS_SPATIAL and last_rel < tol / 10.0:
-            return s_sum, t2, tzz, n_terms, last_rel
-    raise NonConvergent(
-        f"spatial series not converged after {MAX_SHELLS} shells "
-        f"(last shell rel {last_rel:.2e})"
-    )
+def _dyadic(v, retarded: bool) -> np.ndarray:
+    """The 3x3 dyadic from (S, Txx, Txy, Tyy, Tzz)."""
+    s, txx, txy, tyy, tzz = v
+    d = np.array([[txx, txy, 0.0], [txy, tyy, 0.0], [0.0, 0.0, tzz]]) / K0**2
+    if retarded:
+        d = d + s * np.eye(3)
+    return d
 
 
 def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
@@ -301,51 +274,49 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
         subtract the screened R = 0 term analytically.
 
     Raises:
+        ValueError: unknown mode or offset, non-finite k, or a tolerance or
+            splitting that is not finite and positive.
         RayleighAnomaly: retarded mode with |k+g| on the light line.
-        NonConvergent: shell cap hit (e.g. extreme splitting override).
+        NonConvergent: truncation disk past the index cap, or spatial
+            prefactor overflow (e.g. extreme splitting override).
     """
     if req.mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {req.mode!r}")
+    tol = float(req.tolerance)
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    k = np.asarray(req.k, dtype=float)
+    if not np.all(np.isfinite(k)):
+        raise ValueError(f"k must be finite, got {k}")
     spec = req.spec
     recip = reciprocal(spec)
-    k = reduce_to_bz(recip, req.k)
+    k = reduce_to_bz(recip, k)
     rho = _resolve_offset(spec, req.offset)
     e = default_splitting(spec) if req.splitting is None else float(req.splitting)
-    if e <= 0.0:
-        raise ValueError("splitting must be positive")
-    tol = float(req.tolerance)
-    k0_eff = K0 if req.mode == "retarded" else 0.0
-    want_s = req.mode == "retarded"
-    same = req.offset == "same"
+    if not (np.isfinite(e) and e > 0.0):
+        raise ValueError(f"splitting must be finite and positive, got {e}")
+    retarded = req.mode == "retarded"
+    k0_eff = K0 if retarded else 0.0
+    depth = np.log(10.0 / tol) + _MARGIN
 
-    s1, t2_1, tzz_1, n_g, n_prop, rel_g = _spectral_series(
-        spec, recip, k, rho, k0_eff, e, tol, want_s
-    )
-    s2, t2_2, tzz_2, n_r, rel_r = _spatial_series(
-        spec, k, rho, k0_eff, e, tol, want_s, skip_origin=same
-    )
-    s = s1 + s2
-    t2 = t2_1 + t2_2
-    tzz = tzz_1 + tzz_2
-    if same:
+    w_g, n_prop = _spectral_terms(spec, recip, k, rho, k0_eff, e, depth)
+    w_r = _spatial_terms(spec, k, rho, k0_eff, e, depth)
+    total = w_g.sum(axis=0) + w_r.sum(axis=0)
+    if req.offset == "same":
         h0, h2 = _self_corrections(k0_eff, e)
-        s += h0
-        t2[0, 0] += 2.0 * h2
-        t2[1, 1] += 2.0 * h2
-        tzz += 2.0 * h2
+        total += np.array([h0, 2.0 * h2, 0.0, 2.0 * h2, 2.0 * h2])
 
-    d = np.zeros((3, 3), dtype=complex)
-    d[:2, :2] = t2 / K0**2
-    d[2, 2] = tzz / K0**2
-    if req.mode == "retarded":
-        d[0, 0] += s
-        d[1, 1] += s
-        d[2, 2] += s
+    d = _dyadic(total, retarded)
+    # each omitted term is below tol/10 of the leading scale, so the tail
+    # is bounded by tol/10 times the summed magnitudes, component-wise
+    magnitude = _dyadic(np.abs(w_g).sum(axis=0) + np.abs(w_r).sum(axis=0),
+                        retarded)
     return LatticeSumResult(
         D=d,
-        n_spatial=n_r,
-        n_spectral=n_g,
-        est_error=float(max(rel_g, rel_r)),
+        n_spatial=len(w_r),
+        n_spectral=len(w_g),
+        est_error=float(0.1 * tol * np.linalg.norm(magnitude)
+                        / np.linalg.norm(d)),
         n_propagating=n_prop,
     )
 

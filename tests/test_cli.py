@@ -260,8 +260,12 @@ def test_light_line_point_nudged_and_flagged(capsys):
     assert code == 0
     lines = [ln for ln in out.splitlines() if not ln.startswith("#")]
     cols = lines[0].split(",")
-    flags = [dict(zip(cols, ln.split(",")))["anomalous"] for ln in lines[1:]]
-    assert "1" in flags
+    rows = [dict(zip(cols, ln.split(","))) for ln in lines[1:]]
+    assert "1" in [row["anomalous"] for row in rows]
+    # a nudged row still reports the sampled path point (M_bottom, kx = 0)
+    start = [row for row in rows if float(row["arclength"]) == 0.0]
+    assert start and all(row["anomalous"] == "1" for row in start)
+    assert all(abs(float(row["kx"])) < 1e-12 for row in start)
 
 
 def test_config_flag_equivalent_to_positional(tmp_path):

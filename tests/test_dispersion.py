@@ -197,6 +197,19 @@ def test_tilt_scan_finds_type_iii_window():
     assert tilts[-1] > 1.0
 
 
+@pytest.mark.parametrize("start,stop,step", [
+    (0.63, 0.66, 0.0),
+    (0.63, 0.66, -0.005),
+    (0.63, 0.66, float("nan")),
+    (0.63, 0.66, float("inf")),
+    (0.66, 0.63, 0.005),
+])
+def test_tilt_scan_rejects_bad_beta_range(start, stop, step):
+    with pytest.raises(ValueError, match="beta_st"):
+        tilt_transition_scan(0.1, start, stop, IN_PLANE, (0, 1),
+                             beta_step=step)
+
+
 def test_fit_degenerate_on_collinear_directions(iso, iso_cones):
     # two antipodal rays cannot determine the 2d quadratic form
     with pytest.raises(FitDegenerate):

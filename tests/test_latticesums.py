@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from dipolebands import (
     LatticeSumRequest,
@@ -130,12 +132,55 @@ def test_nonconvergent_extreme_splitting():
         _ewald(spec, reciprocal(spec).K, mode="retarded", splitting=2000.0)
 
 
+@pytest.mark.parametrize("tolerance,k", [
+    (0.0, (1.0, 0.0)),
+    (-1e-10, (1.0, 0.0)),
+    (1e-10, (np.nan, 0.0)),
+])
+def test_rejects_bad_tolerance_and_k(tolerance, k):
+    spec = build_lattice(0.1, 1.0)
+    with pytest.raises(ValueError):
+        ewald_sum(LatticeSumRequest(spec=spec, k=np.array(k),
+                                    tolerance=tolerance))
+
+
 def test_reported_error_estimates_honest():
     spec = build_lattice(0.1, 1.0)
     res = _ewald(spec, reciprocal(spec).K, mode="retarded")
     assert res.est_error < 1e-8
     assert res.n_spatial > 0
     assert res.n_spectral > 0
+
+
+@settings(max_examples=50, deadline=None)
+@given(d0=st.floats(0.08, 0.2), beta=st.floats(0.55, 1.45),
+       frac=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+       offset=st.sampled_from(("same", "a_to_b", "b_to_a")),
+       mode=st.sampled_from(("retarded", "quasistatic")),
+       scale=st.sampled_from((0.5, 1.0, 2.0)),
+       tol=st.sampled_from((1e-6, 1e-8, 1e-10)))
+def test_truncation_honours_tolerance(d0, beta, frac, offset, mode, scale,
+                                      tol):
+    # the a priori truncation must meet the requested tolerance, and the
+    # reported estimate must bound the true truncation error
+    spec = build_lattice(d0, beta)
+    recip = reciprocal(spec)
+    k = frac[0] * recip.b1 + frac[1] * recip.b2
+    e = scale * default_splitting(spec)
+
+    def run(tolerance):
+        return ewald_sum(LatticeSumRequest(
+            spec=spec, k=k, offset=offset, mode=mode, splitting=e,
+            tolerance=tolerance))
+
+    try:
+        res = run(tol)
+    except RayleighAnomaly:
+        reject()
+    ref = run(1e-14).D
+    err = np.linalg.norm(res.D - ref) / np.linalg.norm(ref)
+    assert err <= tol
+    assert err <= res.est_error
 
 
 @pytest.mark.parametrize("beta,label", [(1.0, "K"), (0.84, "M")])
