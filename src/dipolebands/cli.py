@@ -81,14 +81,18 @@ def _parse_floats(v: str, n: int):
     parts = [p for p in v.replace(" ", "").split(",") if p]
     if len(parts) != n:
         raise ValueError(f"expected {n} comma-separated numbers, got {v!r}")
-    return tuple(float(p) for p in parts)
+    vals = tuple(float(p) for p in parts)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"not finite: {v!r}")
+    return vals
 
 
 def _parse_grid(v: str) -> tuple:
     parts = [p for p in v.replace(" ", "").split(",") if p]
     if len(parts) != 6:
         raise ValueError("grid is kx_min,kx_max,ky_min,ky_max,nx,ny")
-    vals = tuple(float(p) for p in parts[:4]) + (int(parts[4]), int(parts[5]))
+    vals = _parse_floats(",".join(parts[:4]), 4) + (int(parts[4]),
+                                                    int(parts[5]))
     if vals[4] < 1 or vals[5] < 1:
         raise ValueError("grid point counts must be >= 1")
     return vals
@@ -178,10 +182,16 @@ def resolve_config(file_updates: dict, flag_updates: dict) -> RunConfig:
             and cfg.beta_stop < cfg.beta_start):
         raise ConfigError(
             f"beta_stop={cfg.beta_stop} below beta_start={cfg.beta_start}")
-    for name in ("d0", "beta_step", "ewald_splitting", "ewald_tolerance"):
+    for name in ("d0", "beta_step", "ewald_splitting", "ewald_tolerance",
+                 "eps_deg", "fit_radius"):
         val = getattr(cfg, name)
         if val is not None and not 0.0 < val < np.inf:
             raise ConfigError(f"{name} must be positive and finite, got {val}")
+    n_bands = {bloch.OUT_OF_PLANE: 2, bloch.IN_PLANE: 4}.get(cfg.block)
+    if n_bands is not None and cfg.pair[1] >= n_bands:
+        raise ConfigError(
+            f"pair={cfg.pair} out of range for the {n_bands}-band "
+            f"{cfg.block} block")
     if cfg.n_per_segment < 2:
         raise ConfigError(
             f"n_per_segment must be >= 2, got {cfg.n_per_segment}")
@@ -242,12 +252,9 @@ def _resolve_k(cfg: RunConfig, recip) -> np.ndarray:
     except UnknownLabel:
         pass
     try:
-        k = np.asarray(_parse_floats(cfg.k_point, 2))
+        return np.asarray(_parse_floats(cfg.k_point, 2))
     except ValueError as exc:
         raise ConfigError(f"bad k_point {cfg.k_point!r}: {exc}") from exc
-    if not np.all(np.isfinite(k)):
-        raise ConfigError(f"bad k_point {cfg.k_point!r}: not finite")
-    return k
 
 
 def _path_labels(cfg: RunConfig) -> list:

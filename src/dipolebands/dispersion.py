@@ -1,8 +1,9 @@
 """Locating, classifying, and tracking band degeneracies.
 
 A degeneracy of a band pair is located by a coarse gap scan over a k-region
-followed by deterministic derivative-free refinement. Around a degeneracy
-the two bands behave like
+followed by a deterministic, safeguarded Newton descent of gap(k)^2, which is
+smooth with a zero minimum where the bands touch (see _refine_minimum).
+Around a degeneracy the two bands behave like
 
     omega_+-(q) = m0 + w . q +- sqrt(q . A q)   (+ higher order)
 
@@ -19,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .bloch import solve_k
 from .greens import K0
@@ -34,7 +34,10 @@ FIT_INNER_FRAC = 0.1  # inner fit radius relative to the outer
 N_DIRECTIONS = 16
 N_RADII = 12
 GRID_N = 48
-REFINE_FRAC = 1e-6  # refinement scale in units of |b1|
+REFINE_FRAC = 1e-6  # refinement step tolerance in units of |b1|
+NEWTON_MAX_ITER = 20  # Newton iterations per refinement
+DROP_RTOL = 1e-3  # a step lowering gap^2 by less than this fraction ends it
+STENCIL_FLOOR = 1e-3  # smallest stencil step relative to the step tolerance
 DEDUP_FRAC = 1e-4  # merge radius in units of |b1|
 
 KINDS = ("dirac_I", "dirac_II", "dirac_III", "semi_dirac", "quadratic",
@@ -137,23 +140,57 @@ def default_search_region(spec: LatticeSpec):
 
 
 def _refine_minimum(gap, k0pt, scale, xatol):
-    """Deterministic Nelder-Mead descent of gap from k0pt."""
-    simplex = np.array([
-        k0pt,
-        k0pt + np.array([scale, 0.0]),
-        k0pt + np.array([0.0, scale]),
-    ])
-    res = minimize(
-        lambda k: gap(k), k0pt, method="Nelder-Mead",
-        options={
-            "initial_simplex": simplex,
-            "xatol": xatol,
-            "fatol": 1e-14,
-            "maxiter": 400,
-            "maxfev": 800,
-        },
-    )
-    return np.asarray(res.x, dtype=float), float(res.fun)
+    """Safeguarded Newton descent of f(k) = gap(k)^2; returns (k, gap(k)).
+
+    Where two bands touch, gap^2 = 4|d(q)|^2 is smooth with a zero minimum:
+    Newton converges quadratically at a Dirac point and linearly along the
+    flat axis of a semi-Dirac point. f at k, k +- h x, k +- h y and
+    k + h(x + y) gives gradient and Hessian, h being the last step length.
+    The Newton step (steepest descent where the Hessian is not positive
+    definite) is cut to `scale` and halved until f goes down; if no step
+    longer than xatol does, a stencil wider than xatol narrows to xatol and
+    the iteration repeats. The descent ends there on a narrower stencil, on
+    a step below xatol from a stencil no wider, on a drop of f below
+    DROP_RTOL of f (a kink of the gap, not a touching point), or after
+    NEWTON_MAX_ITER iterations.
+    """
+    k = np.asarray(k0pt, dtype=float)
+    g = gap(k)
+    h = scale
+    ex, ey = np.eye(2)
+    for _ in range(NEWTON_MAX_ITER):
+        f0 = g * g
+        fpx, fmx, fpy, fmy, fxy = (gap(k + dk) ** 2 for dk in (
+            h * ex, -h * ex, h * ey, -h * ey, h * (ex + ey)))
+        grad = np.array([fpx - fmx, fpy - fmy]) / (2.0 * h)
+        hxy = fxy - fpx - fpy + f0
+        hess = np.array([[fpx - 2.0 * f0 + fmx, hxy],
+                         [hxy, fpy - 2.0 * f0 + fmy]]) / h**2
+        if np.linalg.eigvalsh(hess)[0] > 0.0:
+            step = -np.linalg.solve(hess, grad)
+        elif grad @ grad > 0.0:
+            curv = grad @ hess @ grad
+            step = -grad * min(grad @ grad / curv if curv > 0.0 else np.inf,
+                               scale / np.linalg.norm(grad))
+        else:
+            break
+        length = float(np.linalg.norm(step))
+        if length > scale:
+            step, length = step * (scale / length), scale
+        g_new = gap(k + step)
+        while not g_new * g_new < f0 and length >= 2.0 * xatol:
+            step, length = 0.5 * step, 0.5 * length
+            g_new = gap(k + step)
+        if g_new * g_new < f0:
+            k, g = k + step, g_new
+            if length < xatol and h <= xatol or f0 - g * g <= DROP_RTOL * f0:
+                break
+            h = max(length, STENCIL_FLOOR * xatol)
+        elif h > xatol:
+            h = xatol
+        else:
+            break
+    return k, float(g)
 
 
 def find_degeneracies(spec: LatticeSpec, block: str, band_pair,
@@ -163,9 +200,10 @@ def find_degeneracies(spec: LatticeSpec, block: str, band_pair,
                       tolerance: float = 1e-10) -> list[DegeneracyReport]:
     """Locate gap closings of a band pair inside a k-region.
 
-    Coarse grid scan (grid_n x grid_n), Nelder-Mead refinement of every
-    coarse local minimum, filtering at eps_deg, duplicate merging modulo
-    reciprocal vectors, and reconstruction of the ky -> -ky mirror images.
+    Coarse grid scan (grid_n x grid_n), Newton refinement of gap^2 from
+    every coarse local minimum (_refine_minimum, trust radius half a grid
+    spacing), filtering at eps_deg, duplicate merging modulo reciprocal
+    vectors, and reconstruction of the ky -> -ky mirror images.
 
     With the default region in retarded mode, the radiative neighborhood
     |k| < 1.1 k0 is omitted: there the branch hugging the light line
@@ -189,22 +227,14 @@ def find_degeneracies(spec: LatticeSpec, block: str, band_pair,
 
     kxs = np.linspace(region[0], region[1], grid_n)
     kys = np.linspace(region[2], region[3], grid_n)
-    vals = np.array([
-        [np.inf if _excluded((x, y)) else gap(np.array([x, y]))
-         for y in kys]
-        for x in kxs
-    ])
+    vals = np.array([[np.inf if _excluded((x, y)) else gap(np.array([x, y]))
+                      for y in kys] for x in kxs])
 
-    spacing = max(
-        (region[1] - region[0]) / (grid_n - 1),
-        (region[3] - region[2]) / (grid_n - 1),
-    )
+    spacing = max(region[1] - region[0], region[3] - region[2]) / (grid_n - 1)
     pad = np.pad(vals, 1, constant_values=np.inf)
-    neigh = np.stack([
-        pad[i0:i0 + grid_n, j0:j0 + grid_n]
-        for i0 in (0, 1, 2) for j0 in (0, 1, 2)
-        if not (i0 == 1 and j0 == 1)
-    ])
+    neigh = np.stack([pad[i0:i0 + grid_n, j0:j0 + grid_n]
+                      for i0 in (0, 1, 2) for j0 in (0, 1, 2)
+                      if (i0, j0) != (1, 1)])
     is_min = np.isfinite(vals) & (vals <= neigh.min(axis=0))
     seeds = [np.array([kxs[i], kys[j]]) for i, j in zip(*np.nonzero(is_min))]
 
@@ -213,43 +243,30 @@ def find_degeneracies(spec: LatticeSpec, block: str, band_pair,
     for seed in seeds:
         k_star, g = _refine_minimum(gap, seed, 0.5 * spacing,
                                     REFINE_FRAC * b1n)
-        if g >= eps_deg:
-            continue
-        if not (region[0] - margin <= k_star[0] <= region[1] + margin
+        if (g < eps_deg and not _excluded(k_star)
+                and region[0] - margin <= k_star[0] <= region[1] + margin
                 and region[2] - margin <= k_star[1] <= region[3] + margin):
-            continue
-        if _excluded(k_star):
-            continue
-        found.append((k_star, g))
+            found.append((k_star, g))
+
+    def _is_new(k, kept):
+        red = reduce_to_bz(recip, k)
+        return all(np.linalg.norm(reduce_to_bz(
+            recip, red - reduce_to_bz(recip, k2))) >= DEDUP_FRAC * b1n
+            for k2, _ in kept)
 
     # Merge duplicates modulo the reciprocal lattice.
     merged = []
     for k_star, g in sorted(found, key=lambda t: (t[1], t[0][0], t[0][1])):
-        red = reduce_to_bz(recip, k_star)
-        dup = False
-        for _, _, red_prev in merged:
-            if np.linalg.norm(
-                    reduce_to_bz(recip, red - red_prev)) < DEDUP_FRAC * b1n:
-                dup = True
-                break
-        if not dup:
-            merged.append((k_star, g, red))
+        if _is_new(k_star, merged):
+            merged.append((k_star, g))
 
     # Mirror images: the default search region covers the upper half
     # zone only, so the ky -> -ky partners are reconstructed. An explicit
     # region is honored literally and gets no mirrors added.
-    reports = []
-    for k_star, g, red in merged:
-        reports.append((k_star, g))
+    reports = list(merged)
     if search_region is None:
-        for k_star, g, red in merged:
-            mirror = np.array([k_star[0], -k_star[1]])
-            red_m = reduce_to_bz(recip, mirror)
-            if all(np.linalg.norm(reduce_to_bz(recip, red_m - r2)) >=
-                   DEDUP_FRAC * b1n
-                   for _, _, r2 in merged):
-                reports.append((mirror, g))
-
+        mirrors = [(np.array([k[0], -k[1]]), g) for k, g in merged]
+        reports += [(m, g) for m, g in mirrors if _is_new(m, merged)]
     reports.sort(key=lambda t: (t[1], t[0][0], t[0][1]))
     return [
         DegeneracyReport(
@@ -316,9 +333,7 @@ def classify(spec: LatticeSpec, location, block: str, band_pair,
             qs.append(r * n)
             mids.append(0.5 * (lo + hi) - m0)
             halves.append(0.5 * (hi - lo))
-    qs = np.array(qs)
-    mids = np.array(mids)
-    halves = np.array(halves)
+    qs, mids, halves = np.array(qs), np.array(mids), np.array(halves)
 
     # Tilt: linear fit of the band average (even orders drop out on the
     # symmetric direction set).
@@ -398,9 +413,9 @@ def classify(spec: LatticeSpec, location, block: str, band_pair,
 
 def _track_once(spec, block, band_pair, mode, k_prev, eps_deg, splitting,
                 tolerance):
-    """Refine the cone location from a warm start; None when lost."""
-    recip = reciprocal(spec)
-    b1n = float(np.linalg.norm(recip.b1))
+    """Newton refinement of gap^2 from a warm start (trust radius
+    0.01 |b1|); None when the gap found is not below eps_deg."""
+    b1n = float(np.linalg.norm(reciprocal(spec).b1))
     gap = make_gap_function(spec, block, band_pair, mode, splitting,
                             tolerance)
     k_star, g = _refine_minimum(gap, np.asarray(k_prev, dtype=float),
@@ -419,8 +434,10 @@ def tilt_transition_scan(d0: float, beta_start: float, beta_stop: float,
                          start_point=None) -> ConeTrajectory:
     """Track one degeneracy over a beta sweep and record its changes.
 
-    The first beta locates the cone with a full region search (or from
-    start_point); later betas warm-start from the previous location. A
+    The first beta locates the cone with a full region search (or by
+    refining from start_point); later betas refine from the previous
+    location with the same Newton descent of gap^2 (_track_once), retried
+    once from the midpoint beta before the track is declared lost. A
     dirac_I <-> dirac_II classification change is bisected in beta until
     the bracket is narrower than 0.005, which brackets the type-III point.
 
@@ -451,11 +468,8 @@ def tilt_transition_scan(d0: float, beta_start: float, beta_stop: float,
     def locate(beta, warm):
         spec = build_lattice(d0, beta)
         if warm is not None:
-            hit = _track_once(spec, block, band_pair, mode, warm, eps_deg,
-                              splitting, tolerance)
-            if hit is not None:
-                return spec, hit
-            return spec, None
+            return spec, _track_once(spec, block, band_pair, mode, warm,
+                                     eps_deg, splitting, tolerance)
         if start_point is not None:
             hit = _track_once(spec, block, band_pair, mode, start_point,
                               eps_deg, splitting, tolerance)
@@ -472,48 +486,33 @@ def tilt_transition_scan(d0: float, beta_start: float, beta_stop: float,
         spec, hit = locate(beta, k_prev)
         if hit is None and k_prev is not None:
             # Adaptive halving before declaring the track lost.
-            mid = 0.5 * (beta_prev + beta)
-            spec_mid, hit_mid = locate(mid, k_prev)
+            _, hit_mid = locate(0.5 * (beta_prev + beta), k_prev)
             if hit_mid is not None:
-                k_mid, _ = hit_mid
-                spec, hit = locate(beta, k_mid)
+                spec, hit = locate(beta, hit_mid[0])
             if hit is None:
-                events.append({
-                    "event": "lost",
-                    "beta_bracket": (beta_prev, beta),
-                })
+                events.append({"event": "lost",
+                               "beta_bracket": (beta_prev, beta)})
                 k_prev = None
-                swept.append(beta)
-                continue
         if hit is None:
             swept.append(beta)
             continue
-        k_star, _g = hit
-        rep = classify(spec, k_star, block, band_pair, mode,
+        rep = classify(spec, hit[0], block, band_pair, mode,
                        eps_deg=eps_deg, splitting=splitting,
                        tolerance=tolerance)
         if reports:
             prev = reports[-1]
+            jump = float(np.linalg.norm(rep.k_star - prev.k_star))
             if k_prev is None:
-                events.append({
-                    "event": "found",
-                    "beta_bracket": (beta_prev, beta),
-                })
-            elif np.linalg.norm(rep.k_star - prev.k_star) > 3.0 * coarse_scale:
-                events.append({
-                    "event": "discontinuity",
-                    "beta_bracket": (prev.beta, beta),
-                    "jump": float(np.linalg.norm(rep.k_star - prev.k_star)),
-                })
+                events.append({"event": "found",
+                               "beta_bracket": (beta_prev, beta)})
+            elif jump > 3.0 * coarse_scale:
+                events.append({"event": "discontinuity",
+                               "beta_bracket": (prev.beta, beta),
+                               "jump": jump})
             if prev.kind != rep.kind:
-                ev = {
-                    "event": "classification_change",
-                    "from": prev.kind,
-                    "to": rep.kind,
-                    "beta_bracket": (prev.beta, beta),
-                }
-                pair_set = {prev.kind, rep.kind}
-                if pair_set == {"dirac_I", "dirac_II"}:
+                ev = {"event": "classification_change", "from": prev.kind,
+                      "to": rep.kind, "beta_bracket": (prev.beta, beta)}
+                if {prev.kind, rep.kind} == {"dirac_I", "dirac_II"}:
                     ev["type_iii_bracket"] = _bisect_type_iii(
                         d0, prev.beta, beta, prev.kind, prev.k_star, block,
                         band_pair, mode, eps_deg, splitting, tolerance)
@@ -575,7 +574,7 @@ def critical_beta(d0: float, block: str, band_pair, target_point,
         beta_c as a float.
 
     Raises:
-        NoClosure: the minimized gap never fell below eps_deg.
+        NoClosure: the smallest gap found stayed at or above eps_deg.
     """
     lo, hi = (float(beta_bracket[0]), float(beta_bracket[1]))
     if isinstance(target_point, str):

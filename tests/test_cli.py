@@ -246,6 +246,15 @@ _SWEEP = ["sweep-beta", "--block", "in_plane"]
     ["bands", "--d0", "nan"],
     ["bands", "--beta", "nan"],
     ["classify", "--block", "out_of_plane", "--set", "k_point=nan,0"],
+    ["classify", "--block", "out_of_plane", "--set", "pair=1,2",
+     "--set", "k_point=K"],
+    ["classify", "--block", "in_plane", "--set", "pair=3,4",
+     "--set", "k_point=K"],
+    ["surface", "--set", "grid=nan,1,0,1,2,2"],
+    ["find-cones", "--set", "region=0,inf,0,1"],
+    ["classify", "--block", "in_plane", "--set", "pair=1,2",
+     "--set", "k_point=K", "--set", "fit_radius=0"],
+    ["find-cones", "--set", "eps_deg=nan"],
 ])
 def test_exit_code_bad_config(argv, capsys):
     code, _ = run_cli(argv, capsys)

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize, minimize_scalar
 
 from dipolebands import (
     FitDegenerate,
@@ -11,6 +14,7 @@ from dipolebands import (
     build_lattice,
     classify,
     critical_beta,
+    dispersion,
     dos_histogram,
     find_degeneracies,
     reciprocal,
@@ -24,6 +28,64 @@ BETA_C_OOP_M = 0.840599
 BETA_C_IP01_M = 0.587086
 
 
+# Bloch solves of find_degeneracies(build_lattice(0.1, 0.9), OUT_OF_PLANE,
+# (0, 1)): the 48 x 48 grid less the radiative disk (2,132) plus the Newton
+# refinement of its 13 seeds. The Nelder-Mead refinement made it 6,032.
+FIND_SOLVES_09 = 3202
+
+
+def _nelder_mead(gap, k0pt, scale, xatol):
+    """The simplex refinement the Newton descent replaced (reference)."""
+    simplex = np.array([k0pt, k0pt + [scale, 0.0], k0pt + [0.0, scale]])
+    res = minimize(gap, k0pt, method="Nelder-Mead", options={
+        "initial_simplex": simplex, "xatol": xatol, "fatol": 1e-14,
+        "maxiter": 400, "maxfev": 800})
+    return np.asarray(res.x, dtype=float), float(res.fun)
+
+
+def _recorded_search(spec, block, pair):
+    """find_degeneracies, counting its Bloch solves and recording each
+    refinement as (gap, seed, scale, xatol, (k, gap(k)))."""
+    solves = [0]
+    refinements = []
+    solve_k = dispersion.solve_k
+    refine = dispersion._refine_minimum
+
+    def counting_solve(*args, **kwargs):
+        solves[0] += 1
+        return solve_k(*args, **kwargs)
+
+    def recording_refine(gap, seed, scale, xatol):
+        out = refine(gap, seed, scale, xatol)
+        refinements.append((gap, np.array(seed), scale, xatol, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dispersion, "solve_k", counting_solve)
+        mp.setattr(dispersion, "_refine_minimum", recording_refine)
+        found = find_degeneracies(spec, block, pair)
+    return found, solves[0], refinements
+
+
+def _seeds_near(spec, refinements, targets):
+    """Refinements seeded within one coarse spacing (mod G) of a target."""
+    recip = reciprocal(spec)
+    return [r for r in refinements
+            if min(dist_mod_g(recip, r[1], t) for t in targets) <= 2 * r[2]]
+
+
+def _check_against_nelder_mead(spec, refinements):
+    """Refine again by Nelder-Mead from each seed: both must reach the
+    same point, and the Newton descent a gap of at most 1e-10."""
+    recip = reciprocal(spec)
+    b1n = np.linalg.norm(recip.b1)
+    for gap, seed, scale, xatol, (k_new, g_new) in refinements:
+        k_ref, _ = _nelder_mead(gap, seed, scale, xatol)
+        assert g_new <= 1e-10, (seed, g_new)
+        assert dist_mod_g(recip, k_new, k_ref) <= 1e-8 * b1n, (seed, k_new)
+    return len(refinements)
+
+
 @pytest.fixture(scope="module")
 def iso():
     return build_lattice(0.1, 1.0)
@@ -32,6 +94,16 @@ def iso():
 @pytest.fixture(scope="module")
 def iso_cones(iso):
     return find_degeneracies(iso, OUT_OF_PLANE, (0, 1))
+
+
+@pytest.fixture(scope="module")
+def iso_in_plane_search(iso):
+    return _recorded_search(iso, IN_PLANE, (1, 2))
+
+
+@pytest.fixture(scope="module")
+def search_09():
+    return _recorded_search(build_lattice(0.1, 0.9), OUT_OF_PLANE, (0, 1))
 
 
 def test_unit_beta_cones_sit_at_zone_corners(iso, iso_cones):
@@ -46,9 +118,9 @@ def test_unit_beta_cones_sit_at_zone_corners(iso, iso_cones):
         assert r.gap_min < 1e-6
 
 
-def test_unit_beta_in_plane_cones_at_corners(iso):
+def test_unit_beta_in_plane_cones_at_corners(iso, iso_in_plane_search):
     recip = reciprocal(iso)
-    found = find_degeneracies(iso, IN_PLANE, (1, 2))
+    found = iso_in_plane_search[0]
     assert len(found) == 2
     tol = 1e-4 * np.linalg.norm(recip.b1)
     ds = sorted(dist_mod_g(recip, r.k_star, recip.K) for r in found)
@@ -104,15 +176,67 @@ def test_classify_gapped_kind():
     assert rep.tilt is None
 
 
-def test_reports_come_in_mirror_pairs():
+def test_reports_come_in_mirror_pairs(search_09):
     # anisotropy preserves the ky -> -ky mirror, so off-axis degeneracies
     # appear in pairs with mirrored locations
-    spec = build_lattice(0.1, 0.9)
-    found = find_degeneracies(spec, OUT_OF_PLANE, (0, 1))
+    found = search_09[0]
     assert len(found) == 2
     k0s = sorted(r.k_star[1] for r in found)
     assert k0s[0] == pytest.approx(-k0s[1], rel=1e-6)
     assert found[0].k_star[0] == pytest.approx(found[1].k_star[0], abs=1e-6)
+
+
+def test_find_solve_count_bounded(search_09):
+    # a refinement that falls back to a simplex search fails this
+    _, solves, refinements = search_09
+    assert len(refinements) == 13
+    assert solves <= 1.1 * FIND_SOLVES_09
+
+
+def test_refinement_matches_nelder_mead_at_cones(search_09):
+    found, _, refinements = search_09
+    spec = build_lattice(0.1, 0.9)
+    near = _seeds_near(spec, refinements, [r.k_star for r in found])
+    assert _check_against_nelder_mead(spec, near) >= 2
+
+
+def test_refinement_matches_nelder_mead_at_corners(iso, iso_in_plane_search):
+    recip = reciprocal(iso)
+    near = _seeds_near(iso, iso_in_plane_search[2], [recip.K, recip.Kprime])
+    assert _check_against_nelder_mead(iso, near) >= 2
+
+
+def test_refinement_matches_nelder_mead_on_gamma_m():
+    # the tilted in-plane cones of the type-III window sit on Gamma-M (ky=0)
+    spec = build_lattice(0.1, 0.65)
+    _, _, refinements = _recorded_search(spec, IN_PLANE, (0, 1))
+    on_line = [r for r in refinements if r[1][1] == 0.0]
+    assert _check_against_nelder_mead(spec, on_line) >= 2
+
+
+@settings(max_examples=10, deadline=None)
+@given(beta=st.floats(0.86, 0.95), angle=st.floats(0.0, 2.0 * np.pi),
+       frac=st.floats(0.0, 0.5))
+def test_refinement_converges_from_displaced_seed(beta, angle, frac):
+    spec = build_lattice(0.1, beta)
+    recip = reciprocal(spec)
+    b1n = np.linalg.norm(recip.b1)
+    mx = abs(recip.M[0])
+    ky = np.linalg.norm(recip.K)
+    gap = dispersion.make_gap_function(spec, OUT_OF_PLANE, (0, 1))
+    # the cone sits on the zone edge kx = mx between M and the corner
+    edge = minimize_scalar(lambda y: gap(np.array([mx, y])),
+                           bounds=(0.3, 0.5 * ky - 0.3), method="bounded",
+                           options={"xatol": 1e-10})
+    cone = np.array([mx, edge.x])
+    assert edge.fun < 1e-6
+    # coarse spacing and refinement scales as in find_degeneracies
+    spacing = max(2.0 * mx, ky) / (dispersion.GRID_N - 1)
+    seed = cone + frac * spacing * np.array([np.cos(angle), np.sin(angle)])
+    k, g = dispersion._refine_minimum(gap, seed, 0.5 * spacing,
+                                      dispersion.REFINE_FRAC * b1n)
+    assert g <= 1e-10
+    assert np.linalg.norm(k - cone) <= 1e-6 * b1n
 
 
 def test_classification_stable_under_fit_radius_halving(iso, iso_cones):
