@@ -169,40 +169,30 @@ def eigensolve(bm: BlochMatrix, arclength: float = 0.0,
     m = bm.m
     norm_m = np.linalg.norm(m)
 
-    m_oop = m[np.ix_(_OOP_IDX, _OOP_IDX)]
-    vals_o, vecs_o = _eig_out_of_plane(m_oop)
-    m_ip = m[np.ix_(_IP_IDX, _IP_IDX)]
-    vals_i, vecs_i = np.linalg.eig(m_ip)
+    vals_o, vecs_o = _eig_out_of_plane(m[np.ix_(_OOP_IDX, _OOP_IDX)])
+    vals_i, vecs_i = np.linalg.eig(m[np.ix_(_IP_IDX, _IP_IDX)])
+    vals = np.concatenate([vals_o, vals_i])
+    vecs = np.zeros((6, 6), dtype=complex)
+    vecs[_OOP_IDX, :2] = vecs_o
+    vecs[_IP_IDX, 2:] = vecs_i
 
-    entries = []
-    for j in range(2):
-        v = np.zeros(6, dtype=complex)
-        v[_OOP_IDX] = vecs_o[:, j]
-        entries.append((vals_o[j], v, OUT_OF_PLANE))
-    for j in range(4):
-        v = np.zeros(6, dtype=complex)
-        v[_IP_IDX] = vecs_i[:, j]
-        entries.append((vals_i[j], v, IN_PLANE))
+    res = np.linalg.norm(m @ vecs - vecs * vals, axis=0)
+    if res.max() > 1e-10 * norm_m:
+        raise EigenFailure(
+            f"eigenpair residual {res.max():.3e} exceeds 1e-10*||m||="
+            f"{1e-10 * norm_m:.3e} at k={bm.k}"
+        )
 
-    for lam, v, _tag in entries:
-        res = np.linalg.norm(m @ v - lam * v)
-        if res > 1e-10 * norm_m:
-            raise EigenFailure(
-                f"eigenpair residual {res:.3e} exceeds 1e-10*||m||="
-                f"{1e-10 * norm_m:.3e} at k={bm.k}"
-            )
-
-    entries.sort(key=lambda t: t[0].real)
-    vals = np.array([t[0] for t in entries])
-    vecs = np.stack([t[1] for t in entries], axis=1)
-    tags = tuple(t[2] for t in entries)
+    order = np.argsort(vals.real, kind="stable")
+    vals = vals[order]
+    tags = (OUT_OF_PLANE,) * 2 + (IN_PLANE,) * 4
     return BandSet(
         k=bm.k,
         arclength=float(arclength),
         detuning=vals.real,
         decay=-2.0 * vals.imag,
-        vectors=vecs,
-        block=tags,
+        vectors=vecs[:, order],
+        block=tuple(tags[i] for i in order),
         in_light_cone=bool(np.linalg.norm(bm.k) < K0),
         anomalous=anomalous,
     )

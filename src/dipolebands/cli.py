@@ -384,15 +384,11 @@ def cmd_classify(cfg: RunConfig) -> str:
     if cfg.block == "all":
         raise ConfigError("classify requires an explicit block")
     spec = lattice.build_lattice(cfg.d0, cfg.beta)
-    recip = lattice.reciprocal(spec)
-    k = _resolve_k(cfg, recip)
+    k = _resolve_k(cfg, lattice.reciprocal(spec))
     if cfg.refine:
-        gap = dispersion.make_gap_function(
-            spec, cfg.block, cfg.pair, cfg.mode, cfg.ewald_splitting,
+        k, _g = dispersion.refine_degeneracy(
+            spec, cfg.block, cfg.pair, k, cfg.mode, cfg.ewald_splitting,
             cfg.ewald_tolerance)
-        b1n = float(np.linalg.norm(recip.b1))
-        k, _g = dispersion._refine_minimum(
-            gap, k, 0.01 * b1n, dispersion.REFINE_FRAC * b1n)
     rep = dispersion.classify(
         spec, k, cfg.block, cfg.pair, cfg.mode, cfg.fit_radius,
         eps_deg=cfg.eps_deg, splitting=cfg.ewald_splitting,

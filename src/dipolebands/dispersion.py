@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import solve_k
+from .bloch import bands_on_grid, solve_k
 from .greens import K0
 from .lattice import LatticeSpec, build_lattice, reciprocal, reduce_to_bz
 
@@ -205,11 +205,13 @@ def find_degeneracies(spec: LatticeSpec, block: str, band_pair,
     spacing), filtering at eps_deg, duplicate merging modulo reciprocal
     vectors, and reconstruction of the ky -> -ky mirror images.
 
-    With the default region in retarded mode, the radiative neighborhood
-    |k| < 1.1 k0 is omitted: there the branch hugging the light line
-    crosses the other bands, which would otherwise swamp the search with
-    near-light-cone degeneracies. Pass an explicit search_region to probe
-    that neighborhood.
+    The coarse grid comes from bloch.bands_on_grid. With the default
+    region in retarded mode, no seed is taken in the radiative neighborhood
+    |k| < 1.1 k0 and refined points that end there are dropped: there the
+    branch hugging the light line crosses the other bands, which would
+    otherwise swamp the search with near-light-cone degeneracies. Grid
+    points inside it are still solved and count as neighbors of the seeds
+    around it. Pass an explicit search_region to probe that neighborhood.
 
     Returns:
         Location-and-gap reports sorted by (gap, kx, ky); empty if gapped.
@@ -219,31 +221,35 @@ def find_degeneracies(spec: LatticeSpec, block: str, band_pair,
         tuple(float(v) for v in search_region)
     recip = reciprocal(spec)
     b1n = float(np.linalg.norm(recip.b1))
-    gap = make_gap_function(spec, block, band_pair, mode, splitting,
-                            tolerance)
 
-    def _excluded(k):
-        return exclude_radiative and float(np.hypot(k[0], k[1])) < 1.1 * K0
+    def _excluded(kx, ky):
+        return exclude_radiative & (np.hypot(kx, ky) < 1.1 * K0)
 
-    kxs = np.linspace(region[0], region[1], grid_n)
-    kys = np.linspace(region[2], region[3], grid_n)
-    vals = np.array([[np.inf if _excluded((x, y)) else gap(np.array([x, y]))
-                      for y in kys] for x in kxs])
+    grid = bands_on_grid(spec, np.linspace(region[0], region[1], grid_n),
+                         np.linspace(region[2], region[3], grid_n), mode,
+                         splitting, tolerance)
+    slots = [i for i, tag in enumerate(grid.block) if tag == block]
+    vals = (grid.detuning[:, :, slots[band_pair[1]]]
+            - grid.detuning[:, :, slots[band_pair[0]]])
 
     spacing = max(region[1] - region[0], region[3] - region[2]) / (grid_n - 1)
     pad = np.pad(vals, 1, constant_values=np.inf)
     neigh = np.stack([pad[i0:i0 + grid_n, j0:j0 + grid_n]
                       for i0 in (0, 1, 2) for j0 in (0, 1, 2)
                       if (i0, j0) != (1, 1)])
-    is_min = np.isfinite(vals) & (vals <= neigh.min(axis=0))
-    seeds = [np.array([kxs[i], kys[j]]) for i, j in zip(*np.nonzero(is_min))]
+    is_min = vals <= neigh.min(axis=0)
+    is_min &= ~_excluded(*np.meshgrid(grid.kx, grid.ky, indexing="ij"))
+    seeds = [np.array([grid.kx[i], grid.ky[j]])
+             for i, j in zip(*np.nonzero(is_min))]
 
+    gap = make_gap_function(spec, block, band_pair, mode, splitting,
+                            tolerance)
     margin = 2.0 * spacing
     found = []
     for seed in seeds:
         k_star, g = _refine_minimum(gap, seed, 0.5 * spacing,
                                     REFINE_FRAC * b1n)
-        if (g < eps_deg and not _excluded(k_star)
+        if (g < eps_deg and not _excluded(*k_star)
                 and region[0] - margin <= k_star[0] <= region[1] + margin
                 and region[2] - margin <= k_star[1] <= region[3] + margin):
             found.append((k_star, g))
@@ -411,18 +417,21 @@ def classify(spec: LatticeSpec, location, block: str, band_pair,
     )
 
 
-def _track_once(spec, block, band_pair, mode, k_prev, eps_deg, splitting,
-                tolerance):
-    """Newton refinement of gap^2 from a warm start (trust radius
-    0.01 |b1|); None when the gap found is not below eps_deg."""
+def refine_degeneracy(spec: LatticeSpec, block: str, band_pair, k_warm,
+                      mode: str = "retarded", splitting: float | None = None,
+                      tolerance: float = 1e-10):
+    """Newton refinement of gap^2 from a warm start near a degeneracy.
+
+    The trust radius is 0.01 |b1| and the step tolerance REFINE_FRAC |b1|
+    (see _refine_minimum).
+
+    Returns:
+        (k, gap(k)); the caller decides whether the gap is closed.
+    """
     b1n = float(np.linalg.norm(reciprocal(spec).b1))
     gap = make_gap_function(spec, block, band_pair, mode, splitting,
                             tolerance)
-    k_star, g = _refine_minimum(gap, np.asarray(k_prev, dtype=float),
-                                0.01 * b1n, REFINE_FRAC * b1n)
-    if g >= eps_deg:
-        return None
-    return k_star, g
+    return _refine_minimum(gap, k_warm, 0.01 * b1n, REFINE_FRAC * b1n)
 
 
 def tilt_transition_scan(d0: float, beta_start: float, beta_stop: float,
@@ -434,12 +443,13 @@ def tilt_transition_scan(d0: float, beta_start: float, beta_stop: float,
                          start_point=None) -> ConeTrajectory:
     """Track one degeneracy over a beta sweep and record its changes.
 
-    The first beta locates the cone with a full region search (or by
-    refining from start_point); later betas refine from the previous
-    location with the same Newton descent of gap^2 (_track_once), retried
-    once from the midpoint beta before the track is declared lost. A
-    dirac_I <-> dirac_II classification change is bisected in beta until
-    the bracket is narrower than 0.005, which brackets the type-III point.
+    Every beta refines from the previous location (refine_degeneracy),
+    retried once from the midpoint beta before the track is declared lost.
+    The first beta, and any beta after a loss, refines from start_point
+    instead, or runs a full region search (find_degeneracies) when there is
+    none or it stays gapped. A dirac_I <-> dirac_II classification change
+    is bisected in beta, with the same refinement at each midpoint, until
+    the bracket is no wider than 0.005, which brackets the type-III point.
 
     Returns:
         ConeTrajectory over the swept betas.
@@ -460,45 +470,59 @@ def tilt_transition_scan(d0: float, beta_start: float, beta_stop: float,
     coarse_scale = b1n / GRID_N
 
     reports: list[DegeneracyReport] = []
-    swept: list[float] = []
     events: list[dict] = []
     k_prev = None
     beta_prev = None
 
-    def locate(beta, warm):
-        spec = build_lattice(d0, beta)
-        if warm is not None:
-            return spec, _track_once(spec, block, band_pair, mode, warm,
-                                     eps_deg, splitting, tolerance)
-        if start_point is not None:
-            hit = _track_once(spec, block, band_pair, mode, start_point,
-                              eps_deg, splitting, tolerance)
-            if hit is not None:
-                return spec, hit
-        cands = find_degeneracies(spec, block, band_pair, search_region,
-                                  mode, eps_deg, splitting=splitting,
-                                  tolerance=tolerance)
-        if not cands:
-            return spec, None
-        return spec, (cands[0].k_star, cands[0].gap_min)
+    def step(spec, warm):
+        """Warm-start refinement at one lattice; None while gapped."""
+        k, g = refine_degeneracy(spec, block, band_pair, warm, mode,
+                                 splitting, tolerance)
+        return k if g < eps_deg else None
+
+    def report(spec, k):
+        return classify(spec, k, block, band_pair, mode, eps_deg=eps_deg,
+                        splitting=splitting, tolerance=tolerance)
+
+    def bisect_type_iii(lo, hi, kind_lo, k_here):
+        """Narrow a dirac_I <-> dirac_II change to a type-III bracket."""
+        while hi - lo > 0.005:
+            mid = 0.5 * (lo + hi)
+            spec = build_lattice(d0, mid)
+            k = step(spec, k_here)
+            if k is None:
+                break
+            rep = report(spec, k)
+            k_here = rep.k_star
+            if rep.kind == "dirac_III":
+                return (mid - 0.0025, mid + 0.0025)
+            if rep.kind == kind_lo:
+                lo = mid
+            else:
+                hi = mid
+        return (lo, hi)
 
     for beta in betas:
-        spec, hit = locate(beta, k_prev)
-        if hit is None and k_prev is not None:
-            # Adaptive halving before declaring the track lost.
-            _, hit_mid = locate(0.5 * (beta_prev + beta), k_prev)
-            if hit_mid is not None:
-                spec, hit = locate(beta, hit_mid[0])
-            if hit is None:
+        spec = build_lattice(d0, beta)
+        warm = start_point if k_prev is None else k_prev
+        k = None if warm is None else step(spec, warm)
+        if k is None and k_prev is not None:
+            # Retry from the midpoint beta before declaring the track lost.
+            k_mid = step(build_lattice(d0, 0.5 * (beta_prev + beta)), k_prev)
+            k = None if k_mid is None else step(spec, k_mid)
+            if k is None:
                 events.append({"event": "lost",
                                "beta_bracket": (beta_prev, beta)})
                 k_prev = None
-        if hit is None:
-            swept.append(beta)
-            continue
-        rep = classify(spec, hit[0], block, band_pair, mode,
-                       eps_deg=eps_deg, splitting=splitting,
-                       tolerance=tolerance)
+                continue
+        if k is None:
+            cands = find_degeneracies(spec, block, band_pair, search_region,
+                                      mode, eps_deg, splitting=splitting,
+                                      tolerance=tolerance)
+            if not cands:
+                continue
+            k = cands[0].k_star
+        rep = report(spec, k)
         if reports:
             prev = reports[-1]
             jump = float(np.linalg.norm(rep.k_star - prev.k_star))
@@ -513,44 +537,15 @@ def tilt_transition_scan(d0: float, beta_start: float, beta_stop: float,
                 ev = {"event": "classification_change", "from": prev.kind,
                       "to": rep.kind, "beta_bracket": (prev.beta, beta)}
                 if {prev.kind, rep.kind} == {"dirac_I", "dirac_II"}:
-                    ev["type_iii_bracket"] = _bisect_type_iii(
-                        d0, prev.beta, beta, prev.kind, prev.k_star, block,
-                        band_pair, mode, eps_deg, splitting, tolerance)
+                    ev["type_iii_bracket"] = bisect_type_iii(
+                        prev.beta, beta, prev.kind, prev.k_star)
                 events.append(ev)
         reports.append(rep)
-        swept.append(beta)
         k_prev = rep.k_star
         beta_prev = beta
 
-    return ConeTrajectory(beta_values=tuple(swept), reports=tuple(reports),
+    return ConeTrajectory(beta_values=tuple(betas), reports=tuple(reports),
                           events=tuple(events))
-
-
-def _bisect_type_iii(d0, beta_lo, beta_hi, kind_lo, k_warm, block, band_pair,
-                     mode, eps_deg, splitting, tolerance,
-                     width: float = 0.005):
-    """Narrow a dirac_I <-> dirac_II change to a type-III bracket."""
-    lo, hi = float(beta_lo), float(beta_hi)
-    k_here = np.asarray(k_warm, dtype=float)
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        spec = build_lattice(d0, mid)
-        hit = _track_once(spec, block, band_pair, mode, k_here, eps_deg,
-                          splitting, tolerance)
-        if hit is None:
-            break
-        rep = classify(spec, hit[0], block, band_pair, mode,
-                       eps_deg=eps_deg, splitting=splitting,
-                       tolerance=tolerance)
-        k_here = rep.k_star
-        if rep.kind == "dirac_III":
-            half = 0.5 * width
-            return (mid - half, mid + half)
-        if rep.kind == kind_lo:
-            lo = mid
-        else:
-            hi = mid
-    return (lo, hi)
 
 
 def critical_beta(d0: float, block: str, band_pair, target_point,

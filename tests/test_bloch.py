@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dipolebands import (
+    EigenFailure,
     IN_PLANE,
     OUT_OF_PLANE,
     assemble,
     bands_on_grid,
+    bloch,
     bands_on_path,
     build_lattice,
     eigensolve,
@@ -55,6 +57,25 @@ def test_eigenpair_residuals(iso_lattice):
     for j in range(6):
         res = np.linalg.norm(bm.m @ bs.vectors[:, j] - lams[j] * bs.vectors[:, j])
         assert res <= 1e-10 * np.linalg.norm(bm.m)
+
+
+@pytest.mark.parametrize("block", ["oop", "ip"])
+def test_eigen_failure_on_inaccurate_pair(iso_lattice, monkeypatch, block):
+    # an eigenvalue off by 1e-6 misses the 1e-10 ||m|| residual bound
+    def shifted(eig):
+        def wrapped(mat):
+            vals, vecs = eig(mat)
+            return vals + np.eye(len(vals))[0] * 1e-6, vecs
+        return wrapped
+
+    if block == "oop":
+        monkeypatch.setattr(bloch, "_eig_out_of_plane",
+                            shifted(bloch._eig_out_of_plane))
+    else:
+        monkeypatch.setattr(bloch.np.linalg, "eig",
+                            shifted(np.linalg.eig))
+    with pytest.raises(EigenFailure, match="residual"):
+        eigensolve(assemble(iso_lattice, [7.0, 13.0]))
 
 
 def test_quasistatic_decay_is_single_emitter_rate():

@@ -11,6 +11,7 @@ from dipolebands import (
     NoClosure,
     OUT_OF_PLANE,
     IN_PLANE,
+    bloch,
     build_lattice,
     classify,
     critical_beta,
@@ -29,9 +30,10 @@ BETA_C_IP01_M = 0.587086
 
 
 # Bloch solves of find_degeneracies(build_lattice(0.1, 0.9), OUT_OF_PLANE,
-# (0, 1)): the 48 x 48 grid less the radiative disk (2,132) plus the Newton
-# refinement of its 13 seeds. The Nelder-Mead refinement made it 6,032.
-FIND_SOLVES_09 = 3202
+# (0, 1)): the whole 48 x 48 grid (2,304) plus the Newton refinement of its
+# 3 seeds (129). Seeding inside the radiative disk made it 3,202 (13 seeds),
+# the Nelder-Mead refinement 6,032.
+FIND_SOLVES_09 = 2433
 
 
 def _nelder_mead(gap, k0pt, scale, xatol):
@@ -44,11 +46,12 @@ def _nelder_mead(gap, k0pt, scale, xatol):
 
 
 def _recorded_search(spec, block, pair):
-    """find_degeneracies, counting its Bloch solves and recording each
-    refinement as (gap, seed, scale, xatol, (k, gap(k)))."""
+    """find_degeneracies, counting its Bloch solves (the coarse grid's in
+    bloch and the refinement's in dispersion) and recording each refinement
+    as (gap, seed, scale, xatol, (k, gap(k)))."""
     solves = [0]
     refinements = []
-    solve_k = dispersion.solve_k
+    solve_k = bloch.solve_k
     refine = dispersion._refine_minimum
 
     def counting_solve(*args, **kwargs):
@@ -61,6 +64,7 @@ def _recorded_search(spec, block, pair):
         return out
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bloch, "solve_k", counting_solve)
         mp.setattr(dispersion, "solve_k", counting_solve)
         mp.setattr(dispersion, "_refine_minimum", recording_refine)
         found = find_degeneracies(spec, block, pair)
@@ -189,7 +193,7 @@ def test_reports_come_in_mirror_pairs(search_09):
 def test_find_solve_count_bounded(search_09):
     # a refinement that falls back to a simplex search fails this
     _, solves, refinements = search_09
-    assert len(refinements) == 13
+    assert len(refinements) == 3
     assert solves <= 1.1 * FIND_SOLVES_09
 
 
@@ -319,6 +323,110 @@ def test_tilt_scan_finds_type_iii_window():
              if r.kind in ("dirac_I", "dirac_II", "dirac_III")]
     assert tilts[0] < 1.0
     assert tilts[-1] > 1.0
+
+
+def _scripted_scan(monkeypatch, refine_at, kind_at, cones_at, **scan):
+    """tilt_transition_scan on fakes keyed on beta; returns the trajectory
+    and the betas at which a full search ran.
+
+    refine_at(beta, k0) gives the warm-start refinement (k, gap) from k0,
+    kind_at(beta) the classification and cones_at(beta) the k* of a full
+    search. Lattices are real but nothing is solved.
+    """
+    searched = []
+
+    def fake_search(spec, block, pair, *args, **kwargs):
+        searched.append(round(spec.beta, 6))
+        k = cones_at(round(spec.beta, 6))
+        return [] if k is None else [dispersion.DegeneracyReport(
+            k_star=np.asarray(k, dtype=float), band_pair=tuple(pair),
+            block=block, gap_min=0.0, beta=spec.beta, d0=spec.d0,
+            mode="retarded")]
+
+    def fake_classify(spec, k, block, pair, *args, **kwargs):
+        return dispersion.DegeneracyReport(
+            k_star=np.asarray(k, dtype=float), band_pair=tuple(pair),
+            block=block, gap_min=0.0, beta=spec.beta, d0=spec.d0,
+            mode="retarded", kind=kind_at(spec.beta))
+
+    def fake_refine(beta, k0, scale, xatol):
+        k, g = refine_at(round(beta, 6), tuple(np.asarray(k0, dtype=float)))
+        return np.asarray(k, dtype=float), g
+
+    # the fake gap function is the lattice's beta, which the fake
+    # refinement reads back
+    monkeypatch.setattr(dispersion, "make_gap_function",
+                        lambda spec, *args, **kwargs: spec.beta)
+    monkeypatch.setattr(dispersion, "_refine_minimum", fake_refine)
+    monkeypatch.setattr(dispersion, "find_degeneracies", fake_search)
+    monkeypatch.setattr(dispersion, "classify", fake_classify)
+    traj = tilt_transition_scan(0.1, block=IN_PLANE, band_pair=(0, 1),
+                                **scan)
+    return traj, searched
+
+
+def test_tilt_scan_events_on_scripted_track(monkeypatch):
+    start = (10.0, 0.0)
+    # warm starts that reach the cone; every other refinement stays gapped
+    moves = {
+        (0.805, (10.1, 0.0)): (10.2, 0.0),  # midpoint retry for 0.81
+        (0.81, (10.2, 0.0)): (10.3, 0.0),
+        (0.84, (10.4, 0.0)): (15.0, 0.0),  # jump of 4.6 > 3 coarse steps
+        (0.85, (15.0, 0.0)): (15.1, 0.0),
+    }
+
+    def refine_at(beta, k0):
+        k = moves.get((beta, k0))
+        return (k0, 1.0) if k is None else (k, 0.0)
+
+    traj, searched = _scripted_scan(
+        monkeypatch, refine_at, lambda beta: "dirac_I",
+        {0.8: (10.1, 0.0), 0.83: (10.4, 0.0)}.get,
+        beta_start=0.8, beta_stop=0.85, beta_step=0.01, start_point=start)
+
+    # start_point stays gapped at 0.80 and 0.83, so both fall back to a
+    # full search; 0.82 is lost after its midpoint retry also fails
+    assert searched == [0.8, 0.83]
+    assert traj.beta_values == pytest.approx([0.8, 0.81, 0.82, 0.83, 0.84,
+                                              0.85])
+    assert [r.beta for r in traj.reports] == pytest.approx(
+        [0.8, 0.81, 0.83, 0.84, 0.85])
+    assert [tuple(r.k_star) for r in traj.reports] == [
+        (10.1, 0.0), (10.3, 0.0), (10.4, 0.0), (15.0, 0.0), (15.1, 0.0)]
+    assert [e["event"] for e in traj.events] == ["lost", "found",
+                                                 "discontinuity"]
+    lost, found, jump = traj.events
+    assert lost["beta_bracket"] == pytest.approx((0.81, 0.82))
+    assert found["beta_bracket"] == pytest.approx((0.81, 0.83))
+    assert jump["beta_bracket"] == pytest.approx((0.83, 0.84))
+    assert jump["jump"] == pytest.approx(4.6)
+
+
+@pytest.mark.parametrize("kind_at,bracket", [
+    # narrowing: the bracket halves until it is at most 0.005 wide
+    (lambda beta: "dirac_I" if beta < 0.6437 else "dirac_II",
+     (0.6425, 0.645)),
+    # a dirac_III midpoint ends it with a bracket of 0.005 around that beta
+    (lambda beta: ("dirac_I" if beta < 0.643 else
+                   "dirac_III" if beta < 0.647 else "dirac_II"),
+     (0.6425, 0.6475)),
+])
+def test_tilt_scan_brackets_type_iii_on_script(monkeypatch, kind_at,
+                                               bracket):
+    def refine_at(beta, k0):
+        return (k0[0] + 0.01, k0[1]), 0.0
+
+    traj, searched = _scripted_scan(
+        monkeypatch, refine_at, kind_at, lambda beta: None,
+        beta_start=0.63, beta_stop=0.65, beta_step=0.02,
+        start_point=(13.0, 0.0))
+    assert searched == []
+    assert [r.kind for r in traj.reports] == ["dirac_I", "dirac_II"]
+    (event,) = traj.events
+    assert event["event"] == "classification_change"
+    assert (event["from"], event["to"]) == ("dirac_I", "dirac_II")
+    assert event["beta_bracket"] == pytest.approx((0.63, 0.65))
+    assert event["type_iii_bracket"] == pytest.approx(bracket)
 
 
 @pytest.mark.parametrize("start,stop,step", [
