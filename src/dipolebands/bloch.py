@@ -104,7 +104,6 @@ class BandGrid:
 
 
 def assemble(spec: LatticeSpec, k, mode: str = "retarded",
-             splitting: float | None = None,
              tolerance: float = 1e-10) -> BlochMatrix:
     """Build the 6x6 Bloch matrix from three lattice sums.
 
@@ -112,7 +111,7 @@ def assemble(spec: LatticeSpec, k, mode: str = "retarded",
         spec: Lattice geometry.
         k: Bloch vector (2,).
         mode: 'retarded' or 'quasistatic'.
-        splitting, tolerance: Forwarded to the Ewald engine.
+        tolerance: Truncation target forwarded to the Ewald engine.
 
     Returns:
         BlochMatrix with basis ordering (A_x, A_y, A_z, B_x, B_y, B_z).
@@ -121,8 +120,7 @@ def assemble(spec: LatticeSpec, k, mode: str = "retarded",
     blocks = {}
     for offset in ("same", "a_to_b", "b_to_a"):
         res = ewald_sum(LatticeSumRequest(
-            spec=spec, k=k, offset=offset, mode=mode,
-            splitting=splitting, tolerance=tolerance,
+            spec=spec, k=k, offset=offset, mode=mode, tolerance=tolerance,
         ))
         blocks[offset] = res.D
     m = np.zeros((6, 6), dtype=complex)
@@ -199,8 +197,7 @@ def eigensolve(bm: BlochMatrix, arclength: float = 0.0,
 
 
 def solve_k(spec: LatticeSpec, k, mode: str = "retarded",
-            splitting: float | None = None, tolerance: float = 1e-10,
-            arclength: float = 0.0) -> BandSet:
+            tolerance: float = 1e-10, arclength: float = 0.0) -> BandSet:
     """Bands at one k-point: assemble and eigensolve.
 
     A k-point on a light-line (Rayleigh) singularity is moved once by
@@ -210,11 +207,10 @@ def solve_k(spec: LatticeSpec, k, mode: str = "retarded",
     """
     k = np.asarray(k, dtype=float)
     try:
-        bm = assemble(spec, k, mode, splitting, tolerance)
+        bm = assemble(spec, k, mode, tolerance)
     except RayleighAnomaly as exc:
         step = 1e-7 * float(np.linalg.norm(reciprocal(spec).b1))
-        bm = assemble(spec, k + step * exc.direction, mode, splitting,
-                      tolerance)
+        bm = assemble(spec, k + step * exc.direction, mode, tolerance)
         return replace(eigensolve(bm, arclength, anomalous=True), k=k)
     return eigensolve(bm, arclength)
 
@@ -272,7 +268,6 @@ def _connect(bands: list[BandSet]) -> list[BandSet]:
 
 
 def bands_on_path(spec: LatticeSpec, path, mode: str = "retarded",
-                  splitting: float | None = None,
                   tolerance: float = 1e-10) -> list[BandSet]:
     """Connected band structure along a sampled path.
 
@@ -291,12 +286,11 @@ def bands_on_path(spec: LatticeSpec, path, mode: str = "retarded",
             kvec, s, _label = entry
         else:
             kvec, s = entry, 0.0
-        bands.append(solve_k(spec, kvec, mode, splitting, tolerance, s))
+        bands.append(solve_k(spec, kvec, mode, tolerance, s))
     return _connect(bands)
 
 
 def bands_on_grid(spec: LatticeSpec, kx, ky, mode: str = "retarded",
-                  splitting: float | None = None,
                   tolerance: float = 1e-10) -> BandGrid:
     """Energy-ordered band sheets over a rectangular k grid.
 
@@ -314,7 +308,7 @@ def bands_on_grid(spec: LatticeSpec, kx, ky, mode: str = "retarded",
     anom = np.zeros((nx, ny), dtype=bool)
     for i in range(nx):
         for j in range(ny):
-            bs = solve_k(spec, (kx[i], ky[j]), mode, splitting, tolerance)
+            bs = solve_k(spec, (kx[i], ky[j]), mode, tolerance)
             # energy-sorted within each group already
             order = ([n for n in range(6) if bs.block[n] == IN_PLANE]
                      + [n for n in range(6) if bs.block[n] == OUT_OF_PLANE])

@@ -49,7 +49,6 @@ class RunConfig:
     grid: tuple | None = None
     region: tuple | None = None
     k_point: str | None = None
-    ewald_splitting: float | None = None
     ewald_tolerance: float = 1e-10
     eps_deg: float = 1e-3
     fit_radius: float | None = None
@@ -121,7 +120,6 @@ _PARSERS = {
     "grid": _parse_grid,
     "region": lambda v: _parse_floats(v, 4),
     "k_point": str,
-    "ewald_splitting": float,
     "ewald_tolerance": float,
     "eps_deg": float,
     "fit_radius": float,
@@ -182,11 +180,14 @@ def resolve_config(file_updates: dict, flag_updates: dict) -> RunConfig:
             and cfg.beta_stop < cfg.beta_start):
         raise ConfigError(
             f"beta_stop={cfg.beta_stop} below beta_start={cfg.beta_start}")
-    for name in ("d0", "beta_step", "ewald_splitting", "ewald_tolerance",
-                 "eps_deg", "fit_radius"):
+    for name in ("d0", "beta_step", "ewald_tolerance", "eps_deg",
+                 "fit_radius"):
         val = getattr(cfg, name)
         if val is not None and not 0.0 < val < np.inf:
             raise ConfigError(f"{name} must be positive and finite, got {val}")
+    if cfg.ewald_tolerance >= 1.0:
+        raise ConfigError(
+            f"ewald_tolerance must lie in (0, 1), got {cfg.ewald_tolerance}")
     n_bands = {bloch.OUT_OF_PLANE: 2, bloch.IN_PLANE: 4}.get(cfg.block)
     if n_bands is not None and cfg.pair[1] >= n_bands:
         raise ConfigError(
@@ -287,8 +288,7 @@ def cmd_bands(cfg: RunConfig) -> str:
         raise ConfigError(str(exc)) from exc
     modes = ("retarded", "quasistatic") if cfg.mode == "both" else (cfg.mode,)
     results = {
-        m: bloch.bands_on_path(spec, samples, m, cfg.ewald_splitting,
-                               cfg.ewald_tolerance)
+        m: bloch.bands_on_path(spec, samples, m, cfg.ewald_tolerance)
         for m in modes
     }
     header = ["arclength", "kx", "ky", "band_index", "block"]
@@ -321,7 +321,7 @@ def cmd_surface(cfg: RunConfig) -> str:
     spec = lattice.build_lattice(cfg.d0, cfg.beta)
     grid = bloch.bands_on_grid(
         spec, np.linspace(x0, x1, nx), np.linspace(y0, y1, ny), cfg.mode,
-        cfg.ewald_splitting, cfg.ewald_tolerance)
+        cfg.ewald_tolerance)
     header = ["ix", "iy", "kx", "ky", "band_index", "block", "detuning",
               "decay", "in_light_cone", "anomalous"]
     rows = []
@@ -368,12 +368,10 @@ def cmd_find_cones(cfg: RunConfig) -> str:
     for block, pair in _block_pairs(cfg):
         for rep in dispersion.find_degeneracies(
                 spec, block, pair, cfg.region, cfg.mode, cfg.eps_deg,
-                splitting=cfg.ewald_splitting,
                 tolerance=cfg.ewald_tolerance):
             full = dispersion.classify(
                 spec, rep.k_star, block, pair, cfg.mode, cfg.fit_radius,
-                eps_deg=cfg.eps_deg, splitting=cfg.ewald_splitting,
-                tolerance=cfg.ewald_tolerance)
+                eps_deg=cfg.eps_deg, tolerance=cfg.ewald_tolerance)
             reports.append(_report_payload(full))
     return _json_text(cfg, {"reports": reports})
 
@@ -387,12 +385,10 @@ def cmd_classify(cfg: RunConfig) -> str:
     k = _resolve_k(cfg, lattice.reciprocal(spec))
     if cfg.refine:
         k, _g = dispersion.refine_degeneracy(
-            spec, cfg.block, cfg.pair, k, cfg.mode, cfg.ewald_splitting,
-            cfg.ewald_tolerance)
+            spec, cfg.block, cfg.pair, k, cfg.mode, cfg.ewald_tolerance)
     rep = dispersion.classify(
         spec, k, cfg.block, cfg.pair, cfg.mode, cfg.fit_radius,
-        eps_deg=cfg.eps_deg, splitting=cfg.ewald_splitting,
-        tolerance=cfg.ewald_tolerance)
+        eps_deg=cfg.eps_deg, tolerance=cfg.ewald_tolerance)
     return _json_text(cfg, {"report": _report_payload(rep)})
 
 
@@ -410,7 +406,7 @@ def cmd_sweep_beta(cfg: RunConfig) -> str:
     traj = dispersion.tilt_transition_scan(
         cfg.d0, cfg.beta_start, cfg.beta_stop, cfg.block, cfg.pair,
         cfg.beta_step, cfg.mode, cfg.region, cfg.eps_deg,
-        cfg.ewald_splitting, cfg.ewald_tolerance, start_point=start_point)
+        cfg.ewald_tolerance, start_point=start_point)
     payload = {
         "beta_values": list(traj.beta_values),
         "reports": [_report_payload(r) for r in traj.reports],

@@ -118,14 +118,12 @@ def _block_levels(bs, block):
 
 
 def make_gap_function(spec: LatticeSpec, block: str, band_pair,
-                      mode: str = "retarded", splitting: float | None = None,
-                      tolerance: float = 1e-10):
+                      mode: str = "retarded", tolerance: float = 1e-10):
     """Return gap(k) for one band pair (energy-sorted within block)."""
     pair = tuple(band_pair)
 
     def gap(k):
-        det = _block_levels(solve_k(spec, k, mode, splitting, tolerance),
-                            block)
+        det = _block_levels(solve_k(spec, k, mode, tolerance), block)
         return det[pair[1]] - det[pair[0]]
 
     return gap
@@ -196,7 +194,6 @@ def _refine_minimum(gap, k0pt, scale, xatol):
 def find_degeneracies(spec: LatticeSpec, block: str, band_pair,
                       search_region=None, mode: str = "retarded",
                       eps_deg: float = EPS_DEG, grid_n: int = GRID_N,
-                      splitting: float | None = None,
                       tolerance: float = 1e-10) -> list[DegeneracyReport]:
     """Locate gap closings of a band pair inside a k-region.
 
@@ -227,7 +224,7 @@ def find_degeneracies(spec: LatticeSpec, block: str, band_pair,
 
     grid = bands_on_grid(spec, np.linspace(region[0], region[1], grid_n),
                          np.linspace(region[2], region[3], grid_n), mode,
-                         splitting, tolerance)
+                         tolerance)
     slots = [i for i, tag in enumerate(grid.block) if tag == block]
     vals = (grid.detuning[:, :, slots[band_pair[1]]]
             - grid.detuning[:, :, slots[band_pair[0]]])
@@ -242,8 +239,7 @@ def find_degeneracies(spec: LatticeSpec, block: str, band_pair,
     seeds = [np.array([grid.kx[i], grid.ky[j]])
              for i, j in zip(*np.nonzero(is_min))]
 
-    gap = make_gap_function(spec, block, band_pair, mode, splitting,
-                            tolerance)
+    gap = make_gap_function(spec, block, band_pair, mode, tolerance)
     margin = 2.0 * spacing
     found = []
     for seed in seeds:
@@ -255,10 +251,8 @@ def find_degeneracies(spec: LatticeSpec, block: str, band_pair,
             found.append((k_star, g))
 
     def _is_new(k, kept):
-        red = reduce_to_bz(recip, k)
-        return all(np.linalg.norm(reduce_to_bz(
-            recip, red - reduce_to_bz(recip, k2))) >= DEDUP_FRAC * b1n
-            for k2, _ in kept)
+        return all(np.linalg.norm(reduce_to_bz(recip, k - k2))
+                   >= DEDUP_FRAC * b1n for k2, _ in kept)
 
     # Merge duplicates modulo the reciprocal lattice.
     merged = []
@@ -294,7 +288,7 @@ def _exponent_class(p: float) -> int | None:
 def classify(spec: LatticeSpec, location, block: str, band_pair,
              mode: str = "retarded", fit_radius: float | None = None,
              n_dirs: int = N_DIRECTIONS, n_radii: int = N_RADII,
-             eps_deg: float = EPS_DEG, splitting: float | None = None,
+             eps_deg: float = EPS_DEG,
              tolerance: float = 1e-10) -> DegeneracyReport:
     """Classify the band-pair behavior around a degeneracy location.
 
@@ -317,8 +311,7 @@ def classify(spec: LatticeSpec, location, block: str, band_pair,
     pair = tuple(band_pair)
 
     def both(k):
-        det = _block_levels(solve_k(spec, k, mode, splitting, tolerance),
-                            block)
+        det = _block_levels(solve_k(spec, k, mode, tolerance), block)
         return det[pair[0]], det[pair[1]]
 
     lo0, hi0 = both(k_star)
@@ -418,8 +411,7 @@ def classify(spec: LatticeSpec, location, block: str, band_pair,
 
 
 def refine_degeneracy(spec: LatticeSpec, block: str, band_pair, k_warm,
-                      mode: str = "retarded", splitting: float | None = None,
-                      tolerance: float = 1e-10):
+                      mode: str = "retarded", tolerance: float = 1e-10):
     """Newton refinement of gap^2 from a warm start near a degeneracy.
 
     The trust radius is 0.01 |b1| and the step tolerance REFINE_FRAC |b1|
@@ -429,8 +421,7 @@ def refine_degeneracy(spec: LatticeSpec, block: str, band_pair, k_warm,
         (k, gap(k)); the caller decides whether the gap is closed.
     """
     b1n = float(np.linalg.norm(reciprocal(spec).b1))
-    gap = make_gap_function(spec, block, band_pair, mode, splitting,
-                            tolerance)
+    gap = make_gap_function(spec, block, band_pair, mode, tolerance)
     return _refine_minimum(gap, k_warm, 0.01 * b1n, REFINE_FRAC * b1n)
 
 
@@ -438,7 +429,6 @@ def tilt_transition_scan(d0: float, beta_start: float, beta_stop: float,
                          block: str, band_pair, beta_step: float = 0.005,
                          mode: str = "retarded", search_region=None,
                          eps_deg: float = EPS_DEG,
-                         splitting: float | None = None,
                          tolerance: float = 1e-10,
                          start_point=None) -> ConeTrajectory:
     """Track one degeneracy over a beta sweep and record its changes.
@@ -477,12 +467,12 @@ def tilt_transition_scan(d0: float, beta_start: float, beta_stop: float,
     def step(spec, warm):
         """Warm-start refinement at one lattice; None while gapped."""
         k, g = refine_degeneracy(spec, block, band_pair, warm, mode,
-                                 splitting, tolerance)
+                                 tolerance)
         return k if g < eps_deg else None
 
     def report(spec, k):
         return classify(spec, k, block, band_pair, mode, eps_deg=eps_deg,
-                        splitting=splitting, tolerance=tolerance)
+                        tolerance=tolerance)
 
     def bisect_type_iii(lo, hi, kind_lo, k_here):
         """Narrow a dirac_I <-> dirac_II change to a type-III bracket."""
@@ -517,8 +507,7 @@ def tilt_transition_scan(d0: float, beta_start: float, beta_stop: float,
                 continue
         if k is None:
             cands = find_degeneracies(spec, block, band_pair, search_region,
-                                      mode, eps_deg, splitting=splitting,
-                                      tolerance=tolerance)
+                                      mode, eps_deg, tolerance=tolerance)
             if not cands:
                 continue
             k = cands[0].k_star
@@ -551,7 +540,6 @@ def tilt_transition_scan(d0: float, beta_start: float, beta_stop: float,
 def critical_beta(d0: float, block: str, band_pair, target_point,
                   beta_bracket, mode: str = "retarded",
                   eps_deg: float = EPS_DEG, bracket_tol: float = 1e-4,
-                  splitting: float | None = None,
                   tolerance: float = 1e-10) -> float:
     """Beta at which a band pair closes its gap at a fixed k-point.
 
@@ -569,9 +557,16 @@ def critical_beta(d0: float, block: str, band_pair, target_point,
         beta_c as a float.
 
     Raises:
+        ValueError: bracket_tol not positive and finite, or an empty or
+            reversed beta_bracket.
         NoClosure: the smallest gap found stayed at or above eps_deg.
     """
+    if not 0.0 < bracket_tol < np.inf:
+        raise ValueError(
+            f"bracket_tol must be positive and finite, got {bracket_tol}")
     lo, hi = (float(beta_bracket[0]), float(beta_bracket[1]))
+    if not lo < hi:
+        raise ValueError(f"beta_bracket ({lo}, {hi}) is empty or reversed")
     if isinstance(target_point, str):
         recip = reciprocal(build_lattice(d0, 0.5 * (lo + hi)))
         k_t = recip.point(target_point)
@@ -580,8 +575,7 @@ def critical_beta(d0: float, block: str, band_pair, target_point,
 
     def gap_at(beta):
         spec = build_lattice(d0, beta)
-        gap = make_gap_function(spec, block, band_pair, mode, splitting,
-                                tolerance)
+        gap = make_gap_function(spec, block, band_pair, mode, tolerance)
         return gap(k_t)
 
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
@@ -607,26 +601,14 @@ def critical_beta(d0: float, block: str, band_pair, target_point,
     return float(beta_c)
 
 
-def _bz_mask(recip, kxy):
-    """True for points inside the first Brillouin zone (Wigner-Seitz)."""
-    gs = []
-    for i, j in ((1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (-1, -1)):
-        gs.append(i * recip.b1 + j * recip.b2)
-    gs = np.array(gs)
-    d0sq = np.einsum("ni,ni->n", kxy, kxy)
-    ok = np.ones(len(kxy), dtype=bool)
-    for g in gs:
-        ok &= d0sq <= np.einsum("ni,ni->n", kxy - g, kxy - g) + 1e-12
-    return ok
-
-
 def dos_histogram(spec: LatticeSpec, block: str, energy_window,
                   k_grid: int = 60, n_bins: int = 80,
-                  mode: str = "retarded", splitting: float | None = None,
-                  tolerance: float = 1e-10):
+                  mode: str = "retarded", tolerance: float = 1e-10):
     """Normalized density-of-states histogram over the Brillouin zone.
 
-    Equal-weight k sampling on a rectangular grid masked to the first zone.
+    Equal-weight k sampling on a rectangular grid masked to the first zone:
+    a grid point is kept when it is no farther from Gamma than its
+    zone-reduced image (reduce_to_bz), within 1e-12 in |k|^2.
 
     Args:
         spec: Lattice.
@@ -641,18 +623,17 @@ def dos_histogram(spec: LatticeSpec, block: str, energy_window,
     lo, hi = float(energy_window[0]), float(energy_window[1])
     if not (hi > lo):
         return np.array([]), np.array([])
-    recip = reciprocal(spec)
-    mx = abs(recip.M[0])
-    ky = float(np.linalg.norm(recip.K))
-    kxs = np.linspace(-mx, mx, k_grid)
-    kys = np.linspace(-ky, ky, k_grid)
-    kxy = np.array([[x, y] for x in kxs for y in kys])
-    kxy = kxy[_bz_mask(recip, kxy)]
+    kx_lo, kx_hi, _, ky = default_search_region(spec)
+    kxy = np.array([[x, y] for x in np.linspace(kx_lo, kx_hi, k_grid)
+                    for y in np.linspace(-ky, ky, k_grid)])
+    red = reduce_to_bz(reciprocal(spec), kxy)
+    kxy = kxy[np.einsum("ni,ni->n", kxy, kxy)
+              <= np.einsum("ni,ni->n", red, red) + 1e-12]
 
     energies = []
     for k in kxy:
-        energies.extend(_block_levels(
-            solve_k(spec, k, mode, splitting, tolerance), block))
+        energies.extend(_block_levels(solve_k(spec, k, mode, tolerance),
+                                      block))
     energies = np.asarray(energies)
     energies = energies[(energies >= lo) & (energies <= hi)]
     hist, edges = np.histogram(energies, bins=n_bins, range=(lo, hi),

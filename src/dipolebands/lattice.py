@@ -33,6 +33,11 @@ _POINT_ALIASES = {
     "mbottom": "M_bottom",
 }
 
+# Lattice steps around the rounded fractional coordinates of k that
+# reduce_to_bz compares.
+_STEPS = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)],
+                  dtype=float)
+
 
 class BetaOutOfRange(ValueError):
     """Anisotropy ratio outside the geometrically meaningful range."""
@@ -258,18 +263,23 @@ def standard_path(recip: ReciprocalSpec, n_per_segment: int = 100):
 def reduce_to_bz(recip: ReciprocalSpec, k) -> np.ndarray:
     """Translate k by reciprocal vectors into the first Brillouin zone.
 
-    Returns the minimum-norm representative (ties resolved toward larger
-    kx, then larger ky, for determinism on the zone boundary).
+    Args:
+        recip: Reciprocal lattice.
+        k: Bloch vector (2,), or an array (..., 2) of them.
+
+    Returns:
+        Array shaped like k holding the minimum-norm representative of each
+        k among the 3 x 3 translates around its rounded fractional
+        coordinates (ties resolved toward larger kx, then larger ky, for
+        determinism on the zone boundary).
     """
     k = np.asarray(k, dtype=float)
     b = np.array([recip.b1, recip.b2])
-    frac = np.linalg.solve(b.T, k)
-    base = np.round(frac)
-    best = None
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            cand = k - (base[0] + di) * recip.b1 - (base[1] + dj) * recip.b2
-            key = (np.linalg.norm(cand), -cand[0], -cand[1])
-            if best is None or key < best[0]:
-                best = (key, cand)
-    return best[1]
+    base = np.round(np.linalg.solve(b.T, k[..., None])[..., 0])
+    n = base[..., None, :] + _STEPS
+    cand = k[..., None, :] - n[..., :1] * recip.b1 - n[..., 1:] * recip.b2
+    # |cand| through a dot product, as np.linalg.norm takes it for one
+    # vector, so that boundary ties break alike for one k and for a batch
+    norm = np.sqrt((cand[..., None, :] @ cand[..., :, None])[..., 0, 0])
+    best = np.lexsort((-cand[..., 1], -cand[..., 0], norm), axis=-1)[..., :1]
+    return np.take_along_axis(cand, best[..., None], axis=-2)[..., 0, :]

@@ -90,8 +90,8 @@ class LatticeSumRequest:
             'b_to_a' (rho = -d), d the basis offset.
         mode: 'retarded' or 'quasistatic'.
         splitting: Ewald parameter E; None selects sqrt(pi)/|a1|.
-        tolerance: Relative truncation target, finite and positive. It sets
-            the radius of both summation disks before any term is summed.
+        tolerance: Relative truncation target in (0, 1). It sets the
+            radius of both summation disks before any term is summed.
     """
 
     spec: LatticeSpec
@@ -274,8 +274,8 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
         subtract the screened R = 0 term analytically.
 
     Raises:
-        ValueError: unknown mode or offset, non-finite k, or a tolerance or
-            splitting that is not finite and positive.
+        ValueError: unknown mode or offset, non-finite k, a tolerance
+            outside (0, 1), or a splitting that is not finite and positive.
         RayleighAnomaly: retarded mode with |k+g| on the light line.
         NonConvergent: truncation disk past the index cap, or spatial
             prefactor overflow (e.g. extreme splitting override).
@@ -283,8 +283,8 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
     if req.mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {req.mode!r}")
     tol = float(req.tolerance)
-    if not (np.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tolerance must lie in (0, 1), got {tol}")
     k = np.asarray(req.k, dtype=float)
     if not np.all(np.isfinite(k)):
         raise ValueError(f"k must be finite, got {k}")

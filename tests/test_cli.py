@@ -217,9 +217,10 @@ def test_convergence_json_and_csv(capsys):
 
 
 def test_exit_code_numerical_failure(capsys):
+    # a cell 300 times the default needs Ewald disks past the index cap
     code, _ = run_cli(
         ["bands", "--set", "path=Gamma,K", "--set", "n_per_segment=2",
-         "--set", "ewald_splitting=2000"], capsys)
+         "--d0", "30"], capsys)
     assert code == 3
 
 
@@ -255,6 +256,8 @@ _SWEEP = ["sweep-beta", "--block", "in_plane"]
     ["classify", "--block", "in_plane", "--set", "pair=1,2",
      "--set", "k_point=K", "--set", "fit_radius=0"],
     ["find-cones", "--set", "eps_deg=nan"],
+    ["bands", "--set", "ewald_tolerance=1"],
+    ["bands", "--set", "ewald_tolerance=1000"],
 ])
 def test_exit_code_bad_config(argv, capsys):
     code, _ = run_cli(argv, capsys)

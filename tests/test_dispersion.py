@@ -284,12 +284,26 @@ def test_critical_beta_no_closure():
         critical_beta(0.1, OUT_OF_PLANE, (0, 1), "M", (0.60, 0.70))
 
 
+@pytest.mark.parametrize("bracket,bracket_tol", [
+    ((0.80, 0.88), 0.0),
+    ((0.80, 0.88), -1e-4),
+    ((0.80, 0.88), float("nan")),
+    ((0.80, 0.88), float("inf")),
+    ((0.88, 0.80), 1e-4),
+    ((0.84, 0.84), 1e-4),
+])
+def test_critical_beta_rejects_bad_bracket(bracket, bracket_tol):
+    with pytest.raises(ValueError, match="bracket"):
+        critical_beta(0.1, OUT_OF_PLANE, (0, 1), "M", bracket,
+                      bracket_tol=bracket_tol)
+
+
 def test_dos_dip_at_dirac_energy(iso, iso_cones):
     # the untilted cone carries a vanishing density of states at the
     # contact energy (the band average at k_star)
     from dipolebands import solve_k
 
-    bs = solve_k(iso, iso_cones[0].k_star, "retarded", None, 1e-10)
+    bs = solve_k(iso, iso_cones[0].k_star, "retarded", 1e-10)
     lo_b, hi_b = bs.detuning[np.array(bs.block) == OUT_OF_PLANE]
     e_cone = 0.5 * (lo_b + hi_b)
     centers, dens = dos_histogram(

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dipolebands import (
     BETA_MAX,
@@ -9,12 +11,16 @@ from dipolebands import (
     BetaOutOfRange,
     UnknownLabel,
     build_lattice,
+    dispersion,
+    dos_histogram,
     reciprocal,
     reduce_to_bz,
     sample_path,
     solve_intracell_distance,
+    solve_k,
     standard_path,
 )
+from dipolebands.bloch import OUT_OF_PLANE
 
 BETAS = [0.55, 0.7, 0.84, 1.0, 1.2, 1.4]
 
@@ -157,3 +163,78 @@ def test_reduce_to_bz(iso_lattice):
             for j in (-1, 0, 1):
                 g = i * recip.b1 + j * recip.b2
                 assert np.linalg.norm(kr) <= np.linalg.norm(kr + g) + 1e-9
+
+
+def _reduce_to_bz_loop(recip, k):
+    """The per-point zone reduction the array version replaced (reference)."""
+    k = np.asarray(k, dtype=float)
+    b = np.array([recip.b1, recip.b2])
+    frac = np.linalg.solve(b.T, k)
+    base = np.round(frac)
+    best = None
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            cand = k - (base[0] + di) * recip.b1 - (base[1] + dj) * recip.b2
+            key = (np.linalg.norm(cand), -cand[0], -cand[1])
+            if best is None or key < best[0]:
+                best = (key, cand)
+    return best[1]
+
+
+def _bz_mask_reference(recip, kxy):
+    """The Wigner-Seitz test the DOS grid used before (reference)."""
+    d0sq = np.einsum("ni,ni->n", kxy, kxy)
+    ok = np.ones(len(kxy), dtype=bool)
+    for i, j in ((1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (-1, -1)):
+        g = i * recip.b1 + j * recip.b2
+        ok &= d0sq <= np.einsum("ni,ni->n", kxy - g, kxy - g) + 1e-12
+    return ok
+
+
+_LANDMARKS = ("Gamma", "K", "Kprime", "M", "M_top", "M_bottom")
+
+
+@settings(max_examples=60, deadline=None)
+@given(beta=st.floats(BETA_MIN, BETA_MAX),
+       fracs=st.lists(st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
+                      min_size=1, max_size=12),
+       shifts=st.lists(st.tuples(st.sampled_from(_LANDMARKS),
+                                 st.integers(-3, 3), st.integers(-3, 3)),
+                       min_size=1, max_size=12))
+def test_reduce_to_bz_matches_loop_reference(beta, fracs, shifts):
+    recip = reciprocal(build_lattice(0.1, beta))
+    b = np.array([recip.b1, recip.b2])
+    ks = [np.array(f) @ b for f in fracs]
+    # zone corners and edge midpoints, translated by reciprocal vectors:
+    # the boundary points where the tie rule decides
+    ks += [recip.point(lab) + i * recip.b1 + j * recip.b2
+           for lab, i, j in shifts]
+    ks = np.array(ks)
+    batch = reduce_to_bz(recip, ks)
+    assert batch.shape == ks.shape
+    for k, kb in zip(ks, batch):
+        one = reduce_to_bz(recip, k)
+        assert one.shape == (2,)
+        assert np.array_equal(one, _reduce_to_bz_loop(recip, k)), k
+        assert np.array_equal(kb, one), k
+
+
+@pytest.mark.parametrize("beta", [0.55, 0.9, 1.0, 1.3])
+@pytest.mark.parametrize("k_grid", [60, 80])
+def test_dos_grid_keeps_the_reference_zone(monkeypatch, beta, k_grid):
+    spec = build_lattice(0.1, beta)
+    recip = reciprocal(spec)
+    mx = abs(recip.M[0])
+    ky = float(np.linalg.norm(recip.K))
+    kxy = np.array([[x, y] for x in np.linspace(-mx, mx, k_grid)
+                    for y in np.linspace(-ky, ky, k_grid)])
+    # every grid point is handed the same bands; only the k set is compared
+    bs = solve_k(spec, recip.K)
+    seen = []
+    monkeypatch.setattr(dispersion, "solve_k",
+                        lambda spec, k, *args: seen.append(k) or bs)
+    dos_histogram(spec, OUT_OF_PLANE,
+                  (bs.detuning.min() - 1.0, bs.detuning.max() + 1.0),
+                  k_grid=k_grid)
+    np.testing.assert_array_equal(np.array(seen),
+                                  kxy[_bz_mask_reference(recip, kxy)])

@@ -136,6 +136,8 @@ def test_nonconvergent_extreme_splitting():
     (0.0, (1.0, 0.0)),
     (-1e-10, (1.0, 0.0)),
     (1e-10, (np.nan, 0.0)),
+    (1.0, (1.0, 0.0)),
+    (1000.0, (1.0, 0.0)),
 ])
 def test_rejects_bad_tolerance_and_k(tolerance, k):
     spec = build_lattice(0.1, 1.0)
