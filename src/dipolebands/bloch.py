@@ -103,15 +103,16 @@ class BandGrid:
     mode: str = "retarded"
 
 
-def assemble(spec: LatticeSpec, k, mode: str = "retarded",
-             tolerance: float = 1e-10) -> BlochMatrix:
+def assemble(spec: LatticeSpec, k, mode: str = "retarded") -> BlochMatrix:
     """Build the 6x6 Bloch matrix from three lattice sums.
+
+    One ewald_sum per offset, each at the lattice-sum layer's own
+    truncation target and splitting (LatticeSumRequest defaults).
 
     Args:
         spec: Lattice geometry.
         k: Bloch vector (2,).
         mode: 'retarded' or 'quasistatic'.
-        tolerance: Truncation target forwarded to the Ewald engine.
 
     Returns:
         BlochMatrix with basis ordering (A_x, A_y, A_z, B_x, B_y, B_z).
@@ -119,10 +120,8 @@ def assemble(spec: LatticeSpec, k, mode: str = "retarded",
     k = np.asarray(k, dtype=float)
     blocks = {}
     for offset in ("same", "a_to_b", "b_to_a"):
-        res = ewald_sum(LatticeSumRequest(
-            spec=spec, k=k, offset=offset, mode=mode, tolerance=tolerance,
-        ))
-        blocks[offset] = res.D
+        blocks[offset] = ewald_sum(LatticeSumRequest(
+            spec=spec, k=k, offset=offset, mode=mode)).D
     m = np.zeros((6, 6), dtype=complex)
     m[:3, :3] = blocks["same"]
     m[3:, 3:] = blocks["same"]
@@ -153,13 +152,14 @@ def _eig_out_of_plane(m2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs / norms
 
 
-def eigensolve(bm: BlochMatrix, arclength: float = 0.0,
-               anomalous: bool = False) -> BandSet:
+def eigensolve(bm: BlochMatrix) -> BandSet:
     """Diagonalize a Bloch matrix into an energy-sorted BandSet.
 
     The out-of-plane 2x2 block is solved in closed form and the in-plane
     4x4 block with a dense solver. Every eigenpair must satisfy
-    ||m v - lam v|| <= 1e-10 ||m||.
+    ||m v - lam v|| <= 1e-10 ||m||. The BandSet has arclength 0 and
+    anomalous False; path position and light-line nudges belong to the
+    callers (bands_on_path, solve_k).
 
     Raises:
         EigenFailure: residual bound unmet.
@@ -186,33 +186,31 @@ def eigensolve(bm: BlochMatrix, arclength: float = 0.0,
     tags = (OUT_OF_PLANE,) * 2 + (IN_PLANE,) * 4
     return BandSet(
         k=bm.k,
-        arclength=float(arclength),
+        arclength=0.0,
         detuning=vals.real,
         decay=-2.0 * vals.imag,
         vectors=vecs[:, order],
         block=tuple(tags[i] for i in order),
         in_light_cone=bool(np.linalg.norm(bm.k) < K0),
-        anomalous=anomalous,
     )
 
 
-def solve_k(spec: LatticeSpec, k, mode: str = "retarded",
-            tolerance: float = 1e-10, arclength: float = 0.0) -> BandSet:
+def solve_k(spec: LatticeSpec, k, mode: str = "retarded") -> BandSet:
     """Bands at one k-point: assemble and eigensolve.
 
     A k-point on a light-line (Rayleigh) singularity is moved once by
     1e-7 |b1| along the normal of the grazing order's |k+g| = k0 circle and
     solved there; the BandSet keeps the requested k, carries the eigendata
-    of the moved point and has anomalous=True.
+    of the moved point and has anomalous=True. Its arclength is 0.
     """
     k = np.asarray(k, dtype=float)
     try:
-        bm = assemble(spec, k, mode, tolerance)
+        bm = assemble(spec, k, mode)
     except RayleighAnomaly as exc:
         step = 1e-7 * float(np.linalg.norm(reciprocal(spec).b1))
-        bm = assemble(spec, k + step * exc.direction, mode, tolerance)
-        return replace(eigensolve(bm, arclength, anomalous=True), k=k)
-    return eigensolve(bm, arclength)
+        bm = assemble(spec, k + step * exc.direction, mode)
+        return replace(eigensolve(bm), k=k, anomalous=True)
+    return eigensolve(bm)
 
 
 def _match_block(prev_vecs, cur_vecs, prev_det, cur_det, idx):
@@ -267,18 +265,19 @@ def _connect(bands: list[BandSet]) -> list[BandSet]:
     return out
 
 
-def bands_on_path(spec: LatticeSpec, path, mode: str = "retarded",
-                  tolerance: float = 1e-10) -> list[BandSet]:
+def bands_on_path(spec: LatticeSpec, path,
+                  mode: str = "retarded") -> list[BandSet]:
     """Connected band structure along a sampled path.
 
     Args:
         spec: Lattice geometry.
         path: Iterable of (k, arclength, label) triples (see lattice module)
-            or of bare k vectors.
+            or of bare k vectors (arclength 0).
         mode: 'retarded' or 'quasistatic'.
 
     Returns:
-        List of BandSet with consistent band slots along the path.
+        List of BandSet with consistent band slots along the path, each
+        carrying its sample's arclength.
     """
     bands = []
     for entry in path:
@@ -286,12 +285,12 @@ def bands_on_path(spec: LatticeSpec, path, mode: str = "retarded",
             kvec, s, _label = entry
         else:
             kvec, s = entry, 0.0
-        bands.append(solve_k(spec, kvec, mode, tolerance, s))
+        bands.append(replace(solve_k(spec, kvec, mode), arclength=float(s)))
     return _connect(bands)
 
 
-def bands_on_grid(spec: LatticeSpec, kx, ky, mode: str = "retarded",
-                  tolerance: float = 1e-10) -> BandGrid:
+def bands_on_grid(spec: LatticeSpec, kx, ky,
+                  mode: str = "retarded") -> BandGrid:
     """Energy-ordered band sheets over a rectangular k grid.
 
     Returns:
@@ -308,7 +307,7 @@ def bands_on_grid(spec: LatticeSpec, kx, ky, mode: str = "retarded",
     anom = np.zeros((nx, ny), dtype=bool)
     for i in range(nx):
         for j in range(ny):
-            bs = solve_k(spec, (kx[i], ky[j]), mode, tolerance)
+            bs = solve_k(spec, (kx[i], ky[j]), mode)
             # energy-sorted within each group already
             order = ([n for n in range(6) if bs.block[n] == IN_PLANE]
                      + [n for n in range(6) if bs.block[n] == OUT_OF_PLANE])

@@ -4,6 +4,8 @@ Commands: bands | surface | find-cones | classify | sweep-beta | convergence.
 Configuration comes from an optional key=value file (positional argument or
 --config) plus flag overrides (flags win). Output goes to --out or stdout.
 CSV uses 17 significant digits; every output embeds the resolved config.
+The Ewald truncation target and splitting are not config keys: the
+lattice-sum layer fixes both (see LatticeSumRequest).
 Exit codes: 0 success, 2 usage/config error, 3 numerical failure.
 Nothing is read from the environment.
 """
@@ -49,7 +51,6 @@ class RunConfig:
     grid: tuple | None = None
     region: tuple | None = None
     k_point: str | None = None
-    ewald_tolerance: float = 1e-10
     eps_deg: float = 1e-3
     fit_radius: float | None = None
     refine: bool = True
@@ -120,7 +121,6 @@ _PARSERS = {
     "grid": _parse_grid,
     "region": lambda v: _parse_floats(v, 4),
     "k_point": str,
-    "ewald_tolerance": float,
     "eps_deg": float,
     "fit_radius": float,
     "refine": _parse_bool,
@@ -180,14 +180,10 @@ def resolve_config(file_updates: dict, flag_updates: dict) -> RunConfig:
             and cfg.beta_stop < cfg.beta_start):
         raise ConfigError(
             f"beta_stop={cfg.beta_stop} below beta_start={cfg.beta_start}")
-    for name in ("d0", "beta_step", "ewald_tolerance", "eps_deg",
-                 "fit_radius"):
+    for name in ("d0", "beta_step", "eps_deg", "fit_radius"):
         val = getattr(cfg, name)
         if val is not None and not 0.0 < val < np.inf:
             raise ConfigError(f"{name} must be positive and finite, got {val}")
-    if cfg.ewald_tolerance >= 1.0:
-        raise ConfigError(
-            f"ewald_tolerance must lie in (0, 1), got {cfg.ewald_tolerance}")
     n_bands = {bloch.OUT_OF_PLANE: 2, bloch.IN_PLANE: 4}.get(cfg.block)
     if n_bands is not None and cfg.pair[1] >= n_bands:
         raise ConfigError(
@@ -258,9 +254,9 @@ def _resolve_k(cfg: RunConfig, recip) -> np.ndarray:
         raise ConfigError(f"bad k_point {cfg.k_point!r}: {exc}") from exc
 
 
-def _path_labels(cfg: RunConfig) -> list:
+def _path_labels(cfg: RunConfig, recip) -> list:
     if cfg.path.strip().lower() == "figure":
-        return ["M_bottom", "Kprime", "Gamma", "K", "M_top"]
+        return [name for name, _ in recip.path]
     labels = [p.strip() for p in cfg.path.split(",") if p.strip()]
     if len(labels) < 2:
         raise ConfigError(f"path needs at least two labels, got {cfg.path!r}")
@@ -281,16 +277,13 @@ def _block_pairs(cfg: RunConfig) -> list:
 def cmd_bands(cfg: RunConfig) -> str:
     spec = lattice.build_lattice(cfg.d0, cfg.beta)
     recip = lattice.reciprocal(spec)
-    labels = _path_labels(cfg)
+    labels = _path_labels(cfg, recip)
     try:
         samples = lattice.sample_path(recip, labels, cfg.n_per_segment)
     except UnknownLabel as exc:
         raise ConfigError(str(exc)) from exc
     modes = ("retarded", "quasistatic") if cfg.mode == "both" else (cfg.mode,)
-    results = {
-        m: bloch.bands_on_path(spec, samples, m, cfg.ewald_tolerance)
-        for m in modes
-    }
+    results = {m: bloch.bands_on_path(spec, samples, m) for m in modes}
     header = ["arclength", "kx", "ky", "band_index", "block"]
     for m in modes:
         suffix = "" if len(modes) == 1 else f"_{m}"
@@ -320,8 +313,7 @@ def cmd_surface(cfg: RunConfig) -> str:
     x0, x1, y0, y1, nx, ny = cfg.grid
     spec = lattice.build_lattice(cfg.d0, cfg.beta)
     grid = bloch.bands_on_grid(
-        spec, np.linspace(x0, x1, nx), np.linspace(y0, y1, ny), cfg.mode,
-        cfg.ewald_tolerance)
+        spec, np.linspace(x0, x1, nx), np.linspace(y0, y1, ny), cfg.mode)
     header = ["ix", "iy", "kx", "ky", "band_index", "block", "detuning",
               "decay", "in_light_cone", "anomalous"]
     rows = []
@@ -367,11 +359,10 @@ def cmd_find_cones(cfg: RunConfig) -> str:
     reports = []
     for block, pair in _block_pairs(cfg):
         for rep in dispersion.find_degeneracies(
-                spec, block, pair, cfg.region, cfg.mode, cfg.eps_deg,
-                tolerance=cfg.ewald_tolerance):
+                spec, block, pair, cfg.region, cfg.mode, cfg.eps_deg):
             full = dispersion.classify(
                 spec, rep.k_star, block, pair, cfg.mode, cfg.fit_radius,
-                eps_deg=cfg.eps_deg, tolerance=cfg.ewald_tolerance)
+                eps_deg=cfg.eps_deg)
             reports.append(_report_payload(full))
     return _json_text(cfg, {"reports": reports})
 
@@ -385,10 +376,10 @@ def cmd_classify(cfg: RunConfig) -> str:
     k = _resolve_k(cfg, lattice.reciprocal(spec))
     if cfg.refine:
         k, _g = dispersion.refine_degeneracy(
-            spec, cfg.block, cfg.pair, k, cfg.mode, cfg.ewald_tolerance)
+            spec, cfg.block, cfg.pair, k, cfg.mode)
     rep = dispersion.classify(
         spec, k, cfg.block, cfg.pair, cfg.mode, cfg.fit_radius,
-        eps_deg=cfg.eps_deg, tolerance=cfg.ewald_tolerance)
+        eps_deg=cfg.eps_deg)
     return _json_text(cfg, {"report": _report_payload(rep)})
 
 
@@ -406,7 +397,7 @@ def cmd_sweep_beta(cfg: RunConfig) -> str:
     traj = dispersion.tilt_transition_scan(
         cfg.d0, cfg.beta_start, cfg.beta_stop, cfg.block, cfg.pair,
         cfg.beta_step, cfg.mode, cfg.region, cfg.eps_deg,
-        cfg.ewald_tolerance, start_point=start_point)
+        start_point=start_point)
     payload = {
         "beta_values": list(traj.beta_values),
         "reports": [_report_payload(r) for r in traj.reports],
@@ -419,8 +410,7 @@ def cmd_convergence(cfg: RunConfig) -> str:
     spec = lattice.build_lattice(cfg.d0, cfg.beta)
     recip = lattice.reciprocal(spec)
     k = _resolve_k(cfg, recip) if cfg.k_point else recip.K
-    report = latticesums.sum_diagnostics(spec, k,
-                                         tolerance=cfg.ewald_tolerance)
+    report = latticesums.sum_diagnostics(spec, k)
     if cfg.format == "json":
         return _json_text(cfg, {"diagnostics": report})
     rows = []

@@ -118,12 +118,12 @@ def _block_levels(bs, block):
 
 
 def make_gap_function(spec: LatticeSpec, block: str, band_pair,
-                      mode: str = "retarded", tolerance: float = 1e-10):
+                      mode: str = "retarded"):
     """Return gap(k) for one band pair (energy-sorted within block)."""
     pair = tuple(band_pair)
 
     def gap(k):
-        det = _block_levels(solve_k(spec, k, mode, tolerance), block)
+        det = _block_levels(solve_k(spec, k, mode), block)
         return det[pair[1]] - det[pair[0]]
 
     return gap
@@ -193,8 +193,8 @@ def _refine_minimum(gap, k0pt, scale, xatol):
 
 def find_degeneracies(spec: LatticeSpec, block: str, band_pair,
                       search_region=None, mode: str = "retarded",
-                      eps_deg: float = EPS_DEG, grid_n: int = GRID_N,
-                      tolerance: float = 1e-10) -> list[DegeneracyReport]:
+                      eps_deg: float = EPS_DEG,
+                      grid_n: int = GRID_N) -> list[DegeneracyReport]:
     """Locate gap closings of a band pair inside a k-region.
 
     Coarse grid scan (grid_n x grid_n), Newton refinement of gap^2 from
@@ -223,8 +223,7 @@ def find_degeneracies(spec: LatticeSpec, block: str, band_pair,
         return exclude_radiative & (np.hypot(kx, ky) < 1.1 * K0)
 
     grid = bands_on_grid(spec, np.linspace(region[0], region[1], grid_n),
-                         np.linspace(region[2], region[3], grid_n), mode,
-                         tolerance)
+                         np.linspace(region[2], region[3], grid_n), mode)
     slots = [i for i, tag in enumerate(grid.block) if tag == block]
     vals = (grid.detuning[:, :, slots[band_pair[1]]]
             - grid.detuning[:, :, slots[band_pair[0]]])
@@ -239,7 +238,7 @@ def find_degeneracies(spec: LatticeSpec, block: str, band_pair,
     seeds = [np.array([grid.kx[i], grid.ky[j]])
              for i, j in zip(*np.nonzero(is_min))]
 
-    gap = make_gap_function(spec, block, band_pair, mode, tolerance)
+    gap = make_gap_function(spec, block, band_pair, mode)
     margin = 2.0 * spacing
     found = []
     for seed in seeds:
@@ -288,8 +287,7 @@ def _exponent_class(p: float) -> int | None:
 def classify(spec: LatticeSpec, location, block: str, band_pair,
              mode: str = "retarded", fit_radius: float | None = None,
              n_dirs: int = N_DIRECTIONS, n_radii: int = N_RADII,
-             eps_deg: float = EPS_DEG,
-             tolerance: float = 1e-10) -> DegeneracyReport:
+             eps_deg: float = EPS_DEG) -> DegeneracyReport:
     """Classify the band-pair behavior around a degeneracy location.
 
     Samples both bands on n_dirs rays with n_radii log-spaced radii, fits
@@ -311,7 +309,7 @@ def classify(spec: LatticeSpec, location, block: str, band_pair,
     pair = tuple(band_pair)
 
     def both(k):
-        det = _block_levels(solve_k(spec, k, mode, tolerance), block)
+        det = _block_levels(solve_k(spec, k, mode), block)
         return det[pair[0]], det[pair[1]]
 
     lo0, hi0 = both(k_star)
@@ -411,7 +409,7 @@ def classify(spec: LatticeSpec, location, block: str, band_pair,
 
 
 def refine_degeneracy(spec: LatticeSpec, block: str, band_pair, k_warm,
-                      mode: str = "retarded", tolerance: float = 1e-10):
+                      mode: str = "retarded"):
     """Newton refinement of gap^2 from a warm start near a degeneracy.
 
     The trust radius is 0.01 |b1| and the step tolerance REFINE_FRAC |b1|
@@ -421,7 +419,7 @@ def refine_degeneracy(spec: LatticeSpec, block: str, band_pair, k_warm,
         (k, gap(k)); the caller decides whether the gap is closed.
     """
     b1n = float(np.linalg.norm(reciprocal(spec).b1))
-    gap = make_gap_function(spec, block, band_pair, mode, tolerance)
+    gap = make_gap_function(spec, block, band_pair, mode)
     return _refine_minimum(gap, k_warm, 0.01 * b1n, REFINE_FRAC * b1n)
 
 
@@ -429,7 +427,6 @@ def tilt_transition_scan(d0: float, beta_start: float, beta_stop: float,
                          block: str, band_pair, beta_step: float = 0.005,
                          mode: str = "retarded", search_region=None,
                          eps_deg: float = EPS_DEG,
-                         tolerance: float = 1e-10,
                          start_point=None) -> ConeTrajectory:
     """Track one degeneracy over a beta sweep and record its changes.
 
@@ -466,13 +463,11 @@ def tilt_transition_scan(d0: float, beta_start: float, beta_stop: float,
 
     def step(spec, warm):
         """Warm-start refinement at one lattice; None while gapped."""
-        k, g = refine_degeneracy(spec, block, band_pair, warm, mode,
-                                 tolerance)
+        k, g = refine_degeneracy(spec, block, band_pair, warm, mode)
         return k if g < eps_deg else None
 
     def report(spec, k):
-        return classify(spec, k, block, band_pair, mode, eps_deg=eps_deg,
-                        tolerance=tolerance)
+        return classify(spec, k, block, band_pair, mode, eps_deg=eps_deg)
 
     def bisect_type_iii(lo, hi, kind_lo, k_here):
         """Narrow a dirac_I <-> dirac_II change to a type-III bracket."""
@@ -507,7 +502,7 @@ def tilt_transition_scan(d0: float, beta_start: float, beta_stop: float,
                 continue
         if k is None:
             cands = find_degeneracies(spec, block, band_pair, search_region,
-                                      mode, eps_deg, tolerance=tolerance)
+                                      mode, eps_deg)
             if not cands:
                 continue
             k = cands[0].k_star
@@ -539,8 +534,8 @@ def tilt_transition_scan(d0: float, beta_start: float, beta_stop: float,
 
 def critical_beta(d0: float, block: str, band_pair, target_point,
                   beta_bracket, mode: str = "retarded",
-                  eps_deg: float = EPS_DEG, bracket_tol: float = 1e-4,
-                  tolerance: float = 1e-10) -> float:
+                  eps_deg: float = EPS_DEG,
+                  bracket_tol: float = 1e-4) -> float:
     """Beta at which a band pair closes its gap at a fixed k-point.
 
     Golden-section minimization of gap(beta) at target_point down to a
@@ -575,8 +570,7 @@ def critical_beta(d0: float, block: str, band_pair, target_point,
 
     def gap_at(beta):
         spec = build_lattice(d0, beta)
-        gap = make_gap_function(spec, block, band_pair, mode, tolerance)
-        return gap(k_t)
+        return make_gap_function(spec, block, band_pair, mode)(k_t)
 
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -603,7 +597,7 @@ def critical_beta(d0: float, block: str, band_pair, target_point,
 
 def dos_histogram(spec: LatticeSpec, block: str, energy_window,
                   k_grid: int = 60, n_bins: int = 80,
-                  mode: str = "retarded", tolerance: float = 1e-10):
+                  mode: str = "retarded"):
     """Normalized density-of-states histogram over the Brillouin zone.
 
     Equal-weight k sampling on a rectangular grid masked to the first zone:
@@ -618,7 +612,8 @@ def dos_histogram(spec: LatticeSpec, block: str, energy_window,
         n_bins: Histogram bins across the window.
 
     Returns:
-        (bin_centers, density) arrays; empty arrays for an empty window.
+        (bin_centers, density) arrays; empty arrays for an empty window,
+        zero density when no level falls inside the window.
     """
     lo, hi = float(energy_window[0]), float(energy_window[1])
     if not (hi > lo):
@@ -632,11 +627,9 @@ def dos_histogram(spec: LatticeSpec, block: str, energy_window,
 
     energies = []
     for k in kxy:
-        energies.extend(_block_levels(solve_k(spec, k, mode, tolerance),
-                                      block))
+        energies.extend(_block_levels(solve_k(spec, k, mode), block))
     energies = np.asarray(energies)
     energies = energies[(energies >= lo) & (energies <= hi)]
-    hist, edges = np.histogram(energies, bins=n_bins, range=(lo, hi),
-                               density=True)
+    counts, edges = np.histogram(energies, bins=n_bins, range=(lo, hi))
     centers = 0.5 * (edges[:-1] + edges[1:])
-    return centers, hist
+    return centers, counts / np.diff(edges) / max(counts.sum(), 1)

@@ -92,6 +92,10 @@ class LatticeSumRequest:
         splitting: Ewald parameter E; None selects sqrt(pi)/|a1|.
         tolerance: Relative truncation target in (0, 1). It sets the
             radius of both summation disks before any term is summed.
+            The default 1e-10 is the only target the layers above use
+            (no band, degeneracy or CLI call can change it): the 1e-8
+            splitting-invariance bound does not hold at a looser one
+            (about 2e-6 at 1e-4).
     """
 
     spec: LatticeSpec
@@ -454,8 +458,7 @@ def direct_sum_quasistatic(
     )
 
 
-def sum_diagnostics(spec: LatticeSpec, k, offset: str = "same",
-                    tolerance: float = 1e-10) -> dict:
+def sum_diagnostics(spec: LatticeSpec, k, offset: str = "same") -> dict:
     """Cross-checks of the Ewald engine at one k-point.
 
     Runs ewald_sum at splittings E, 2E and E/2 for both modes and compares
@@ -477,8 +480,7 @@ def sum_diagnostics(spec: LatticeSpec, k, offset: str = "same",
     def _dev(mode):
         results = [
             ewald_sum(LatticeSumRequest(spec=spec, k=k, offset=offset,
-                                        mode=mode, splitting=s,
-                                        tolerance=tolerance))
+                                        mode=mode, splitting=s))
             for s in (e0, 2.0 * e0, 0.5 * e0)
         ]
         base = np.linalg.norm(results[0].D)

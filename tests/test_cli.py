@@ -258,6 +258,7 @@ _SWEEP = ["sweep-beta", "--block", "in_plane"]
     ["find-cones", "--set", "eps_deg=nan"],
     ["bands", "--set", "ewald_tolerance=1"],
     ["bands", "--set", "ewald_tolerance=1000"],
+    ["bands", "--set", "ewald_tolerance=1e-4"],
 ])
 def test_exit_code_bad_config(argv, capsys):
     code, _ = run_cli(argv, capsys)

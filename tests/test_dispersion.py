@@ -1,5 +1,7 @@
 """Degeneracy location, classification, and beta sweeps."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -303,7 +305,7 @@ def test_dos_dip_at_dirac_energy(iso, iso_cones):
     # contact energy (the band average at k_star)
     from dipolebands import solve_k
 
-    bs = solve_k(iso, iso_cones[0].k_star, "retarded", 1e-10)
+    bs = solve_k(iso, iso_cones[0].k_star, "retarded")
     lo_b, hi_b = bs.detuning[np.array(bs.block) == OUT_OF_PLANE]
     e_cone = 0.5 * (lo_b + hi_b)
     centers, dens = dos_histogram(
@@ -316,6 +318,18 @@ def test_dos_dip_at_dirac_energy(iso, iso_cones):
     # density climbs on both sides of the contact
     assert dens[mid - 3] > dens[mid]
     assert dens[mid + 3] > dens[mid]
+
+
+def test_dos_window_without_levels_has_zero_density():
+    # every out-of-plane level lies far below detuning 100
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        centers, dens = dos_histogram(build_lattice(0.1, 1.0), OUT_OF_PLANE,
+                                      (100, 101), k_grid=6, n_bins=4)
+    np.testing.assert_allclose(centers, [100.125, 100.375, 100.625,
+                                         100.875])
+    assert dens.dtype == float
+    assert np.array_equal(dens, np.zeros(4))
 
 
 def test_tilt_scan_finds_type_iii_window():
