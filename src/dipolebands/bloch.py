@@ -15,8 +15,10 @@ radiative width gamma_k in units of the single-emitter linewidth.
 
 In-plane displacements decouple the two z polarizations from the four
 in-plane ones exactly; the 2x2 out-of-plane block is solved in closed form
-and the 4x4 in-plane block densely. Bands along a path are connected by
-maximal eigenvector overlap so that true crossings are preserved.
+and the 4x4 in-plane block densely. BLOCKS is the band-slot layout of every
+BandSet and BandGrid: in-plane bands in slots 0-3, out-of-plane in 4-5.
+Bands along a path are connected within each block by maximal eigenvector
+overlap so that true crossings are preserved.
 """
 
 from __future__ import annotations
@@ -37,8 +39,11 @@ from .latticesums import (
 OUT_OF_PLANE = "out_of_plane"
 IN_PLANE = "in_plane"
 
-_OOP_IDX = np.array([2, 5])
-_IP_IDX = np.array([0, 1, 3, 4])
+# Band slots of every BandSet and BandGrid: in-plane, then out-of-plane.
+BLOCKS = (IN_PLANE,) * 4 + (OUT_OF_PLANE,) * 2
+SLOTS = {IN_PLANE: slice(0, 4), OUT_OF_PLANE: slice(4, 6)}
+# Basis components (A_x, A_y, A_z, B_x, B_y, B_z) of each block.
+_BASIS = {IN_PLANE: np.array([0, 1, 3, 4]), OUT_OF_PLANE: np.array([2, 5])}
 
 # Overlap differences below this are treated as matching ties and resolved
 # by energy order (documented arbitrary choice).
@@ -55,13 +60,15 @@ class BlochMatrix:
 
     m: np.ndarray
     k: np.ndarray
-    mode: str
-    spec: LatticeSpec
 
 
 @dataclass(frozen=True)
 class BandSet:
-    """Six eigenpairs at one k, with polarization tags.
+    """Six eigenpairs at one k in the BLOCKS slot layout.
+
+    Slots 0-3 are the in-plane bands and 4-5 the out-of-plane bands. Each
+    block is detuning-sorted as eigensolve returns it; along a path
+    (bands_on_path) a slot follows one band by eigenvector overlap instead.
 
     Attributes:
         k: Bloch vector (2,).
@@ -69,7 +76,7 @@ class BandSet:
         detuning: (6,) band energies (omega_k - omega_a)/Gamma_a.
         decay: (6,) radiative widths gamma_k/Gamma_a.
         vectors: (6, 6) eigenvectors as columns, full-basis components.
-        block: Tuple of 6 tags, 'out_of_plane' or 'in_plane'.
+        block: BLOCKS, the polarization tag of each slot.
         in_light_cone: True when |k| < k0.
         anomalous: True when the k-point needed a light-line nudge.
     """
@@ -88,9 +95,9 @@ class BandSet:
 class BandGrid:
     """Energy-ordered band surfaces over a rectangular k grid.
 
-    Band slots 0..3 are the in-plane bands and 4..5 the out-of-plane bands,
-    each group sorted by detuning at every grid point independently (sheets,
-    not connected bands).
+    Band slots follow BLOCKS: 0-3 are the in-plane bands and 4-5 the
+    out-of-plane bands, each block sorted by detuning at every grid point
+    independently (sheets, not connected bands). block is BLOCKS.
     """
 
     kx: np.ndarray
@@ -100,7 +107,6 @@ class BandGrid:
     block: tuple
     in_light_cone: np.ndarray  # (nx, ny) bool
     anomalous: np.ndarray  # (nx, ny) bool
-    mode: str = "retarded"
 
 
 def assemble(spec: LatticeSpec, k, mode: str = "retarded") -> BlochMatrix:
@@ -129,7 +135,7 @@ def assemble(spec: LatticeSpec, k, mode: str = "retarded") -> BlochMatrix:
     m[3:, :3] = blocks["b_to_a"]
     m *= -1.5
     m -= 0.5j * np.eye(6)
-    return BlochMatrix(m=m, k=k, mode=mode, spec=spec)
+    return BlochMatrix(m=m, k=k)
 
 
 def _eig_out_of_plane(m2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -153,10 +159,11 @@ def _eig_out_of_plane(m2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def eigensolve(bm: BlochMatrix) -> BandSet:
-    """Diagonalize a Bloch matrix into an energy-sorted BandSet.
+    """Diagonalize a Bloch matrix into a BandSet in the BLOCKS layout.
 
-    The out-of-plane 2x2 block is solved in closed form and the in-plane
-    4x4 block with a dense solver. Every eigenpair must satisfy
+    The in-plane 4x4 block is solved with a dense solver into slots 0-3 and
+    the out-of-plane 2x2 block in closed form into slots 4-5, each block
+    sorted by detuning (stable sort). Every eigenpair must satisfy
     ||m v - lam v|| <= 1e-10 ||m||. The BandSet has arclength 0 and
     anomalous False; path position and light-line nudges belong to the
     callers (bands_on_path, solve_k).
@@ -167,12 +174,15 @@ def eigensolve(bm: BlochMatrix) -> BandSet:
     m = bm.m
     norm_m = np.linalg.norm(m)
 
-    vals_o, vecs_o = _eig_out_of_plane(m[np.ix_(_OOP_IDX, _OOP_IDX)])
-    vals_i, vecs_i = np.linalg.eig(m[np.ix_(_IP_IDX, _IP_IDX)])
-    vals = np.concatenate([vals_o, vals_i])
+    vals = np.zeros(6, dtype=complex)
     vecs = np.zeros((6, 6), dtype=complex)
-    vecs[_OOP_IDX, :2] = vecs_o
-    vecs[_IP_IDX, 2:] = vecs_i
+    for tag, solver in ((IN_PLANE, np.linalg.eig),
+                        (OUT_OF_PLANE, _eig_out_of_plane)):
+        idx = _BASIS[tag]
+        w, v = solver(m[np.ix_(idx, idx)])
+        order = np.argsort(w.real, kind="stable")
+        vals[SLOTS[tag]] = w[order]
+        vecs[idx, SLOTS[tag]] = v[:, order]
 
     res = np.linalg.norm(m @ vecs - vecs * vals, axis=0)
     if res.max() > 1e-10 * norm_m:
@@ -181,16 +191,13 @@ def eigensolve(bm: BlochMatrix) -> BandSet:
             f"{1e-10 * norm_m:.3e} at k={bm.k}"
         )
 
-    order = np.argsort(vals.real, kind="stable")
-    vals = vals[order]
-    tags = (OUT_OF_PLANE,) * 2 + (IN_PLANE,) * 4
     return BandSet(
         k=bm.k,
         arclength=0.0,
         detuning=vals.real,
         decay=-2.0 * vals.imag,
-        vectors=vecs[:, order],
-        block=tuple(tags[i] for i in order),
+        vectors=vecs,
+        block=BLOCKS,
         in_light_cone=bool(np.linalg.norm(bm.k) < K0),
     )
 
@@ -213,15 +220,16 @@ def solve_k(spec: LatticeSpec, k, mode: str = "retarded") -> BandSet:
     return eigensolve(bm)
 
 
-def _match_block(prev_vecs, cur_vecs, prev_det, cur_det, idx):
+def _match_block(prev_vecs, cur_vecs, prev_det, cur_det):
     """Overlap assignment of one block's bands; returns cur column order."""
     o = np.abs(prev_vecs.conj().T @ cur_vecs)
+    n = len(prev_det)
     row, col = linear_sum_assignment(-o)
-    order = np.empty(len(idx), dtype=int)
+    order = np.empty(n, dtype=int)
     order[row] = col
     # Resolve swap-indifferent pairs by energy order.
-    for i in range(len(idx)):
-        for j in range(i + 1, len(idx)):
+    for i in range(n):
+        for j in range(i + 1, n):
             ci, cj = order[i], order[j]
             gain = abs(o[i, ci] + o[j, cj] - o[i, cj] - o[j, ci])
             if gain < TIE_THRESHOLD:
@@ -235,33 +243,18 @@ def _match_block(prev_vecs, cur_vecs, prev_det, cur_det, idx):
 
 
 def _connect(bands: list[BandSet]) -> list[BandSet]:
-    """Reorder band slots along a path by maximal eigenvector overlap."""
-    if len(bands) < 2:
-        return bands
-    out = [bands[0]]
+    """Reorder each block's slots along a path by eigenvector overlap."""
+    out = bands[:1]
     for cur in bands[1:]:
         prev = out[-1]
         perm = np.arange(6)
-        for tag in (OUT_OF_PLANE, IN_PLANE):
-            sel_p = [i for i in range(6) if prev.block[i] == tag]
-            sel_c = [i for i in range(6) if cur.block[i] == tag]
-            order = _match_block(
-                prev.vectors[:, sel_p], cur.vectors[:, sel_c],
-                prev.detuning[sel_p], cur.detuning[sel_c],
-                sel_p,
-            )
-            for slot, oi in zip(sel_p, order):
-                perm[slot] = sel_c[oi]
-        out.append(BandSet(
-            k=cur.k,
-            arclength=cur.arclength,
-            detuning=cur.detuning[perm],
-            decay=cur.decay[perm],
-            vectors=cur.vectors[:, perm],
-            block=tuple(cur.block[p] for p in perm),
-            in_light_cone=cur.in_light_cone,
-            anomalous=cur.anomalous,
-        ))
+        for sl in SLOTS.values():
+            perm[sl] = sl.start + _match_block(
+                prev.vectors[:, sl], cur.vectors[:, sl],
+                prev.detuning[sl], cur.detuning[sl])
+        out.append(replace(cur, detuning=cur.detuning[perm],
+                           decay=cur.decay[perm],
+                           vectors=cur.vectors[:, perm]))
     return out
 
 
@@ -276,8 +269,10 @@ def bands_on_path(spec: LatticeSpec, path,
         mode: 'retarded' or 'quasistatic'.
 
     Returns:
-        List of BandSet with consistent band slots along the path, each
-        carrying its sample's arclength.
+        List of BandSet in the BLOCKS layout, each carrying its sample's
+        arclength. Each block is detuning-sorted at the first sample; from
+        there a slot follows one band by eigenvector overlap, so true
+        crossings keep their slots.
     """
     bands = []
     for entry in path:
@@ -294,9 +289,8 @@ def bands_on_grid(spec: LatticeSpec, kx, ky,
     """Energy-ordered band sheets over a rectangular k grid.
 
     Returns:
-        BandGrid with slots 0..3 in-plane and 4..5 out-of-plane, each group
-        detuning-sorted per point; light-line points are flagged in the
-        `anomalous` mask (see solve_k).
+        BandGrid in the BLOCKS layout, each block detuning-sorted per point;
+        light-line points are flagged in the `anomalous` mask (see solve_k).
     """
     kx = np.atleast_1d(np.asarray(kx, dtype=float))
     ky = np.atleast_1d(np.asarray(ky, dtype=float))
@@ -308,13 +302,9 @@ def bands_on_grid(spec: LatticeSpec, kx, ky,
     for i in range(nx):
         for j in range(ny):
             bs = solve_k(spec, (kx[i], ky[j]), mode)
-            # energy-sorted within each group already
-            order = ([n for n in range(6) if bs.block[n] == IN_PLANE]
-                     + [n for n in range(6) if bs.block[n] == OUT_OF_PLANE])
-            det[i, j] = bs.detuning[order]
-            dec[i, j] = bs.decay[order]
+            det[i, j] = bs.detuning
+            dec[i, j] = bs.decay
             lc[i, j] = bs.in_light_cone
             anom[i, j] = bs.anomalous
-    tags = (IN_PLANE,) * 4 + (OUT_OF_PLANE,) * 2
-    return BandGrid(kx=kx, ky=ky, detuning=det, decay=dec, block=tags,
-                    in_light_cone=lc, anomalous=anom, mode=mode)
+    return BandGrid(kx=kx, ky=ky, detuning=det, decay=dec, block=BLOCKS,
+                    in_light_cone=lc, anomalous=anom)

@@ -184,8 +184,8 @@ def resolve_config(file_updates: dict, flag_updates: dict) -> RunConfig:
         val = getattr(cfg, name)
         if val is not None and not 0.0 < val < np.inf:
             raise ConfigError(f"{name} must be positive and finite, got {val}")
-    n_bands = {bloch.OUT_OF_PLANE: 2, bloch.IN_PLANE: 4}.get(cfg.block)
-    if n_bands is not None and cfg.pair[1] >= n_bands:
+    n_bands = bloch.BLOCKS.count(cfg.block)
+    if n_bands and cfg.pair[1] >= n_bands:
         raise ConfigError(
             f"pair={cfg.pair} out of range for the {n_bands}-band "
             f"{cfg.block} block")
@@ -266,12 +266,9 @@ def _path_labels(cfg: RunConfig, recip) -> list:
 def _block_pairs(cfg: RunConfig) -> list:
     if cfg.block != "all":
         return [(cfg.block, cfg.pair)]
-    return [
-        (bloch.OUT_OF_PLANE, (0, 1)),
-        (bloch.IN_PLANE, (0, 1)),
-        (bloch.IN_PLANE, (1, 2)),
-        (bloch.IN_PLANE, (2, 3)),
-    ]
+    return [(block, (n, n + 1))
+            for block in (bloch.OUT_OF_PLANE, bloch.IN_PLANE)
+            for n in range(bloch.BLOCKS.count(block) - 1)]
 
 
 def cmd_bands(cfg: RunConfig) -> str:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import bands_on_grid, solve_k
+from .bloch import SLOTS, bands_on_grid, solve_k
 from .greens import K0
 from .lattice import LatticeSpec, build_lattice, reciprocal, reduce_to_bz
 
@@ -112,18 +112,14 @@ class ConeTrajectory:
     events: tuple
 
 
-def _block_levels(bs, block):
-    """Energy-sorted detunings of one polarization block of a BandSet."""
-    return bs.detuning[[i for i in range(6) if bs.block[i] == block]]
-
-
 def make_gap_function(spec: LatticeSpec, block: str, band_pair,
                       mode: str = "retarded"):
     """Return gap(k) for one band pair (energy-sorted within block)."""
     pair = tuple(band_pair)
+    slots = SLOTS[block]
 
     def gap(k):
-        det = _block_levels(solve_k(spec, k, mode), block)
+        det = solve_k(spec, k, mode).detuning[slots]
         return det[pair[1]] - det[pair[0]]
 
     return gap
@@ -224,9 +220,8 @@ def find_degeneracies(spec: LatticeSpec, block: str, band_pair,
 
     grid = bands_on_grid(spec, np.linspace(region[0], region[1], grid_n),
                          np.linspace(region[2], region[3], grid_n), mode)
-    slots = [i for i, tag in enumerate(grid.block) if tag == block]
-    vals = (grid.detuning[:, :, slots[band_pair[1]]]
-            - grid.detuning[:, :, slots[band_pair[0]]])
+    det = grid.detuning[:, :, SLOTS[block]]
+    vals = det[:, :, band_pair[1]] - det[:, :, band_pair[0]]
 
     spacing = max(region[1] - region[0], region[3] - region[2]) / (grid_n - 1)
     pad = np.pad(vals, 1, constant_values=np.inf)
@@ -307,9 +302,10 @@ def classify(spec: LatticeSpec, location, block: str, band_pair,
     b1n = float(np.linalg.norm(recip.b1))
     r_out = FIT_RADIUS_FRAC * b1n if fit_radius is None else float(fit_radius)
     pair = tuple(band_pair)
+    slots = SLOTS[block]
 
     def both(k):
-        det = _block_levels(solve_k(spec, k, mode), block)
+        det = solve_k(spec, k, mode).detuning[slots]
         return det[pair[0]], det[pair[1]]
 
     lo0, hi0 = both(k_star)
@@ -625,9 +621,10 @@ def dos_histogram(spec: LatticeSpec, block: str, energy_window,
     kxy = kxy[np.einsum("ni,ni->n", kxy, kxy)
               <= np.einsum("ni,ni->n", red, red) + 1e-12]
 
+    slots = SLOTS[block]
     energies = []
     for k in kxy:
-        energies.extend(_block_levels(solve_k(spec, k, mode), block))
+        energies.extend(solve_k(spec, k, mode).detuning[slots])
     energies = np.asarray(energies)
     energies = energies[(energies >= lo) & (energies <= hi)]
     counts, edges = np.histogram(energies, bins=n_bins, range=(lo, hi))

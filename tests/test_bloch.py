@@ -252,6 +252,10 @@ def test_solve_k_properties(d0, beta, radius, angle):
         np.testing.assert_array_equal(getattr(bs, name), getattr(ref, name))
     assert bs.block == ref.block
     assert bs.in_light_cone == ref.in_light_cone
+    # one slot layout: in-plane slots 0-3, out-of-plane 4-5, each sorted
+    assert bs.block == bloch.BLOCKS
+    for slots in bloch.SLOTS.values():
+        assert np.all(np.diff(bs.detuning[slots]) >= 0.0)
     # reciprocity: m(-k) = m(k)^T
     scale = np.linalg.norm(bm.m)
     np.testing.assert_allclose(assemble(spec, -k).m, bm.m.T, rtol=0,

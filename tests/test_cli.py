@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from dipolebands.cli import ConfigError, load_config_file, main, resolve_config
+from dipolebands.lattice import build_lattice, reciprocal
 
 
 def run_cli(argv, capsys):
@@ -116,6 +117,29 @@ def test_bands_both_modes_columns(capsys):
         assert name in header.split(",")
 
 
+def test_bands_both_modes_pairs_slots_by_block(capsys):
+    # at beta = 1.15 the retarded and quasistatic energy orders at M_bottom
+    # differ; the quasistatic columns must still be the quasistatic run's
+    # out-of-plane bands, row for row
+    argv = ["bands", "--beta", "1.15", "--block", "out_of_plane",
+            "--set", "path=M_bottom,Kprime", "--set", "n_per_segment=2"]
+
+    def rows(mode):
+        code, out = run_cli(argv + ["--mode", mode], capsys)
+        assert code == 0
+        lines = [ln for ln in out.splitlines() if not ln.startswith("#")]
+        cols = lines[0].split(",")
+        return [dict(zip(cols, ln.split(","))) for ln in lines[1:]]
+
+    both, quasi = rows("both"), rows("quasistatic")
+    assert len(both) == len(quasi) == 4
+    for rb, rq in zip(both, quasi):
+        for key in ("kx", "ky", "band_index", "block"):
+            assert rb[key] == rq[key]
+        assert rb["detuning_quasistatic"] == rq["detuning"]
+        assert rb["decay_quasistatic"] == rq["decay"]
+
+
 def test_byte_identical_reruns(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("path = Gamma,K\nn_per_segment = 3\nblock = out_of_plane\n")
@@ -177,6 +201,25 @@ def test_classify_at_explicit_point(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["report"]["kind"] == "dirac_I"
+
+
+@pytest.mark.parametrize("refine", [False, True])
+def test_classify_refine_flag(refine, capsys):
+    # 0.05,24.2 is near K = (0, 24.18399) but gapped; only the refinement
+    # moves it onto the cone
+    code, out = run_cli(
+        ["classify", "--block", "out_of_plane", "--format", "json",
+         "--set", "k_point=0.05,24.2", "--set", f"refine={refine}"], capsys)
+    assert code == 0
+    rep = json.loads(out)["report"]
+    if refine:
+        recip = reciprocal(build_lattice(0.1, 1.0))
+        assert rep["kind"] == "dirac_I"
+        assert (np.linalg.norm(np.subtract(rep["k_star"], recip.K))
+                <= 1e-6 * np.linalg.norm(recip.b1))
+    else:
+        assert rep["k_star"] == [0.05, 24.2]
+        assert rep["kind"] == "gapped"
 
 
 def test_classify_requires_block(capsys):
