@@ -29,7 +29,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .greens import K0
-from .lattice import LatticeSpec, reciprocal
+from .lattice import LatticeSpec, reciprocal, reduce_to_bz
 from .latticesums import (
     LatticeSumRequest,
     RayleighAnomaly,
@@ -56,10 +56,11 @@ class EigenFailure(ArithmeticError):
 
 @dataclass(frozen=True)
 class BlochMatrix:
-    """The 6x6 collective-coupling matrix at one Bloch vector."""
+    """The 6x6 collective-coupling matrix at one Bloch vector (assemble)."""
 
     m: np.ndarray
     k: np.ndarray
+    in_light_cone: bool
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,8 @@ class BandSet:
         decay: (6,) radiative widths gamma_k/Gamma_a.
         vectors: (6, 6) eigenvectors as columns, full-basis components.
         block: BLOCKS, the polarization tag of each slot.
-        in_light_cone: True when |k| < k0.
+        in_light_cone: True when the zone-reduced k is inside the light
+            cone, |reduce_to_bz(k)| < k0.
         anomalous: True when the k-point needed a light-line nudge.
     """
 
@@ -121,9 +123,11 @@ def assemble(spec: LatticeSpec, k, mode: str = "retarded") -> BlochMatrix:
         mode: 'retarded' or 'quasistatic'.
 
     Returns:
-        BlochMatrix with basis ordering (A_x, A_y, A_z, B_x, B_y, B_z).
+        BlochMatrix with basis ordering (A_x, A_y, A_z, B_x, B_y, B_z),
+        and in_light_cone True when |reduce_to_bz(k)| < k0.
     """
     k = np.asarray(k, dtype=float)
+    inside = bool(np.linalg.norm(reduce_to_bz(reciprocal(spec), k)) < K0)
     blocks = {}
     for offset in ("same", "a_to_b", "b_to_a"):
         blocks[offset] = ewald_sum(LatticeSumRequest(
@@ -135,7 +139,7 @@ def assemble(spec: LatticeSpec, k, mode: str = "retarded") -> BlochMatrix:
     m[3:, :3] = blocks["b_to_a"]
     m *= -1.5
     m -= 0.5j * np.eye(6)
-    return BlochMatrix(m=m, k=k)
+    return BlochMatrix(m=m, k=k, in_light_cone=inside)
 
 
 def _eig_out_of_plane(m2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -198,7 +202,7 @@ def eigensolve(bm: BlochMatrix) -> BandSet:
         decay=-2.0 * vals.imag,
         vectors=vecs,
         block=BLOCKS,
-        in_light_cone=bool(np.linalg.norm(bm.k) < K0),
+        in_light_cone=bm.in_light_cone,
     )
 
 

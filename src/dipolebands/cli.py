@@ -28,6 +28,11 @@ from .latticesums import NonConvergent, RayleighAnomaly
 _MODES = ("retarded", "quasistatic", "both")
 _BLOCKS = ("out_of_plane", "in_plane", "all")
 _FORMATS = ("csv", "json")
+# Config keys with their own --KEY flag; commands that reject mode=both;
+# commands that reject block=all.
+_FLAG_KEYS = ("out", "d0", "beta", "mode", "block", "pair", "format")
+_SINGLE_MODE = ("surface", "find-cones", "classify", "sweep-beta")
+_NEEDS_BLOCK = ("classify", "sweep-beta")
 
 
 class ConfigError(ValueError):
@@ -51,7 +56,7 @@ class RunConfig:
     grid: tuple | None = None
     region: tuple | None = None
     k_point: str | None = None
-    eps_deg: float = 1e-3
+    eps_deg: float = dispersion.EPS_DEG
     fit_radius: float | None = None
     refine: bool = True
     format: str = "csv"
@@ -166,16 +171,17 @@ def resolve_config(file_updates: dict, flag_updates: dict) -> RunConfig:
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"bad value for {key}: {exc}") from exc
         cfg = replace(cfg, **parsed)
-    if not (lattice.BETA_MIN <= cfg.beta <= lattice.BETA_MAX):
-        raise ConfigError(
-            f"beta={cfg.beta} outside [{lattice.BETA_MIN}, {lattice.BETA_MAX}]")
-    for name in ("beta_start", "beta_stop"):
+    for name in ("beta", "beta_start", "beta_stop"):
         val = getattr(cfg, name)
         if val is not None and not (
                 lattice.BETA_MIN <= val <= lattice.BETA_MAX):
             raise ConfigError(
                 f"{name}={val} outside "
                 f"[{lattice.BETA_MIN}, {lattice.BETA_MAX}]")
+    if cfg.region and not (cfg.region[0] < cfg.region[1]
+                           and cfg.region[2] < cfg.region[3]):
+        raise ConfigError("region must be kx_min,kx_max,ky_min,ky_max with "
+                          f"each min below its max, got {cfg.region}")
     if (cfg.beta_start is not None and cfg.beta_stop is not None
             and cfg.beta_stop < cfg.beta_start):
         raise ConfigError(
@@ -210,8 +216,11 @@ def _fmt(x) -> str:
 
 def _emit(cfg: RunConfig, text: str) -> None:
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {cfg.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -254,9 +263,9 @@ def _resolve_k(cfg: RunConfig, recip) -> np.ndarray:
         raise ConfigError(f"bad k_point {cfg.k_point!r}: {exc}") from exc
 
 
-def _path_labels(cfg: RunConfig, recip) -> list:
+def _path_labels(cfg: RunConfig) -> list:
     if cfg.path.strip().lower() == "figure":
-        return [name for name, _ in recip.path]
+        return list(lattice.FIGURE_PATH)
     labels = [p.strip() for p in cfg.path.split(",") if p.strip()]
     if len(labels) < 2:
         raise ConfigError(f"path needs at least two labels, got {cfg.path!r}")
@@ -274,7 +283,7 @@ def _block_pairs(cfg: RunConfig) -> list:
 def cmd_bands(cfg: RunConfig) -> str:
     spec = lattice.build_lattice(cfg.d0, cfg.beta)
     recip = lattice.reciprocal(spec)
-    labels = _path_labels(cfg, recip)
+    labels = _path_labels(cfg)
     try:
         samples = lattice.sample_path(recip, labels, cfg.n_per_segment)
     except UnknownLabel as exc:
@@ -305,8 +314,6 @@ def cmd_bands(cfg: RunConfig) -> str:
 def cmd_surface(cfg: RunConfig) -> str:
     if cfg.grid is None:
         raise ConfigError("surface requires grid=kx_min,kx_max,ky_min,ky_max,nx,ny")
-    if cfg.mode == "both":
-        raise ConfigError("surface supports a single mode per run")
     x0, x1, y0, y1, nx, ny = cfg.grid
     spec = lattice.build_lattice(cfg.d0, cfg.beta)
     grid = bloch.bands_on_grid(
@@ -328,7 +335,7 @@ def cmd_surface(cfg: RunConfig) -> str:
 
 
 def _report_payload(rep) -> dict:
-    d = {
+    return {
         "k_star": rep.k_star,
         "band_pair": list(rep.band_pair),
         "block": rep.block,
@@ -346,12 +353,9 @@ def _report_payload(rep) -> dict:
         "d0": rep.d0,
         "mode": rep.mode,
     }
-    return d
 
 
 def cmd_find_cones(cfg: RunConfig) -> str:
-    if cfg.mode == "both":
-        raise ConfigError("find-cones supports a single mode per run")
     spec = lattice.build_lattice(cfg.d0, cfg.beta)
     reports = []
     for block, pair in _block_pairs(cfg):
@@ -365,10 +369,6 @@ def cmd_find_cones(cfg: RunConfig) -> str:
 
 
 def cmd_classify(cfg: RunConfig) -> str:
-    if cfg.mode == "both":
-        raise ConfigError("classify supports a single mode per run")
-    if cfg.block == "all":
-        raise ConfigError("classify requires an explicit block")
     spec = lattice.build_lattice(cfg.d0, cfg.beta)
     k = _resolve_k(cfg, lattice.reciprocal(spec))
     if cfg.refine:
@@ -381,10 +381,6 @@ def cmd_classify(cfg: RunConfig) -> str:
 
 
 def cmd_sweep_beta(cfg: RunConfig) -> str:
-    if cfg.mode == "both":
-        raise ConfigError("sweep-beta supports a single mode per run")
-    if cfg.block == "all":
-        raise ConfigError("sweep-beta requires an explicit block")
     if cfg.beta_start is None or cfg.beta_stop is None:
         raise ConfigError("sweep-beta requires beta_start and beta_stop")
     start_point = None
@@ -443,13 +439,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("config_file", nargs="?", default=None,
                        help="key=value config file")
         p.add_argument("--config", dest="config_flag", default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--d0", default=None)
-        p.add_argument("--beta", default=None)
-        p.add_argument("--mode", default=None)
-        p.add_argument("--block", default=None)
-        p.add_argument("--pair", default=None)
-        p.add_argument("--format", dest="format_", default=None)
+        for key in _FLAG_KEYS:
+            p.add_argument(f"--{key}", default=None)
         p.add_argument("--set", dest="sets", action="append", default=[],
                        metavar="KEY=VALUE",
                        help="override any config key (repeatable)")
@@ -464,20 +455,19 @@ def main(argv=None) -> int:
         cfg_path = args.config_flag or args.config_file
         if cfg_path:
             file_updates = load_config_file(cfg_path)
-        flag_updates = {
-            "out": args.out, "d0": args.d0, "beta": args.beta,
-            "mode": args.mode, "block": args.block, "pair": args.pair,
-            "format": args.format_,
-        }
-        flag_updates = {k: v for k, v in flag_updates.items()
-                        if v is not None}
+        flag_updates = {key: getattr(args, key) for key in _FLAG_KEYS
+                        if getattr(args, key) is not None}
         for item in args.sets:
             if "=" not in item:
                 raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
             key, value = (s.strip() for s in item.split("=", 1))
             flag_updates[key] = value
         cfg = resolve_config(file_updates, flag_updates)
-        text = _COMMANDS[args.command](cfg)
+        if cfg.mode == "both" and args.command in _SINGLE_MODE:
+            raise ConfigError(f"{args.command} supports a single mode per run")
+        if cfg.block == "all" and args.command in _NEEDS_BLOCK:
+            raise ConfigError(f"{args.command} requires an explicit block")
+        _emit(cfg, _COMMANDS[args.command](cfg))
     except (ConfigError, BetaOutOfRange) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -485,7 +475,6 @@ def main(argv=None) -> int:
             FitDegenerate) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    _emit(cfg, text)
     return 0
 
 

@@ -193,10 +193,11 @@ def find_degeneracies(spec: LatticeSpec, block: str, band_pair,
                       grid_n: int = GRID_N) -> list[DegeneracyReport]:
     """Locate gap closings of a band pair inside a k-region.
 
-    Coarse grid scan (grid_n x grid_n), Newton refinement of gap^2 from
-    every coarse local minimum (_refine_minimum, trust radius half a grid
-    spacing), filtering at eps_deg, duplicate merging modulo reciprocal
-    vectors, and reconstruction of the ky -> -ky mirror images.
+    Coarse grid scan (grid_n x grid_n) of search_region = (kx_min, kx_max,
+    ky_min, ky_max), Newton refinement of gap^2 from every coarse local
+    minimum (_refine_minimum, trust radius half a grid spacing), filtering
+    at eps_deg, duplicate merging modulo reciprocal vectors, and
+    reconstruction of the ky -> -ky mirror images.
 
     The coarse grid comes from bloch.bands_on_grid. With the default
     region in retarded mode, no seed is taken in the radiative neighborhood
@@ -208,10 +209,15 @@ def find_degeneracies(spec: LatticeSpec, block: str, band_pair,
 
     Returns:
         Location-and-gap reports sorted by (gap, kx, ky); empty if gapped.
+
+    Raises:
+        ValueError: search_region with kx_min >= kx_max or ky_min >= ky_max.
     """
     exclude_radiative = search_region is None and mode == "retarded"
     region = default_search_region(spec) if search_region is None else \
         tuple(float(v) for v in search_region)
+    if not (region[0] < region[1] and region[2] < region[3]):
+        raise ValueError(f"search_region {region} is empty or reversed")
     recip = reciprocal(spec)
     b1n = float(np.linalg.norm(recip.b1))
 
@@ -281,11 +287,11 @@ def _exponent_class(p: float) -> int | None:
 
 def classify(spec: LatticeSpec, location, block: str, band_pair,
              mode: str = "retarded", fit_radius: float | None = None,
-             n_dirs: int = N_DIRECTIONS, n_radii: int = N_RADII,
              eps_deg: float = EPS_DEG) -> DegeneracyReport:
     """Classify the band-pair behavior around a degeneracy location.
 
-    Samples both bands on n_dirs rays with n_radii log-spaced radii, fits
+    Samples both bands on N_DIRECTIONS rays with N_RADII log-spaced radii
+    out to fit_radius (default FIT_RADIUS_FRAC |b1|), fits
     the tilt vector from the band average, the quadratic form A from
     (gap/2)^2, and the gap exponents along A's principal axes, then applies
     the taxonomy thresholds.
@@ -316,8 +322,8 @@ def classify(spec: LatticeSpec, location, block: str, band_pair,
         return DegeneracyReport(kind="gapped", **base)
 
     m0 = 0.5 * (lo0 + hi0)
-    radii = np.geomspace(FIT_INNER_FRAC * r_out, r_out, n_radii)
-    thetas = 2.0 * np.pi * np.arange(n_dirs) / n_dirs
+    radii = np.geomspace(FIT_INNER_FRAC * r_out, r_out, N_RADII)
+    thetas = 2.0 * np.pi * np.arange(N_DIRECTIONS) / N_DIRECTIONS
     qs, mids, halves = [], [], []
     for th in thetas:
         n = np.array([np.cos(th), np.sin(th)])
@@ -435,7 +441,8 @@ def tilt_transition_scan(d0: float, beta_start: float, beta_stop: float,
     the bracket is no wider than 0.005, which brackets the type-III point.
 
     Returns:
-        ConeTrajectory over the swept betas.
+        ConeTrajectory over the betas beta_start + i beta_step, i = 0, 1,
+        ..., up to beta_stop and never past it.
 
     Raises:
         ValueError: beta_step not positive and finite, or beta_stop below
@@ -447,7 +454,7 @@ def tilt_transition_scan(d0: float, beta_start: float, beta_stop: float,
     if beta_stop < beta_start:
         raise ValueError(
             f"beta_stop={beta_stop} below beta_start={beta_start}")
-    n_steps = int(round((beta_stop - beta_start) / beta_step))
+    n_steps = int(np.floor((beta_stop - beta_start) / beta_step + 1e-9))
     betas = [beta_start + i * beta_step for i in range(n_steps + 1)]
     b1n = float(np.linalg.norm(reciprocal(build_lattice(d0, betas[0])).b1))
     coarse_scale = b1n / GRID_N
@@ -530,7 +537,6 @@ def tilt_transition_scan(d0: float, beta_start: float, beta_stop: float,
 
 def critical_beta(d0: float, block: str, band_pair, target_point,
                   beta_bracket, mode: str = "retarded",
-                  eps_deg: float = EPS_DEG,
                   bracket_tol: float = 1e-4) -> float:
     """Beta at which a band pair closes its gap at a fixed k-point.
 
@@ -543,6 +549,7 @@ def critical_beta(d0: float, block: str, band_pair, target_point,
         target_point: k-point (2,) or a high-symmetry label such as 'M'.
         beta_bracket: (beta_lo, beta_hi) search interval.
         mode: 'retarded' or 'quasistatic'.
+        bracket_tol: Width of the final beta bracket.
 
     Returns:
         beta_c as a float.
@@ -550,7 +557,7 @@ def critical_beta(d0: float, block: str, band_pair, target_point,
     Raises:
         ValueError: bracket_tol not positive and finite, or an empty or
             reversed beta_bracket.
-        NoClosure: the smallest gap found stayed at or above eps_deg.
+        NoClosure: the smallest gap found stayed at or above EPS_DEG.
     """
     if not 0.0 < bracket_tol < np.inf:
         raise ValueError(
@@ -583,9 +590,9 @@ def critical_beta(d0: float, block: str, band_pair, target_point,
             d = a + invphi * (b - a)
             fd = gap_at(d)
     beta_c = 0.5 * (a + b)
-    if min(fc, fd) >= eps_deg:
+    if min(fc, fd) >= EPS_DEG:
         raise NoClosure(
-            f"gap at {np.asarray(k_t)} stayed above {eps_deg:g} over "
+            f"gap at {np.asarray(k_t)} stayed above {EPS_DEG:g} over "
             f"beta in [{lo}, {hi}] (best {min(fc, fd):.3e})"
         )
     return float(beta_c)

@@ -29,35 +29,34 @@ class ZeroDisplacement(ValueError):
 
 @dataclass(frozen=True)
 class GreenDyadic:
-    """A 3x3 dyadic evaluated at one displacement.
+    """A 3x3 dyadic evaluated at one displacement, at wavenumber K0.
+
+    Only the components are kept; the displacement is the caller's argument.
 
     Attributes:
         components: (3, 3) complex array, units 1/length.
-        displacement: (3,) evaluation point.
-        k0: Wavenumber used.
     """
 
     components: np.ndarray
-    displacement: np.ndarray
-    k0: float
 
 
 @dataclass(frozen=True)
 class CouplingPair:
     """Coherent and incoherent pair couplings between two dipoles.
 
+    Only the two couplings are kept; the displacement and the dipole
+    orientations are the caller's arguments.
+
     Attributes:
         J: Coherent shift, units of the single-emitter linewidth.
         Gamma: Incoherent (radiative) rate, same units.
-        polarizations: The two unit dipole orientations.
     """
 
     J: float
     Gamma: float
-    polarizations: tuple
 
 
-def _prepare(r) -> tuple[np.ndarray, float, np.ndarray]:
+def _prepare(r) -> tuple[float, np.ndarray]:
     r = np.asarray(r, dtype=float)
     if r.shape == (2,):
         r = np.array([r[0], r[1], 0.0])
@@ -66,7 +65,7 @@ def _prepare(r) -> tuple[np.ndarray, float, np.ndarray]:
     rn = float(np.linalg.norm(r))
     if rn == 0.0:
         raise ZeroDisplacement("Green dyadic evaluated at zero displacement")
-    return r, rn, r / rn
+    return rn, r / rn
 
 
 def scalar_parts(rn: float, k0: float) -> tuple[complex, complex]:
@@ -78,55 +77,48 @@ def scalar_parts(rn: float, k0: float) -> tuple[complex, complex]:
     return a, b
 
 
-def green_retarded(r, k0: float = K0) -> GreenDyadic:
-    """Retarded free-space dyadic at displacement r.
+def green_retarded(r) -> GreenDyadic:
+    """Retarded free-space dyadic at displacement r, wavenumber K0.
 
     Args:
         r: Displacement, 2-vector (taken in-plane) or 3-vector.
-        k0: Wavenumber (default 2 pi, wavelength units).
 
     Returns:
         GreenDyadic with complex symmetric components.
     """
-    r, rn, rhat = _prepare(r)
-    a, b = scalar_parts(rn, k0)
+    rn, rhat = _prepare(r)
+    a, b = scalar_parts(rn, K0)
     g = a * np.eye(3) + b * np.outer(rhat, rhat)
-    return GreenDyadic(components=g, displacement=r, k0=k0)
+    return GreenDyadic(components=g)
 
 
-def green_quasistatic(r, k0: float = K0) -> GreenDyadic:
+def green_quasistatic(r) -> GreenDyadic:
     """Quasistatic (1/r^3, no retardation) dyadic at displacement r."""
-    r, rn, rhat = _prepare(r)
-    g = (3.0 * np.outer(rhat, rhat) - np.eye(3)) / (4.0 * np.pi * k0**2 * rn**3)
-    return GreenDyadic(components=g.astype(complex), displacement=r, k0=k0)
+    rn, rhat = _prepare(r)
+    g = (3.0 * np.outer(rhat, rhat) - np.eye(3)) / (4.0 * np.pi * K0**2 * rn**3)
+    return GreenDyadic(components=g.astype(complex))
 
 
-def coupling(r, p_i, p_j, k0: float = K0, gamma_a: float = 1.0) -> CouplingPair:
+def coupling(r, p_i, p_j) -> CouplingPair:
     """Photon-mediated couplings between two unit dipoles.
 
-    With lengths in wavelengths the prefactor is (3/2) gamma_a, so
+    With lengths in wavelengths and rates in units of the single-emitter
+    linewidth gamma_a, the prefactor is 3/2, so
 
-        J     = -(3/2) gamma_a Re[p_i* . G(r) . p_j],
-        Gamma =     3  gamma_a Im[p_i* . G(r) . p_j].
+        J     = -(3/2) Re[p_i* . G(r) . p_j],
+        Gamma =     3  Im[p_i* . G(r) . p_j].
 
     Args:
         r: Displacement from emitter j to emitter i.
         p_i, p_j: Unit dipole orientations (3-vectors, may be complex).
-        k0: Wavenumber.
-        gamma_a: Single-emitter linewidth setting the units.
 
     Returns:
-        CouplingPair; for p_i = p_j and r -> 0 the rate tends to gamma_a.
+        CouplingPair; for p_i = p_j and r -> 0 the rate tends to 1.
     """
     p_i = np.asarray(p_i, dtype=complex)
     p_j = np.asarray(p_j, dtype=complex)
     for p in (p_i, p_j):
         if abs(np.linalg.norm(p) - 1.0) > 1e-12:
             raise ValueError("dipole orientations must be unit vectors")
-    g = green_retarded(r, k0).components
-    amp = complex(np.conj(p_i) @ g @ p_j)
-    return CouplingPair(
-        J=-1.5 * gamma_a * amp.real,
-        Gamma=3.0 * gamma_a * amp.imag,
-        polarizations=(p_i, p_j),
-    )
+    amp = complex(np.conj(p_i) @ green_retarded(r).components @ p_j)
+    return CouplingPair(J=-1.5 * amp.real, Gamma=3.0 * amp.imag)

@@ -12,12 +12,15 @@ All lengths are measured in units of the emitter wavelength.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 BETA_MIN = 0.5
 BETA_MAX = 1.7321
+
+# The standard plotting path: one straight vertical segment through the zone.
+FIGURE_PATH = ("M_bottom", "Kprime", "Gamma", "K", "M_top")
 
 # Labels accepted by sample_path, resolved against ReciprocalSpec.
 _POINT_ALIASES = {
@@ -85,9 +88,8 @@ class ReciprocalSpec:
             the +x (anisotropy) axis; K the top corner (0, +|K|); Kprime = -K.
         M_top, M_bottom: The vertical-axis representatives +-(b1-b2)/2,
             equivalent to M modulo b2. They are the endpoints of the standard
-            plotting path, which is a single straight vertical segment
+            plotting path FIGURE_PATH, a single straight vertical segment
             M_bottom -> Kprime -> Gamma -> K -> M_top.
-        path: The standard path as (label, point) pairs.
     """
 
     b1: np.ndarray
@@ -98,7 +100,6 @@ class ReciprocalSpec:
     Kprime: np.ndarray
     M_top: np.ndarray
     M_bottom: np.ndarray
-    path: tuple = field(repr=False, default=())
 
     def point(self, label: str) -> np.ndarray:
         """Resolve a label to a k-point. Raises UnknownLabel."""
@@ -174,10 +175,9 @@ def reciprocal(spec: LatticeSpec) -> ReciprocalSpec:
         spec: Lattice to transform.
 
     Returns:
-        ReciprocalSpec. The standard path field traces the vertical line
-        M_bottom -> Kprime -> Gamma -> K -> M_top (all five points are
-        collinear on the k_y axis; the M endpoints are the representatives
-        +-(b1 - b2)/2 of the M point).
+        ReciprocalSpec. The FIGURE_PATH points M_bottom, Kprime, Gamma, K
+        and M_top are collinear on the k_y axis; the M endpoints are the
+        representatives +-(b1 - b2)/2 of the M point.
     """
     a = np.array([spec.a1, spec.a2])
     b = 2.0 * np.pi * np.linalg.inv(a).T
@@ -190,16 +190,9 @@ def reciprocal(spec: LatticeSpec) -> ReciprocalSpec:
     m_bottom = -m_top
     for arr in (b1, b2, gamma, m, k, kprime, m_top, m_bottom):
         arr.setflags(write=False)
-    path = (
-        ("M_bottom", m_bottom),
-        ("Kprime", kprime),
-        ("Gamma", gamma),
-        ("K", k),
-        ("M_top", m_top),
-    )
     return ReciprocalSpec(
         b1=b1, b2=b2, Gamma=gamma, M=m, K=k, Kprime=kprime,
-        M_top=m_top, M_bottom=m_bottom, path=path,
+        M_top=m_top, M_bottom=m_bottom,
     )
 
 
@@ -208,7 +201,7 @@ def sample_path(recip: ReciprocalSpec, labels, n_per_segment: int):
 
     Args:
         recip: Reciprocal description providing the named points.
-        labels: Sequence of point labels (strings) or explicit 2-vectors.
+        labels: High-symmetry labels; an unknown one raises UnknownLabel.
         n_per_segment: Samples per segment including both endpoints (>= 2).
             Shared junctions are emitted once.
 
@@ -219,18 +212,8 @@ def sample_path(recip: ReciprocalSpec, labels, n_per_segment: int):
     """
     if n_per_segment < 2:
         raise ValueError("n_per_segment must be >= 2")
-    pts = []
-    names = []
-    for lab in labels:
-        if isinstance(lab, str):
-            pts.append(recip.point(lab))
-            names.append(lab)
-        else:
-            arr = np.asarray(lab, dtype=float)
-            if arr.shape != (2,):
-                raise UnknownLabel(f"path entry {lab!r} is not a 2-vector")
-            pts.append(arr)
-            names.append("")
+    names = list(labels)
+    pts = [recip.point(lab) for lab in names]
     if len(pts) < 2:
         raise ValueError("need at least two path points")
     out = []
@@ -256,8 +239,7 @@ def sample_path(recip: ReciprocalSpec, labels, n_per_segment: int):
 
 def standard_path(recip: ReciprocalSpec, n_per_segment: int = 100):
     """The vertical figure path M_bottom -> K' -> Gamma -> K -> M_top."""
-    labels = [name for name, _ in recip.path]
-    return sample_path(recip, labels, n_per_segment)
+    return sample_path(recip, FIGURE_PATH, n_per_segment)
 
 
 def reduce_to_bz(recip: ReciprocalSpec, k) -> np.ndarray:

@@ -458,11 +458,12 @@ def direct_sum_quasistatic(
     )
 
 
-def sum_diagnostics(spec: LatticeSpec, k, offset: str = "same") -> dict:
+def sum_diagnostics(spec: LatticeSpec, k) -> dict:
     """Cross-checks of the Ewald engine at one k-point.
 
-    Runs ewald_sum at splittings E, 2E and E/2 for both modes and compares
-    the quasistatic result against the direct-sum oracle.
+    Runs the same-sublattice (offset 'same') ewald_sum at splittings E, 2E
+    and E/2 for both modes and compares the quasistatic result against the
+    direct-sum oracle.
 
     Returns:
         Dict with relative deviations per mode ('retarded_splitting_dev',
@@ -479,8 +480,8 @@ def sum_diagnostics(spec: LatticeSpec, k, offset: str = "same") -> dict:
 
     def _dev(mode):
         results = [
-            ewald_sum(LatticeSumRequest(spec=spec, k=k, offset=offset,
-                                        mode=mode, splitting=s))
+            ewald_sum(LatticeSumRequest(spec=spec, k=k, mode=mode,
+                                        splitting=s))
             for s in (e0, 2.0 * e0, 0.5 * e0)
         ]
         base = np.linalg.norm(results[0].D)
@@ -502,7 +503,7 @@ def sum_diagnostics(spec: LatticeSpec, k, offset: str = "same") -> dict:
     report["quasistatic_splitting_dev"] = dev
     report["quasistatic_terms"] = (res.n_spatial, res.n_spectral)
     direct = direct_sum_quasistatic(
-        LatticeSumRequest(spec=spec, k=k, offset=offset, mode="quasistatic")
+        LatticeSumRequest(spec=spec, k=k, mode="quasistatic")
     )
     report["quasistatic_direct_dev"] = float(
         np.linalg.norm(direct.D - res.D) / np.linalg.norm(direct.D)

@@ -217,6 +217,12 @@ def test_light_cone_flag(iso_lattice):
     assert inside.in_light_cone
     outside = eigensolve(assemble(iso_lattice, reciprocal(iso_lattice).K))
     assert not outside.in_light_cone
+    # the flag belongs to the zone-reduced k: k and k + b1 share it
+    k = np.array([0.5, 0.3])
+    shifted = solve_k(iso_lattice, reciprocal(iso_lattice).b1 + k)
+    near = solve_k(iso_lattice, k)
+    assert near.in_light_cone and shifted.in_light_cone
+    np.testing.assert_allclose(shifted.decay, near.decay, rtol=1e-9)
 
 
 def test_grid_refinement_converges_near_k(iso_lattice):

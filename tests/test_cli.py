@@ -302,10 +302,25 @@ _SWEEP = ["sweep-beta", "--block", "in_plane"]
     ["bands", "--set", "ewald_tolerance=1"],
     ["bands", "--set", "ewald_tolerance=1000"],
     ["bands", "--set", "ewald_tolerance=1e-4"],
+    # a reversed or empty region is rejected before any search
+    ["find-cones", "--block", "out_of_plane", "--format", "json",
+     "--set", "region=20.94,-20.94,24.18,0"],
+    ["find-cones", "--block", "out_of_plane", "--format", "json",
+     "--set", "region=0,0,0,0"],
 ])
 def test_exit_code_bad_config(argv, capsys):
     code, _ = run_cli(argv, capsys)
     assert code == 2
+
+
+def test_unwritable_out_is_config_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    code = main(["bands", "--set", "path=Gamma,K", "--set", "n_per_segment=2",
+                 "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"config error: cannot write {target}")
+    assert not target.exists()
 
 
 def test_light_line_point_nudged_and_flagged(capsys):

@@ -174,6 +174,20 @@ def test_gapped_below_merging():
     assert found == []
 
 
+@pytest.mark.parametrize("region", [
+    (20.94, -20.94, 24.18, 0.0),  # both axes reversed
+    (0.0, 0.0, 0.0, 0.0),  # empty
+])
+def test_find_rejects_empty_or_reversed_region(monkeypatch, region):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the region was checked")
+
+    monkeypatch.setattr(dispersion, "bands_on_grid", no_solve)
+    with pytest.raises(ValueError, match="search_region"):
+        find_degeneracies(build_lattice(0.1, 0.9), OUT_OF_PLANE, (0, 1),
+                          search_region=region)
+
+
 def test_classify_gapped_kind():
     spec = build_lattice(0.1, 0.7)
     rep = classify(spec, reciprocal(spec).M, OUT_OF_PLANE, (0, 1))
@@ -430,6 +444,16 @@ def test_tilt_scan_events_on_scripted_track(monkeypatch):
     assert jump["jump"] == pytest.approx(4.6)
 
 
+def test_tilt_scan_stops_at_beta_stop(monkeypatch):
+    # 0.0321 / 0.02 = 1.6 steps: rounding it up would step to 1.74 > BETA_MAX
+    traj, searched = _scripted_scan(
+        monkeypatch, lambda beta, k0: (k0, 0.0), lambda beta: "dirac_I",
+        lambda beta: None, beta_start=1.70, beta_stop=1.7321,
+        beta_step=0.02, start_point=(13.0, 0.0))
+    assert traj.beta_values == pytest.approx([1.70, 1.72])
+    assert searched == []
+
+
 @pytest.mark.parametrize("kind_at,bracket", [
     # narrowing: the bracket halves until it is at most 0.005 wide
     (lambda beta: "dirac_I" if beta < 0.6437 else "dirac_II",
@@ -470,7 +494,9 @@ def test_tilt_scan_rejects_bad_beta_range(start, stop, step):
                              beta_step=step)
 
 
-def test_fit_degenerate_on_collinear_directions(iso, iso_cones):
+def test_fit_degenerate_on_collinear_directions(iso, iso_cones,
+                                                monkeypatch):
     # two antipodal rays cannot determine the 2d quadratic form
+    monkeypatch.setattr(dispersion, "N_DIRECTIONS", 2)
     with pytest.raises(FitDegenerate):
-        classify(iso, iso_cones[0].k_star, OUT_OF_PLANE, (0, 1), n_dirs=2)
+        classify(iso, iso_cones[0].k_star, OUT_OF_PLANE, (0, 1))
