@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .greens import K0
 from .lattice import LatticeSpec, reciprocal, reduce_to_bz
@@ -226,6 +225,9 @@ def solve_k(spec: LatticeSpec, k, mode: str = "retarded") -> BandSet:
 
 def _match_block(prev_vecs, cur_vecs, prev_det, cur_det):
     """Overlap assignment of one block's bands; returns cur column order."""
+    # path connection only; scipy.optimize stays off the import path
+    from scipy.optimize import linear_sum_assignment
+
     o = np.abs(prev_vecs.conj().T @ cur_vecs)
     n = len(prev_det)
     row, col = linear_sum_assignment(-o)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass, replace
 
@@ -212,6 +213,24 @@ def _fmt(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return f"{float(x):.17g}"
+
+
+def _check_out(path: str) -> None:
+    """Reject an --out path that cannot be written before the run starts.
+
+    Writing can still fail later; _emit reports that the same way.
+    """
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        reason = "it is a directory"
+    elif not os.path.isdir(folder):
+        reason = f"no directory {folder}"
+    elif not os.access(folder, os.W_OK) or (
+            os.path.exists(path) and not os.access(path, os.W_OK)):
+        reason = "permission denied"
+    else:
+        return
+    raise ConfigError(f"cannot write {path}: {reason}")
 
 
 def _emit(cfg: RunConfig, text: str) -> None:
@@ -467,6 +486,8 @@ def main(argv=None) -> int:
             raise ConfigError(f"{args.command} supports a single mode per run")
         if cfg.block == "all" and args.command in _NEEDS_BLOCK:
             raise ConfigError(f"{args.command} requires an explicit block")
+        if cfg.out:
+            _check_out(cfg.out)
         _emit(cfg, _COMMANDS[args.command](cfg))
     except (ConfigError, BetaOutOfRange) as exc:
         print(f"config error: {exc}", file=sys.stderr)

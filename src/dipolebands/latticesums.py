@@ -29,18 +29,37 @@ arguments i r E +- k0/(2E) in the upper half plane, which keeps every factor
 bounded; e^{i k0 r} erfc(rE + i k0/(2E)) = e^{-r^2 E^2 + k0^2/(4E^2)} w(...).
 The quasistatic path reuses the same kernels with the wavenumber set to zero
 inside the screening functions.
+
+Everything that does not depend on k is built once per lattice and kept in
+two small least-recently-used caches:
+
+- a cell table, keyed on (a1, a2, mode, E, tolerance): the reciprocal basis
+  and its dual, and the spectral index grid that covers the index box of
+  every zone-reduced k (clipped to the index cap);
+- a spatial table, keyed on (a1, a2, rho, mode, E, tolerance): the R + rho
+  disk and its Faddeeva kernels phi, phi' and phi'' - phi'/r.
+
+The keys hold no beta: a1 and a2 do not depend on it, so every lattice of
+one d0 shares the cell table and the same-site (rho = 0) spatial table. Per
+k, ewald_sum reduces k, cuts the spectral orders from the index grid with
+the same box and disk test as a fresh build, evaluates erfc on them and
+multiplies the spatial kernels by the Bloch phase. The terms, their order
+and the index-cap and light-line checks are those of a fresh build, so the
+result does not depend on what the caches hold. A build that raises stores
+nothing, and every table array is read-only.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 from scipy.special import erfc, wofz
 
 from .greens import K0
-from .lattice import LatticeSpec, reciprocal, reduce_to_bz
+from .lattice import LatticeSpec, ReciprocalSpec, reciprocal, reduce_to_bz
 
 SQRT_PI = np.sqrt(np.pi)
 
@@ -132,25 +151,33 @@ def default_splitting(spec: LatticeSpec) -> float:
     return float(SQRT_PI / np.linalg.norm(spec.a1))
 
 
-def _disk(basis: np.ndarray, centre: np.ndarray, reach: float) -> np.ndarray:
-    """Vectors v = n @ basis + centre, n integer, with |v| <= reach.
+def _box(dual: np.ndarray, half: np.ndarray, centre: np.ndarray,
+         reach: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index box lo..hi (inclusive) of the disk |n @ basis + centre| <= reach.
 
-    Column j of inv(basis) is the dual vector d_j with n_j = (v - centre).d_j,
-    so the disk lies in the index box |n_j + centre.d_j| <= reach |d_j|.
+    Column j of dual = inv(basis) is the dual vector d_j with
+    n_j = (v - centre).d_j, so the disk lies in |n_j + centre.d_j| <= half_j,
+    half_j = reach |d_j|.
 
     Raises:
         NonConvergent: the box needs an index beyond _MAX_INDEX.
     """
-    dual = np.linalg.inv(basis)
     mid = -centre @ dual
-    half = reach * np.linalg.norm(dual, axis=0)
     if np.any(np.abs(mid) + half > _MAX_INDEX):
         raise NonConvergent(
             f"truncation radius {reach:.3g} needs lattice indices beyond "
             f"{_MAX_INDEX}"
         )
-    lo = np.floor(mid - half).astype(int)
-    hi = np.ceil(mid + half).astype(int)
+    return np.floor(mid - half).astype(int), np.ceil(mid + half).astype(int)
+
+
+def _disk(basis: np.ndarray, centre: np.ndarray, reach: float) -> np.ndarray:
+    """Vectors v = n @ basis + centre, n integer, with |v| <= reach.
+
+    The indices n run over _box in "ij" order (first index slowest).
+    """
+    dual = np.linalg.inv(basis)
+    lo, hi = _box(dual, reach * np.linalg.norm(dual, axis=0), centre, reach)
     m, n = np.meshgrid(np.arange(lo[0], hi[0] + 1),
                        np.arange(lo[1], hi[1] + 1), indexing="ij")
     v = np.stack([m.ravel(), n.ravel()], axis=1) @ basis + centre
@@ -184,15 +211,159 @@ def _self_corrections(k0_eff: float, e: float) -> tuple[complex, complex]:
     return complex(h0), complex(h2)
 
 
-def _spectral_terms(spec, recip, k, rho, k0_eff, e, depth):
+def _read_only(table):
+    """The table, with every array field made read-only (tables are shared)."""
+    for value in vars(table).values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    return table
+
+
+@dataclass(frozen=True)
+class _CellTable:
+    """The k-independent part of the spectral series on one lattice.
+
+    Attributes:
+        recip: Reciprocal lattice of (a1, a2).
+        basis: Rows b1, b2.
+        dual: inv(basis); column j is the dual vector d_j of b_j.
+        reach: Spectral disk radius sqrt(k0^2 + 4 E^2 depth).
+        half: reach |d_j|, the half-widths of the index box about -k.d_j.
+        grid: (n1, n2, 2) indices (i, j) in "ij" order over |i| <= top_1,
+            |j| <= top_2: the index box of every zone-reduced k.
+        top: (top_1, top_2).
+        depth: Gaussian exponent at both disk edges.
+        area2: Twice the cell area.
+    """
+
+    recip: ReciprocalSpec
+    basis: np.ndarray
+    dual: np.ndarray
+    reach: float
+    half: np.ndarray
+    grid: np.ndarray
+    top: np.ndarray
+    depth: float
+    area2: float
+
+
+@dataclass(frozen=True)
+class _SpatialTable:
+    """The k-independent part of the spatial series for one offset rho.
+
+    Row n belongs to the lattice vector R = lattice[n] with r = |R + rho|
+    on the screened disk (R + rho = 0 left out).
+
+    Attributes:
+        lattice: (n, 2) lattice vectors R, which carry the Bloch phase.
+        rv: (n,) distances r.
+        ux, uy: (n,) components of the unit vector (R + rho)/r.
+        phi, phip: (n,) the screened radial kernel phi(r) and phi'(r).
+        c2: (n,) phi''(r) - phi'(r)/r.
+        self_term: (5,) the R = 0 exclusion, added when rho = 0 (same-site).
+    """
+
+    lattice: np.ndarray
+    rv: np.ndarray
+    ux: np.ndarray
+    uy: np.ndarray
+    phi: np.ndarray
+    phip: np.ndarray
+    c2: np.ndarray
+    self_term: np.ndarray
+
+
+# Tables kept per cache; past it the least recently used one is dropped.
+_CACHE_SIZE = 64
+_CELL_TABLES: dict = {}
+_SPATIAL_TABLES: dict = {}
+_CACHE_LOCK = threading.Lock()
+
+
+def _cached(cache: dict, key, build):
+    """The table stored under key, built and stored on a miss.
+
+    A build that raises stores nothing.
+    """
+    with _CACHE_LOCK:
+        table = cache.pop(key, None)
+        if table is None:
+            table = build()
+            if len(cache) >= _CACHE_SIZE:
+                del cache[next(iter(cache))]
+        cache[key] = table
+        return table
+
+
+def _cell_table(spec: LatticeSpec, k0_eff: float, e: float,
+                tol: float) -> _CellTable:
+    recip = reciprocal(spec)
+    basis = np.array([recip.b1, recip.b2])
+    depth = np.log(10.0 / tol) + _MARGIN
+    reach = np.sqrt(k0_eff**2 + 4.0 * e**2 * depth)
+    dual = np.linalg.inv(basis)
+    norms = np.linalg.norm(dual, axis=0)
+    # a zone-reduced k has |k| <= (|b1| + |b2|)/2; one index more absorbs
+    # rounding at the box edge
+    kmax = 0.5 * (np.linalg.norm(recip.b1) + np.linalg.norm(recip.b2))
+    top = np.minimum(np.ceil((reach + kmax) * norms).astype(int) + 1,
+                     _MAX_INDEX)
+    m, n = np.meshgrid(np.arange(-top[0], top[0] + 1),
+                       np.arange(-top[1], top[1] + 1), indexing="ij")
+    return _read_only(_CellTable(
+        recip=recip, basis=basis, dual=dual, reach=reach, half=reach * norms,
+        grid=np.stack([m, n], axis=-1), top=top, depth=depth,
+        area2=2.0 * spec.cell_area))
+
+
+def _spatial_table(spec: LatticeSpec, rho: np.ndarray, k0_eff: float,
+                   e: float, depth: float) -> _SpatialTable:
+    """Kernels over |R + rho|^2 E^2 <= depth + k0^2/4E^2.
+
+    Raises:
+        NonConvergent: the prefactor exp(k0^2/4E^2) would overflow, or the
+            disk needs an index beyond _MAX_INDEX.
+    """
+    gau_cap = k0_eff**2 / (4.0 * e**2)
+    if gau_cap > 650.0:
+        raise NonConvergent(
+            f"splitting {e:g} too small: spatial prefactor exp({gau_cap:.1f}) "
+            "overflows"
+        )
+    rvecs = _disk(np.array([spec.a1, spec.a2]), rho,
+                  np.sqrt(depth + gau_cap) / e)
+    rv = np.linalg.norm(rvecs, axis=1)
+    keep = rv > 0.0
+    rvecs, rv = rvecs[keep], rv[keep]
+    gau = np.exp(-(rv**2) * e**2 + gau_cap)
+    tp = gau * wofz(1j * rv * e + k0_eff / (2.0 * e))
+    tm = gau * wofz(1j * rv * e - k0_eff / (2.0 * e))
+    f = tp + tm
+    fp = 1j * k0_eff * (tm - tp) - (4.0 * e / SQRT_PI) * gau
+    fpp = -(k0_eff**2) * f + (8.0 * rv * e**3 / SQRT_PI) * gau
+    phip = fp / rv - f / rv**2
+    phipp = fpp / rv - 2.0 * fp / rv**2 + 2.0 * f / rv**3
+    h0, h2 = _self_corrections(k0_eff, e)
+    return _read_only(_SpatialTable(
+        lattice=rvecs - rho, rv=rv, ux=rvecs[:, 0] / rv,
+        uy=rvecs[:, 1] / rv, phi=f / rv, phip=phip, c2=phipp - phip / rv,
+        self_term=np.array([h0, 2.0 * h2, 0.0, 2.0 * h2, 2.0 * h2])))
+
+
+def _spectral_terms(cell: _CellTable, k, rho, k0_eff, e):
     """Reciprocal-space terms over |k+g|^2 <= k0^2 + 4 E^2 depth.
+
+    The orders are the _disk of (b1, b2) about k, cut from the cell's
+    index grid.
 
     Returns:
         (w, n_prop): w is (n, 5), each row one order's contribution to
         (S, Txx, Txy, Tyy, Tzz); n_prop counts the propagating orders.
     """
-    qv = _disk(np.array([recip.b1, recip.b2]), k,
-               np.sqrt(k0_eff**2 + 4.0 * e**2 * depth))
+    lo, hi = _box(cell.dual, cell.half, k, cell.reach)
+    lo, hi = lo + cell.top, hi + cell.top + 1
+    v = cell.grid[lo[0]:hi[0], lo[1]:hi[1]].reshape(-1, 2) @ cell.basis + k
+    qv = v[np.einsum("ij,ij->i", v, v) <= cell.reach * cell.reach]
     q = np.linalg.norm(qv, axis=1)
     n_prop = 0
     if k0_eff != 0.0:
@@ -206,7 +377,7 @@ def _spectral_terms(spec, recip, k, rho, k0_eff, e, depth):
             )
         n_prop = int(np.count_nonzero(q < k0_eff))
     gamma = -1j * np.sqrt((k0_eff**2 - q**2).astype(complex))
-    phase = np.exp(1j * (qv @ rho)) / (2.0 * spec.cell_area)
+    phase = np.exp(1j * (qv @ rho)) / cell.area2
     ec = erfc(gamma / (2.0 * e))
     kern = np.zeros_like(gamma)
     np.divide(ec, gamma, out=kern, where=gamma != 0.0)
@@ -220,41 +391,14 @@ def _spectral_terms(spec, recip, k, rho, k0_eff, e, depth):
     return w, n_prop
 
 
-def _spatial_terms(spec, k, rho, k0_eff, e, depth):
-    """Screened real-space terms over |R + rho|^2 E^2 <= depth + k0^2/4E^2.
-
-    The R + rho = 0 term (same-site origin) is left out. Returns the (n, 5)
-    per-term contributions to (S, Txx, Txy, Tyy, Tzz).
-    """
-    gau_cap = k0_eff**2 / (4.0 * e**2)
-    if gau_cap > 650.0:
-        raise NonConvergent(
-            f"splitting {e:g} too small: spatial prefactor exp({gau_cap:.1f}) "
-            "overflows"
-        )
-    rvecs = _disk(np.array([spec.a1, spec.a2]), rho,
-                  np.sqrt(depth + gau_cap) / e)
-    rv = np.linalg.norm(rvecs, axis=1)
-    keep = rv > 0.0
-    rvecs, rv = rvecs[keep], rv[keep]
+def _spatial_terms(t: _SpatialTable, k):
+    """The (n, 5) spatial contributions to (S, Txx, Txy, Tyy, Tzz) at k."""
     # the Bloch phase is carried by the lattice vector R alone
-    pre = np.exp(-1j * ((rvecs - rho) @ k)) / (8.0 * np.pi)
-    gau = np.exp(-(rv**2) * e**2 + gau_cap)
-    tp = gau * wofz(1j * rv * e + k0_eff / (2.0 * e))
-    tm = gau * wofz(1j * rv * e - k0_eff / (2.0 * e))
-    f = tp + tm
-    fp = 1j * k0_eff * (tm - tp) - (4.0 * e / SQRT_PI) * gau
-    fpp = -(k0_eff**2) * f + (8.0 * rv * e**3 / SQRT_PI) * gau
-    phi = f / rv
-    phip = fp / rv - f / rv**2
-    phipp = fpp / rv - 2.0 * fp / rv**2 + 2.0 * f / rv**3
-
-    c1 = pre * phip / rv  # delta_ab coefficient; also the zz second derivative
-    c2 = pre * (phipp - phip / rv)  # rhat_a rhat_b coefficient (in-plane)
-    ux = rvecs[:, 0] / rv
-    uy = rvecs[:, 1] / rv
-    return np.stack([pre * phi, c1 + c2 * ux * ux, c2 * ux * uy,
-                     c1 + c2 * uy * uy, c1], axis=1)
+    pre = np.exp(-1j * (t.lattice @ k)) / (8.0 * np.pi)
+    c1 = pre * t.phip / t.rv  # delta_ab coefficient; also the zz derivative
+    c2 = pre * t.c2  # rhat_a rhat_b coefficient (in-plane)
+    return np.stack([pre * t.phi, c1 + c2 * t.ux * t.ux, c2 * t.ux * t.uy,
+                     c1 + c2 * t.uy * t.uy, c1], axis=1)
 
 
 def _dyadic(v, retarded: bool) -> np.ndarray:
@@ -268,6 +412,9 @@ def _dyadic(v, retarded: bool) -> np.ndarray:
 
 def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
     """Evaluate one quasi-periodic dyadic lattice sum.
+
+    The k-independent set-up comes from the per-lattice tables (see the
+    module docstring); only the k-dependent terms are evaluated here.
 
     Args:
         req: Request; see LatticeSumRequest.
@@ -293,22 +440,25 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
     if not np.all(np.isfinite(k)):
         raise ValueError(f"k must be finite, got {k}")
     spec = req.spec
-    recip = reciprocal(spec)
-    k = reduce_to_bz(recip, k)
     rho = _resolve_offset(spec, req.offset)
     e = default_splitting(spec) if req.splitting is None else float(req.splitting)
     if not (np.isfinite(e) and e > 0.0):
         raise ValueError(f"splitting must be finite and positive, got {e}")
     retarded = req.mode == "retarded"
     k0_eff = K0 if retarded else 0.0
-    depth = np.log(10.0 / tol) + _MARGIN
+    key = (np.array([spec.a1, spec.a2], dtype=float).tobytes(), retarded, e,
+           tol)
+    cell = _cached(_CELL_TABLES, key,
+                   lambda: _cell_table(spec, k0_eff, e, tol))
+    k = reduce_to_bz(cell.recip, k)
 
-    w_g, n_prop = _spectral_terms(spec, recip, k, rho, k0_eff, e, depth)
-    w_r = _spatial_terms(spec, k, rho, k0_eff, e, depth)
+    w_g, n_prop = _spectral_terms(cell, k, rho, k0_eff, e)
+    table = _cached(_SPATIAL_TABLES, key + (rho.tobytes(),),
+                    lambda: _spatial_table(spec, rho, k0_eff, e, cell.depth))
+    w_r = _spatial_terms(table, k)
     total = w_g.sum(axis=0) + w_r.sum(axis=0)
     if req.offset == "same":
-        h0, h2 = _self_corrections(k0_eff, e)
-        total += np.array([h0, 2.0 * h2, 0.0, 2.0 * h2, 2.0 * h2])
+        total += table.self_term
 
     d = _dyadic(total, retarded)
     # each omitted term is below tol/10 of the leading scale, so the tail
@@ -338,6 +488,8 @@ def _bessel_tail(order: int, zlo: float) -> float:
     partial sums are repeatedly averaged; the averaged truncation error is
     far below the quadrature tolerance.
     """
+    from scipy import integrate  # oracle only; kept off the import path
+
     z0 = max(zlo, 12.0)
     head = 0.0
     if z0 > zlo:
@@ -360,6 +512,8 @@ def _bessel_tail(order: int, zlo: float) -> float:
 
 def _tail_radial(order: int, kn: float, cutoff: float) -> float:
     """Integral of (1 - w(r/L)) J_order(kn r) / r^2 over [L/2, inf)."""
+    from scipy import integrate  # oracle only; kept off the import path
+
     inner = integrate.quad(
         lambda r: (1.0 - _rolloff(r / cutoff))
         * special.jv(order, kn * r) / r**2,

@@ -1,14 +1,19 @@
 """Command-line interface: config handling, formats, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dipolebands.cli import ConfigError, load_config_file, main, resolve_config
 from dipolebands.lattice import build_lattice, reciprocal
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(argv, capsys):
@@ -313,7 +318,16 @@ def test_exit_code_bad_config(argv, capsys):
     assert code == 2
 
 
-def test_unwritable_out_is_config_error(tmp_path, capsys):
+def _forbid_solves(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_k called before --out was checked")
+
+    monkeypatch.setattr("dipolebands.bloch.solve_k", no_solve)
+    monkeypatch.setattr("dipolebands.dispersion.solve_k", no_solve)
+
+
+def test_unwritable_out_is_config_error(tmp_path, capsys, monkeypatch):
+    _forbid_solves(monkeypatch)  # the check runs before any band is solved
     target = tmp_path / "missing" / "x.csv"
     code = main(["bands", "--set", "path=Gamma,K", "--set", "n_per_segment=2",
                  "--out", str(target)])
@@ -321,6 +335,15 @@ def test_unwritable_out_is_config_error(tmp_path, capsys):
     assert code == 2
     assert captured.err.startswith(f"config error: cannot write {target}")
     assert not target.exists()
+
+
+def test_directory_out_is_config_error(tmp_path, capsys, monkeypatch):
+    _forbid_solves(monkeypatch)
+    code = main(["bands", "--set", "path=Gamma,K", "--set", "n_per_segment=2",
+                 "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"config error: cannot write {tmp_path}")
 
 
 def test_light_line_point_nudged_and_flagged(capsys):
@@ -354,10 +377,32 @@ def test_config_flag_equivalent_to_positional(tmp_path):
     assert payload(a) == payload(b)
 
 
+def _src_env() -> dict:
+    """Environment whose PYTHONPATH starts with the package source tree."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return env
+
+
 def test_module_entrypoint_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "dipolebands.cli", "convergence",
          "--set", "k_point=K"],
-        capture_output=True, text=True, timeout=300)
+        capture_output=True, text=True, timeout=300, env=_src_env())
     assert proc.returncode == 0
     assert "retarded_splitting_dev" in proc.stdout
+
+
+def test_import_leaves_oracle_scipy_unloaded():
+    # scipy.integrate serves only the quasistatic oracle and
+    # scipy.optimize only band connection along a path
+    code = ("import sys, dipolebands as d\n"
+            "spec = d.build_lattice(0.1, 0.9)\n"
+            "d.solve_k(spec, d.reciprocal(spec).K)\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m in ('scipy.integrate', 'scipy.optimize')))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=300, env=_src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,21 +1,32 @@
 """Ewald engine vs independent oracles and internal invariants."""
 
+import dataclasses
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
+from scipy.special import erfc, wofz
 
 from dipolebands import (
+    BETA_MAX,
+    BETA_MIN,
     LatticeSumRequest,
+    LatticeSumResult,
     NonConvergent,
     RayleighAnomaly,
     build_lattice,
     default_splitting,
     direct_sum_quasistatic,
     ewald_sum,
+    latticesums,
     reciprocal,
+    reduce_to_bz,
     sum_diagnostics,
 )
+from dipolebands.greens import K0
 
 
 def _ewald(spec, k, offset="same", mode="retarded", splitting=None):
@@ -224,3 +235,249 @@ def test_special_function_backends_vs_mpmath():
         got = complex(special.wofz(z))
         want = complex(mpmath.exp(-z * z) * mpmath.erfc(-1j * z))
         assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+
+# -- per-lattice tables --------------------------------------------------------
+# The reference below is the per-call series that the tables replaced: every
+# ewald_sum rebuilt its disks and kernels. The tabled engine must return the
+# same bits.
+
+def _ref_disk(basis, centre, reach):
+    dual = np.linalg.inv(basis)
+    mid = -centre @ dual
+    half = reach * np.linalg.norm(dual, axis=0)
+    if np.any(np.abs(mid) + half > latticesums._MAX_INDEX):
+        raise NonConvergent(
+            f"truncation radius {reach:.3g} needs lattice indices beyond "
+            f"{latticesums._MAX_INDEX}"
+        )
+    lo = np.floor(mid - half).astype(int)
+    hi = np.ceil(mid + half).astype(int)
+    m, n = np.meshgrid(np.arange(lo[0], hi[0] + 1),
+                       np.arange(lo[1], hi[1] + 1), indexing="ij")
+    v = np.stack([m.ravel(), n.ravel()], axis=1) @ basis + centre
+    return v[np.einsum("ij,ij->i", v, v) <= reach * reach]
+
+
+def _ref_spectral_terms(spec, recip, k, rho, k0_eff, e, depth):
+    qv = _ref_disk(np.array([recip.b1, recip.b2]), k,
+                   np.sqrt(k0_eff**2 + 4.0 * e**2 * depth))
+    q = np.linalg.norm(qv, axis=1)
+    n_prop = 0
+    if k0_eff != 0.0:
+        thr = latticesums.RAYLEIGH_REL_THRESHOLD
+        grazing = np.abs(q - k0_eff) < thr * k0_eff
+        if np.any(grazing):
+            i = int(np.argmax(grazing))
+            raise RayleighAnomaly(
+                f"|k+g| within {thr:g}*k0 of the light line at "
+                f"k={np.asarray(k)}", direction=qv[i] / q[i])
+        n_prop = int(np.count_nonzero(q < k0_eff))
+    gamma = -1j * np.sqrt((k0_eff**2 - q**2).astype(complex))
+    phase = np.exp(1j * (qv @ rho)) / (2.0 * spec.cell_area)
+    ec = erfc(gamma / (2.0 * e))
+    kern = np.zeros_like(gamma)
+    np.divide(ec, gamma, out=kern, where=gamma != 0.0)
+    pk = phase * kern
+    zker = 2.0 * gamma * ec - (4.0 * e / np.sqrt(np.pi)) * np.exp(
+        -(gamma**2) / (4.0 * e**2))
+    qx, qy = qv[:, 0], qv[:, 1]
+    w = np.stack([pk, -pk * qx * qx, -pk * qx * qy, -pk * qy * qy,
+                  0.5 * phase * zker], axis=1)
+    return w, n_prop
+
+
+def _ref_spatial_terms(spec, k, rho, k0_eff, e, depth):
+    gau_cap = k0_eff**2 / (4.0 * e**2)
+    if gau_cap > 650.0:
+        raise NonConvergent(
+            f"splitting {e:g} too small: spatial prefactor "
+            f"exp({gau_cap:.1f}) overflows")
+    rvecs = _ref_disk(np.array([spec.a1, spec.a2]), rho,
+                      np.sqrt(depth + gau_cap) / e)
+    rv = np.linalg.norm(rvecs, axis=1)
+    keep = rv > 0.0
+    rvecs, rv = rvecs[keep], rv[keep]
+    pre = np.exp(-1j * ((rvecs - rho) @ k)) / (8.0 * np.pi)
+    gau = np.exp(-(rv**2) * e**2 + gau_cap)
+    tp = gau * wofz(1j * rv * e + k0_eff / (2.0 * e))
+    tm = gau * wofz(1j * rv * e - k0_eff / (2.0 * e))
+    f = tp + tm
+    sqrt_pi = np.sqrt(np.pi)
+    fp = 1j * k0_eff * (tm - tp) - (4.0 * e / sqrt_pi) * gau
+    fpp = -(k0_eff**2) * f + (8.0 * rv * e**3 / sqrt_pi) * gau
+    phi = f / rv
+    phip = fp / rv - f / rv**2
+    phipp = fpp / rv - 2.0 * fp / rv**2 + 2.0 * f / rv**3
+    c1 = pre * phip / rv
+    c2 = pre * (phipp - phip / rv)
+    ux = rvecs[:, 0] / rv
+    uy = rvecs[:, 1] / rv
+    return np.stack([pre * phi, c1 + c2 * ux * ux, c2 * ux * uy,
+                     c1 + c2 * uy * uy, c1], axis=1)
+
+
+def _ref_ewald_sum(req):
+    spec, tol = req.spec, req.tolerance
+    recip = reciprocal(spec)
+    k = reduce_to_bz(recip, np.asarray(req.k, dtype=float))
+    rho = latticesums._resolve_offset(spec, req.offset)
+    e = default_splitting(spec) if req.splitting is None else req.splitting
+    retarded = req.mode == "retarded"
+    k0_eff = K0 if retarded else 0.0
+    depth = np.log(10.0 / tol) + latticesums._MARGIN
+    w_g, n_prop = _ref_spectral_terms(spec, recip, k, rho, k0_eff, e, depth)
+    w_r = _ref_spatial_terms(spec, k, rho, k0_eff, e, depth)
+    total = w_g.sum(axis=0) + w_r.sum(axis=0)
+    if req.offset == "same":
+        h0, h2 = latticesums._self_corrections(k0_eff, e)
+        total += np.array([h0, 2.0 * h2, 0.0, 2.0 * h2, 2.0 * h2])
+    d = latticesums._dyadic(total, retarded)
+    magnitude = latticesums._dyadic(
+        np.abs(w_g).sum(axis=0) + np.abs(w_r).sum(axis=0), retarded)
+    return LatticeSumResult(
+        D=d, n_spatial=len(w_r), n_spectral=len(w_g),
+        est_error=float(0.1 * tol * np.linalg.norm(magnitude)
+                        / np.linalg.norm(d)),
+        n_propagating=n_prop)
+
+
+def _clear_tables():
+    latticesums._CELL_TABLES.clear()
+    latticesums._SPATIAL_TABLES.clear()
+
+
+def _outcome(fn, req):
+    try:
+        return fn(req)
+    except ArithmeticError as exc:
+        return exc
+
+
+def _assert_same_bits(got, want):
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want), (got, want)
+        return
+    assert isinstance(got, LatticeSumResult), got
+    assert np.array_equal(got.D, want.D)
+    assert (got.n_spatial, got.n_spectral, got.n_propagating) == \
+        (want.n_spatial, want.n_spectral, want.n_propagating)
+    assert got.est_error == want.est_error
+
+
+_VERTICES = ("K", "Kprime", "M", "M_top", "M_bottom", "Gamma")
+
+
+@settings(max_examples=150, deadline=None)
+@given(d0=st.floats(0.05, 0.3), beta=st.floats(BETA_MIN, BETA_MAX),
+       offset=st.sampled_from(("same", "a_to_b", "b_to_a")),
+       mode=st.sampled_from(("retarded", "quasistatic")),
+       scale=st.sampled_from((0.5, 1.0, 2.0)),
+       k_at=st.one_of(st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+                      st.sampled_from(_VERTICES)),
+       shift=st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+def test_tables_match_per_call_series(d0, beta, offset, mode, scale, k_at,
+                                      shift):
+    # k inside and outside the first zone, zone vertices included; the
+    # first call builds the tables, the second reads them
+    spec = build_lattice(d0, beta)
+    recip = reciprocal(spec)
+    if isinstance(k_at, str):
+        base = recip.point(k_at)
+    else:
+        base = k_at[0] * recip.b1 + k_at[1] * recip.b2
+    k = base + shift[0] * recip.b1 + shift[1] * recip.b2
+    req = LatticeSumRequest(spec=spec, k=k, offset=offset, mode=mode,
+                            splitting=scale * default_splitting(spec))
+    want = _outcome(_ref_ewald_sum, req)
+    _clear_tables()
+    _assert_same_bits(_outcome(ewald_sum, req), want)  # cold
+    _assert_same_bits(_outcome(ewald_sum, req), want)  # warm
+
+
+def test_tables_shared_across_beta():
+    # a1, a2 do not depend on beta: one cell table and one same-site
+    # spatial table serve every beta of a d0
+    _clear_tables()
+    for beta in np.linspace(0.6, 1.6, 5):
+        spec = build_lattice(0.1, beta)
+        for offset in ("same", "a_to_b", "b_to_a"):
+            ewald_sum(LatticeSumRequest(spec=spec, k=reciprocal(spec).M,
+                                        offset=offset))
+    assert len(latticesums._CELL_TABLES) == 1
+    assert len(latticesums._SPATIAL_TABLES) == 1 + 2 * 5
+
+
+def test_failed_builds_cache_nothing():
+    _clear_tables()
+    spec = build_lattice(0.1, 1.0)
+    k = reciprocal(spec).K
+    # spectral index cap at splitting 2000; spatial prefactor overflow and
+    # spatial index cap at splitting 0.01
+    for mode, splitting in (("retarded", 2000.0), ("retarded", 0.01),
+                            ("quasistatic", 0.01)):
+        for _ in range(2):
+            with pytest.raises(NonConvergent):
+                _ewald(spec, k, mode=mode, splitting=splitting)
+    assert not latticesums._SPATIAL_TABLES
+    side = 2 * latticesums._MAX_INDEX + 1
+    for cell in latticesums._CELL_TABLES.values():
+        assert cell.grid.shape[0] <= side and cell.grid.shape[1] <= side
+
+
+def test_tables_bounded_and_read_only():
+    _clear_tables()
+    for d0 in np.linspace(0.05, 0.3, 200):
+        spec = build_lattice(d0, 0.9)
+        for offset in ("same", "a_to_b"):
+            _ewald(spec, reciprocal(spec).K, offset=offset,
+                   mode="quasistatic")
+    assert len(latticesums._CELL_TABLES) <= latticesums._CACHE_SIZE
+    assert len(latticesums._SPATIAL_TABLES) <= latticesums._CACHE_SIZE
+    tables = [*latticesums._CELL_TABLES.values(),
+              *latticesums._SPATIAL_TABLES.values()]
+    for table in tables:
+        for field in dataclasses.fields(table):
+            value = getattr(table, field.name)
+            if isinstance(value, np.ndarray):
+                assert not value.flags.writeable, field.name
+    with pytest.raises(ValueError):
+        tables[-1].phi[0] = 0.0
+
+
+def test_tables_shared_by_threads(monkeypatch):
+    # more threads than cores on three lattices with room for two tables
+    # per cache: every sum keeps its bits and the caches their bound
+    monkeypatch.setattr(latticesums, "_CACHE_SIZE", 2)
+    _clear_tables()
+    reqs = [LatticeSumRequest(spec=spec, k=t * reciprocal(spec).K,
+                              offset=offset)
+            for spec in (build_lattice(d0, 0.9) for d0 in (0.08, 0.1, 0.12))
+            for t in (0.3, 1.2) for offset in ("same", "a_to_b")]
+    want = [_ref_ewald_sum(req).D for req in reqs]
+    mismatched, finished = [], []
+
+    def work(seed):
+        order = np.random.default_rng(seed).permutation(len(reqs))
+        for _ in range(4):
+            for i in order:
+                if not np.array_equal(ewald_sum(reqs[i]).D, want[i]):
+                    mismatched.append(i)
+        finished.append(seed)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,))
+                   for seed in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(finished) == list(range(6))
+    assert not mismatched
+    assert len(latticesums._CELL_TABLES) <= 2
+    assert len(latticesums._SPATIAL_TABLES) <= 2
