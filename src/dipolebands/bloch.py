@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .greens import K0
-from .lattice import LatticeSpec, reciprocal, reduce_to_bz
+from .lattice import LatticeSpec, reciprocal
 from .latticesums import (
     LatticeSumRequest,
     RayleighAnomaly,
@@ -78,7 +78,7 @@ class BandSet:
         vectors: (6, 6) eigenvectors as columns, full-basis components.
         block: BLOCKS, the polarization tag of each slot.
         in_light_cone: True when the zone-reduced k is inside the light
-            cone, |reduce_to_bz(k)| < k0.
+            cone, |k_reduced| < k0 (see assemble).
         anomalous: True when the k-point needed a light-line nudge.
     """
 
@@ -114,7 +114,9 @@ def assemble(spec: LatticeSpec, k, mode: str = "retarded") -> BlochMatrix:
     """Build the 6x6 Bloch matrix from three lattice sums.
 
     One ewald_sum per offset, each at the lattice-sum layer's own
-    truncation target and splitting (LatticeSumRequest defaults).
+    truncation target and splitting (LatticeSumRequest defaults). The
+    lattice sums are the only layer that reduces k to the first zone:
+    in_light_cone is read off the same-site sum's k_reduced.
 
     Args:
         spec: Lattice geometry.
@@ -123,22 +125,21 @@ def assemble(spec: LatticeSpec, k, mode: str = "retarded") -> BlochMatrix:
 
     Returns:
         BlochMatrix with basis ordering (A_x, A_y, A_z, B_x, B_y, B_z),
-        and in_light_cone True when |reduce_to_bz(k)| < k0.
+        and in_light_cone True when |k_reduced| < k0.
     """
     k = np.asarray(k, dtype=float)
-    inside = bool(np.linalg.norm(reduce_to_bz(reciprocal(spec), k)) < K0)
-    blocks = {}
-    for offset in ("same", "a_to_b", "b_to_a"):
-        blocks[offset] = ewald_sum(LatticeSumRequest(
-            spec=spec, k=k, offset=offset, mode=mode)).D
+    same, a_to_b, b_to_a = (
+        ewald_sum(LatticeSumRequest(spec=spec, k=k, offset=offset, mode=mode))
+        for offset in ("same", "a_to_b", "b_to_a"))
     m = np.zeros((6, 6), dtype=complex)
-    m[:3, :3] = blocks["same"]
-    m[3:, 3:] = blocks["same"]
-    m[:3, 3:] = blocks["a_to_b"]
-    m[3:, :3] = blocks["b_to_a"]
+    m[:3, :3] = same.D
+    m[3:, 3:] = same.D
+    m[:3, 3:] = a_to_b.D
+    m[3:, :3] = b_to_a.D
     m *= -1.5
     m -= 0.5j * np.eye(6)
-    return BlochMatrix(m=m, k=k, in_light_cone=inside)
+    return BlochMatrix(m=m, k=k,
+                       in_light_cone=bool(np.linalg.norm(same.k_reduced) < K0))
 
 
 def _eig_out_of_plane(m2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

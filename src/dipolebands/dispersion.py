@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import SLOTS, bands_on_grid, solve_k
+from .bloch import BLOCKS, SLOTS, bands_on_grid, solve_k
 from .greens import K0
 from .lattice import LatticeSpec, build_lattice, reciprocal, reduce_to_bz
 
@@ -112,10 +112,27 @@ class ConeTrajectory:
     events: tuple
 
 
+def _check_pair(block: str, band_pair) -> tuple:
+    """band_pair as (i, j), 0 <= i < j < the block's band count, or raise."""
+    if block not in SLOTS:
+        raise ValueError(f"block must be one of {tuple(SLOTS)}, got {block!r}")
+    n_bands = BLOCKS.count(block)
+    pair = tuple(band_pair)
+    if not (len(pair) == 2 and 0 <= pair[0] < pair[1] < n_bands):
+        raise ValueError(
+            f"band_pair must be ascending indices below {n_bands} for the "
+            f"{block} block, got {band_pair!r}")
+    return pair
+
+
 def make_gap_function(spec: LatticeSpec, block: str, band_pair,
                       mode: str = "retarded"):
-    """Return gap(k) for one band pair (energy-sorted within block)."""
-    pair = tuple(band_pair)
+    """Return gap(k) for one band pair (energy-sorted within block).
+
+    Raises:
+        ValueError: a bad block or band_pair.
+    """
+    pair = _check_pair(block, band_pair)
     slots = SLOTS[block]
 
     def gap(k):
@@ -211,8 +228,12 @@ def find_degeneracies(spec: LatticeSpec, block: str, band_pair,
         Location-and-gap reports sorted by (gap, kx, ky); empty if gapped.
 
     Raises:
-        ValueError: search_region with kx_min >= kx_max or ky_min >= ky_max.
+        ValueError: a bad block or band_pair, grid_n below 2, or a
+            search_region with kx_min >= kx_max or ky_min >= ky_max.
     """
+    pair = _check_pair(block, band_pair)
+    if grid_n < 2:
+        raise ValueError(f"grid_n must be at least 2, got {grid_n}")
     exclude_radiative = search_region is None and mode == "retarded"
     region = default_search_region(spec) if search_region is None else \
         tuple(float(v) for v in search_region)
@@ -227,7 +248,7 @@ def find_degeneracies(spec: LatticeSpec, block: str, band_pair,
     grid = bands_on_grid(spec, np.linspace(region[0], region[1], grid_n),
                          np.linspace(region[2], region[3], grid_n), mode)
     det = grid.detuning[:, :, SLOTS[block]]
-    vals = det[:, :, band_pair[1]] - det[:, :, band_pair[0]]
+    vals = det[:, :, pair[1]] - det[:, :, pair[0]]
 
     spacing = max(region[1] - region[0], region[3] - region[2]) / (grid_n - 1)
     pad = np.pad(vals, 1, constant_values=np.inf)
@@ -270,7 +291,7 @@ def find_degeneracies(spec: LatticeSpec, block: str, band_pair,
     reports.sort(key=lambda t: (t[1], t[0][0], t[0][1]))
     return [
         DegeneracyReport(
-            k_star=k_star, band_pair=tuple(band_pair), block=block,
+            k_star=k_star, band_pair=pair, block=block,
             gap_min=g, beta=spec.beta, d0=spec.d0, mode=mode,
         )
         for k_star, g in reports
@@ -301,13 +322,14 @@ def classify(spec: LatticeSpec, location, block: str, band_pair,
         exceeds eps_deg (no fits attempted).
 
     Raises:
+        ValueError: a bad block or band_pair.
         FitDegenerate: ill-conditioned fit design (cond > 1e8).
     """
+    pair = _check_pair(block, band_pair)
     k_star = np.asarray(location, dtype=float)
     recip = reciprocal(spec)
     b1n = float(np.linalg.norm(recip.b1))
     r_out = FIT_RADIUS_FRAC * b1n if fit_radius is None else float(fit_radius)
-    pair = tuple(band_pair)
     slots = SLOTS[block]
 
     def both(k):

@@ -126,15 +126,19 @@ def solve_intracell_distance(d0: float, beta: float) -> float:
         t = 6 beta d0 / (3 beta + sqrt(3 (4 - beta^2)))
 
     Args:
-        d0: Cell length scale (> 0).
+        d0: Cell length scale, finite and > 0.
         beta: Anisotropy ratio in [BETA_MIN, BETA_MAX].
 
     Returns:
         d_intra in the same units as d0.
+
+    Raises:
+        BetaOutOfRange: beta outside [BETA_MIN, BETA_MAX].
+        ValueError: d0 not finite and positive.
     """
     _check_beta(beta)
-    if d0 <= 0:
-        raise ValueError(f"d0 must be positive, got {d0}")
+    if not 0.0 < d0 < np.inf:
+        raise ValueError(f"d0 must be finite and positive, got {d0}")
     return 6.0 * beta * d0 / (3.0 * beta + np.sqrt(3.0 * (4.0 - beta * beta)))
 
 

@@ -33,20 +33,23 @@ inside the screening functions.
 Everything that does not depend on k is built once per lattice and kept in
 two small least-recently-used caches:
 
-- a cell table, keyed on (a1, a2, mode, E, tolerance): the reciprocal basis
-  and its dual, and the spectral index grid that covers the index box of
-  every zone-reduced k (clipped to the index cap);
+- a cell table, keyed on (a1, a2, mode, E, tolerance): the reciprocal
+  lattice and one list of reciprocal orders g, in "ij" order, that holds
+  every order of the spectral disk about any zone-reduced k;
 - a spatial table, keyed on (a1, a2, rho, mode, E, tolerance): the R + rho
   disk and its Faddeeva kernels phi, phi' and phi'' - phi'/r.
 
 The keys hold no beta: a1 and a2 do not depend on it, so every lattice of
 one d0 shares the cell table and the same-site (rho = 0) spatial table. Per
-k, ewald_sum reduces k, cuts the spectral orders from the index grid with
-the same box and disk test as a fresh build, evaluates erfc on them and
-multiplies the spatial kernels by the Bloch phase. The terms, their order
-and the index-cap and light-line checks are those of a fresh build, so the
-result does not depend on what the caches hold. A build that raises stores
-nothing, and every table array is read-only.
+k, ewald_sum reduces k to the first zone once (the result carries it as
+k_reduced), keeps the rows of the order list with k + g inside the
+spectral disk, evaluates erfc on them and multiplies the spatial kernels by
+the Bloch phase. Those are the terms of a fresh _disk about k, in the same
+order, so the result does not depend on what the caches hold. The index cap
+is a property of the lattice, not of k: when the order list or the spatial
+disk would need an index past it, the table is not built and every k fails
+with NonConvergent. A build that raises stores nothing, and every table
+array is read-only.
 """
 
 from __future__ import annotations
@@ -135,6 +138,9 @@ class LatticeSumResult:
             and spectral truncation disks, i.e. the terms summed.
         est_error: A priori relative truncation bound, tolerance/10 times
             the summed term magnitudes over |D| (an overestimate).
+        k_reduced: (2,) the zone-reduced k the series were summed at,
+            reduce_to_bz(reciprocal(spec), k); callers read the light cone
+            off it instead of reducing k again.
         n_propagating: Number of propagating spectral orders (|k+g| < k0);
             zero outside the light cone. Always 0 in quasistatic mode.
     """
@@ -143,6 +149,7 @@ class LatticeSumResult:
     n_spatial: int
     n_spectral: int
     est_error: float
+    k_reduced: np.ndarray
     n_propagating: int = 0
 
 
@@ -151,33 +158,26 @@ def default_splitting(spec: LatticeSpec) -> float:
     return float(SQRT_PI / np.linalg.norm(spec.a1))
 
 
-def _box(dual: np.ndarray, half: np.ndarray, centre: np.ndarray,
-         reach: float) -> tuple[np.ndarray, np.ndarray]:
-    """Index box lo..hi (inclusive) of the disk |n @ basis + centre| <= reach.
+def _disk(basis: np.ndarray, centre: np.ndarray, reach: float) -> np.ndarray:
+    """Vectors v = n @ basis + centre, n integer, with |v| <= reach.
 
     Column j of dual = inv(basis) is the dual vector d_j with
-    n_j = (v - centre).d_j, so the disk lies in |n_j + centre.d_j| <= half_j,
-    half_j = reach |d_j|.
+    n_j = (v - centre).d_j, so the disk lies in the index box
+    |n_j + centre.d_j| <= reach |d_j|; n runs over it in "ij" order (first
+    index slowest).
 
     Raises:
         NonConvergent: the box needs an index beyond _MAX_INDEX.
     """
+    dual = np.linalg.inv(basis)
     mid = -centre @ dual
+    half = reach * np.linalg.norm(dual, axis=0)
     if np.any(np.abs(mid) + half > _MAX_INDEX):
         raise NonConvergent(
             f"truncation radius {reach:.3g} needs lattice indices beyond "
             f"{_MAX_INDEX}"
         )
-    return np.floor(mid - half).astype(int), np.ceil(mid + half).astype(int)
-
-
-def _disk(basis: np.ndarray, centre: np.ndarray, reach: float) -> np.ndarray:
-    """Vectors v = n @ basis + centre, n integer, with |v| <= reach.
-
-    The indices n run over _box in "ij" order (first index slowest).
-    """
-    dual = np.linalg.inv(basis)
-    lo, hi = _box(dual, reach * np.linalg.norm(dual, axis=0), centre, reach)
+    lo, hi = np.floor(mid - half).astype(int), np.ceil(mid + half).astype(int)
     m, n = np.meshgrid(np.arange(lo[0], hi[0] + 1),
                        np.arange(lo[1], hi[1] + 1), indexing="ij")
     v = np.stack([m.ravel(), n.ravel()], axis=1) @ basis + centre
@@ -225,24 +225,16 @@ class _CellTable:
 
     Attributes:
         recip: Reciprocal lattice of (a1, a2).
-        basis: Rows b1, b2.
-        dual: inv(basis); column j is the dual vector d_j of b_j.
         reach: Spectral disk radius sqrt(k0^2 + 4 E^2 depth).
-        half: reach |d_j|, the half-widths of the index box about -k.d_j.
-        grid: (n1, n2, 2) indices (i, j) in "ij" order over |i| <= top_1,
-            |j| <= top_2: the index box of every zone-reduced k.
-        top: (top_1, top_2).
+        orders: (n, 2) reciprocal vectors g in "ij" order: every order of
+            the spectral disk |k + g| <= reach about any zone-reduced k.
         depth: Gaussian exponent at both disk edges.
         area2: Twice the cell area.
     """
 
     recip: ReciprocalSpec
-    basis: np.ndarray
-    dual: np.ndarray
     reach: float
-    half: np.ndarray
-    grid: np.ndarray
-    top: np.ndarray
+    orders: np.ndarray
     depth: float
     area2: float
 
@@ -297,23 +289,21 @@ def _cached(cache: dict, key, build):
 
 def _cell_table(spec: LatticeSpec, k0_eff: float, e: float,
                 tol: float) -> _CellTable:
+    """The order list covers every spectral disk about a zone-reduced k.
+
+    Raises:
+        NonConvergent: the order list needs an index beyond _MAX_INDEX, so
+            the spectral disk is out of reach at every k of this lattice.
+    """
     recip = reciprocal(spec)
-    basis = np.array([recip.b1, recip.b2])
     depth = np.log(10.0 / tol) + _MARGIN
     reach = np.sqrt(k0_eff**2 + 4.0 * e**2 * depth)
-    dual = np.linalg.inv(basis)
-    norms = np.linalg.norm(dual, axis=0)
-    # a zone-reduced k has |k| <= (|b1| + |b2|)/2; one index more absorbs
-    # rounding at the box edge
+    # a zone-reduced k has |k| <= |K| < (|b1| + |b2|)/2; the difference
+    # absorbs rounding at the disk edge
     kmax = 0.5 * (np.linalg.norm(recip.b1) + np.linalg.norm(recip.b2))
-    top = np.minimum(np.ceil((reach + kmax) * norms).astype(int) + 1,
-                     _MAX_INDEX)
-    m, n = np.meshgrid(np.arange(-top[0], top[0] + 1),
-                       np.arange(-top[1], top[1] + 1), indexing="ij")
-    return _read_only(_CellTable(
-        recip=recip, basis=basis, dual=dual, reach=reach, half=reach * norms,
-        grid=np.stack([m, n], axis=-1), top=top, depth=depth,
-        area2=2.0 * spec.cell_area))
+    orders = _disk(np.array([recip.b1, recip.b2]), np.zeros(2), reach + kmax)
+    return _read_only(_CellTable(recip=recip, reach=reach, orders=orders,
+                                 depth=depth, area2=2.0 * spec.cell_area))
 
 
 def _spatial_table(spec: LatticeSpec, rho: np.ndarray, k0_eff: float,
@@ -353,16 +343,14 @@ def _spatial_table(spec: LatticeSpec, rho: np.ndarray, k0_eff: float,
 def _spectral_terms(cell: _CellTable, k, rho, k0_eff, e):
     """Reciprocal-space terms over |k+g|^2 <= k0^2 + 4 E^2 depth.
 
-    The orders are the _disk of (b1, b2) about k, cut from the cell's
-    index grid.
+    The orders are the rows of the cell's order list g with k + g in the
+    disk: the _disk of (b1, b2) about k, in the same order.
 
     Returns:
         (w, n_prop): w is (n, 5), each row one order's contribution to
         (S, Txx, Txy, Tyy, Tzz); n_prop counts the propagating orders.
     """
-    lo, hi = _box(cell.dual, cell.half, k, cell.reach)
-    lo, hi = lo + cell.top, hi + cell.top + 1
-    v = cell.grid[lo[0]:hi[0], lo[1]:hi[1]].reshape(-1, 2) @ cell.basis + k
+    v = cell.orders + k
     qv = v[np.einsum("ij,ij->i", v, v) <= cell.reach * cell.reach]
     q = np.linalg.norm(qv, axis=1)
     n_prop = 0
@@ -428,7 +416,8 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
         ValueError: unknown mode or offset, non-finite k, a tolerance
             outside (0, 1), or a splitting that is not finite and positive.
         RayleighAnomaly: retarded mode with |k+g| on the light line.
-        NonConvergent: truncation disk past the index cap, or spatial
+        NonConvergent: truncation disk past the index cap (the spectral
+            cap holds per lattice: past it every k fails), or spatial
             prefactor overflow (e.g. extreme splitting override).
     """
     if req.mode not in _MODES:
@@ -471,6 +460,7 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
         n_spectral=len(w_g),
         est_error=float(0.1 * tol * np.linalg.norm(magnitude)
                         / np.linalg.norm(d)),
+        k_reduced=k,
         n_propagating=n_prop,
     )
 
@@ -608,8 +598,8 @@ def direct_sum_quasistatic(
     denom = np.linalg.norm(d)
     est = float(np.linalg.norm(d_outer) / denom) if denom > 0 else np.inf
     return LatticeSumResult(
-        D=d, n_spatial=int(np.count_nonzero(keep)), n_spectral=0, est_error=est
-    )
+        D=d, n_spatial=int(np.count_nonzero(keep)), n_spectral=0,
+        est_error=est, k_reduced=k)
 
 
 def sum_diagnostics(spec: LatticeSpec, k) -> dict:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from dipolebands import (
     EigenFailure,
     IN_PLANE,
+    LatticeSumRequest,
     OUT_OF_PLANE,
     assemble,
     bands_on_grid,
@@ -15,7 +16,9 @@ from dipolebands import (
     bands_on_path,
     build_lattice,
     eigensolve,
+    ewald_sum,
     reciprocal,
+    reduce_to_bz,
     solve_k,
 )
 from dipolebands.greens import K0
@@ -244,10 +247,22 @@ def test_grid_refinement_converges_near_k(iso_lattice):
 
 @settings(max_examples=20, deadline=None)
 @given(d0=st.floats(0.08, 0.2), beta=st.floats(0.55, 1.3),
-       radius=st.floats(1.1 * K0, 40.0), angle=st.floats(0.0, 2.0 * np.pi))
-def test_solve_k_properties(d0, beta, radius, angle):
+       radius=st.floats(1.1 * K0, 40.0), angle=st.floats(0.0, 2.0 * np.pi),
+       shift=st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+def test_solve_k_properties(d0, beta, radius, angle, shift):
     spec = build_lattice(d0, beta)
     k = radius * np.array([np.cos(angle), np.sin(angle)])
+    # the light cone is read off the same-site sum's zone reduction, at k
+    # and at the zone vertices moved by a reciprocal vector
+    recip = reciprocal(spec)
+    g = shift[0] * recip.b1 + shift[1] * recip.b2
+    for kk in (k, *(recip.point(p) + g for p in
+                    ("Gamma", "M", "K", "Kprime", "M_top", "M_bottom"))):
+        reduced = reduce_to_bz(recip, kk)
+        same = ewald_sum(LatticeSumRequest(spec=spec, k=kk))
+        assert np.array_equal(same.k_reduced, reduced)
+        assert assemble(spec, kk).in_light_cone == bool(
+            np.linalg.norm(reduced) < K0)
     # the single solve path is exactly assemble + eigensolve off the light
     # line
     bs = solve_k(spec, k)

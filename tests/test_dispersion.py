@@ -177,15 +177,18 @@ def test_gapped_below_merging():
 @pytest.mark.parametrize("region", [
     (20.94, -20.94, 24.18, 0.0),  # both axes reversed
     (0.0, 0.0, 0.0, 0.0),  # empty
+    pytest.param(None, id="grid_n1"),  # default region, one grid line
 ])
 def test_find_rejects_empty_or_reversed_region(monkeypatch, region):
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before the region was checked")
 
     monkeypatch.setattr(dispersion, "bands_on_grid", no_solve)
-    with pytest.raises(ValueError, match="search_region"):
+    grid_n = 1 if region is None else dispersion.GRID_N
+    with pytest.raises(ValueError,
+                       match="grid_n" if region is None else "search_region"):
         find_degeneracies(build_lattice(0.1, 0.9), OUT_OF_PLANE, (0, 1),
-                          search_region=region)
+                          search_region=region, grid_n=grid_n)
 
 
 def test_classify_gapped_kind():
@@ -312,6 +315,40 @@ def test_critical_beta_rejects_bad_bracket(bracket, bracket_tol):
     with pytest.raises(ValueError, match="bracket"):
         critical_beta(0.1, OUT_OF_PLANE, (0, 1), "M", bracket,
                       bracket_tol=bracket_tol)
+
+
+@pytest.mark.parametrize("block,pair", [
+    (OUT_OF_PLANE, (1, 0)),  # descending: the "gap" is negative
+    (OUT_OF_PLANE, (-1, 0)),  # a negative index wraps around
+    (OUT_OF_PLANE, (0, 5)),  # past the two-band block
+    (IN_PLANE, (0, 1, 2)),  # not a pair
+    ("all", (0, 1)),  # not a block
+])
+@pytest.mark.parametrize("call", [
+    "make_gap_function", "find_degeneracies", "classify",
+    "refine_degeneracy", "critical_beta", "tilt_transition_scan"])
+def test_rejects_bad_band_pair(monkeypatch, call, block, pair):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before band_pair was checked")
+
+    monkeypatch.setattr(dispersion, "solve_k", no_solve)
+    monkeypatch.setattr(dispersion, "bands_on_grid", no_solve)
+    spec = build_lattice(0.1, 0.9)
+    m = reciprocal(spec).M
+    calls = {
+        "make_gap_function": lambda: dispersion.make_gap_function(
+            spec, block, pair),
+        "find_degeneracies": lambda: find_degeneracies(spec, block, pair),
+        "classify": lambda: classify(spec, m, block, pair),
+        "refine_degeneracy": lambda: dispersion.refine_degeneracy(
+            spec, block, pair, m),
+        "critical_beta": lambda: critical_beta(0.1, block, pair, "M",
+                                               (0.80, 0.88)),
+        "tilt_transition_scan": lambda: tilt_transition_scan(
+            0.1, 0.9, 0.9, block, pair),
+    }
+    with pytest.raises(ValueError, match="band_pair|block"):
+        calls[call]()
 
 
 def test_dos_dip_at_dirac_energy(iso, iso_cones):

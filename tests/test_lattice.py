@@ -87,6 +87,12 @@ def test_beta_bounds_enforced():
         build_lattice(-0.1, 1.0)
 
 
+@pytest.mark.parametrize("d0", [np.nan, np.inf, -np.inf, 0.0])
+def test_rejects_non_finite_or_non_positive_d0(d0):
+    with pytest.raises(ValueError, match="d0"):
+        build_lattice(d0, 1.0)
+
+
 def test_reciprocal_duality(iso_lattice):
     recip = reciprocal(iso_lattice)
     assert recip.b1 @ iso_lattice.a1 == pytest.approx(2 * np.pi, abs=1e-10)

@@ -339,7 +339,7 @@ def _ref_ewald_sum(req):
         D=d, n_spatial=len(w_r), n_spectral=len(w_g),
         est_error=float(0.1 * tol * np.linalg.norm(magnitude)
                         / np.linalg.norm(d)),
-        n_propagating=n_prop)
+        k_reduced=k, n_propagating=n_prop)
 
 
 def _clear_tables():
@@ -363,6 +363,7 @@ def _assert_same_bits(got, want):
     assert (got.n_spatial, got.n_spectral, got.n_propagating) == \
         (want.n_spatial, want.n_spectral, want.n_propagating)
     assert got.est_error == want.est_error
+    assert np.array_equal(got.k_reduced, want.k_reduced)
 
 
 _VERTICES = ("K", "Kprime", "M", "M_top", "M_bottom", "Gamma")
@@ -422,7 +423,18 @@ def test_failed_builds_cache_nothing():
     assert not latticesums._SPATIAL_TABLES
     side = 2 * latticesums._MAX_INDEX + 1
     for cell in latticesums._CELL_TABLES.values():
-        assert cell.grid.shape[0] <= side and cell.grid.shape[1] <= side
+        assert len(cell.orders) <= side * side
+
+
+def test_index_cap_holds_per_lattice():
+    # past the cap the order list is not built, so every k fails alike,
+    # Gamma (whose own disk would still fit) included
+    spec = build_lattice(0.1, 1.0)
+    splitting = 13.0 * default_splitting(spec)
+    for label in ("Gamma", "M", "K"):
+        with pytest.raises(NonConvergent):
+            _ewald(spec, reciprocal(spec).point(label), mode="quasistatic",
+                   splitting=splitting)
 
 
 def test_tables_bounded_and_read_only():
