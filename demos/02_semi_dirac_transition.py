@@ -12,6 +12,7 @@ from dipolebands import (
     build_lattice,
     classify,
     critical_beta,
+    dispersion,
     find_degeneracies,
     reciprocal,
 )
@@ -23,8 +24,8 @@ BLOCK = "out_of_plane"
 print("beta    gap at M")
 for beta in (0.80, 0.82, 0.84, 0.86, 0.88):
     spec = build_lattice(D0, beta)
-    rep = classify(spec, reciprocal(spec).M, BLOCK, (0, 1), eps_deg=np.inf)
-    print(f"{beta:.2f}    {rep.gap_min:.5f}")
+    gap = dispersion.make_gap_function(spec, BLOCK, (0, 1))
+    print(f"{beta:.2f}    {gap(reciprocal(spec).M):.5f}")
 
 beta_c = critical_beta(D0, BLOCK, (0, 1), "M", (0.80, 0.88),
                        bracket_tol=1e-6)

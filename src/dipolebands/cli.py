@@ -2,7 +2,9 @@
 
 Commands: bands | surface | find-cones | classify | sweep-beta | convergence.
 Configuration comes from an optional key=value file (positional argument or
---config) plus flag overrides (flags win). Output goes to --out or stdout.
+--config) plus flag overrides (flags win). Each key, its default and its
+parser are declared once, as a field of RunConfig. Output goes to --out or
+stdout.
 CSV uses 17 significant digits; every output embeds the resolved config.
 The Ewald truncation target and splitting are not config keys: the
 lattice-sum layer fixes both (see LatticeSumRequest).
@@ -16,7 +18,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -38,30 +40,6 @@ _NEEDS_BLOCK = ("classify", "sweep-beta")
 
 class ConfigError(ValueError):
     """Bad configuration: unknown key, bad value, missing requirement."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved run configuration (strict: unknown keys are rejected)."""
-
-    d0: float = 0.1
-    beta: float = 1.0
-    beta_start: float | None = None
-    beta_stop: float | None = None
-    beta_step: float = 0.005
-    mode: str = "retarded"
-    block: str = "all"
-    pair: tuple = (0, 1)
-    path: str = "figure"
-    n_per_segment: int = 100
-    grid: tuple | None = None
-    region: tuple | None = None
-    k_point: str | None = None
-    eps_deg: float = dispersion.EPS_DEG
-    fit_radius: float | None = None
-    refine: bool = True
-    format: str = "csv"
-    out: str | None = None
 
 
 def _parse_bool(v: str) -> bool:
@@ -113,26 +91,36 @@ def _parse_choice(options):
     return parse
 
 
-_PARSERS = {
-    "d0": float,
-    "beta": float,
-    "beta_start": float,
-    "beta_stop": float,
-    "beta_step": float,
-    "mode": _parse_choice(_MODES),
-    "block": _parse_choice(_BLOCKS),
-    "pair": _parse_pair,
-    "path": str,
-    "n_per_segment": int,
-    "grid": _parse_grid,
-    "region": lambda v: _parse_floats(v, 4),
-    "k_point": str,
-    "eps_deg": float,
-    "fit_radius": float,
-    "refine": _parse_bool,
-    "format": _parse_choice(_FORMATS),
-    "out": str,
-}
+def _key(default, parse):
+    """A RunConfig field: its default and the parser of its text value."""
+    return field(default=default, metadata={"parse": parse})
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Resolved run configuration (strict: unknown keys are rejected)."""
+
+    d0: float = _key(0.1, float)
+    beta: float = _key(1.0, float)
+    beta_start: float | None = _key(None, float)
+    beta_stop: float | None = _key(None, float)
+    beta_step: float = _key(0.005, float)
+    mode: str = _key("retarded", _parse_choice(_MODES))
+    block: str = _key("all", _parse_choice(_BLOCKS))
+    pair: tuple = _key((0, 1), _parse_pair)
+    path: str = _key("figure", str)
+    n_per_segment: int = _key(100, int)
+    grid: tuple | None = _key(None, _parse_grid)
+    region: tuple | None = _key(None, lambda v: _parse_floats(v, 4))
+    k_point: str | None = _key(None, str)
+    eps_deg: float = _key(dispersion.EPS_DEG, float)
+    fit_radius: float | None = _key(None, float)
+    refine: bool = _key(True, _parse_bool)
+    format: str = _key("csv", _parse_choice(_FORMATS))
+    out: str | None = _key(None, str)
+
+
+_PARSERS = {f.name: f.metadata["parse"] for f in fields(RunConfig)}
 
 
 def load_config_file(path: str) -> dict:
@@ -191,6 +179,8 @@ def resolve_config(file_updates: dict, flag_updates: dict) -> RunConfig:
         val = getattr(cfg, name)
         if val is not None and not 0.0 < val < np.inf:
             raise ConfigError(f"{name} must be positive and finite, got {val}")
+    if cfg.d0 < lattice.D0_MIN:
+        raise ConfigError(f"d0={cfg.d0} below {lattice.D0_MIN}")
     n_bands = bloch.BLOCKS.count(cfg.block)
     if n_bands and cfg.pair[1] >= n_bands:
         raise ConfigError(
@@ -354,24 +344,10 @@ def cmd_surface(cfg: RunConfig) -> str:
 
 
 def _report_payload(rep) -> dict:
-    return {
-        "k_star": rep.k_star,
-        "band_pair": list(rep.band_pair),
-        "block": rep.block,
-        "gap_min": rep.gap_min,
-        "kind": rep.kind,
-        "tilt": rep.tilt,
-        "velocity_matrix": rep.velocity_matrix,
-        "tilt_ratio": None if np.isnan(rep.tilt_ratio) else rep.tilt_ratio,
-        "exponents": list(rep.exponents) if rep.exponents else None,
-        "residuals": rep.residuals,
-        "principal_axes": rep.principal_axes,
-        "top_curvatures": (list(rep.top_curvatures)
-                           if rep.top_curvatures else None),
-        "beta": rep.beta,
-        "d0": rep.d0,
-        "mode": rep.mode,
-    }
+    payload = {f.name: getattr(rep, f.name) for f in fields(rep)}
+    if np.isnan(rep.tilt_ratio):
+        payload["tilt_ratio"] = None
+    return payload
 
 
 def cmd_find_cones(cfg: RunConfig) -> str:
@@ -409,7 +385,7 @@ def cmd_sweep_beta(cfg: RunConfig) -> str:
     traj = dispersion.tilt_transition_scan(
         cfg.d0, cfg.beta_start, cfg.beta_stop, cfg.block, cfg.pair,
         cfg.beta_step, cfg.mode, cfg.region, cfg.eps_deg,
-        start_point=start_point)
+        start_point=start_point, fit_radius=cfg.fit_radius)
     payload = {
         "beta_values": list(traj.beta_values),
         "reports": [_report_payload(r) for r in traj.reports],

@@ -52,12 +52,13 @@ class FitDegenerate(ArithmeticError):
     """The local-fit design matrix is numerically degenerate."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class DegeneracyReport:
     """Location and local model of one band degeneracy.
 
     find_degeneracies fills location and gap only (kind None); classify
-    fills the rest.
+    fills the rest. Every field is keyword-only, and the fields are
+    declared in the order the CLI prints them as JSON.
 
     Attributes:
         k_star: Degeneracy location (2,).
@@ -81,9 +82,6 @@ class DegeneracyReport:
     band_pair: tuple
     block: str
     gap_min: float
-    beta: float
-    d0: float
-    mode: str
     kind: str | None = None
     tilt: np.ndarray | None = None
     velocity_matrix: np.ndarray | None = None
@@ -92,6 +90,9 @@ class DegeneracyReport:
     residuals: dict | None = None
     principal_axes: np.ndarray | None = None
     top_curvatures: tuple | None = None
+    beta: float
+    d0: float
+    mode: str
 
 
 @dataclass(frozen=True)
@@ -112,17 +113,27 @@ class ConeTrajectory:
     events: tuple
 
 
-def _check_pair(block: str, band_pair) -> tuple:
-    """band_pair as (i, j), 0 <= i < j < the block's band count, or raise."""
+def _check_block(block: str) -> None:
     if block not in SLOTS:
         raise ValueError(f"block must be one of {tuple(SLOTS)}, got {block!r}")
+
+
+def _check_positive(name: str, value) -> None:
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _check_pair(block: str, band_pair) -> tuple:
+    """band_pair as (i, j), 0 <= i < j < the block's band count, and the
+    BandSet slots of bands i and j of the block; or raise."""
+    _check_block(block)
     n_bands = BLOCKS.count(block)
     pair = tuple(band_pair)
     if not (len(pair) == 2 and 0 <= pair[0] < pair[1] < n_bands):
         raise ValueError(
             f"band_pair must be ascending indices below {n_bands} for the "
             f"{block} block, got {band_pair!r}")
-    return pair
+    return pair, tuple(SLOTS[block].start + i for i in pair)
 
 
 def make_gap_function(spec: LatticeSpec, block: str, band_pair,
@@ -132,12 +143,11 @@ def make_gap_function(spec: LatticeSpec, block: str, band_pair,
     Raises:
         ValueError: a bad block or band_pair.
     """
-    pair = _check_pair(block, band_pair)
-    slots = SLOTS[block]
+    _, (lower, upper) = _check_pair(block, band_pair)
 
     def gap(k):
-        det = solve_k(spec, k, mode).detuning[slots]
-        return det[pair[1]] - det[pair[0]]
+        det = solve_k(spec, k, mode).detuning
+        return det[upper] - det[lower]
 
     return gap
 
@@ -228,10 +238,12 @@ def find_degeneracies(spec: LatticeSpec, block: str, band_pair,
         Location-and-gap reports sorted by (gap, kx, ky); empty if gapped.
 
     Raises:
-        ValueError: a bad block or band_pair, grid_n below 2, or a
-            search_region with kx_min >= kx_max or ky_min >= ky_max.
+        ValueError: a bad block or band_pair, eps_deg not positive and
+            finite, grid_n below 2, or a search_region with kx_min >= kx_max
+            or ky_min >= ky_max.
     """
-    pair = _check_pair(block, band_pair)
+    pair, (lower, upper) = _check_pair(block, band_pair)
+    _check_positive("eps_deg", eps_deg)
     if grid_n < 2:
         raise ValueError(f"grid_n must be at least 2, got {grid_n}")
     exclude_radiative = search_region is None and mode == "retarded"
@@ -247,8 +259,7 @@ def find_degeneracies(spec: LatticeSpec, block: str, band_pair,
 
     grid = bands_on_grid(spec, np.linspace(region[0], region[1], grid_n),
                          np.linspace(region[2], region[3], grid_n), mode)
-    det = grid.detuning[:, :, SLOTS[block]]
-    vals = det[:, :, pair[1]] - det[:, :, pair[0]]
+    vals = grid.detuning[:, :, upper] - grid.detuning[:, :, lower]
 
     spacing = max(region[1] - region[0], region[3] - region[2]) / (grid_n - 1)
     pad = np.pad(vals, 1, constant_values=np.inf)
@@ -298,14 +309,6 @@ def find_degeneracies(spec: LatticeSpec, block: str, band_pair,
     ]
 
 
-def _exponent_class(p: float) -> int | None:
-    if abs(p - 1.0) <= EXP_TOL_LINEAR:
-        return 1
-    if abs(p - 2.0) <= EXP_TOL_QUAD:
-        return 2
-    return None
-
-
 def classify(spec: LatticeSpec, location, block: str, band_pair,
              mode: str = "retarded", fit_radius: float | None = None,
              eps_deg: float = EPS_DEG) -> DegeneracyReport:
@@ -322,19 +325,22 @@ def classify(spec: LatticeSpec, location, block: str, band_pair,
         exceeds eps_deg (no fits attempted).
 
     Raises:
-        ValueError: a bad block or band_pair.
+        ValueError: a bad block or band_pair, eps_deg not positive and
+            finite, or fit_radius neither None nor positive and finite.
         FitDegenerate: ill-conditioned fit design (cond > 1e8).
     """
-    pair = _check_pair(block, band_pair)
+    pair, (lower, upper) = _check_pair(block, band_pair)
+    _check_positive("eps_deg", eps_deg)
+    if fit_radius is not None:
+        _check_positive("fit_radius", fit_radius)
     k_star = np.asarray(location, dtype=float)
     recip = reciprocal(spec)
     b1n = float(np.linalg.norm(recip.b1))
     r_out = FIT_RADIUS_FRAC * b1n if fit_radius is None else float(fit_radius)
-    slots = SLOTS[block]
 
     def both(k):
-        det = solve_k(spec, k, mode).detuning[slots]
-        return det[pair[0]], det[pair[1]]
+        det = solve_k(spec, k, mode).detuning
+        return det[lower], det[upper]
 
     lo0, hi0 = both(k_star)
     gap0 = hi0 - lo0
@@ -392,12 +398,10 @@ def classify(spec: LatticeSpec, location, block: str, band_pair,
         cs = np.polyfit(radii, upvals, 2)  # curvature + tilt + offset drift
         curvs.append(float(cs[0]))
 
-    p_classes = [_exponent_class(p) for p in exps]
-    fallback = any(c is None for c in p_classes)
-    p_classes = [
-        c if c is not None else (1 if abs(p - 1.0) < abs(p - 2.0) else 2)
-        for c, p in zip(p_classes, exps)
-    ]
+    # The nearer class; fallback marks an exponent outside both windows.
+    p_classes = [1 if abs(p - 1.0) < abs(p - 2.0) else 2 for p in exps]
+    fallback = any(not (abs(p - 1.0) <= EXP_TOL_LINEAR
+                        or abs(p - 2.0) <= EXP_TOL_QUAD) for p in exps)
 
     tilt_ratio = float("nan")
     if sorted(p_classes) == [1, 2]:
@@ -450,8 +454,8 @@ def refine_degeneracy(spec: LatticeSpec, block: str, band_pair, k_warm,
 def tilt_transition_scan(d0: float, beta_start: float, beta_stop: float,
                          block: str, band_pair, beta_step: float = 0.005,
                          mode: str = "retarded", search_region=None,
-                         eps_deg: float = EPS_DEG,
-                         start_point=None) -> ConeTrajectory:
+                         eps_deg: float = EPS_DEG, start_point=None,
+                         fit_radius: float | None = None) -> ConeTrajectory:
     """Track one degeneracy over a beta sweep and record its changes.
 
     Every beta refines from the previous location (refine_degeneracy),
@@ -461,18 +465,19 @@ def tilt_transition_scan(d0: float, beta_start: float, beta_stop: float,
     none or it stays gapped. A dirac_I <-> dirac_II classification change
     is bisected in beta, with the same refinement at each midpoint, until
     the bracket is no wider than 0.005, which brackets the type-III point.
+    Every classification, those of the bisection included, samples out to
+    fit_radius (classify's default when None).
 
     Returns:
         ConeTrajectory over the betas beta_start + i beta_step, i = 0, 1,
         ..., up to beta_stop and never past it.
 
     Raises:
-        ValueError: beta_step not positive and finite, or beta_stop below
-            beta_start.
+        ValueError: beta_step or eps_deg not positive and finite, or
+            beta_stop below beta_start.
     """
-    if not 0.0 < beta_step < np.inf:
-        raise ValueError(
-            f"beta_step must be positive and finite, got {beta_step}")
+    _check_positive("beta_step", beta_step)
+    _check_positive("eps_deg", eps_deg)
     if beta_stop < beta_start:
         raise ValueError(
             f"beta_stop={beta_stop} below beta_start={beta_start}")
@@ -492,7 +497,8 @@ def tilt_transition_scan(d0: float, beta_start: float, beta_stop: float,
         return k if g < eps_deg else None
 
     def report(spec, k):
-        return classify(spec, k, block, band_pair, mode, eps_deg=eps_deg)
+        return classify(spec, k, block, band_pair, mode,
+                        fit_radius=fit_radius, eps_deg=eps_deg)
 
     def bisect_type_iii(lo, hi, kind_lo, k_here):
         """Narrow a dirac_I <-> dirac_II change to a type-III bracket."""
@@ -581,9 +587,7 @@ def critical_beta(d0: float, block: str, band_pair, target_point,
             reversed beta_bracket.
         NoClosure: the smallest gap found stayed at or above EPS_DEG.
     """
-    if not 0.0 < bracket_tol < np.inf:
-        raise ValueError(
-            f"bracket_tol must be positive and finite, got {bracket_tol}")
+    _check_positive("bracket_tol", bracket_tol)
     lo, hi = (float(beta_bracket[0]), float(beta_bracket[1]))
     if not lo < hi:
         raise ValueError(f"beta_bracket ({lo}, {hi}) is empty or reversed")
@@ -639,7 +643,11 @@ def dos_histogram(spec: LatticeSpec, block: str, energy_window,
     Returns:
         (bin_centers, density) arrays; empty arrays for an empty window,
         zero density when no level falls inside the window.
+
+    Raises:
+        ValueError: an unknown block.
     """
+    _check_block(block)
     lo, hi = float(energy_window[0]), float(energy_window[1])
     if not (hi > lo):
         return np.array([]), np.array([])

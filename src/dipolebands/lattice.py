@@ -18,6 +18,10 @@ import numpy as np
 
 BETA_MIN = 0.5
 BETA_MAX = 1.7321
+# Smallest accepted d0. Detunings grow as d0^-3 and k as 1/d0: below about
+# 1e-20 the gap refinement overflows, below about 1e-52 the Bloch solve and
+# the lattice sums do. No probe of the six CLI commands overflowed at 1e-15.
+D0_MIN = 1e-12
 
 # The standard plotting path: one straight vertical segment through the zone.
 FIGURE_PATH = ("M_bottom", "Kprime", "Gamma", "K", "M_top")
@@ -126,7 +130,7 @@ def solve_intracell_distance(d0: float, beta: float) -> float:
         t = 6 beta d0 / (3 beta + sqrt(3 (4 - beta^2)))
 
     Args:
-        d0: Cell length scale, finite and > 0.
+        d0: Cell length scale, finite and >= D0_MIN.
         beta: Anisotropy ratio in [BETA_MIN, BETA_MAX].
 
     Returns:
@@ -134,11 +138,11 @@ def solve_intracell_distance(d0: float, beta: float) -> float:
 
     Raises:
         BetaOutOfRange: beta outside [BETA_MIN, BETA_MAX].
-        ValueError: d0 not finite and positive.
+        ValueError: d0 not finite or below D0_MIN.
     """
     _check_beta(beta)
-    if not 0.0 < d0 < np.inf:
-        raise ValueError(f"d0 must be finite and positive, got {d0}")
+    if not D0_MIN <= d0 < np.inf:
+        raise ValueError(f"d0 must be finite and at least {D0_MIN}, got {d0}")
     return 6.0 * beta * d0 / (3.0 * beta + np.sqrt(3.0 * (4.0 - beta * beta)))
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: config handling, formats, determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,10 +11,13 @@ import numpy as np
 import pytest
 
 from dipolebands.cli import ConfigError, load_config_file, main, resolve_config
-from dipolebands.lattice import build_lattice, reciprocal
+from dipolebands.dispersion import DegeneracyReport
+from dipolebands.lattice import D0_MIN, build_lattice, reciprocal
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+# a JSON report prints the DegeneracyReport fields in declaration order
+REPORT_KEYS = [f.name for f in dataclasses.fields(DegeneracyReport)]
 
 
 def run_cli(argv, capsys):
@@ -193,6 +197,7 @@ def test_find_cones_json(capsys):
     reports = doc["reports"]
     assert len(reports) == 1
     rep = reports[0]
+    assert list(rep) == REPORT_KEYS
     assert rep["kind"] == "dirac_I"
     assert rep["block"] == "out_of_plane"
     np.testing.assert_allclose(rep["k_star"][1], 24.1839915, rtol=1e-4)
@@ -205,6 +210,7 @@ def test_classify_at_explicit_point(capsys):
          "--set", "k_point=0,24.183991523122903"], capsys)
     assert code == 0
     doc = json.loads(out)
+    assert list(doc["report"]) == REPORT_KEYS
     assert doc["report"]["kind"] == "dirac_I"
 
 
@@ -225,6 +231,9 @@ def test_classify_refine_flag(refine, capsys):
     else:
         assert rep["k_star"] == [0.05, 24.2]
         assert rep["kind"] == "gapped"
+        assert list(rep) == REPORT_KEYS
+        assert '"tilt_ratio": null' in out
+        assert "NaN" not in out
 
 
 def test_classify_requires_block(capsys):
@@ -312,10 +321,24 @@ _SWEEP = ["sweep-beta", "--block", "in_plane"]
      "--set", "region=20.94,-20.94,24.18,0"],
     ["find-cones", "--block", "out_of_plane", "--format", "json",
      "--set", "region=0,0,0,0"],
+    # far below D0_MIN the solve (1e-60, 1e-150) or sample_path overflows
+    ["bands", "--set", "d0=1e-60", "--set", "n_per_segment=2"],
+    ["bands", "--set", "d0=1e-150", "--set", "n_per_segment=2"],
+    ["bands", "--set", "d0=1e-200", "--set", "n_per_segment=2"],
 ])
 def test_exit_code_bad_config(argv, capsys):
     code, _ = run_cli(argv, capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["bands", "--set", "n_per_segment=2"],
+    ["convergence", "--set", "k_point=K"],
+])
+def test_d0_floor_runs_clean(argv, capsys):
+    # a RuntimeWarning (an overflow) fails the test
+    code, _ = run_cli(argv + ["--set", f"d0={D0_MIN}"], capsys)
+    assert code == 0
 
 
 def _forbid_solves(monkeypatch):

@@ -92,6 +92,14 @@ def _check_against_nelder_mead(spec, refinements):
     return len(refinements)
 
 
+def _forbid_solves(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the arguments were checked")
+
+    monkeypatch.setattr(dispersion, "solve_k", no_solve)
+    monkeypatch.setattr(dispersion, "bands_on_grid", no_solve)
+
+
 @pytest.fixture(scope="module")
 def iso():
     return build_lattice(0.1, 1.0)
@@ -328,11 +336,7 @@ def test_critical_beta_rejects_bad_bracket(bracket, bracket_tol):
     "make_gap_function", "find_degeneracies", "classify",
     "refine_degeneracy", "critical_beta", "tilt_transition_scan"])
 def test_rejects_bad_band_pair(monkeypatch, call, block, pair):
-    def no_solve(*args, **kwargs):
-        raise AssertionError("solved before band_pair was checked")
-
-    monkeypatch.setattr(dispersion, "solve_k", no_solve)
-    monkeypatch.setattr(dispersion, "bands_on_grid", no_solve)
+    _forbid_solves(monkeypatch)
     spec = build_lattice(0.1, 0.9)
     m = reciprocal(spec).M
     calls = {
@@ -349,6 +353,32 @@ def test_rejects_bad_band_pair(monkeypatch, call, block, pair):
     }
     with pytest.raises(ValueError, match="band_pair|block"):
         calls[call]()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("call,name", [
+    ("find_degeneracies", "eps_deg"), ("classify", "eps_deg"),
+    ("tilt_transition_scan", "eps_deg"), ("classify", "fit_radius")])
+def test_rejects_bad_eps_deg_or_fit_radius(monkeypatch, call, name, bad):
+    _forbid_solves(monkeypatch)
+    spec = build_lattice(0.1, 1.0)
+    k = reciprocal(spec).K
+    calls = {
+        "find_degeneracies": lambda kw: find_degeneracies(
+            spec, IN_PLANE, (1, 2), **kw),
+        "classify": lambda kw: classify(spec, k, IN_PLANE, (1, 2), **kw),
+        "tilt_transition_scan": lambda kw: tilt_transition_scan(
+            0.1, 1.0, 1.0, IN_PLANE, (1, 2), start_point=k, **kw),
+    }
+    with pytest.raises(ValueError, match=name):
+        calls[call]({name: bad})
+
+
+@pytest.mark.parametrize("block", ["bogus", "all"])
+def test_dos_rejects_unknown_block(monkeypatch, block):
+    _forbid_solves(monkeypatch)
+    with pytest.raises(ValueError, match="block"):
+        dos_histogram(build_lattice(0.1, 1.0), block, (-1.0, 1.0))
 
 
 def test_dos_dip_at_dirac_energy(iso, iso_cones):
@@ -405,14 +435,15 @@ def test_tilt_scan_finds_type_iii_window():
 
 
 def _scripted_scan(monkeypatch, refine_at, kind_at, cones_at, **scan):
-    """tilt_transition_scan on fakes keyed on beta; returns the trajectory
-    and the betas at which a full search ran.
+    """tilt_transition_scan on fakes keyed on beta; returns the trajectory,
+    the betas at which a full search ran and the fit_radius of each
+    classification.
 
     refine_at(beta, k0) gives the warm-start refinement (k, gap) from k0,
     kind_at(beta) the classification and cones_at(beta) the k* of a full
     search. Lattices are real but nothing is solved.
     """
-    searched = []
+    searched, radii = [], []
 
     def fake_search(spec, block, pair, *args, **kwargs):
         searched.append(round(spec.beta, 6))
@@ -423,6 +454,7 @@ def _scripted_scan(monkeypatch, refine_at, kind_at, cones_at, **scan):
             mode="retarded")]
 
     def fake_classify(spec, k, block, pair, *args, **kwargs):
+        radii.append(kwargs.get("fit_radius"))
         return dispersion.DegeneracyReport(
             k_star=np.asarray(k, dtype=float), band_pair=tuple(pair),
             block=block, gap_min=0.0, beta=spec.beta, d0=spec.d0,
@@ -441,7 +473,7 @@ def _scripted_scan(monkeypatch, refine_at, kind_at, cones_at, **scan):
     monkeypatch.setattr(dispersion, "classify", fake_classify)
     traj = tilt_transition_scan(0.1, block=IN_PLANE, band_pair=(0, 1),
                                 **scan)
-    return traj, searched
+    return traj, searched, radii
 
 
 def test_tilt_scan_events_on_scripted_track(monkeypatch):
@@ -458,7 +490,7 @@ def test_tilt_scan_events_on_scripted_track(monkeypatch):
         k = moves.get((beta, k0))
         return (k0, 1.0) if k is None else (k, 0.0)
 
-    traj, searched = _scripted_scan(
+    traj, searched, _ = _scripted_scan(
         monkeypatch, refine_at, lambda beta: "dirac_I",
         {0.8: (10.1, 0.0), 0.83: (10.4, 0.0)}.get,
         beta_start=0.8, beta_stop=0.85, beta_step=0.01, start_point=start)
@@ -483,7 +515,7 @@ def test_tilt_scan_events_on_scripted_track(monkeypatch):
 
 def test_tilt_scan_stops_at_beta_stop(monkeypatch):
     # 0.0321 / 0.02 = 1.6 steps: rounding it up would step to 1.74 > BETA_MAX
-    traj, searched = _scripted_scan(
+    traj, searched, _ = _scripted_scan(
         monkeypatch, lambda beta, k0: (k0, 0.0), lambda beta: "dirac_I",
         lambda beta: None, beta_start=1.70, beta_stop=1.7321,
         beta_step=0.02, start_point=(13.0, 0.0))
@@ -505,10 +537,10 @@ def test_tilt_scan_brackets_type_iii_on_script(monkeypatch, kind_at,
     def refine_at(beta, k0):
         return (k0[0] + 0.01, k0[1]), 0.0
 
-    traj, searched = _scripted_scan(
+    traj, searched, radii = _scripted_scan(
         monkeypatch, refine_at, kind_at, lambda beta: None,
         beta_start=0.63, beta_stop=0.65, beta_step=0.02,
-        start_point=(13.0, 0.0))
+        start_point=(13.0, 0.0), fit_radius=0.5)
     assert searched == []
     assert [r.kind for r in traj.reports] == ["dirac_I", "dirac_II"]
     (event,) = traj.events
@@ -516,6 +548,9 @@ def test_tilt_scan_brackets_type_iii_on_script(monkeypatch, kind_at,
     assert (event["from"], event["to"]) == ("dirac_I", "dirac_II")
     assert event["beta_bracket"] == pytest.approx((0.63, 0.65))
     assert event["type_iii_bracket"] == pytest.approx(bracket)
+    # the two swept betas and every bisection midpoint use fit_radius
+    assert len(radii) > 2
+    assert radii == [0.5] * len(radii)
 
 
 @pytest.mark.parametrize("start,stop,step", [

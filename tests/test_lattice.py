@@ -87,7 +87,9 @@ def test_beta_bounds_enforced():
         build_lattice(-0.1, 1.0)
 
 
-@pytest.mark.parametrize("d0", [np.nan, np.inf, -np.inf, 0.0])
+# far below D0_MIN the solve (1e-60, 1e-150) or sample_path overflows
+@pytest.mark.parametrize("d0", [np.nan, np.inf, -np.inf, 0.0, 1e-60, 1e-150,
+                                1e-200])
 def test_rejects_non_finite_or_non_positive_d0(d0):
     with pytest.raises(ValueError, match="d0"):
         build_lattice(d0, 1.0)
