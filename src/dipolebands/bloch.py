@@ -19,6 +19,15 @@ and the 4x4 in-plane block densely. BLOCKS is the band-slot layout of every
 BandSet and BandGrid: in-plane bands in slots 0-3, out-of-plane in 4-5.
 Bands along a path are connected within each block by maximal eigenvector
 overlap so that true crossings are preserved.
+
+assemble, eigensolve and solve_k take one k (2,) or a batch (N, 2); a
+batch gives every per-k field of BlochMatrix and BandSet a leading N axis,
+and row n is bitwise the one-point result at k[n]. solve_k splits a batch
+into passes of at most _PASS_SIZE points (one assemble and one eigensolve
+each); a pass with rows on a light line is assembled once more with only
+those rows moved off it, and they are flagged anomalous. bands_on_grid,
+the degeneracy scan's grid, classify's stencil and dos_histogram solve
+batches; bands_on_path and the Newton refinement solve one k at a time.
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ from .lattice import LatticeSpec, reciprocal
 from .latticesums import (
     LatticeSumRequest,
     RayleighAnomaly,
+    _norms,
     ewald_sum,
 )
 
@@ -43,10 +53,19 @@ BLOCKS = (IN_PLANE,) * 4 + (OUT_OF_PLANE,) * 2
 SLOTS = {IN_PLANE: slice(0, 4), OUT_OF_PLANE: slice(4, 6)}
 # Basis components (A_x, A_y, A_z, B_x, B_y, B_z) of each block.
 _BASIS = {IN_PLANE: np.array([0, 1, 3, 4]), OUT_OF_PLANE: np.array([2, 5])}
+# Index of each block's square in a batch of 6x6 matrices.
+_BLOCK = {tag: (slice(None),) + np.ix_(idx, idx)
+          for tag, idx in _BASIS.items()}
 
 # Overlap differences below this are treated as matching ties and resolved
 # by energy order (documented arbitrary choice).
 TIE_THRESHOLD = 1e-6
+# Most k-points solve_k takes in one pass: it bounds the lattice sums'
+# (k, term) arrays; a whole 48 x 48 grid in one pass took about 28 MB more.
+_PASS_SIZE = 48
+# BandSet fields with one entry per k (a leading N axis in a batch).
+_PER_K = ("k", "arclength", "detuning", "decay", "vectors", "in_light_cone",
+          "anomalous")
 
 
 class EigenFailure(ArithmeticError):
@@ -55,7 +74,10 @@ class EigenFailure(ArithmeticError):
 
 @dataclass(frozen=True)
 class BlochMatrix:
-    """The 6x6 collective-coupling matrix at one Bloch vector (assemble)."""
+    """The 6x6 collective-coupling matrix at one Bloch vector (assemble).
+
+    For a batch, m is (N, 6, 6), k (N, 2) and in_light_cone (N,) bool.
+    """
 
     m: np.ndarray
     k: np.ndarray
@@ -69,6 +91,7 @@ class BandSet:
     Slots 0-3 are the in-plane bands and 4-5 the out-of-plane bands. Each
     block is detuning-sorted as eigensolve returns it; along a path
     (bands_on_path) a slot follows one band by eigenvector overlap instead.
+    A batch BandSet gives every field but block a leading N axis.
 
     Attributes:
         k: Bloch vector (2,).
@@ -111,7 +134,7 @@ class BandGrid:
 
 
 def assemble(spec: LatticeSpec, k, mode: str = "retarded") -> BlochMatrix:
-    """Build the 6x6 Bloch matrix from three lattice sums.
+    """Build the 6x6 Bloch matrix from three lattice sums, at one k or a batch.
 
     One ewald_sum per offset, each at the lattice-sum layer's own
     truncation target and splitting (LatticeSumRequest defaults). The
@@ -120,7 +143,7 @@ def assemble(spec: LatticeSpec, k, mode: str = "retarded") -> BlochMatrix:
 
     Args:
         spec: Lattice geometry.
-        k: Bloch vector (2,).
+        k: Bloch vector (2,), or a batch (N, 2).
         mode: 'retarded' or 'quasistatic'.
 
     Returns:
@@ -131,97 +154,137 @@ def assemble(spec: LatticeSpec, k, mode: str = "retarded") -> BlochMatrix:
     same, a_to_b, b_to_a = (
         ewald_sum(LatticeSumRequest(spec=spec, k=k, offset=offset, mode=mode))
         for offset in ("same", "a_to_b", "b_to_a"))
-    m = np.zeros((6, 6), dtype=complex)
-    m[:3, :3] = same.D
-    m[3:, 3:] = same.D
-    m[:3, 3:] = a_to_b.D
-    m[3:, :3] = b_to_a.D
+    m = np.zeros(k.shape[:-1] + (6, 6), dtype=complex)
+    m[..., :3, :3] = same.D
+    m[..., 3:, 3:] = same.D
+    m[..., :3, 3:] = a_to_b.D
+    m[..., 3:, :3] = b_to_a.D
     m *= -1.5
     m -= 0.5j * np.eye(6)
-    return BlochMatrix(m=m, k=k,
-                       in_light_cone=bool(np.linalg.norm(same.k_reduced) < K0))
+    inside = _norms(same.k_reduced.reshape(-1, 2)) < K0
+    return BlochMatrix(m=m, k=k, in_light_cone=inside if k.ndim == 2
+                       else bool(inside[0]))
 
 
 def _eig_out_of_plane(m2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form eigenpairs of the [[a, b], [c, a]] out-of-plane block."""
-    a, b = m2[0, 0], m2[0, 1]
-    c = m2[1, 0]
-    scale = max(abs(a), abs(b), abs(c), 1e-300)
-    s = np.sqrt(b * c)
+    """Closed-form eigenpairs of each [[a, b], [c, a]] block of m2 (N, 2, 2).
+
+    Returns (N, 2) eigenvalues and (N, 2, 2) eigenvectors as columns.
+    """
+    a, b, c = m2[:, 0, 0], m2[:, 0, 1], m2[:, 1, 0]
+    mag = np.abs(m2.reshape(-1, 4)[:, :3])  # |a|, |b|, |c|
+    scale = np.maximum(mag.max(axis=1), 1e-300)
+    # b c in scalar arithmetic, row by row: the array product can differ in
+    # the last bit
+    s = np.sqrt(np.array([bi * ci for bi, ci in zip(b, c)], dtype=complex))
     vals = np.array([a - s, a + s])
-    if max(abs(b), abs(c)) < 1e-14 * scale:
-        return vals, np.eye(2, dtype=complex)
-    vecs = np.array([[b, b], [-s, s]], dtype=complex)
-    norms = np.linalg.norm(vecs, axis=0)
-    if np.min(norms) < 1e-14 * scale:
-        # b == 0 with c != 0 (or vice versa): defective block, closed form
-        # has no second eigenvector. Defer to the dense solver.
-        dvals, dvecs = np.linalg.eig(m2)
-        order = np.argsort(dvals.real)
-        return dvals[order], dvecs[:, order]
-    return vals, vecs / norms
+    vecs = np.array([[b, b], [-s, s]])  # columns (b, -s) and (b, s)
+    norms = np.sqrt((vecs.conj() * vecs).real.sum(axis=0))
+    # b = c = 0: already diagonal. b == 0 with c != 0 (or vice versa): a
+    # defective block, the closed form has no second eigenvector.
+    diagonal = mag[:, 1:].max(axis=1) < 1e-14 * scale
+    special = diagonal | (norms.min(axis=0) < 1e-14 * scale)
+    norms[:, special] = 1.0
+    vals, vecs = vals.T, (vecs / norms).transpose(2, 0, 1)
+    for i in np.nonzero(special)[0]:
+        if diagonal[i]:
+            vecs[i] = np.eye(2)
+        else:  # defer to the dense solver
+            dvals, dvecs = np.linalg.eig(m2[i])
+            order = np.argsort(dvals.real)
+            vals[i], vecs[i] = dvals[order], dvecs[:, order]
+    return vals, vecs
 
 
 def eigensolve(bm: BlochMatrix) -> BandSet:
-    """Diagonalize a Bloch matrix into a BandSet in the BLOCKS layout.
+    """Diagonalize a Bloch matrix, or a batch, into a BandSet (BLOCKS layout).
 
-    The in-plane 4x4 block is solved with a dense solver into slots 0-3 and
-    the out-of-plane 2x2 block in closed form into slots 4-5, each block
-    sorted by detuning (stable sort). Every eigenpair must satisfy
-    ||m v - lam v|| <= 1e-10 ||m||. The BandSet has arclength 0 and
+    The in-plane 4x4 block is solved with a dense solver (one batched call)
+    into slots 0-3 and the out-of-plane 2x2 block in closed form into slots
+    4-5, each block sorted by detuning (stable sort). Every eigenpair must
+    satisfy ||m v - lam v|| <= 1e-10 ||m||. The BandSet has arclength 0 and
     anomalous False; path position and light-line nudges belong to the
     callers (bands_on_path, solve_k).
 
     Raises:
-        EigenFailure: residual bound unmet.
+        EigenFailure: residual bound unmet (naming the first such k).
     """
-    m = bm.m
-    norm_m = np.linalg.norm(m)
-
-    vals = np.zeros(6, dtype=complex)
-    vecs = np.zeros((6, 6), dtype=complex)
+    lead = bm.m.shape[:-2]
+    m = bm.m.reshape(-1, 6, 6)
+    rows = np.arange(len(m))[:, None]
+    vals = np.zeros((len(m), 6), dtype=complex)
+    vecs = np.zeros((len(m), 6, 6), dtype=complex)
     for tag, solver in ((IN_PLANE, np.linalg.eig),
                         (OUT_OF_PLANE, _eig_out_of_plane)):
-        idx = _BASIS[tag]
-        w, v = solver(m[np.ix_(idx, idx)])
-        order = np.argsort(w.real, kind="stable")
-        vals[SLOTS[tag]] = w[order]
-        vecs[idx, SLOTS[tag]] = v[:, order]
+        w, v = solver(m[_BLOCK[tag]])
+        order = np.argsort(w.real, axis=1, kind="stable")
+        vals[:, SLOTS[tag]] = w[rows, order]
+        # column order[n, j] of v[n] into slot j
+        vecs[:, _BASIS[tag], SLOTS[tag]] = np.swapaxes(
+            np.swapaxes(v, 1, 2)[rows, order], 1, 2)
 
-    res = np.linalg.norm(m @ vecs - vecs * vals, axis=0)
-    if res.max() > 1e-10 * norm_m:
+    r = m @ vecs - vecs * vals[:, None, :]
+    res = np.sqrt((r.conj() * r).real.sum(axis=1)).max(axis=1)
+    norm_m = _norms(m)
+    failed = res > 1e-10 * norm_m
+    if failed.any():
+        i = int(np.argmax(failed))
         raise EigenFailure(
-            f"eigenpair residual {res.max():.3e} exceeds 1e-10*||m||="
-            f"{1e-10 * norm_m:.3e} at k={bm.k}"
+            f"eigenpair residual {res[i]:.3e} exceeds 1e-10*||m||="
+            f"{1e-10 * norm_m[i]:.3e} at k={bm.k.reshape(-1, 2)[i]}"
         )
 
     return BandSet(
         k=bm.k,
-        arclength=0.0,
-        detuning=vals.real,
-        decay=-2.0 * vals.imag,
-        vectors=vecs,
+        arclength=np.zeros(lead) if lead else 0.0,
+        detuning=vals.real.reshape(lead + (6,)),
+        decay=-2.0 * vals.imag.reshape(lead + (6,)),
+        vectors=vecs.reshape(lead + (6, 6)),
         block=BLOCKS,
         in_light_cone=bm.in_light_cone,
+        anomalous=np.zeros(lead, dtype=bool) if lead else False,
     )
 
 
+def _solve_pass(spec: LatticeSpec, k: np.ndarray, mode: str) -> BandSet:
+    """solve_k on one k or on a batch of at most _PASS_SIZE."""
+    try:
+        bm = assemble(spec, k, mode)
+    except RayleighAnomaly as exc:
+        moved = np.any(exc.direction != 0.0, axis=-1)
+        step = 1e-7 * float(np.linalg.norm(reciprocal(spec).b1))
+        bm = assemble(spec, np.where(moved[..., None],
+                                     k + step * exc.direction, k), mode)
+        return replace(eigensolve(bm), k=k,
+                       anomalous=moved if k.ndim == 2 else True)
+    return eigensolve(bm)
+
+
 def solve_k(spec: LatticeSpec, k, mode: str = "retarded") -> BandSet:
-    """Bands at one k-point: assemble and eigensolve.
+    """Bands at one k-point (2,) or at each row of a batch (N, 2).
 
     A k-point on a light-line (Rayleigh) singularity is moved once by
     1e-7 |b1| along the normal of the grazing order's |k+g| = k0 circle and
     solved there; the BandSet keeps the requested k, carries the eigendata
     of the moved point and has anomalous=True. Its arclength is 0.
+
+    A batch is solved in passes of at most _PASS_SIZE points. A pass whose
+    rows touch a light line is assembled again with only those rows moved,
+    so every row is bitwise the one-point solve of its k. A failure raises
+    for the whole batch, as the one-point solve of the failing k would.
     """
     k = np.asarray(k, dtype=float)
-    try:
-        bm = assemble(spec, k, mode)
-    except RayleighAnomaly as exc:
-        step = 1e-7 * float(np.linalg.norm(reciprocal(spec).b1))
-        bm = assemble(spec, k + step * exc.direction, mode)
-        return replace(eigensolve(bm), k=k, anomalous=True)
-    return eigensolve(bm)
+    if k.ndim == 1 or len(k) <= _PASS_SIZE:
+        return _solve_pass(spec, k, mode)
+    out = {}
+    for i in range(0, len(k), _PASS_SIZE):
+        part = _solve_pass(spec, k[i:i + _PASS_SIZE], mode)
+        for name in _PER_K:
+            value = getattr(part, name)
+            if not i:
+                out[name] = np.empty((len(k),) + value.shape[1:], value.dtype)
+            out[name][i:i + _PASS_SIZE] = value
+    return replace(part, **out)
 
 
 def _match_block(prev_vecs, cur_vecs, prev_det, cur_det):
@@ -295,23 +358,26 @@ def bands_on_grid(spec: LatticeSpec, kx, ky,
                   mode: str = "retarded") -> BandGrid:
     """Energy-ordered band sheets over a rectangular k grid.
 
+    The grid is solved by solve_k a pass at a time, so that no eigenvectors
+    are kept.
+
     Returns:
         BandGrid in the BLOCKS layout, each block detuning-sorted per point;
         light-line points are flagged in the `anomalous` mask (see solve_k).
     """
     kx = np.atleast_1d(np.asarray(kx, dtype=float))
     ky = np.atleast_1d(np.asarray(ky, dtype=float))
-    nx, ny = len(kx), len(ky)
-    det = np.zeros((nx, ny, 6))
-    dec = np.zeros((nx, ny, 6))
-    lc = np.zeros((nx, ny), dtype=bool)
-    anom = np.zeros((nx, ny), dtype=bool)
-    for i in range(nx):
-        for j in range(ny):
-            bs = solve_k(spec, (kx[i], ky[j]), mode)
-            det[i, j] = bs.detuning
-            dec[i, j] = bs.decay
-            lc[i, j] = bs.in_light_cone
-            anom[i, j] = bs.anomalous
-    return BandGrid(kx=kx, ky=ky, detuning=det, decay=dec, block=BLOCKS,
-                    in_light_cone=lc, anomalous=anom)
+    shape = (len(kx), len(ky))
+    kxy = np.stack(np.meshgrid(kx, ky, indexing="ij"), axis=-1).reshape(-1, 2)
+    n = len(kxy)
+    det, dec = np.empty((n, 6)), np.empty((n, 6))
+    lc, anom = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+    for i in range(0, n, _PASS_SIZE):
+        bs = solve_k(spec, kxy[i:i + _PASS_SIZE], mode)
+        rows = slice(i, i + _PASS_SIZE)
+        det[rows], dec[rows] = bs.detuning, bs.decay
+        lc[rows], anom[rows] = bs.in_light_cone, bs.anomalous
+    return BandGrid(kx=kx, ky=ky, detuning=det.reshape(shape + (6,)),
+                    decay=dec.reshape(shape + (6,)), block=BLOCKS,
+                    in_light_cone=lc.reshape(shape),
+                    anomalous=anom.reshape(shape))

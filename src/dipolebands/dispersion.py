@@ -168,12 +168,12 @@ def _refine_minimum(gap, k0pt, scale, xatol):
     flat axis of a semi-Dirac point. f at k, k +- h x, k +- h y and
     k + h(x + y) gives gradient and Hessian, h being the last step length.
     The Newton step (steepest descent where the Hessian is not positive
-    definite) is cut to `scale` and halved until f goes down; if no step
-    longer than xatol does, a stencil wider than xatol narrows to xatol and
-    the iteration repeats. The descent ends there on a narrower stencil, on
-    a step below xatol from a stencil no wider, on a drop of f below
-    DROP_RTOL of f (a kink of the gap, not a touching point), or after
-    NEWTON_MAX_ITER iterations.
+    definite, or is singular to the solver) is cut to `scale` and halved
+    until f goes down; if no step longer than xatol does, a stencil wider
+    than xatol narrows to xatol and the iteration repeats. The descent ends
+    there on a narrower stencil, on a step below xatol from a stencil no
+    wider, on a drop of f below DROP_RTOL of f (a kink of the gap, not a
+    touching point), or after NEWTON_MAX_ITER iterations.
     """
     k = np.asarray(k0pt, dtype=float)
     g = gap(k)
@@ -187,14 +187,16 @@ def _refine_minimum(gap, k0pt, scale, xatol):
         hxy = fxy - fpx - fpy + f0
         hess = np.array([[fpx - 2.0 * f0 + fmx, hxy],
                          [hxy, fpy - 2.0 * f0 + fmy]]) / h**2
-        if np.linalg.eigvalsh(hess)[0] > 0.0:
-            step = -np.linalg.solve(hess, grad)
-        elif grad @ grad > 0.0:
+        try:
+            if not np.linalg.eigvalsh(hess)[0] > 0.0:
+                raise np.linalg.LinAlgError("Hessian not positive definite")
+            step = -np.linalg.solve(hess, grad)  # may still be singular
+        except np.linalg.LinAlgError:
+            if not grad @ grad > 0.0:
+                break
             curv = grad @ hess @ grad
             step = -grad * min(grad @ grad / curv if curv > 0.0 else np.inf,
                                scale / np.linalg.norm(grad))
-        else:
-            break
         length = float(np.linalg.norm(step))
         if length > scale:
             step, length = step * (scale / length), scale
@@ -318,7 +320,8 @@ def classify(spec: LatticeSpec, location, block: str, band_pair,
     out to fit_radius (default FIT_RADIUS_FRAC |b1|), fits
     the tilt vector from the band average, the quadratic form A from
     (gap/2)^2, and the gap exponents along A's principal axes, then applies
-    the taxonomy thresholds.
+    the taxonomy thresholds. The ray samples are one batched solve_k, the
+    samples along both axes another.
 
     Returns:
         Full DegeneracyReport. kind='gapped' when the gap at the location
@@ -339,8 +342,9 @@ def classify(spec: LatticeSpec, location, block: str, band_pair,
     r_out = FIT_RADIUS_FRAC * b1n if fit_radius is None else float(fit_radius)
 
     def both(k):
+        """The pair's two bands at k (2,) or at each row of k (N, 2)."""
         det = solve_k(spec, k, mode).detuning
-        return det[lower], det[upper]
+        return det[..., lower], det[..., upper]
 
     lo0, hi0 = both(k_star)
     gap0 = hi0 - lo0
@@ -352,15 +356,12 @@ def classify(spec: LatticeSpec, location, block: str, band_pair,
     m0 = 0.5 * (lo0 + hi0)
     radii = np.geomspace(FIT_INNER_FRAC * r_out, r_out, N_RADII)
     thetas = 2.0 * np.pi * np.arange(N_DIRECTIONS) / N_DIRECTIONS
-    qs, mids, halves = [], [], []
-    for th in thetas:
-        n = np.array([np.cos(th), np.sin(th)])
-        for r in radii:
-            lo, hi = both(k_star + r * n)
-            qs.append(r * n)
-            mids.append(0.5 * (lo + hi) - m0)
-            halves.append(0.5 * (hi - lo))
-    qs, mids, halves = np.array(qs), np.array(mids), np.array(halves)
+    # every radius on every ray, ray by ray, in one batch
+    rays = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+    qs = (radii[None, :, None] * rays[:, None, :]).reshape(-1, 2)
+    lo, hi = both(k_star + qs)
+    mids = 0.5 * (lo + hi) - m0
+    halves = 0.5 * (hi - lo)
 
     # Tilt: linear fit of the band average (even orders drop out on the
     # symmetric direction set).
@@ -381,15 +382,14 @@ def classify(spec: LatticeSpec, location, block: str, band_pair,
 
     evals, evecs = np.linalg.eigh(a_mat)
 
-    # Gap exponents and upper-band curvature along the principal axes.
+    # Gap exponents and upper-band curvature along the principal axes,
+    # both axes in one batch.
+    lo, hi = both(k_star + (radii[None, :, None] * evecs.T[:, None, :])
+                  .reshape(-1, 2))
+    gaps = np.maximum(hi - lo, 1e-300).reshape(2, N_RADII)
+    ups = (hi - hi0).reshape(2, N_RADII)
     exps, rms_e, curvs = [], [], []
-    for i in range(2):
-        axis = evecs[:, i]
-        gvals, upvals = [], []
-        for r in radii:
-            lo, hi = both(k_star + r * axis)
-            gvals.append(max(hi - lo, 1e-300))
-            upvals.append(hi - hi0)
+    for gvals, upvals in zip(gaps, ups):
         logr = np.log(radii)
         p, _b = np.polyfit(logr, np.log(gvals), 1)
         fit = np.polyval([p, _b], logr)
@@ -631,7 +631,8 @@ def dos_histogram(spec: LatticeSpec, block: str, energy_window,
 
     Equal-weight k sampling on a rectangular grid masked to the first zone:
     a grid point is kept when it is no farther from Gamma than its
-    zone-reduced image (reduce_to_bz), within 1e-12 in |k|^2.
+    zone-reduced image (reduce_to_bz), within 1e-12 in |k|^2. The kept
+    points are one batched solve_k.
 
     Args:
         spec: Lattice.
@@ -658,11 +659,7 @@ def dos_histogram(spec: LatticeSpec, block: str, energy_window,
     kxy = kxy[np.einsum("ni,ni->n", kxy, kxy)
               <= np.einsum("ni,ni->n", red, red) + 1e-12]
 
-    slots = SLOTS[block]
-    energies = []
-    for k in kxy:
-        energies.extend(solve_k(spec, k, mode).detuning[slots])
-    energies = np.asarray(energies)
+    energies = solve_k(spec, kxy, mode).detuning[:, SLOTS[block]].ravel()
     energies = energies[(energies >= lo) & (energies <= hi)]
     counts, edges = np.histogram(energies, bins=n_bins, range=(lo, hi))
     centers = 0.5 * (edges[:-1] + edges[1:])

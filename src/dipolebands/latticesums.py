@@ -42,18 +42,32 @@ two small least-recently-used caches:
 The keys hold no beta: a1 and a2 do not depend on it, so every lattice of
 one d0 shares the cell table and the same-site (rho = 0) spatial table. Per
 k, ewald_sum reduces k to the first zone once (the result carries it as
-k_reduced), keeps the rows of the order list with k + g inside the
-spectral disk, evaluates erfc on them and multiplies the spatial kernels by
-the Bloch phase. Those are the terms of a fresh _disk about k, in the same
+k_reduced; the last reduction is kept, so the three sums of one Bloch
+matrix reduce their k once), keeps the rows of the order list with k + g
+inside the spectral disk, evaluates erfc on them and multiplies the
+spatial kernels by the Bloch phase. Those are the terms of a fresh _disk about k, in the same
 order, so the result does not depend on what the caches hold. The index cap
 is a property of the lattice, not of k: when the order list or the spatial
 disk would need an index past it, the table is not built and every k fails
 with NonConvergent. A build that raises stores nothing, and every table
 array is read-only.
+
+A request's k is one point (2,) or a batch (N, 2), and a one-point request
+is the batch N = 1 with the leading axis dropped. A batch is one pass: an
+(N, spatial terms) Bloch-phase array against the spatial table, and an
+(N, orders) array over the order list whose entries outside each k's
+spectral disk are zero. Each row adds its terms in the one-point order, so
+row n of a batch is bitwise the one-point sum at k[n]. Per-k result fields
+(D, k_reduced, n_propagating) gain the leading N axis; n_spatial and
+n_spectral are the terms summed over the whole batch and est_error is the
+batch's worst, so the counts of N one-point calls and of one batch agree.
+The working set grows as N times the terms of one k, so bloch.solve_k
+hands the sums at most bloch._PASS_SIZE points per pass.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 
@@ -83,9 +97,14 @@ _MODES = ("retarded", "quasistatic")
 class RayleighAnomaly(ArithmeticError):
     """A diffraction order grazes the light line; the spectral series is singular.
 
+    The message names the first grazing k of the request.
+
     Attributes:
         direction: Unit vector (k+g)/|k+g| of the grazing order, the normal
             of its |k+g| = k0 circle: a step along it leaves the light line.
+            Shaped like the request's k: for a batch, row n is the first
+            grazing order's normal at k[n], and zero where k[n] does not
+            graze.
     """
 
     def __init__(self, message: str, direction: np.ndarray):
@@ -107,7 +126,8 @@ class LatticeSumRequest:
 
     Attributes:
         spec: Lattice geometry.
-        k: Bloch vector (2,), reduced internally to the first zone.
+        k: Bloch vector (2,), or a batch (N, 2) of them; each is reduced
+            internally to the first zone.
         offset: 'same' (rho = 0, R = 0 excluded), 'a_to_b' (rho = +d) or
             'b_to_a' (rho = -d), d the basis offset.
         mode: 'retarded' or 'quasistatic'.
@@ -132,15 +152,20 @@ class LatticeSumRequest:
 class LatticeSumResult:
     """Dyadic lattice sum with convergence metadata.
 
+    For a batch request, D, k_reduced and n_propagating carry a leading N
+    axis (one row per k); the other fields describe the whole batch.
+
     Attributes:
         D: (3, 3) complex dyadic, units 1/length.
         n_spatial, n_spectral: Number of lattice vectors in the spatial
-            and spectral truncation disks, i.e. the terms summed.
+            and spectral truncation disks, i.e. the terms summed (over all
+            k of a batch).
         est_error: A priori relative truncation bound, tolerance/10 times
-            the summed term magnitudes over |D| (an overestimate).
+            the summed term magnitudes over |D| (an overestimate); the
+            largest over a batch.
         k_reduced: (2,) the zone-reduced k the series were summed at,
-            reduce_to_bz(reciprocal(spec), k); callers read the light cone
-            off it instead of reducing k again.
+            reduce_to_bz(reciprocal(spec), k), read-only; callers read the
+            light cone off it instead of reducing k again.
         n_propagating: Number of propagating spectral orders (|k+g| < k0);
             zero outside the light cone. Always 0 in quasistatic mode.
     """
@@ -287,6 +312,24 @@ def _cached(cache: dict, key, build):
         return table
 
 
+# The last zone reduction, (reciprocal lattice, k bytes, reduced k): the
+# three sums of one Bloch matrix share k, and two of them reuse it.
+_LAST_REDUCED: tuple = (None, b"", None)
+
+
+def _reduced(recip: ReciprocalSpec, k: np.ndarray) -> np.ndarray:
+    """reduce_to_bz(recip, k) as a read-only array, kept for the next call."""
+    global _LAST_REDUCED
+    last_recip, last_k, last = _LAST_REDUCED
+    key = k.tobytes()
+    if recip is last_recip and key == last_k:
+        return last
+    last = reduce_to_bz(recip, k)
+    last.setflags(write=False)
+    _LAST_REDUCED = (recip, key, last)
+    return last
+
+
 def _cell_table(spec: LatticeSpec, k0_eff: float, e: float,
                 tol: float) -> _CellTable:
     """The order list covers every spectral disk about a zone-reduced k.
@@ -340,30 +383,48 @@ def _spatial_table(spec: LatticeSpec, rho: np.ndarray, k0_eff: float,
         self_term=np.array([h0, 2.0 * h2, 0.0, 2.0 * h2, 2.0 * h2])))
 
 
-def _spectral_terms(cell: _CellTable, k, rho, k0_eff, e):
-    """Reciprocal-space terms over |k+g|^2 <= k0^2 + 4 E^2 depth.
+def _spectral_terms(cell: _CellTable, k, rho, k0_eff, e, lead):
+    """Reciprocal-space terms over |k+g|^2 <= k0^2 + 4 E^2 depth, per row of k.
 
-    The orders are the rows of the cell's order list g with k + g in the
-    disk: the _disk of (b1, b2) about k, in the same order.
+    The orders of row n are the rows of the cell's order list g with
+    k[n] + g in the disk: the _disk of (b1, b2) about k[n], in the same
+    order. Terms are formed for those (n, g) only and placed in an array
+    over the whole order list that is zero elsewhere.
+
+    Args:
+        k: (N, 2) zone-reduced Bloch vectors.
+        lead: The request's leading shape, (N,) or () for one k; it shapes
+            RayleighAnomaly.direction like the request's k.
 
     Returns:
-        (w, n_prop): w is (n, 5), each row one order's contribution to
-        (S, Txx, Txy, Tyy, Tzz); n_prop counts the propagating orders.
+        (w, inside, n_prop): w is (N, orders, 5), each nonzero row one
+        order's contribution to (S, Txx, Txy, Tyy, Tzz); inside the
+        (N, orders) disk mask; n_prop the (N,) counts of propagating orders.
+
+    Raises:
+        RayleighAnomaly: an order of some row grazes the light line.
     """
-    v = cell.orders + k
-    qv = v[np.einsum("ij,ij->i", v, v) <= cell.reach * cell.reach]
+    v = cell.orders + k[:, None, :]
+    flat = v.reshape(-1, 2)
+    inside = (np.einsum("ij,ij->i", flat, flat)
+              <= cell.reach * cell.reach).reshape(v.shape[:2])
+    qv = v[inside]
     q = np.linalg.norm(qv, axis=1)
-    n_prop = 0
+    row = np.nonzero(inside)[0]  # the k of each term
+    n_prop = np.zeros(len(k), dtype=int)
     if k0_eff != 0.0:
         grazing = np.abs(q - k0_eff) < RAYLEIGH_REL_THRESHOLD * k0_eff
         if np.any(grazing):
-            i = int(np.argmax(grazing))
+            # the first grazing order of each grazing row
+            rows, first = np.unique(row[grazing], return_index=True)
+            at = np.nonzero(grazing)[0][first]
+            direction = np.zeros_like(k)
+            direction[rows] = qv[at] / q[at][:, None]
             raise RayleighAnomaly(
                 f"|k+g| within {RAYLEIGH_REL_THRESHOLD:g}*k0 of the light "
-                f"line at k={np.asarray(k)}",
-                direction=qv[i] / q[i],
-            )
-        n_prop = int(np.count_nonzero(q < k0_eff))
+                f"line at k={k[rows[0]]}",
+                direction=direction.reshape(lead + (2,)))
+        n_prop = np.bincount(row[q < k0_eff], minlength=len(k))
     gamma = -1j * np.sqrt((k0_eff**2 - q**2).astype(complex))
     phase = np.exp(1j * (qv @ rho)) / cell.area2
     ec = erfc(gamma / (2.0 * e))
@@ -374,35 +435,66 @@ def _spectral_terms(cell: _CellTable, k, rho, k0_eff, e):
         -(gamma**2) / (4.0 * e**2)
     )
     qx, qy = qv[:, 0], qv[:, 1]
-    w = np.stack([pk, -pk * qx * qx, -pk * qx * qy, -pk * qy * qy,
-                  0.5 * phase * zker], axis=1)
-    return w, n_prop
+    w = np.zeros(inside.shape + (5,), dtype=complex)
+    w[inside] = _columns(pk, -pk * qx * qx, -pk * qx * qy, -pk * qy * qy,
+                         0.5 * phase * zker)
+    return w, inside, n_prop
 
 
 def _spatial_terms(t: _SpatialTable, k):
-    """The (n, 5) spatial contributions to (S, Txx, Txy, Tyy, Tzz) at k."""
-    # the Bloch phase is carried by the lattice vector R alone
-    pre = np.exp(-1j * (t.lattice @ k)) / (8.0 * np.pi)
+    """The (N, n, 5) spatial contributions to (S, Txx, Txy, Tyy, Tzz).
+
+    Args:
+        k: (N, 2) Bloch vectors.
+    """
+    # the Bloch phase is carried by the lattice vector R alone; one
+    # matrix-vector product per k, as for a single k
+    kr = np.matmul(t.lattice[None], k[:, :, None])[..., 0]
+    pre = np.exp(-1j * kr) / (8.0 * np.pi)
     c1 = pre * t.phip / t.rv  # delta_ab coefficient; also the zz derivative
     c2 = pre * t.c2  # rhat_a rhat_b coefficient (in-plane)
-    return np.stack([pre * t.phi, c1 + c2 * t.ux * t.ux, c2 * t.ux * t.uy,
-                     c1 + c2 * t.uy * t.uy, c1], axis=1)
+    return _columns(pre * t.phi, c1 + c2 * t.ux * t.ux, c2 * t.ux * t.uy,
+                    c1 + c2 * t.uy * t.uy, c1)
+
+
+def _columns(*cols) -> np.ndarray:
+    """np.stack(cols, axis=-1), with less call overhead."""
+    out = np.empty(cols[0].shape + (len(cols),), dtype=complex)
+    for i, col in enumerate(cols):
+        out[..., i] = col
+    return out
 
 
 def _dyadic(v, retarded: bool) -> np.ndarray:
-    """The 3x3 dyadic from (S, Txx, Txy, Tyy, Tzz)."""
-    s, txx, txy, tyy, tzz = v
-    d = np.array([[txx, txy, 0.0], [txy, tyy, 0.0], [0.0, 0.0, tzz]]) / K0**2
+    """The (..., 3, 3) dyadics from (S, Txx, Txy, Tyy, Tzz) on v's last axis.
+
+    T / k0^2, plus S on the diagonal (S times the identity's off-diagonal
+    zeros would add nothing).
+    """
+    d = np.zeros(v.shape[:-1] + (9,), dtype=v.dtype)
+    d[..., [0, 1, 3, 4, 8]] = v[..., [1, 2, 2, 3, 4]]
+    d /= K0**2
     if retarded:
-        d = d + s * np.eye(3)
-    return d
+        d[..., ::4] += v[..., :1]
+    return d.reshape(v.shape[:-1] + (3, 3))
+
+
+def _norms(a: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each a[n], bit for bit: the same dot products."""
+    x = a.reshape(len(a), 1, math.prod(a.shape[1:]))
+    if x.dtype.kind != "c":
+        return np.sqrt((x @ x.transpose(0, 2, 1))[:, 0, 0])
+    re, im = x.real, x.imag
+    return np.sqrt((re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))
+                   [:, 0, 0])
 
 
 def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
-    """Evaluate one quasi-periodic dyadic lattice sum.
+    """Evaluate one quasi-periodic dyadic lattice sum, at one k or a batch.
 
-    The k-independent set-up comes from the per-lattice tables (see the
-    module docstring); only the k-dependent terms are evaluated here.
+    The k-independent set-up comes from the per-lattice tables, and a batch
+    is summed in one pass (see the module docstring); only the k-dependent
+    terms are evaluated here.
 
     Args:
         req: Request; see LatticeSumRequest.
@@ -413,8 +505,9 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
         subtract the screened R = 0 term analytically.
 
     Raises:
-        ValueError: unknown mode or offset, non-finite k, a tolerance
-            outside (0, 1), or a splitting that is not finite and positive.
+        ValueError: unknown mode or offset, k not (2,) or (N, 2) or not
+            finite, a tolerance outside (0, 1), or a splitting that is not
+            finite and positive.
         RayleighAnomaly: retarded mode with |k+g| on the light line.
         NonConvergent: truncation disk past the index cap (the spectral
             cap holds per lattice: past it every k fails), or spatial
@@ -426,8 +519,13 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tolerance must lie in (0, 1), got {tol}")
     k = np.asarray(req.k, dtype=float)
-    if not np.all(np.isfinite(k)):
-        raise ValueError(f"k must be finite, got {k}")
+    if k.ndim not in (1, 2) or k.shape[-1] != 2:
+        raise ValueError(f"k must have shape (2,) or (N, 2), got {k.shape}")
+    lead = k.shape[:-1]
+    k = k.reshape(-1, 2)
+    if not np.isfinite(k).all():
+        bad = ~np.isfinite(k).all(axis=1)
+        raise ValueError(f"k must be finite, got {k[np.argmax(bad)]}")
     spec = req.spec
     rho = _resolve_offset(spec, req.offset)
     e = default_splitting(spec) if req.splitting is None else float(req.splitting)
@@ -439,29 +537,29 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
            tol)
     cell = _cached(_CELL_TABLES, key,
                    lambda: _cell_table(spec, k0_eff, e, tol))
-    k = reduce_to_bz(cell.recip, k)
+    k = _reduced(cell.recip, k)
 
-    w_g, n_prop = _spectral_terms(cell, k, rho, k0_eff, e)
+    w_g, inside, n_prop = _spectral_terms(cell, k, rho, k0_eff, e, lead)
     table = _cached(_SPATIAL_TABLES, key + (rho.tobytes(),),
                     lambda: _spatial_table(spec, rho, k0_eff, e, cell.depth))
     w_r = _spatial_terms(table, k)
-    total = w_g.sum(axis=0) + w_r.sum(axis=0)
+    total = w_g.sum(axis=1) + w_r.sum(axis=1)
     if req.offset == "same":
         total += table.self_term
 
     d = _dyadic(total, retarded)
     # each omitted term is below tol/10 of the leading scale, so the tail
     # is bounded by tol/10 times the summed magnitudes, component-wise
-    magnitude = _dyadic(np.abs(w_g).sum(axis=0) + np.abs(w_r).sum(axis=0),
+    magnitude = _dyadic(np.abs(w_g).sum(axis=1) + np.abs(w_r).sum(axis=1),
                         retarded)
+    est = 0.1 * tol * _norms(magnitude) / _norms(d)
     return LatticeSumResult(
-        D=d,
-        n_spatial=len(w_r),
-        n_spectral=len(w_g),
-        est_error=float(0.1 * tol * np.linalg.norm(magnitude)
-                        / np.linalg.norm(d)),
-        k_reduced=k,
-        n_propagating=n_prop,
+        D=d.reshape(lead + (3, 3)),
+        n_spatial=w_r.shape[0] * w_r.shape[1],
+        n_spectral=int(np.count_nonzero(inside)),
+        est_error=float(est.max(initial=0.0)),
+        k_reduced=k.reshape(lead + (2,)),
+        n_propagating=n_prop.reshape(lead) if lead else int(n_prop[0]),
     )
 
 

@@ -6,10 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dipolebands import (
+    BETA_MAX,
+    BETA_MIN,
     EigenFailure,
     IN_PLANE,
     LatticeSumRequest,
     OUT_OF_PLANE,
+    RayleighAnomaly,
     assemble,
     bands_on_grid,
     bloch,
@@ -286,3 +289,170 @@ def test_solve_k_properties(d0, beta, radius, angle, shift):
     np.testing.assert_allclose(np.sort(mirror.detuning),
                                np.sort(bs.detuning), rtol=0,
                                atol=1e-9 * scale)
+
+
+# -- batches of k ---------------------------------------------------------------
+
+_VERTICES = ("K", "Kprime", "M", "M_top", "M_bottom", "Gamma")
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (ArithmeticError, ValueError) as exc:
+        return exc
+
+
+def _assert_same_error(got, want):
+    assert isinstance(want, Exception), want
+    assert type(got) is type(want) and str(got) == str(want), (got, want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(d0=st.floats(0.05, 0.3), beta=st.floats(BETA_MIN, BETA_MAX),
+       mode=st.sampled_from(("retarded", "quasistatic")),
+       fracs=st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+                      min_size=1, max_size=6),
+       vertex=st.sampled_from(_VERTICES),
+       shift=st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+       phi=st.floats(0.0, 2.0 * np.pi), at=st.integers(0, 7))
+def test_batch_rows_match_one_point_calls(d0, beta, mode, fracs, vertex, shift,
+                                          phi, at):
+    # k inside and outside the first zone, a zone vertex moved by a
+    # reciprocal vector, and one row on the light line (|k| = k0); every
+    # row of a batch is bitwise its one-point call
+    spec = build_lattice(d0, beta)
+    recip = reciprocal(spec)
+    g = shift[0] * recip.b1 + shift[1] * recip.b2
+    ks = [f0 * recip.b1 + f1 * recip.b2 for f0, f1 in fracs]
+    ks.append(recip.point(vertex) + g)
+    light = min(at, len(ks))
+    ks.insert(light, K0 * np.array([np.cos(phi), np.sin(phi)]))
+    ks = np.array(ks)
+    retarded = mode == "retarded"
+    # the light-line row makes a retarded lattice sum raise; check the
+    # sums without it
+    sum_ks = np.delete(ks, light, axis=0) if retarded else ks
+
+    for offset in ("same", "a_to_b", "b_to_a"):
+        def one(k):
+            return ewald_sum(LatticeSumRequest(spec=spec, k=k, offset=offset,
+                                               mode=mode))
+        batch = one(sum_ks)
+        for n, k in enumerate(sum_ks):
+            row = one(k)
+            assert np.array_equal(batch.D[n], row.D)
+            assert np.array_equal(batch.k_reduced[n], row.k_reduced)
+            assert batch.n_propagating[n] == row.n_propagating
+        if retarded:
+            got = _outcome(lambda: one(ks))
+            want = _outcome(lambda: one(ks[light]))
+            assert isinstance(want, RayleighAnomaly)
+            _assert_same_error(got, want)
+            assert np.array_equal(got.direction[light], want.direction)
+            assert not np.delete(got.direction, light, axis=0).any()
+
+    batch = solve_k(spec, ks, mode)
+    for n, k in enumerate(ks):
+        row = solve_k(spec, k, mode)
+        for name in ("k", "detuning", "decay", "vectors"):
+            assert np.array_equal(getattr(batch, name)[n], getattr(row, name))
+        assert batch.in_light_cone[n] == row.in_light_cone
+        assert batch.anomalous[n] == row.anomalous
+    assert batch.anomalous[light] == retarded
+
+    # a row that fails fails the batch as its one-point call does
+    bad = ks.copy()
+    bad[-1, 1] = np.nan
+    _assert_same_error(_outcome(lambda: solve_k(spec, bad, mode)),
+                       _outcome(lambda: solve_k(spec, bad[-1], mode)))
+
+
+def _ref_eig_out_of_plane(m2):
+    """The one-point closed form the batched one replaced (reference)."""
+    a, b = m2[0, 0], m2[0, 1]
+    c = m2[1, 0]
+    scale = max(abs(a), abs(b), abs(c), 1e-300)
+    s = np.sqrt(b * c)
+    vals = np.array([a - s, a + s])
+    if max(abs(b), abs(c)) < 1e-14 * scale:
+        return vals, np.eye(2, dtype=complex)
+    vecs = np.array([[b, b], [-s, s]], dtype=complex)
+    norms = np.linalg.norm(vecs, axis=0)
+    if np.min(norms) < 1e-14 * scale:
+        dvals, dvecs = np.linalg.eig(m2)
+        order = np.argsort(dvals.real)
+        return dvals[order], dvecs[:, order]
+    return vals, vecs / norms
+
+
+@settings(max_examples=20, deadline=None)
+@given(d0=st.floats(0.05, 0.3), beta=st.floats(BETA_MIN, BETA_MAX),
+       fracs=st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+                      min_size=1, max_size=8))
+def test_out_of_plane_closed_form_matches_one_point_reference(d0, beta,
+                                                             fracs):
+    # batched rows keep the one-point arithmetic bit for bit, the diagonal
+    # and defective blocks included
+    spec = build_lattice(d0, beta)
+    recip = reciprocal(spec)
+    ks = np.array([f0 * recip.b1 + f1 * recip.b2 for f0, f1 in fracs])
+    m2 = assemble(spec, ks).m[:, [2, 5]][:, :, [2, 5]]
+    m2 = np.concatenate([m2, m2[:1] * [[1, 0], [0, 1]],
+                         m2[:1] * [[1, 0], [1, 1]]])
+    vals, vecs = bloch._eig_out_of_plane(m2)
+    for n, block in enumerate(m2):
+        want_vals, want_vecs = _ref_eig_out_of_plane(block)
+        assert np.array_equal(vals[n], want_vals)
+        assert np.array_equal(vecs[n], want_vecs)
+
+
+def test_batch_splits_into_passes(iso_lattice, monkeypatch):
+    # a batch longer than one pass gives the rows of the passes in order
+    monkeypatch.setattr(bloch, "_PASS_SIZE", 2)
+    recip = reciprocal(iso_lattice)
+    ks = np.array([recip.K, recip.M, [2.0 * np.pi, 0.0], [9.0, 16.0],
+                   [0.5, 0.3]])
+    batch = solve_k(iso_lattice, ks)
+    assert batch.detuning.shape == (5, 6)
+    assert list(batch.anomalous) == [False, False, True, False, False]
+    for n, k in enumerate(ks):
+        assert np.array_equal(batch.vectors[n],
+                              solve_k(iso_lattice, k).vectors)
+
+
+@settings(max_examples=20, deadline=None)
+@given(d0=st.floats(0.08, 0.2), beta=st.floats(0.55, 1.3),
+       fracs=st.lists(st.tuples(st.floats(-0.7, 0.7), st.floats(-0.7, 0.7)),
+                      min_size=1, max_size=8))
+def test_batch_symmetry_and_reciprocity(d0, beta, fracs):
+    # outside the light cone, on one batch of random k
+    spec = build_lattice(d0, beta)
+    recip = reciprocal(spec)
+    ks = np.array([f0 * recip.b1 + f1 * recip.b2 for f0, f1 in fracs])
+    ks = ks[np.linalg.norm(reduce_to_bz(recip, ks), axis=1) > 1.1 * K0]
+    if not len(ks):
+        return
+
+    def sums(offset):
+        return ewald_sum(LatticeSumRequest(spec=spec, k=ks, offset=offset)).D
+
+    same, a_to_b, b_to_a = sums("same"), sums("a_to_b"), sums("b_to_a")
+    # D_same is Hermitian once the radiation reaction of the excluded R = 0
+    # term, -i k0/(6 pi) on the diagonal, is taken out; D_ba = D_ab^H
+    herm = same + 1j * K0 / (6.0 * np.pi) * np.eye(3)
+    for n in range(len(ks)):
+        scale = np.abs(same[n]).max()
+        assert np.abs(herm[n] - herm[n].conj().T).max() <= 1e-12 * scale
+        assert (np.abs(b_to_a[n] - a_to_b[n].conj().T).max()
+                <= 1e-12 * np.abs(a_to_b[n]).max())
+    np.testing.assert_allclose(solve_k(spec, ks).decay, 0.0, rtol=0,
+                               atol=1e-12)
+    bm, flipped = assemble(spec, ks), assemble(spec, -ks)
+    z, xy = [2, 5], [0, 1, 3, 4]
+    assert not bm.m[:, z][:, :, xy].any()
+    assert not bm.m[:, xy][:, :, z].any()
+    for n in range(len(ks)):
+        # reciprocity: m(-k) = m(k)^T
+        assert (np.abs(flipped.m[n] - bm.m[n].T).max()
+                <= 1e-12 * np.abs(bm.m[n]).max())

@@ -417,6 +417,20 @@ def test_module_entrypoint_runs():
     assert "retarded_splitting_dev" in proc.stdout
 
 
+def test_newton_on_a_singular_hessian_runs_clean():
+    # at the d0 floor gap^2 is flat to rounding over this small region: a
+    # Hessian that passes the positive-definite test is still singular to
+    # LU, and the refinement takes a steepest-descent step there
+    proc = subprocess.run(
+        [sys.executable, "-m", "dipolebands.cli", "find-cones",
+         "--block", "in_plane", "--pair", "1,2", "--beta", "0.6",
+         "--set", "region=0,1,0,1", "--set", f"d0={D0_MIN}"],
+        capture_output=True, text=True, timeout=600, env=_src_env())
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 0 or (
+        proc.returncode == 3 and proc.stderr.count("\n") == 1), proc.stderr
+
+
 def test_import_leaves_oracle_scipy_unloaded():
     # scipy.integrate serves only the quasistatic oracle and
     # scipy.optimize only band connection along a path

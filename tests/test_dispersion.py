@@ -48,17 +48,17 @@ def _nelder_mead(gap, k0pt, scale, xatol):
 
 
 def _recorded_search(spec, block, pair):
-    """find_degeneracies, counting its Bloch solves (the coarse grid's in
-    bloch and the refinement's in dispersion) and recording each refinement
-    as (gap, seed, scale, xatol, (k, gap(k)))."""
+    """find_degeneracies, counting its Bloch solves (the k-points of the
+    coarse grid's batch in bloch and of the refinement in dispersion) and
+    recording each refinement as (gap, seed, scale, xatol, (k, gap(k)))."""
     solves = [0]
     refinements = []
     solve_k = bloch.solve_k
     refine = dispersion._refine_minimum
 
-    def counting_solve(*args, **kwargs):
-        solves[0] += 1
-        return solve_k(*args, **kwargs)
+    def counting_solve(spec, k, *args, **kwargs):
+        solves[0] += len(np.atleast_2d(k))
+        return solve_k(spec, k, *args, **kwargs)
 
     def recording_refine(gap, seed, scale, xatol):
         out = refine(gap, seed, scale, xatol)
