@@ -8,10 +8,12 @@ Bloch vector k, to a 6x6 non-Hermitian matrix in the basis
                              [D_ba(k),     D_same(k)]]
 
 where the D blocks are the dyadic lattice sums (in wavelength/linewidth
-units the coupling prefactor is exactly 3/2). Eigenvalues are reported as
-(detuning, decay) = (Re lam, -2 Im lam): detuning is the band energy
-relative to the emitter resonance in linewidth units and decay is the
-radiative width gamma_k in units of the single-emitter linewidth.
+units the coupling prefactor is exactly 3/2). The dyadic is even, G(-r) =
+G(r), so D_ba(k) = D_ab(-k): assemble makes two ewald_sum calls, the
+same-site sum at k and one a_to_b sum over (k, -k). Eigenvalues are
+reported as (detuning, decay) = (Re lam, -2 Im lam): detuning is the band
+energy relative to the emitter resonance in linewidth units and decay is
+the radiative width gamma_k in units of the single-emitter linewidth.
 
 In-plane displacements decouple the two z polarizations from the four
 in-plane ones exactly; the 2x2 out-of-plane block is solved in closed form
@@ -134,12 +136,14 @@ class BandGrid:
 
 
 def assemble(spec: LatticeSpec, k, mode: str = "retarded") -> BlochMatrix:
-    """Build the 6x6 Bloch matrix from three lattice sums, at one k or a batch.
+    """Build the 6x6 Bloch matrix from two lattice sums, at one k or a batch.
 
-    One ewald_sum per offset, each at the lattice-sum layer's own
-    truncation target and splitting (LatticeSumRequest defaults). The
-    lattice sums are the only layer that reduces k to the first zone:
-    in_light_cone is read off the same-site sum's k_reduced.
+    The dyadic is even, G(-r) = G(r), so D_ba(k) = D_ab(-k): one ewald_sum
+    gives D_same at k and one a_to_b ewald_sum over the stacked (k, -k)
+    gives D_ab and D_ba, both at the lattice-sum layer's own truncation
+    target and splitting (LatticeSumRequest defaults). The lattice sums
+    are the only layer that reduces k to the first zone: in_light_cone is
+    read off the same-site sum's k_reduced.
 
     Args:
         spec: Lattice geometry.
@@ -151,14 +155,20 @@ def assemble(spec: LatticeSpec, k, mode: str = "retarded") -> BlochMatrix:
         and in_light_cone True when |k_reduced| < k0.
     """
     k = np.asarray(k, dtype=float)
-    same, a_to_b, b_to_a = (
-        ewald_sum(LatticeSumRequest(spec=spec, k=k, offset=offset, mode=mode))
-        for offset in ("same", "a_to_b", "b_to_a"))
+    same = ewald_sum(LatticeSumRequest(spec=spec, k=k, mode=mode))
+    # no new light-line case: the same-site sum has raised for every
+    # grazing k, the rows of k below sum the same orders and those of -k
+    # the negated ones (reduce_to_bz(-k) = -reduce_to_bz(k) but at
+    # zone-boundary ties)
+    rows = k.reshape(-1, 2)
+    pair = ewald_sum(LatticeSumRequest(spec=spec, k=np.concatenate(
+        [rows, -rows]), offset="a_to_b", mode=mode))
+    d_ab, d_ba = pair.D.reshape((2,) + same.D.shape)
     m = np.zeros(k.shape[:-1] + (6, 6), dtype=complex)
     m[..., :3, :3] = same.D
     m[..., 3:, 3:] = same.D
-    m[..., :3, 3:] = a_to_b.D
-    m[..., 3:, :3] = b_to_a.D
+    m[..., :3, 3:] = d_ab
+    m[..., 3:, :3] = d_ba
     m *= -1.5
     m -= 0.5j * np.eye(6)
     inside = _norms(same.k_reduced.reshape(-1, 2)) < K0
@@ -358,8 +368,7 @@ def bands_on_grid(spec: LatticeSpec, kx, ky,
                   mode: str = "retarded") -> BandGrid:
     """Energy-ordered band sheets over a rectangular k grid.
 
-    The grid is solved by solve_k a pass at a time, so that no eigenvectors
-    are kept.
+    The grid is one solve_k batch.
 
     Returns:
         BandGrid in the BLOCKS layout, each block detuning-sorted per point;
@@ -369,15 +378,8 @@ def bands_on_grid(spec: LatticeSpec, kx, ky,
     ky = np.atleast_1d(np.asarray(ky, dtype=float))
     shape = (len(kx), len(ky))
     kxy = np.stack(np.meshgrid(kx, ky, indexing="ij"), axis=-1).reshape(-1, 2)
-    n = len(kxy)
-    det, dec = np.empty((n, 6)), np.empty((n, 6))
-    lc, anom = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
-    for i in range(0, n, _PASS_SIZE):
-        bs = solve_k(spec, kxy[i:i + _PASS_SIZE], mode)
-        rows = slice(i, i + _PASS_SIZE)
-        det[rows], dec[rows] = bs.detuning, bs.decay
-        lc[rows], anom[rows] = bs.in_light_cone, bs.anomalous
-    return BandGrid(kx=kx, ky=ky, detuning=det.reshape(shape + (6,)),
-                    decay=dec.reshape(shape + (6,)), block=BLOCKS,
-                    in_light_cone=lc.reshape(shape),
-                    anomalous=anom.reshape(shape))
+    bs = solve_k(spec, kxy, mode)
+    return BandGrid(kx=kx, ky=ky, detuning=bs.detuning.reshape(shape + (6,)),
+                    decay=bs.decay.reshape(shape + (6,)), block=BLOCKS,
+                    in_light_cone=bs.in_light_cone.reshape(shape),
+                    anomalous=bs.anomalous.reshape(shape))

@@ -42,15 +42,14 @@ two small least-recently-used caches:
 The keys hold no beta: a1 and a2 do not depend on it, so every lattice of
 one d0 shares the cell table and the same-site (rho = 0) spatial table. Per
 k, ewald_sum reduces k to the first zone once (the result carries it as
-k_reduced; the last reduction is kept, so the three sums of one Bloch
-matrix reduce their k once), keeps the rows of the order list with k + g
-inside the spectral disk, evaluates erfc on them and multiplies the
-spatial kernels by the Bloch phase. Those are the terms of a fresh _disk about k, in the same
-order, so the result does not depend on what the caches hold. The index cap
-is a property of the lattice, not of k: when the order list or the spatial
-disk would need an index past it, the table is not built and every k fails
-with NonConvergent. A build that raises stores nothing, and every table
-array is read-only.
+k_reduced), keeps the rows of the order list with k + g inside the
+spectral disk, evaluates erfc on them and multiplies the spatial kernels
+by the Bloch phase. Those are the terms of a fresh _disk about k, in the
+same order, so the result does not depend on what the caches hold. The
+index cap is a property of the lattice, not of k: when the order list or
+the spatial disk would need an index past it, the table is not built and
+every k fails with NonConvergent. A build that raises stores nothing, and
+every table array is read-only.
 
 A request's k is one point (2,) or a batch (N, 2), and a one-point request
 is the batch N = 1 with the leading axis dropped. A batch is one pass: an
@@ -62,7 +61,7 @@ row n of a batch is bitwise the one-point sum at k[n]. Per-k result fields
 n_spectral are the terms summed over the whole batch and est_error is the
 batch's worst, so the counts of N one-point calls and of one batch agree.
 The working set grows as N times the terms of one k, so bloch.solve_k
-hands the sums at most bloch._PASS_SIZE points per pass.
+hands the sums at most 2 * bloch._PASS_SIZE points (k and -k) per pass.
 """
 
 from __future__ import annotations
@@ -164,8 +163,8 @@ class LatticeSumResult:
             the summed term magnitudes over |D| (an overestimate); the
             largest over a batch.
         k_reduced: (2,) the zone-reduced k the series were summed at,
-            reduce_to_bz(reciprocal(spec), k), read-only; callers read the
-            light cone off it instead of reducing k again.
+            reduce_to_bz(reciprocal(spec), k); callers read the light
+            cone off it instead of reducing k again.
         n_propagating: Number of propagating spectral orders (|k+g| < k0);
             zero outside the light cone. Always 0 in quasistatic mode.
     """
@@ -310,24 +309,6 @@ def _cached(cache: dict, key, build):
                 del cache[next(iter(cache))]
         cache[key] = table
         return table
-
-
-# The last zone reduction, (reciprocal lattice, k bytes, reduced k): the
-# three sums of one Bloch matrix share k, and two of them reuse it.
-_LAST_REDUCED: tuple = (None, b"", None)
-
-
-def _reduced(recip: ReciprocalSpec, k: np.ndarray) -> np.ndarray:
-    """reduce_to_bz(recip, k) as a read-only array, kept for the next call."""
-    global _LAST_REDUCED
-    last_recip, last_k, last = _LAST_REDUCED
-    key = k.tobytes()
-    if recip is last_recip and key == last_k:
-        return last
-    last = reduce_to_bz(recip, k)
-    last.setflags(write=False)
-    _LAST_REDUCED = (recip, key, last)
-    return last
 
 
 def _cell_table(spec: LatticeSpec, k0_eff: float, e: float,
@@ -537,7 +518,7 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
            tol)
     cell = _cached(_CELL_TABLES, key,
                    lambda: _cell_table(spec, k0_eff, e, tol))
-    k = _reduced(cell.recip, k)
+    k = reduce_to_bz(cell.recip, k)
 
     w_g, inside, n_prop = _spectral_terms(cell, k, rho, k0_eff, e, lead)
     table = _cached(_SPATIAL_TABLES, key + (rho.tobytes(),),
@@ -629,17 +610,26 @@ def direct_sum_quasistatic(
     validation oracle for it.
 
     Args:
-        req: Request with mode 'quasistatic'.
+        req: Request with mode 'quasistatic' and one k (2,).
         cutoff_radius: Inclusion radius; default 60 |a1|.
 
     Returns:
         LatticeSumResult; est_error is the relative bare magnitude of the
         outermost one-|a1| annulus (a deliberate overestimate).
+
+    Raises:
+        ValueError: a mode other than 'quasistatic', or k not (2,) or not
+            finite.
     """
     if req.mode != "quasistatic":
         raise ValueError("direct summation is provided for quasistatic mode only")
+    k = np.asarray(req.k, dtype=float)
+    if k.shape != (2,):
+        raise ValueError(f"k must have shape (2,), got {k.shape}")
+    if not np.isfinite(k).all():
+        raise ValueError(f"k must be finite, got {k}")
     spec = req.spec
-    k = reduce_to_bz(reciprocal(spec), req.k)
+    k = reduce_to_bz(reciprocal(spec), k)
     rho = _resolve_offset(spec, req.offset)
     a1n = float(np.linalg.norm(spec.a1))
     cutoff = 60.0 * a1n if cutoff_radius is None else float(cutoff_radius)

@@ -17,6 +17,7 @@ from dipolebands import (
     LatticeSumResult,
     NonConvergent,
     RayleighAnomaly,
+    assemble,
     build_lattice,
     default_splitting,
     direct_sum_quasistatic,
@@ -75,6 +76,20 @@ def test_direct_sum_cutoff_doubling():
     d30 = direct_sum_quasistatic(req, cutoff_radius=30 * a1n).D
     d60 = direct_sum_quasistatic(req, cutoff_radius=60 * a1n).D
     assert np.linalg.norm(d60 - d30) / np.linalg.norm(d60) < 1e-6
+
+
+@pytest.mark.parametrize("k,match", [
+    ((np.nan, 0.0), "finite"),
+    ((np.inf, 1.0), "finite"),
+    (((1.0, 0.0), (0.0, 1.0)), r"shape \(2,\)"),
+    ((1.0, 0.0, 0.0), r"shape \(2,\)"),
+])
+def test_direct_sum_rejects_bad_k(k, match):
+    # the oracle sums one k; a batch or a non-finite k is refused
+    spec = build_lattice(0.1, 1.0)
+    with pytest.raises(ValueError, match=match):
+        direct_sum_quasistatic(LatticeSumRequest(spec=spec, k=np.array(k),
+                                                 mode="quasistatic"))
 
 
 def test_sixfold_symmetry_at_gamma():
@@ -399,14 +414,22 @@ def test_tables_match_per_call_series(d0, beta, offset, mode, scale, k_at,
 def test_tables_shared_across_beta():
     # a1, a2 do not depend on beta: one cell table and one same-site
     # spatial table serve every beta of a d0
+    betas = np.linspace(0.6, 1.6, 5)
     _clear_tables()
-    for beta in np.linspace(0.6, 1.6, 5):
+    for beta in betas:
         spec = build_lattice(0.1, beta)
         for offset in ("same", "a_to_b", "b_to_a"):
             ewald_sum(LatticeSumRequest(spec=spec, k=reciprocal(spec).M,
                                         offset=offset))
     assert len(latticesums._CELL_TABLES) == 1
     assert len(latticesums._SPATIAL_TABLES) == 1 + 2 * 5
+    # a Bloch matrix sums D_ba(k) as D_ab(-k): no b_to_a table
+    _clear_tables()
+    for beta in betas:
+        spec = build_lattice(0.1, beta)
+        assemble(spec, reciprocal(spec).M)
+    assert len(latticesums._CELL_TABLES) == 1
+    assert len(latticesums._SPATIAL_TABLES) == 1 + 5
 
 
 def test_failed_builds_cache_nothing():
