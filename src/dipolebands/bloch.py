@@ -9,8 +9,9 @@ Bloch vector k, to a 6x6 non-Hermitian matrix in the basis
 
 where the D blocks are the dyadic lattice sums (in wavelength/linewidth
 units the coupling prefactor is exactly 3/2). The dyadic is even, G(-r) =
-G(r), so D_ba(k) = D_ab(-k): assemble makes two ewald_sum calls, the
-same-site sum at k and one a_to_b sum over (k, -k). Eigenvalues are
+G(r), so D_ba(k) = D_ab(-k): assemble makes one ewald_sum call per pass,
+offset 'bloch', which returns all three D blocks from one spectral pass
+over the k of the pass. Eigenvalues are
 reported as (detuning, decay) = (Re lam, -2 Im lam): detuning is the band
 energy relative to the emitter resonance in linewidth units and decay is
 the radiative width gamma_k in units of the single-emitter linewidth.
@@ -28,8 +29,9 @@ and row n is bitwise the one-point result at k[n]. solve_k splits a batch
 into passes of at most _PASS_SIZE points (one assemble and one eigensolve
 each); a pass with rows on a light line is assembled once more with only
 those rows moved off it, and they are flagged anomalous. bands_on_grid,
-the degeneracy scan's grid, classify's stencil and dos_histogram solve
-batches; bands_on_path and the Newton refinement solve one k at a time.
+the degeneracy scan's grid, the five stencil points of each Newton
+iteration, classify's stencil and dos_histogram solve batches;
+bands_on_path and the Newton trial steps solve one k at a time.
 """
 
 from __future__ import annotations
@@ -136,14 +138,14 @@ class BandGrid:
 
 
 def assemble(spec: LatticeSpec, k, mode: str = "retarded") -> BlochMatrix:
-    """Build the 6x6 Bloch matrix from two lattice sums, at one k or a batch.
+    """The 6x6 Bloch matrix from one lattice-sum call, at one k or a batch.
 
-    The dyadic is even, G(-r) = G(r), so D_ba(k) = D_ab(-k): one ewald_sum
-    gives D_same at k and one a_to_b ewald_sum over the stacked (k, -k)
-    gives D_ab and D_ba, both at the lattice-sum layer's own truncation
-    target and splitting (LatticeSumRequest defaults). The lattice sums
-    are the only layer that reduces k to the first zone: in_light_cone is
-    read off the same-site sum's k_reduced.
+    One ewald_sum request with offset 'bloch' returns D_same(k), D_ab(k)
+    and D_ba(k) = D_ab(-k) (the dyadic is even, G(-r) = G(r)) from one
+    spectral pass, at the lattice-sum layer's own truncation target and
+    splitting (LatticeSumRequest defaults); each is bitwise its
+    single-offset sum. The lattice sums are the only layer that reduces k
+    to the first zone: in_light_cone is read off the result's k_reduced.
 
     Args:
         spec: Lattice geometry.
@@ -155,23 +157,17 @@ def assemble(spec: LatticeSpec, k, mode: str = "retarded") -> BlochMatrix:
         and in_light_cone True when |k_reduced| < k0.
     """
     k = np.asarray(k, dtype=float)
-    same = ewald_sum(LatticeSumRequest(spec=spec, k=k, mode=mode))
-    # no new light-line case: the same-site sum has raised for every
-    # grazing k, the rows of k below sum the same orders and those of -k
-    # the negated ones (reduce_to_bz(-k) = -reduce_to_bz(k) but at
-    # zone-boundary ties)
-    rows = k.reshape(-1, 2)
-    pair = ewald_sum(LatticeSumRequest(spec=spec, k=np.concatenate(
-        [rows, -rows]), offset="a_to_b", mode=mode))
-    d_ab, d_ba = pair.D.reshape((2,) + same.D.shape)
+    sums = ewald_sum(LatticeSumRequest(spec=spec, k=k, offset="bloch",
+                                       mode=mode))
+    d_same, d_ab, d_ba = sums.D
     m = np.zeros(k.shape[:-1] + (6, 6), dtype=complex)
-    m[..., :3, :3] = same.D
-    m[..., 3:, 3:] = same.D
+    m[..., :3, :3] = d_same
+    m[..., 3:, 3:] = d_same
     m[..., :3, 3:] = d_ab
     m[..., 3:, :3] = d_ba
     m *= -1.5
     m -= 0.5j * np.eye(6)
-    inside = _norms(same.k_reduced.reshape(-1, 2)) < K0
+    inside = _norms(sums.k_reduced.reshape(-1, 2)) < K0
     return BlochMatrix(m=m, k=k, in_light_cone=inside if k.ndim == 2
                        else bool(inside[0]))
 

@@ -140,6 +140,9 @@ def make_gap_function(spec: LatticeSpec, block: str, band_pair,
                       mode: str = "retarded"):
     """Return gap(k) for one band pair (energy-sorted within block).
 
+    gap takes one k (2,) and returns a scalar, or a batch (N, 2) and
+    returns (N,) gaps, each bitwise the one-point gap of its row.
+
     Raises:
         ValueError: a bad block or band_pair.
     """
@@ -147,7 +150,7 @@ def make_gap_function(spec: LatticeSpec, block: str, band_pair,
 
     def gap(k):
         det = solve_k(spec, k, mode).detuning
-        return det[upper] - det[lower]
+        return det[..., upper] - det[..., lower]
 
     return gap
 
@@ -166,7 +169,9 @@ def _refine_minimum(gap, k0pt, scale, xatol):
     Where two bands touch, gap^2 = 4|d(q)|^2 is smooth with a zero minimum:
     Newton converges quadratically at a Dirac point and linearly along the
     flat axis of a semi-Dirac point. f at k, k +- h x, k +- h y and
-    k + h(x + y) gives gradient and Hessian, h being the last step length.
+    k + h(x + y) gives gradient and Hessian, h being the last step length;
+    those five points are one batched gap call, so an iteration costs one
+    call plus one per trial step.
     The Newton step (steepest descent where the Hessian is not positive
     definite, or is singular to the solver) is cut to `scale` and halved
     until f goes down; if no step longer than xatol does, a stencil wider
@@ -181,8 +186,10 @@ def _refine_minimum(gap, k0pt, scale, xatol):
     ex, ey = np.eye(2)
     for _ in range(NEWTON_MAX_ITER):
         f0 = g * g
-        fpx, fmx, fpy, fmy, fxy = (gap(k + dk) ** 2 for dk in (
-            h * ex, -h * ex, h * ey, -h * ey, h * (ex + ey)))
+        # each gap squared as a scalar, as for one point: the array
+        # square can differ from it in the last bit
+        fpx, fmx, fpy, fmy, fxy = (x ** 2 for x in gap(k + np.array([
+            h * ex, -h * ex, h * ey, -h * ey, h * (ex + ey)])))
         grad = np.array([fpx - fmx, fpy - fmy]) / (2.0 * h)
         hxy = fxy - fpx - fpy + f0
         hess = np.array([[fpx - 2.0 * f0 + fmx, hxy],

@@ -43,9 +43,11 @@ The keys hold no beta: a1 and a2 do not depend on it, so every lattice of
 one d0 shares the cell table and the same-site (rho = 0) spatial table. Per
 k, ewald_sum reduces k to the first zone once (the result carries it as
 k_reduced), keeps the rows of the order list with k + g inside the
-spectral disk, evaluates erfc on them and multiplies the spatial kernels
-by the Bloch phase. Those are the terms of a fresh _disk about k, in the
-same order, so the result does not depend on what the caches hold. The
+spectral disk and evaluates the offset-free spectral kernels (erfc and
+the z kernel) on them; then it weighs those kernels by the phase
+e^{i(k+g).rho} and the spatial kernels by the Bloch phase e^{-ik.R}.
+Those are the terms of a fresh _disk about k, in the same order, so the
+result does not depend on what the caches hold. The
 index cap is a property of the lattice, not of k: when the order list or
 the spatial disk would need an index past it, the table is not built and
 every k fails with NonConvergent. A build that raises stores nothing, and
@@ -61,7 +63,21 @@ row n of a batch is bitwise the one-point sum at k[n]. Per-k result fields
 n_spectral are the terms summed over the whole batch and est_error is the
 batch's worst, so the counts of N one-point calls and of one batch agree.
 The working set grows as N times the terms of one k, so bloch.solve_k
-hands the sums at most 2 * bloch._PASS_SIZE points (k and -k) per pass.
+hands the sums at most bloch._PASS_SIZE points per pass.
+
+The offset "bloch" returns the three sums of a Bloch matrix from that one
+pass: D gains a leading axis of 3, [D_same(k), D_ab(k), D_ba(k)], each
+bitwise the single-offset sum ("same" at k, "a_to_b" at k, "a_to_b" at
+-k). The dyadic is even, so D_ba(k) = D_ab(-k), and the kernels at k
+serve all three: D_same weighs them by 1 and D_ab by e^{i(k+g).rho}. The
+order list is symmetric (its reverse is its negation), so the orders about
+-reduce_to_bz(k) are those about reduce_to_bz(k) negated, in reversed
+order; D_ba sums them in that order under the conjugate phases, and the
+spatial terms of the a_to_b table under the conjugate Bloch phase. Where
+reduce_to_bz(-k) is not -reduce_to_bz(k) (ties on the zone boundary, such
+as M), the kernels of that -k are evaluated as one more row of the same
+pass. k_reduced and n_propagating are the same-site sum's, n_spatial and
+n_spectral count the terms of all three and est_error is the worst.
 """
 
 from __future__ import annotations
@@ -69,6 +85,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special
@@ -128,7 +145,11 @@ class LatticeSumRequest:
         k: Bloch vector (2,), or a batch (N, 2) of them; each is reduced
             internally to the first zone.
         offset: 'same' (rho = 0, R = 0 excluded), 'a_to_b' (rho = +d) or
-            'b_to_a' (rho = -d), d the basis offset.
+            'b_to_a' (rho = -d), d the basis offset; or 'bloch', the three
+            sums of a Bloch matrix from one pass: D is (3, 3, 3), or
+            (3, N, 3, 3) for a batch, holding [D_same(k), D_ab(k),
+            D_ab(-k)], each bitwise its single-offset sum (see the module
+            docstring for the -k order and the zone-boundary ties).
         mode: 'retarded' or 'quasistatic'.
         splitting: Ewald parameter E; None selects sqrt(pi)/|a1|.
         tolerance: Relative truncation target in (0, 1). It sets the
@@ -155,13 +176,14 @@ class LatticeSumResult:
     axis (one row per k); the other fields describe the whole batch.
 
     Attributes:
-        D: (3, 3) complex dyadic, units 1/length.
+        D: (3, 3) complex dyadic, units 1/length; a 'bloch' request
+            stacks its three sums on a leading axis of 3.
         n_spatial, n_spectral: Number of lattice vectors in the spatial
             and spectral truncation disks, i.e. the terms summed (over all
-            k of a batch).
+            k of a batch, and over the three sums of a 'bloch' request).
         est_error: A priori relative truncation bound, tolerance/10 times
             the summed term magnitudes over |D| (an overestimate); the
-            largest over a batch.
+            largest over a batch and over the sums of a 'bloch' request.
         k_reduced: (2,) the zone-reduced k the series were summed at,
             reduce_to_bz(reciprocal(spec), k); callers read the light
             cone off it instead of reducing k again.
@@ -215,7 +237,8 @@ def _resolve_offset(spec: LatticeSpec, offset: str) -> np.ndarray:
         return np.asarray(spec.basis_offset, dtype=float)
     if offset == "b_to_a":
         return -np.asarray(spec.basis_offset, dtype=float)
-    raise ValueError(f"offset must be one of {_OFFSETS}, got {offset!r}")
+    raise ValueError(f"offset must be one of {_OFFSETS}, or 'bloch' for "
+                     f"ewald_sum, got {offset!r}")
 
 
 def _self_corrections(k0_eff: float, e: float) -> tuple[complex, complex]:
@@ -364,26 +387,46 @@ def _spatial_table(spec: LatticeSpec, rho: np.ndarray, k0_eff: float,
         self_term=np.array([h0, 2.0 * h2, 0.0, 2.0 * h2, 2.0 * h2])))
 
 
-def _spectral_terms(cell: _CellTable, k, rho, k0_eff, e, lead):
-    """Reciprocal-space terms over |k+g|^2 <= k0^2 + 4 E^2 depth, per row of k.
+class _Kernels(NamedTuple):
+    """The rho-free part of the spectral series on some rows of k.
+
+    The terms are the (row, order) pairs with k + g in the spectral disk,
+    row by row and in order-list order within a row.
+
+    Attributes:
+        inside: (rows, orders) disk mask.
+        qv: (terms, 2) the vectors k + g.
+        kern: (terms,) erfc(gamma/2E)/gamma, zero where gamma = 0.
+        zker: (terms,) the kernel of the z-derivative column.
+        n_prop: (rows,) counts of propagating orders.
+    """
+
+    inside: np.ndarray
+    qv: np.ndarray
+    kern: np.ndarray
+    zker: np.ndarray
+    n_prop: np.ndarray
+
+
+def _spectral_kernels(cell: _CellTable, k, k0_eff, e, lead) -> _Kernels:
+    """Spectral kernels over |k+g|^2 <= k0^2 + 4 E^2 depth, per row of k.
 
     The orders of row n are the rows of the cell's order list g with
     k[n] + g in the disk: the _disk of (b1, b2) about k[n], in the same
-    order. Terms are formed for those (n, g) only and placed in an array
-    over the whole order list that is zero elsewhere.
+    order. Nothing here depends on the offset rho; _spectral_terms weighs
+    the kernels by a Bloch phase.
 
     Args:
-        k: (N, 2) zone-reduced Bloch vectors.
+        k: (rows, 2) zone-reduced Bloch vectors: the request's N rows,
+            possibly followed by the -k rows of zone-boundary ties, which
+            are not checked for grazing orders (their |k+g| are those of
+            their k).
         lead: The request's leading shape, (N,) or () for one k; it shapes
             RayleighAnomaly.direction like the request's k.
 
-    Returns:
-        (w, inside, n_prop): w is (N, orders, 5), each nonzero row one
-        order's contribution to (S, Txx, Txy, Tyy, Tzz); inside the
-        (N, orders) disk mask; n_prop the (N,) counts of propagating orders.
-
     Raises:
-        RayleighAnomaly: an order of some row grazes the light line.
+        RayleighAnomaly: an order of one of the request's rows grazes the
+            light line.
     """
     v = cell.orders + k[:, None, :]
     flat = v.reshape(-1, 2)
@@ -394,12 +437,14 @@ def _spectral_terms(cell: _CellTable, k, rho, k0_eff, e, lead):
     row = np.nonzero(inside)[0]  # the k of each term
     n_prop = np.zeros(len(k), dtype=int)
     if k0_eff != 0.0:
-        grazing = np.abs(q - k0_eff) < RAYLEIGH_REL_THRESHOLD * k0_eff
+        n = math.prod(lead)
+        grazing = (np.abs(q - k0_eff) < RAYLEIGH_REL_THRESHOLD * k0_eff) \
+            & (row < n)
         if np.any(grazing):
             # the first grazing order of each grazing row
             rows, first = np.unique(row[grazing], return_index=True)
             at = np.nonzero(grazing)[0][first]
-            direction = np.zeros_like(k)
+            direction = np.zeros((n, 2))
             direction[rows] = qv[at] / q[at][:, None]
             raise RayleighAnomaly(
                 f"|k+g| within {RAYLEIGH_REL_THRESHOLD:g}*k0 of the light "
@@ -407,35 +452,54 @@ def _spectral_terms(cell: _CellTable, k, rho, k0_eff, e, lead):
                 direction=direction.reshape(lead + (2,)))
         n_prop = np.bincount(row[q < k0_eff], minlength=len(k))
     gamma = -1j * np.sqrt((k0_eff**2 - q**2).astype(complex))
-    phase = np.exp(1j * (qv @ rho)) / cell.area2
     ec = erfc(gamma / (2.0 * e))
     kern = np.zeros_like(gamma)
     np.divide(ec, gamma, out=kern, where=gamma != 0.0)
-    pk = phase * kern
     zker = 2.0 * gamma * ec - (4.0 * e / SQRT_PI) * np.exp(
         -(gamma**2) / (4.0 * e**2)
     )
+    return _Kernels(inside, qv, kern, zker, n_prop)
+
+
+def _spectral_terms(out, inside, qv, kern, zker, unit, area2):
+    """Write the spectral contributions to (S, Txx, Txy, Tyy, Tzz) into out.
+
+    The term at k + g = qv weighs the kernels by the Bloch phase unit =
+    e^{i (k+g).rho}, over twice the cell area, and lands at its place in
+    the order list: out[inside], out being (rows, orders, 5) and zero
+    elsewhere. With out a reversed view, qv negated and unit conjugated
+    these are the terms at -k, whose orders are the negated ones in the
+    reversed order.
+    """
+    phase = unit / area2
+    pk = phase * kern
     qx, qy = qv[:, 0], qv[:, 1]
-    w = np.zeros(inside.shape + (5,), dtype=complex)
-    w[inside] = _columns(pk, -pk * qx * qx, -pk * qx * qy, -pk * qy * qy,
-                         0.5 * phase * zker)
-    return w, inside, n_prop
+    out[inside] = _columns(pk, -pk * qx * qx, -pk * qx * qy, -pk * qy * qy,
+                           0.5 * phase * zker)
 
 
-def _spatial_terms(t: _SpatialTable, k):
+def _spatial_terms(t: _SpatialTable, unit):
     """The (N, n, 5) spatial contributions to (S, Txx, Txy, Tyy, Tzz).
 
     Args:
-        k: (N, 2) Bloch vectors.
+        unit: (N, n) Bloch phases e^{-i k.R} over the table's lattice
+            vectors R (_bloch_phase).
     """
-    # the Bloch phase is carried by the lattice vector R alone; one
-    # matrix-vector product per k, as for a single k
-    kr = np.matmul(t.lattice[None], k[:, :, None])[..., 0]
-    pre = np.exp(-1j * kr) / (8.0 * np.pi)
+    pre = unit / (8.0 * np.pi)
     c1 = pre * t.phip / t.rv  # delta_ab coefficient; also the zz derivative
     c2 = pre * t.c2  # rhat_a rhat_b coefficient (in-plane)
     return _columns(pre * t.phi, c1 + c2 * t.ux * t.ux, c2 * t.ux * t.uy,
                     c1 + c2 * t.uy * t.uy, c1)
+
+
+def _bloch_phase(t: _SpatialTable, k):
+    """The (N, n) phases e^{-i k.R} of a table's lattice vectors, k (N, 2).
+
+    The phase is carried by the lattice vector R alone; one matrix-vector
+    product per k, as for a single k.
+    """
+    kr = np.matmul(t.lattice[None], k[:, :, None])[..., 0]
+    return np.exp(-1j * kr)
 
 
 def _columns(*cols) -> np.ndarray:
@@ -471,25 +535,28 @@ def _norms(a: np.ndarray) -> np.ndarray:
 
 
 def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
-    """Evaluate one quasi-periodic dyadic lattice sum, at one k or a batch.
+    """Evaluate one quasi-periodic dyadic lattice sum, or the three of a
+    Bloch matrix (offset 'bloch'), at one k or a batch.
 
     The k-independent set-up comes from the per-lattice tables, and a batch
     is summed in one pass (see the module docstring); only the k-dependent
-    terms are evaluated here.
+    terms are evaluated here, the offset-free spectral kernels once for
+    every sum of the request.
 
     Args:
         req: Request; see LatticeSumRequest.
 
     Returns:
         LatticeSumResult. The result is independent of the splitting
-        parameter within the truncation tolerance; same-site requests
+        parameter within the truncation tolerance; same-site sums
         subtract the screened R = 0 term analytically.
 
     Raises:
         ValueError: unknown mode or offset, k not (2,) or (N, 2) or not
             finite, a tolerance outside (0, 1), or a splitting that is not
             finite and positive.
-        RayleighAnomaly: retarded mode with |k+g| on the light line.
+        RayleighAnomaly: retarded mode with |k+g| on the light line (for
+            'bloch', as the same-site request at k raises it).
         NonConvergent: truncation disk past the index cap (the spectral
             cap holds per lattice: past it every k fails), or spatial
             prefactor overflow (e.g. extreme splitting override).
@@ -508,7 +575,8 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
         bad = ~np.isfinite(k).all(axis=1)
         raise ValueError(f"k must be finite, got {k[np.argmax(bad)]}")
     spec = req.spec
-    rho = _resolve_offset(spec, req.offset)
+    bloch = req.offset == "bloch"
+    rho = _resolve_offset(spec, "a_to_b" if bloch else req.offset)
     e = default_splitting(spec) if req.splitting is None else float(req.splitting)
     if not (np.isfinite(e) and e > 0.0):
         raise ValueError(f"splitting must be finite and positive, got {e}")
@@ -518,29 +586,79 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
            tol)
     cell = _cached(_CELL_TABLES, key,
                    lambda: _cell_table(spec, k0_eff, e, tol))
-    k = reduce_to_bz(cell.recip, k)
+    n = len(k)
+    red = reduce_to_bz(cell.recip, np.concatenate([k, -k]) if bloch else k)
+    k = red[:n]
+    rows = k
+    if bloch:
+        # -k mostly reduces to -k_reduced, whose terms are those at k
+        # negated; a zone-boundary tie reduces elsewhere and gets a row
+        neg = red[n:]
+        tie = np.any(neg != -k, axis=1)
+        rows = np.concatenate([k, neg[tie]])
+    kn = _spectral_kernels(cell, rows, k0_eff, e, lead)
+    inside = kn.inside[:n]
+    t_k = int(np.count_nonzero(inside))
+    at_k = (inside, kn.qv[:t_k], kn.kern[:t_k], kn.zker[:t_k])
 
-    w_g, inside, n_prop = _spectral_terms(cell, k, rho, k0_eff, e, lead)
-    table = _cached(_SPATIAL_TABLES, key + (rho.tobytes(),),
-                    lambda: _spatial_table(spec, rho, k0_eff, e, cell.depth))
-    w_r = _spatial_terms(table, k)
-    total = w_g.sum(axis=1) + w_r.sum(axis=1)
-    if req.offset == "same":
-        total += table.self_term
+    def table(r):
+        return _cached(_SPATIAL_TABLES, key + (r.tobytes(),),
+                       lambda: _spatial_table(spec, r, k0_eff, e, cell.depth))
 
+    # one (N, orders, 5) block of spectral terms per D, summed as one
+    # batch; the sum at rho first (for 'bloch', a_to_b at k)
+    w_g = np.zeros((3 if bloch else 1,) + inside.shape + (5,), dtype=complex)
+    unit = np.exp(1j * (at_k[1] @ rho))
+    _spectral_terms(w_g[1] if bloch else w_g[0], *at_k, unit, cell.area2)
+    if not bloch:
+        t = table(rho)
+        w_r = [_spatial_terms(t, _bloch_phase(t, k))]
+        n_spectral = t_k
+        t_same = t if req.offset == "same" else None
+    else:
+        # [same, a_to_b at k, a_to_b at -k]: the rows of -k sum the terms
+        # at k, negated and in reversed order, under the conjugate phases
+        zero = np.zeros(2)
+        t_same, t_ab = table(zero), table(rho)
+        _spectral_terms(w_g[0], *at_k, np.exp(1j * (at_k[1] @ zero)),
+                        cell.area2)
+        _spectral_terms(w_g[2][:, ::-1], inside, -at_k[1], *at_k[2:],
+                        unit.conj(), cell.area2)
+        ph_ab = _bloch_phase(t_ab, k)
+        ph_ba = ph_ab.conj()
+        n_spectral = 3 * t_k
+        if tie.any():
+            # a tie's -k sums its own kernels, the rows after the first n
+            tied = np.zeros_like(inside)
+            tied[tie] = kn.inside[n:]
+            qv = kn.qv[t_k:]
+            w_g[2][tie] = 0.0
+            _spectral_terms(w_g[2], tied, qv, kn.kern[t_k:], kn.zker[t_k:],
+                            np.exp(1j * (qv @ rho)), cell.area2)
+            ph_ba[tie] = _bloch_phase(t_ab, neg[tie])
+            n_spectral += len(qv) - int(np.count_nonzero(inside[tie]))
+        w_r = [_spatial_terms(t_same, _bloch_phase(t_same, k)),
+               _spatial_terms(t_ab, np.concatenate([ph_ab, ph_ba]))]
+
+    w_g = w_g.reshape((-1,) + w_g.shape[2:])
+    total = w_g.sum(axis=1) + np.concatenate([w.sum(axis=1) for w in w_r])
+    if t_same is not None:
+        total[:n] += t_same.self_term
     d = _dyadic(total, retarded)
     # each omitted term is below tol/10 of the leading scale, so the tail
     # is bounded by tol/10 times the summed magnitudes, component-wise
-    magnitude = _dyadic(np.abs(w_g).sum(axis=1) + np.abs(w_r).sum(axis=1),
+    magnitude = _dyadic(np.abs(w_g).sum(axis=1)
+                        + np.concatenate([np.abs(w).sum(axis=1) for w in w_r]),
                         retarded)
     est = 0.1 * tol * _norms(magnitude) / _norms(d)
     return LatticeSumResult(
-        D=d.reshape(lead + (3, 3)),
-        n_spatial=w_r.shape[0] * w_r.shape[1],
-        n_spectral=int(np.count_nonzero(inside)),
+        D=d.reshape(((3,) if bloch else ()) + lead + (3, 3)),
+        n_spatial=sum(w.shape[0] * w.shape[1] for w in w_r),
+        n_spectral=n_spectral,
         est_error=float(est.max(initial=0.0)),
         k_reduced=k.reshape(lead + (2,)),
-        n_propagating=n_prop.reshape(lead) if lead else int(n_prop[0]),
+        n_propagating=(kn.n_prop[:n].reshape(lead) if lead
+                       else int(kn.n_prop[0])),
     )
 
 

@@ -31,11 +31,14 @@ BETA_C_OOP_M = 0.840599
 BETA_C_IP01_M = 0.587086
 
 
-# Bloch solves of find_degeneracies(build_lattice(0.1, 0.9), OUT_OF_PLANE,
-# (0, 1)): the whole 48 x 48 grid (2,304) plus the Newton refinement of its
-# 3 seeds (129). Seeding inside the radiative disk made it 3,202 (13 seeds),
-# the Nelder-Mead refinement 6,032.
+# Bloch solves (k-points) of find_degeneracies(build_lattice(0.1, 0.9),
+# OUT_OF_PLANE, (0, 1)): the whole 48 x 48 grid (2,304) plus the Newton
+# refinement of its 3 seeds (129). Seeding inside the radiative disk made it
+# 3,202 (13 seeds), the Nelder-Mead refinement 6,032. They take 46 solve_k
+# calls: one for the grid and 45 for the refinement, which solves the five
+# stencil points of an iteration in one call (129 one-point calls before).
 FIND_SOLVES_09 = 2433
+FIND_CALLS_09 = 50
 
 
 def _nelder_mead(gap, k0pt, scale, xatol):
@@ -47,17 +50,26 @@ def _nelder_mead(gap, k0pt, scale, xatol):
     return np.asarray(res.x, dtype=float), float(res.fun)
 
 
+class _Search(tuple):
+    """(found, k-points solved, refinements) of _recorded_search, with the
+    number of solve_k calls as .calls."""
+
+    calls: int
+
+
 def _recorded_search(spec, block, pair):
     """find_degeneracies, counting its Bloch solves (the k-points of the
     coarse grid's batch in bloch and of the refinement in dispersion) and
-    recording each refinement as (gap, seed, scale, xatol, (k, gap(k)))."""
-    solves = [0]
+    the solve_k calls, and recording each refinement as (gap, seed, scale,
+    xatol, (k, gap(k)))."""
+    solves = [0, 0]
     refinements = []
     solve_k = bloch.solve_k
     refine = dispersion._refine_minimum
 
     def counting_solve(spec, k, *args, **kwargs):
         solves[0] += len(np.atleast_2d(k))
+        solves[1] += 1
         return solve_k(spec, k, *args, **kwargs)
 
     def recording_refine(gap, seed, scale, xatol):
@@ -70,7 +82,9 @@ def _recorded_search(spec, block, pair):
         mp.setattr(dispersion, "solve_k", counting_solve)
         mp.setattr(dispersion, "_refine_minimum", recording_refine)
         found = find_degeneracies(spec, block, pair)
-    return found, solves[0], refinements
+    search = _Search((found, solves[0], refinements))
+    search.calls = solves[1]
+    return search
 
 
 def _seeds_near(spec, refinements, targets):
@@ -222,6 +236,26 @@ def test_find_solve_count_bounded(search_09):
     _, solves, refinements = search_09
     assert len(refinements) == 3
     assert solves <= 1.1 * FIND_SOLVES_09
+
+
+def test_find_solve_calls_bounded(search_09):
+    # one call for the grid, then one per Newton stencil and per trial step
+    assert search_09.calls <= FIND_CALLS_09
+
+
+def test_gap_batch_rows_match_one_point_calls():
+    # a zone vertex, a point moved by a reciprocal vector, a light-line
+    # point and generic ones, in both blocks
+    spec = build_lattice(0.1, 0.9)
+    recip = reciprocal(spec)
+    ks = np.array([recip.K, recip.M + recip.b1, [2.0 * np.pi, 0.0],
+                   [3.0, 17.0], [-20.0, 8.0]])
+    for block, pair in ((OUT_OF_PLANE, (0, 1)), (IN_PLANE, (1, 2))):
+        gap = dispersion.make_gap_function(spec, block, pair)
+        batch = gap(ks)
+        assert batch.shape == (len(ks),)
+        for n, k in enumerate(ks):
+            assert batch[n] == gap(k)
 
 
 def test_refinement_matches_nelder_mead_at_cones(search_09):

@@ -252,6 +252,117 @@ def test_special_function_backends_vs_mpmath():
         assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
 
+def _mp_bloch_sums(spec, k, mode):
+    """[D_same, D_ab, D_ba] at k by Ewald summation in mpmath at 30 digits.
+
+    A reference that shares only the method with the engine: one term at a
+    time, mpmath's erfc, D_ba summed at rho = -d (not as D_ab(-k)), the
+    splitting 3.5/|a1| (the engine's is sqrt(pi)/|a1|), both series out to
+    a Gaussian exponent of 36, and the R = 0 exclusion differentiated
+    numerically.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        a1, a2, d, kv = ([mp.mpf(float(x)) for x in v]
+                         for v in (spec.a1, spec.a2, spec.basis_offset, k))
+        kq = 2 * mp.pi if mode == "retarded" else mp.mpf(0)  # in the kernels
+        cross = a1[0] * a2[1] - a1[1] * a2[0]
+        b1 = [2 * mp.pi * a2[1] / cross, -2 * mp.pi * a2[0] / cross]
+        b2 = [-2 * mp.pi * a1[1] / cross, 2 * mp.pi * a1[0] / cross]
+        e = 3.5 / mp.norm(a1)
+        b = kq / (2 * e)
+        depth = 36
+        gauss = 2 * e / mp.sqrt(mp.pi)
+        area2 = abs(2 * cross)
+
+        def disk(u, v, centre, reach):
+            """(n, centre + n0 u + n1 v) over the integer n in the disk."""
+            side = min(abs(u[0] * v[1] - u[1] * v[0]) / mp.norm(w)
+                       for w in (u, v))
+            m = int(mp.ceil((reach + mp.norm(centre)) / side)) + 1
+            for i in range(-m, m + 1):
+                for j in range(-m, m + 1):
+                    x = [centre[c] + i * u[c] + j * v[c] for c in (0, 1)]
+                    if x[0] ** 2 + x[1] ** 2 <= reach ** 2:
+                        yield (i, j), x
+
+        def spectral(rhos):
+            """(S, Txx, Txy, Tyy, Tzz) of each offset."""
+            out = [[mp.mpc(0)] * 5 for _ in rhos]
+            for _, q in disk(b1, b2, kv, mp.sqrt(kq**2 + 4 * e**2 * depth)):
+                qq = q[0] ** 2 + q[1] ** 2
+                gam = (mp.sqrt(qq - kq**2) if qq > kq**2
+                       else -1j * mp.sqrt(kq**2 - qq))
+                kern = mp.erfc(gam / (2 * e)) / gam
+                terms = (kern, -kern * q[0] ** 2, -kern * q[0] * q[1],
+                         -kern * q[1] ** 2,
+                         gam**2 * kern - gauss * mp.exp(-(gam / (2 * e)) ** 2))
+                for acc, rho in zip(out, rhos):
+                    ph = mp.expj(q[0] * rho[0] + q[1] * rho[1]) / area2
+                    for c in range(5):
+                        acc[c] += ph * terms[c]
+            return out
+
+        def spatial(rho):
+            acc = [mp.mpc(0)] * 5
+            for n, x in disk(a1, a2, rho, mp.sqrt(depth + b**2) / e):
+                r = mp.norm(x)
+                if r == 0:
+                    continue
+                # phi = f/r, f = e^{ikr} erfc(rE + ik/2E)
+                #                + e^{-ikr} erfc(rE - ik/2E)
+                ep = mp.expj(kq * r) * mp.erfc(r * e + 1j * b)
+                em = mp.expj(-kq * r) * mp.erfc(r * e - 1j * b)
+                g = 2 * gauss * mp.exp(b**2 - (r * e) ** 2)
+                f = ep + em
+                fp = 1j * kq * (ep - em) - g
+                fpp = -(kq**2) * f + 2 * r * e**2 * g
+                dphi = fp / r - f / r**2
+                c2 = fpp / r - 2 * fp / r**2 + 2 * f / r**3 - dphi / r
+                ux, uy = x[0] / r, x[1] / r
+                kr = sum(kv[c] * (n[0] * a1[c] + n[1] * a2[c]) for c in (0, 1))
+                ph = mp.expj(-kr) / (8 * mp.pi)
+                for c, term in enumerate((
+                        f / r, dphi / r + c2 * ux * ux, c2 * ux * uy,
+                        dphi / r + c2 * uy * uy, dphi / r)):
+                    acc[c] += ph * term
+            return acc
+
+        rhos = ([mp.mpf(0)] * 2, d, [-x for x in d])
+        sums = [[gc + rc for gc, rc in zip(g, spatial(rho))]
+                for rho, g in zip(rhos, spectral(rhos))]
+        # the R = 0 exclusion: the screened kernel minus the free one is
+        # (u(r) - u(-r))/(8 pi r) = h0 + h2 r^2 + ..., u(r) = e^{-ikr}
+        # erfc(rE - ik/2E); S gains h0 and each diagonal of T gains 2 h2
+        u = lambda r: mp.expj(-kq * r) * mp.erfc(r * e - 1j * b)  # noqa: E731
+        h0 = mp.diff(u, 0, 1) / (4 * mp.pi)
+        t2 = mp.diff(u, 0, 3) / (12 * mp.pi)
+        for c, h in enumerate((h0, t2, 0, t2, t2)):
+            sums[0][c] += h
+        out = []
+        for s, txx, txy, tyy, tzz in sums:
+            dd = np.array([[txx, txy, 0], [txy, tyy, 0], [0, 0, tzz]],
+                          dtype=complex) / K0**2
+            if mode == "retarded":
+                dd += complex(s) * np.eye(3)
+            out.append(dd)
+        return np.array(out)
+
+
+@pytest.mark.parametrize("mode", ["retarded", "quasistatic"])
+def test_bloch_sums_match_mpmath_reference(mode):
+    # at two zone vertices (M is a zone-boundary tie of -k), and at one k
+    # outside and one inside the light cone
+    spec = build_lattice(0.1, 0.9)
+    recip = reciprocal(spec)
+    for k in (recip.K, recip.M, [9.7, 13.1], [1.3, 2.1]):
+        got = _ewald(spec, np.asarray(k), "bloch", mode).D
+        want = _mp_bloch_sums(spec, k, mode)
+        for d_got, d_want in zip(got, want):
+            dev = np.linalg.norm(d_got - d_want) / np.linalg.norm(d_want)
+            assert dev <= 1e-12, (k, dev)
+
+
 # -- per-lattice tables --------------------------------------------------------
 # The reference below is the per-call series that the tables replaced: every
 # ewald_sum rebuilt its disks and kernels. The tabled engine must return the
@@ -409,6 +520,53 @@ def test_tables_match_per_call_series(d0, beta, offset, mode, scale, k_at,
     _clear_tables()
     _assert_same_bits(_outcome(ewald_sum, req), want)  # cold
     _assert_same_bits(_outcome(ewald_sum, req), want)  # warm
+
+
+@settings(max_examples=40, deadline=None)
+@given(d0=st.floats(0.05, 0.3), beta=st.floats(BETA_MIN, BETA_MAX),
+       mode=st.sampled_from(("retarded", "quasistatic")),
+       fracs=st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+                      max_size=4),
+       shift=st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+       phi=st.floats(0.0, 2.0 * np.pi), at=st.integers(0, 10))
+def test_bloch_offset_matches_single_offsets(d0, beta, mode, fracs, shift,
+                                             phi, at):
+    # the zone vertices moved by a reciprocal vector (-k of M reduces to a
+    # zone-boundary tie), random k and one row on the light line
+    spec = build_lattice(d0, beta)
+    recip = reciprocal(spec)
+    g = shift[0] * recip.b1 + shift[1] * recip.b2
+    ks = [f0 * recip.b1 + f1 * recip.b2 for f0, f1 in fracs]
+    ks += [recip.point(v) + g for v in _VERTICES]
+    light = min(at, len(ks))
+    ks.insert(light, K0 * np.array([np.cos(phi), np.sin(phi)]))
+    ks = np.array(ks)
+    retarded = mode == "retarded"
+    sum_ks = np.delete(ks, light, axis=0) if retarded else ks
+
+    def bits(a):
+        return np.asarray(a).shape, np.asarray(a).tobytes()
+
+    for k in (sum_ks, sum_ks[at % len(sum_ks)]):  # a batch and one point
+        got = _ewald(spec, k, "bloch", mode)
+        want = [_ewald(spec, k, "same", mode), _ewald(spec, k, "a_to_b", mode),
+                _ewald(spec, -k, "a_to_b", mode)]
+        assert got.D.shape == (3,) + want[0].D.shape
+        for d, w in zip(got.D, want):
+            assert bits(d) == bits(w.D)
+        assert bits(got.k_reduced) == bits(want[0].k_reduced)
+        assert bits(got.n_propagating) == bits(want[0].n_propagating)
+        assert got.n_spatial + got.n_spectral == sum(
+            w.n_spatial + w.n_spectral for w in want)
+        assert got.est_error == max(w.est_error for w in want)
+    if retarded:
+        with pytest.raises(RayleighAnomaly) as want:
+            _ewald(spec, ks, "same", mode)
+        with pytest.raises(RayleighAnomaly) as got:
+            _ewald(spec, ks, "bloch", mode)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+        assert bits(got.value.direction) == bits(want.value.direction)
 
 
 def test_tables_shared_across_beta():
