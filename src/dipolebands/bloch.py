@@ -17,9 +17,9 @@ energy relative to the emitter resonance in linewidth units and decay is
 the radiative width gamma_k in units of the single-emitter linewidth.
 
 In-plane displacements decouple the two z polarizations from the four
-in-plane ones exactly; the 2x2 out-of-plane block is solved in closed form
-and the 4x4 in-plane block densely. BLOCKS is the band-slot layout of every
-BandSet and BandGrid: in-plane bands in slots 0-3, out-of-plane in 4-5.
+in-plane ones exactly; the 2x2 out-of-plane and the 4x4 in-plane block are
+each solved densely. BLOCKS is the band-slot layout of every BandSet and
+BandGrid: in-plane bands in slots 0-3, out-of-plane in 4-5.
 Bands along a path are connected within each block by maximal eigenvector
 overlap so that true crossings are preserved.
 
@@ -172,43 +172,13 @@ def assemble(spec: LatticeSpec, k, mode: str = "retarded") -> BlochMatrix:
                        else bool(inside[0]))
 
 
-def _eig_out_of_plane(m2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form eigenpairs of each [[a, b], [c, a]] block of m2 (N, 2, 2).
-
-    Returns (N, 2) eigenvalues and (N, 2, 2) eigenvectors as columns.
-    """
-    a, b, c = m2[:, 0, 0], m2[:, 0, 1], m2[:, 1, 0]
-    mag = np.abs(m2.reshape(-1, 4)[:, :3])  # |a|, |b|, |c|
-    scale = np.maximum(mag.max(axis=1), 1e-300)
-    # b c in scalar arithmetic, row by row: the array product can differ in
-    # the last bit
-    s = np.sqrt(np.array([bi * ci for bi, ci in zip(b, c)], dtype=complex))
-    vals = np.array([a - s, a + s])
-    vecs = np.array([[b, b], [-s, s]])  # columns (b, -s) and (b, s)
-    norms = np.sqrt((vecs.conj() * vecs).real.sum(axis=0))
-    # b = c = 0: already diagonal. b == 0 with c != 0 (or vice versa): a
-    # defective block, the closed form has no second eigenvector.
-    diagonal = mag[:, 1:].max(axis=1) < 1e-14 * scale
-    special = diagonal | (norms.min(axis=0) < 1e-14 * scale)
-    norms[:, special] = 1.0
-    vals, vecs = vals.T, (vecs / norms).transpose(2, 0, 1)
-    for i in np.nonzero(special)[0]:
-        if diagonal[i]:
-            vecs[i] = np.eye(2)
-        else:  # defer to the dense solver
-            dvals, dvecs = np.linalg.eig(m2[i])
-            order = np.argsort(dvals.real)
-            vals[i], vecs[i] = dvals[order], dvecs[:, order]
-    return vals, vecs
-
-
 def eigensolve(bm: BlochMatrix) -> BandSet:
     """Diagonalize a Bloch matrix, or a batch, into a BandSet (BLOCKS layout).
 
-    The in-plane 4x4 block is solved with a dense solver (one batched call)
-    into slots 0-3 and the out-of-plane 2x2 block in closed form into slots
-    4-5, each block sorted by detuning (stable sort). Every eigenpair must
-    satisfy ||m v - lam v|| <= 1e-10 ||m||. The BandSet has arclength 0 and
+    Each block is solved densely, in one batched call over the rows: the
+    in-plane 4x4 into slots 0-3 and the out-of-plane 2x2 into slots 4-5,
+    each sorted by detuning (stable sort). Every eigenpair must satisfy
+    ||m v - lam v|| <= 1e-10 ||m||. The BandSet has arclength 0 and
     anomalous False; path position and light-line nudges belong to the
     callers (bands_on_path, solve_k).
 
@@ -220,9 +190,8 @@ def eigensolve(bm: BlochMatrix) -> BandSet:
     rows = np.arange(len(m))[:, None]
     vals = np.zeros((len(m), 6), dtype=complex)
     vecs = np.zeros((len(m), 6, 6), dtype=complex)
-    for tag, solver in ((IN_PLANE, np.linalg.eig),
-                        (OUT_OF_PLANE, _eig_out_of_plane)):
-        w, v = solver(m[_BLOCK[tag]])
+    for tag in SLOTS:
+        w, v = np.linalg.eig(m[_BLOCK[tag]])
         order = np.argsort(w.real, axis=1, kind="stable")
         vals[:, SLOTS[tag]] = w[rows, order]
         # column order[n, j] of v[n] into slot j

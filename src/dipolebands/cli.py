@@ -179,8 +179,10 @@ def resolve_config(file_updates: dict, flag_updates: dict) -> RunConfig:
         val = getattr(cfg, name)
         if val is not None and not 0.0 < val < np.inf:
             raise ConfigError(f"{name} must be positive and finite, got {val}")
-    if cfg.d0 < lattice.D0_MIN:
-        raise ConfigError(f"d0={cfg.d0} below {lattice.D0_MIN}")
+    if not lattice.D0_MIN <= cfg.d0 <= lattice.D0_MAX:
+        raise ConfigError(f"d0={cfg.d0} outside "
+                          f"[{lattice.D0_MIN}, {lattice.D0_MAX}]")
+    _check_k_size(cfg)
     n_bands = bloch.BLOCKS.count(cfg.block)
     if n_bands and cfg.pair[1] >= n_bands:
         raise ConfigError(
@@ -190,6 +192,21 @@ def resolve_config(file_updates: dict, flag_updates: dict) -> RunConfig:
         raise ConfigError(
             f"n_per_segment must be >= 2, got {cfg.n_per_segment}")
     return cfg
+
+
+def _check_k_size(cfg: RunConfig) -> None:
+    """Reject a numeric k_point, grid or region coordinate beyond
+    lattice.K_MAX_FRAC |b1|."""
+    coords = list(cfg.region or ()) + list(cfg.grid[:4] if cfg.grid else ())
+    try:
+        coords += _parse_floats(cfg.k_point or "", 2)
+    except ValueError:
+        pass  # no k_point, a label, or a bad one that _resolve_k reports
+    recip = lattice.reciprocal(lattice.build_lattice(cfg.d0, cfg.beta))
+    k_max = lattice.K_MAX_FRAC * float(np.linalg.norm(recip.b1))
+    if any(abs(c) > k_max for c in coords):
+        raise ConfigError(f"k coordinates must be within +-{k_max:.6g} "
+                          f"({lattice.K_MAX_FRAC:g} |b1|)")
 
 
 def _config_dict(cfg: RunConfig) -> dict:

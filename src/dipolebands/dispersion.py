@@ -231,9 +231,10 @@ def find_degeneracies(spec: LatticeSpec, block: str, band_pair,
 
     Coarse grid scan (grid_n x grid_n) of search_region = (kx_min, kx_max,
     ky_min, ky_max), Newton refinement of gap^2 from every coarse local
-    minimum (_refine_minimum, trust radius half a grid spacing), filtering
-    at eps_deg, duplicate merging modulo reciprocal vectors, and
-    reconstruction of the ky -> -ky mirror images.
+    minimum (_refine_minimum, trust radius half a grid spacing; of two
+    neighbouring grid points with exactly equal gaps only the first in
+    grid order seeds), filtering at eps_deg, duplicate merging modulo
+    reciprocal vectors, and reconstruction of the ky -> -ky mirror images.
 
     The coarse grid comes from bloch.bands_on_grid. With the default
     region in retarded mode, no seed is taken in the radiative neighborhood
@@ -275,7 +276,10 @@ def find_degeneracies(spec: LatticeSpec, block: str, band_pair,
     neigh = np.stack([pad[i0:i0 + grid_n, j0:j0 + grid_n]
                       for i0 in (0, 1, 2) for j0 in (0, 1, 2)
                       if (i0, j0) != (1, 1)])
-    is_min = vals <= neigh.min(axis=0)
+    # strictly below the four neighbours before it in grid order, at or
+    # below the four after it: of two exactly tied minima, only the first
+    # seeds
+    is_min = (vals < neigh[:4].min(axis=0)) & (vals <= neigh[4:].min(axis=0))
     is_min &= ~_excluded(*np.meshgrid(grid.kx, grid.ky, indexing="ij"))
     seeds = [np.array([grid.kx[i], grid.ky[j]])
              for i, j in zip(*np.nonzero(is_min))]

@@ -22,6 +22,13 @@ BETA_MAX = 1.7321
 # 1e-20 the gap refinement overflows, below about 1e-52 the Bloch solve and
 # the lattice sums do. No probe of the six CLI commands overflowed at 1e-15.
 D0_MIN = 1e-12
+# Largest accepted d0. From about 25 the Ewald disks need lattice indices
+# past the lattice sums' cap (a numerical failure); near 1e154 |a1|^2
+# overflows.
+D0_MAX = 1e3
+# Largest k coordinate the CLI accepts, in units of |b1|: reduce_to_bz
+# loses about |k| eps to rounding, below 1e-9 |b1| up to here.
+K_MAX_FRAC = 1e6
 
 # The standard plotting path: one straight vertical segment through the zone.
 FIGURE_PATH = ("M_bottom", "Kprime", "Gamma", "K", "M_top")
@@ -130,7 +137,7 @@ def solve_intracell_distance(d0: float, beta: float) -> float:
         t = 6 beta d0 / (3 beta + sqrt(3 (4 - beta^2)))
 
     Args:
-        d0: Cell length scale, finite and >= D0_MIN.
+        d0: Cell length scale in [D0_MIN, D0_MAX].
         beta: Anisotropy ratio in [BETA_MIN, BETA_MAX].
 
     Returns:
@@ -138,11 +145,11 @@ def solve_intracell_distance(d0: float, beta: float) -> float:
 
     Raises:
         BetaOutOfRange: beta outside [BETA_MIN, BETA_MAX].
-        ValueError: d0 not finite or below D0_MIN.
+        ValueError: d0 outside [D0_MIN, D0_MAX] (NaN included).
     """
     _check_beta(beta)
-    if not D0_MIN <= d0 < np.inf:
-        raise ValueError(f"d0 must be finite and at least {D0_MIN}, got {d0}")
+    if not D0_MIN <= d0 <= D0_MAX:
+        raise ValueError(f"d0 must be in [{D0_MIN}, {D0_MAX}], got {d0}")
     return 6.0 * beta * d0 / (3.0 * beta + np.sqrt(3.0 * (4.0 - beta * beta)))
 
 

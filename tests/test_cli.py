@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dipolebands import dispersion
 from dipolebands.cli import ConfigError, load_config_file, main, resolve_config
 from dipolebands.dispersion import DegeneracyReport
 from dipolebands.lattice import D0_MIN, build_lattice, reciprocal
@@ -69,6 +70,25 @@ def test_resolve_config_validates_ranges():
         resolve_config({}, {"mode": "psychic"})
     with pytest.raises(ConfigError):
         resolve_config({}, {"pair": "2,1"})
+
+
+@pytest.mark.parametrize("updates", [
+    {"d0": "1000.5"}, {"d0": "1000", "k_point": "0,4.2e3"},
+    {"grid": "-4.2e7,0,0,1,2,2"}, {"region": "0,1,0,4.2e7"},
+])
+def test_resolve_config_bounds_d0_and_k(updates):
+    # decided with the config, before a command solves anything: d0 at
+    # most D0_MAX, k coordinates at most K_MAX_FRAC |b1| (4.19e7 at the
+    # default d0 0.1, 4.19e3 at d0 1000)
+    with pytest.raises(ConfigError):
+        resolve_config({}, updates)
+
+
+def test_resolve_config_accepts_d0_and_k_at_their_bounds():
+    cfg = resolve_config({}, {"d0": "1000", "k_point": "4.1e3,-4.1e3",
+                              "region": "-4.1e3,4.1e3,0,1"})
+    assert cfg.d0 == 1000.0
+    assert resolve_config({}, {"k_point": "Kprime"}).k_point == "Kprime"
 
 
 # -- subcommands -------------------------------------------------------------
@@ -204,6 +224,27 @@ def test_find_cones_json(capsys):
     assert rep["tilt_ratio"] < 0.05
 
 
+def test_find_cones_searches_every_pair_by_default(capsys, monkeypatch):
+    # block=all searches the out-of-plane pair, then the in-plane pairs in
+    # band order; a 12 x 12 grid keeps the four searches fast
+    searched = []
+    find = dispersion.find_degeneracies
+
+    def recording_find(spec, block, pair, *args):
+        searched.append((block, pair))
+        return find(spec, block, pair, *args, grid_n=12)
+
+    monkeypatch.setattr(dispersion, "find_degeneracies", recording_find)
+    code, out = run_cli(["find-cones", "--set", "region=-1,1,23,25"], capsys)
+    assert code == 0
+    assert searched == [("out_of_plane", (0, 1)), ("in_plane", (0, 1)),
+                        ("in_plane", (1, 2)), ("in_plane", (2, 3))]
+    # the Dirac points at K of the out-of-plane and the middle in-plane pair
+    reports = json.loads(out)["reports"]
+    assert [(r["block"], r["band_pair"], r["kind"]) for r in reports] == [
+        ("out_of_plane", [0, 1], "dirac_I"), ("in_plane", [1, 2], "dirac_I")]
+
+
 def test_classify_at_explicit_point(capsys):
     code, out = run_cli(
         ["classify", "--block", "out_of_plane", "--format", "json",
@@ -325,6 +366,15 @@ _SWEEP = ["sweep-beta", "--block", "in_plane"]
     ["bands", "--set", "d0=1e-60", "--set", "n_per_segment=2"],
     ["bands", "--set", "d0=1e-150", "--set", "n_per_segment=2"],
     ["bands", "--set", "d0=1e-200", "--set", "n_per_segment=2"],
+    # far above D0_MAX a dot product overflows (1e160) or the Ewald
+    # splitting comes out 0 (1e308)
+    ["bands", "--set", "d0=1e160", "--set", "n_per_segment=2"],
+    ["bands", "--set", "d0=1e308", "--set", "n_per_segment=2"],
+    # k beyond K_MAX_FRAC |b1|: the zone reduction overflows or rounds k
+    ["convergence", "--set", "k_point=1e308,1e308"],
+    ["convergence", "--set", "k_point=1e20,3"],
+    ["surface", "--set", "grid=0,1e308,0,1,2,2"],
+    ["find-cones", "--set", "region=0,1e308,0,1"],
 ])
 def test_exit_code_bad_config(argv, capsys):
     code, _ = run_cli(argv, capsys)

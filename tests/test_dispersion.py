@@ -243,6 +243,43 @@ def test_find_solve_calls_bounded(search_09):
     assert search_09.calls <= FIND_CALLS_09
 
 
+@pytest.mark.parametrize("field, seed", [
+    (lambda i, j: (i - 2.5) ** 2 + (j - 2) ** 2, (2, 2)),  # tied along kx
+    (lambda i, j: (i - 2) ** 2 + (j - 2.5) ** 2, (2, 2)),  # tied along ky
+    (lambda i, j: (i - 2.5) ** 2 + (j - 2.5) ** 2 + (i + j - 5) ** 2,
+     (2, 3)),  # tied on a diagonal
+    (lambda i, j: (i - 2) ** 2 + (j - 3) ** 2, (2, 3)),  # strict minimum
+], ids=["kx_tie", "ky_tie", "diagonal_tie", "strict"])
+def test_tied_grid_minima_seed_once(monkeypatch, field, seed):
+    # a faked coarse grid whose gap has one minimum, or two exactly tied
+    # neighbouring ones: one refinement, from the first in grid order
+    n = 6
+    kx, ky = np.arange(n, dtype=float), np.arange(n, dtype=float)
+    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    detuning = np.zeros((n, n, 6))
+    detuning[:, :, 5] = field(i, j)
+
+    def fake_grid(spec, gx, gy, mode):
+        return bloch.BandGrid(kx=kx, ky=ky, detuning=detuning,
+                              decay=np.zeros((n, n, 6)), block=bloch.BLOCKS,
+                              in_light_cone=np.zeros((n, n), bool),
+                              anomalous=np.zeros((n, n), bool))
+
+    seeds = []
+
+    def recording_refine(gap, k0pt, scale, xatol):
+        seeds.append(tuple(k0pt))
+        return k0pt, 1.0  # gapped: nothing is reported
+
+    monkeypatch.setattr(dispersion, "bands_on_grid", fake_grid)
+    monkeypatch.setattr(dispersion, "_refine_minimum", recording_refine)
+    found = find_degeneracies(build_lattice(0.1, 0.9), OUT_OF_PLANE, (0, 1),
+                              search_region=(0.0, n - 1.0, 0.0, n - 1.0),
+                              grid_n=n)
+    assert found == []
+    assert seeds == [seed]
+
+
 def test_gap_batch_rows_match_one_point_calls():
     # a zone vertex, a point moved by a reciprocal vector, a light-line
     # point and generic ones, in both blocks

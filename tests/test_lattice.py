@@ -89,9 +89,10 @@ def test_beta_bounds_enforced():
         build_lattice(-0.1, 1.0)
 
 
-# far below D0_MIN the solve (1e-60, 1e-150) or sample_path overflows
+# far below D0_MIN the solve (1e-60, 1e-150) or sample_path overflows, far
+# above D0_MAX |a1|^2 does (1e160, 1e308)
 @pytest.mark.parametrize("d0", [np.nan, np.inf, -np.inf, 0.0, 1e-60, 1e-150,
-                                1e-200])
+                                1e-200, 1e4, 1e160, 1e308])
 def test_rejects_non_finite_or_non_positive_d0(d0):
     with pytest.raises(ValueError, match="d0"):
         build_lattice(d0, 1.0)
