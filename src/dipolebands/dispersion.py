@@ -2,7 +2,9 @@
 
 A degeneracy of a band pair is located by a coarse gap scan over a k-region
 followed by a deterministic, safeguarded Newton descent of gap(k)^2, which is
-smooth with a zero minimum where the bands touch (see _refine_minimum).
+smooth with a zero minimum where the bands touch (see _refine_minimum). The
+default region, the upper half zone, is scanned on its kx >= 0 half only:
+the lattice's kx and ky mirrors give the rest (see find_degeneracies).
 Around a degeneracy the two bands behave like
 
     omega_+-(q) = m0 + w . q +- sqrt(q . A q)   (+ higher order)
@@ -163,35 +165,44 @@ def default_search_region(spec: LatticeSpec):
     return (-mx, mx, 0.0, ky)
 
 
-def _refine_minimum(gap, k0pt, scale, xatol):
+def _in_box(k, box) -> bool:
+    """Whether k lies in box = (kx_min, kx_max, ky_min, ky_max)."""
+    return box[0] <= k[0] <= box[1] and box[2] <= k[1] <= box[3]
+
+
+def _refine_minimum(gap, k0pt, scale, xatol, box=None):
     """Safeguarded Newton descent of f(k) = gap(k)^2; returns (k, gap(k)).
 
     Where two bands touch, gap^2 = 4|d(q)|^2 is smooth with a zero minimum:
     Newton converges quadratically at a Dirac point and linearly along the
     flat axis of a semi-Dirac point. f at k, k +- h x, k +- h y and
-    k + h(x + y) gives gradient and Hessian, h being the last step length;
-    those five points are one batched gap call, so an iteration costs one
-    call plus one per trial step.
+    k + h(s x + y) gives gradient and Hessian, h being the last step length
+    and s the sign of the start point's kx (+1 at kx = 0): the descent from
+    the kx mirror image of a start point is then the mirror image of the
+    descent from it, to rounding. Those five points are one batched gap
+    call, so an iteration costs one call plus one per trial step.
     The Newton step (steepest descent where the Hessian is not positive
     definite, or is singular to the solver) is cut to `scale` and halved
     until f goes down; if no step longer than xatol does, a stencil wider
     than xatol narrows to xatol and the iteration repeats. The descent ends
     there on a narrower stencil, on a step below xatol from a stencil no
     wider, on a drop of f below DROP_RTOL of f (a kink of the gap, not a
-    touching point), or after NEWTON_MAX_ITER iterations.
+    touching point), on a step that lands outside box (kx_min, kx_max,
+    ky_min, ky_max) when one is given, or after NEWTON_MAX_ITER iterations.
     """
     k = np.asarray(k0pt, dtype=float)
     g = gap(k)
     h = scale
     ex, ey = np.eye(2)
+    s = 1.0 if k[0] >= 0.0 else -1.0
     for _ in range(NEWTON_MAX_ITER):
         f0 = g * g
         # each gap squared as a scalar, as for one point: the array
         # square can differ from it in the last bit
         fpx, fmx, fpy, fmy, fxy = (x ** 2 for x in gap(k + np.array([
-            h * ex, -h * ex, h * ey, -h * ey, h * (ex + ey)])))
+            h * ex, -h * ex, h * ey, -h * ey, h * (s * ex + ey)])))
         grad = np.array([fpx - fmx, fpy - fmy]) / (2.0 * h)
-        hxy = fxy - fpx - fpy + f0
+        hxy = s * (fxy - (fpx if s > 0.0 else fmx) - fpy + f0)
         hess = np.array([[fpx - 2.0 * f0 + fmx, hxy],
                          [hxy, fpy - 2.0 * f0 + fmy]]) / h**2
         try:
@@ -213,7 +224,8 @@ def _refine_minimum(gap, k0pt, scale, xatol):
             g_new = gap(k + step)
         if g_new * g_new < f0:
             k, g = k + step, g_new
-            if length < xatol and h <= xatol or f0 - g * g <= DROP_RTOL * f0:
+            if (length < xatol and h <= xatol or f0 - g * g <= DROP_RTOL * f0
+                    or box is not None and not _in_box(k, box)):
                 break
             h = max(length, STENCIL_FLOOR * xatol)
         elif h > xatol:
@@ -233,16 +245,23 @@ def find_degeneracies(spec: LatticeSpec, block: str, band_pair,
     ky_min, ky_max), Newton refinement of gap^2 from every coarse local
     minimum (_refine_minimum, trust radius half a grid spacing; of two
     neighbouring grid points with exactly equal gaps only the first in
-    grid order seeds), filtering at eps_deg, duplicate merging modulo
-    reciprocal vectors, and reconstruction of the ky -> -ky mirror images.
+    grid order seeds), filtering at eps_deg, and duplicate merging modulo
+    reciprocal vectors. A descent ends once it steps out of the region
+    widened by two grid spacings, where its result would be dropped.
 
-    The coarse grid comes from bloch.bands_on_grid. With the default
-    region in retarded mode, no seed is taken in the radiative neighborhood
+    The coarse grid comes from bloch.bands_on_grid. The default region is
+    the upper half zone, which the lattice's two mirrors fill out: kx ->
+    -kx maps the band structure onto itself as well as ky -> -ky. So only
+    its columns with kx >= 0 are solved and seed (the centre column of an
+    odd grid_n once), and the kx, ky and (kx, ky) mirror images of the
+    merged points are added to the reports. With the default region in
+    retarded mode, no seed is taken in the radiative neighborhood
     |k| < 1.1 k0 and refined points that end there are dropped: there the
     branch hugging the light line crosses the other bands, which would
     otherwise swamp the search with near-light-cone degeneracies. Grid
     points inside it are still solved and count as neighbors of the seeds
-    around it. Pass an explicit search_region to probe that neighborhood.
+    around it. Pass an explicit search_region to probe that neighborhood;
+    it is scanned literally, on the full grid and with no mirror added.
 
     Returns:
         Location-and-gap reports sorted by (gap, kx, ky); empty if gapped.
@@ -267,13 +286,20 @@ def find_degeneracies(spec: LatticeSpec, block: str, band_pair,
     def _excluded(kx, ky):
         return exclude_radiative & (np.hypot(kx, ky) < 1.1 * K0)
 
-    grid = bands_on_grid(spec, np.linspace(region[0], region[1], grid_n),
-                         np.linspace(region[2], region[3], grid_n), mode)
+    # The default region is symmetric in kx: solve its columns from the
+    # centre out. The +inf pad left of the first of them drops no seed
+    # test: its left neighbours would be mirror twins of its own column
+    # (even grid_n) or of the column to its right (odd), and the tests
+    # against those columns already imply "at or below" the twins.
+    first = grid_n // 2 if search_region is None else 0
+    grid = bands_on_grid(
+        spec, np.linspace(region[0], region[1], grid_n)[first:],
+        np.linspace(region[2], region[3], grid_n), mode)
     vals = grid.detuning[:, :, upper] - grid.detuning[:, :, lower]
 
     spacing = max(region[1] - region[0], region[3] - region[2]) / (grid_n - 1)
     pad = np.pad(vals, 1, constant_values=np.inf)
-    neigh = np.stack([pad[i0:i0 + grid_n, j0:j0 + grid_n]
+    neigh = np.stack([pad[i0:i0 + vals.shape[0], j0:j0 + grid_n]
                       for i0 in (0, 1, 2) for j0 in (0, 1, 2)
                       if (i0, j0) != (1, 1)])
     # strictly below the four neighbours before it in grid order, at or
@@ -286,13 +312,13 @@ def find_degeneracies(spec: LatticeSpec, block: str, band_pair,
 
     gap = make_gap_function(spec, block, band_pair, mode)
     margin = 2.0 * spacing
+    box = (region[0] - margin, region[1] + margin,
+           region[2] - margin, region[3] + margin)
     found = []
     for seed in seeds:
         k_star, g = _refine_minimum(gap, seed, 0.5 * spacing,
-                                    REFINE_FRAC * b1n)
-        if (g < eps_deg and not _excluded(*k_star)
-                and region[0] - margin <= k_star[0] <= region[1] + margin
-                and region[2] - margin <= k_star[1] <= region[3] + margin):
+                                    REFINE_FRAC * b1n, box=box)
+        if g < eps_deg and not _excluded(*k_star) and _in_box(k_star, box):
             found.append((k_star, g))
 
     def _is_new(k, kept):
@@ -306,12 +332,15 @@ def find_degeneracies(spec: LatticeSpec, block: str, band_pair,
             merged.append((k_star, g))
 
     # Mirror images: the default search region covers the upper half
-    # zone only, so the ky -> -ky partners are reconstructed. An explicit
-    # region is honored literally and gets no mirrors added.
+    # zone and was searched from kx >= 0, so the ky, kx and (kx, ky)
+    # partners are reconstructed. An explicit region is honored literally
+    # and gets no mirrors added.
     reports = list(merged)
     if search_region is None:
-        mirrors = [(np.array([k[0], -k[1]]), g) for k, g in merged]
-        reports += [(m, g) for m, g in mirrors if _is_new(m, merged)]
+        for k, g in merged:
+            for image in (k * [1.0, -1.0], k * [-1.0, 1.0], -k):
+                if _is_new(image, reports):
+                    reports.append((image, g))
     reports.sort(key=lambda t: (t[1], t[0][0], t[0][1]))
     return [
         DegeneracyReport(

@@ -12,6 +12,7 @@ All lengths are measured in units of the emitter wavelength.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +27,9 @@ D0_MIN = 1e-12
 # past the lattice sums' cap (a numerical failure); near 1e154 |a1|^2
 # overflows.
 D0_MAX = 1e3
-# Largest k coordinate the CLI accepts, in units of |b1|: reduce_to_bz
-# loses about |k| eps to rounding, below 1e-9 |b1| up to here.
+# Largest k coordinate reduce_to_bz (and the CLI) accepts, in units of
+# |b1|: the reduction loses about |k| eps to rounding, below 1e-9 |b1| up
+# to here.
 K_MAX_FRAC = 1e6
 
 # The standard plotting path: one straight vertical segment through the zone.
@@ -269,8 +271,17 @@ def reduce_to_bz(recip: ReciprocalSpec, k) -> np.ndarray:
         k among the 3 x 3 translates around its rounded fractional
         coordinates (ties resolved toward larger kx, then larger ky, for
         determinism on the zone boundary).
+
+    Raises:
+        ValueError: a coordinate not finite or beyond K_MAX_FRAC |b1|.
     """
     k = np.asarray(k, dtype=float)
+    k_max = K_MAX_FRAC * math.hypot(*recip.b1)
+    if not abs(k).max(initial=0.0) <= k_max:  # NaN fails it too
+        rows = k.reshape(-1, 2)
+        bad = ~(abs(rows) <= k_max).all(axis=1)
+        raise ValueError(f"k = {rows[np.argmax(bad)]} is not finite or "
+                         f"beyond {K_MAX_FRAC:g} |b1| ({k_max:.6g})")
     b = np.array([recip.b1, recip.b2])
     base = np.round(np.linalg.solve(b.T, k[..., None])[..., 0])
     n = base[..., None, :] + _STEPS

@@ -314,11 +314,16 @@ def test_solve_k_properties(d0, beta, radius, angle, shift):
                                    atol=1e-9 * scale)
     for block in (np.s_[:3, 3:], np.s_[3:, :3]):
         assert np.array_equal(flipped[block], want[block])
-    # the lattice is mirror symmetric about the anisotropy (x) axis
-    mirror = solve_k(spec, [k[0], -k[1]])
-    np.testing.assert_allclose(np.sort(mirror.detuning),
-                               np.sort(bs.detuning), rtol=0,
-                               atol=1e-9 * scale)
+    # both mirrors of the lattice: ky -> -ky flips p_y (sites A and B lie on
+    # the x axis); kx -> -kx swaps A and B and flips p_x
+    flip_x = np.diag([-1.0, 1.0, 1.0])
+    swap = np.block([[np.zeros((3, 3)), flip_x], [flip_x, np.zeros((3, 3))]])
+    flip_y = np.diag([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
+    tol = 1e-12 * np.abs(bm.m).max()
+    for image, op in (([k[0], -k[1]], flip_y), ([-k[0], k[1]], swap)):
+        assert np.abs(assemble(spec, image).m - op @ bm.m @ op).max() <= tol
+        np.testing.assert_allclose(solve_k(spec, image).detuning,
+                                   bs.detuning, rtol=0, atol=tol)
 
 
 # -- batches of k ---------------------------------------------------------------

@@ -21,8 +21,10 @@ from dipolebands import (
     dos_histogram,
     find_degeneracies,
     reciprocal,
+    reduce_to_bz,
     tilt_transition_scan,
 )
+from dipolebands.greens import K0
 from tests.conftest import dist_mod_g
 
 # gap-closing betas measured with critical_beta at bracket 1e-4; the
@@ -32,13 +34,14 @@ BETA_C_IP01_M = 0.587086
 
 
 # Bloch solves (k-points) of find_degeneracies(build_lattice(0.1, 0.9),
-# OUT_OF_PLANE, (0, 1)): the whole 48 x 48 grid (2,304) plus the Newton
-# refinement of its 3 seeds (129). Seeding inside the radiative disk made it
-# 3,202 (13 seeds), the Nelder-Mead refinement 6,032. They take 46 solve_k
-# calls: one for the grid and 45 for the refinement, which solves the five
-# stencil points of an iteration in one call (129 one-point calls before).
-FIND_SOLVES_09 = 2433
-FIND_CALLS_09 = 50
+# OUT_OF_PLANE, (0, 1)): the kx >= 0 half of the 48 x 48 grid (1,152) plus
+# the Newton refinement of its 2 seeds (56). The whole grid and 3 seeds
+# made it 2,433, seeding inside the radiative disk 3,202 (13 seeds), the
+# Nelder-Mead refinement 6,032. They take 21 solve_k calls: one for the
+# grid and 20 for the refinement, which solves the five stencil points of
+# an iteration in one call (46 calls on the whole grid).
+FIND_SOLVES_09 = 1208
+FIND_CALLS_09 = 23
 
 
 def _nelder_mead(gap, k0pt, scale, xatol):
@@ -61,7 +64,7 @@ def _recorded_search(spec, block, pair):
     """find_degeneracies, counting its Bloch solves (the k-points of the
     coarse grid's batch in bloch and of the refinement in dispersion) and
     the solve_k calls, and recording each refinement as (gap, seed, scale,
-    xatol, (k, gap(k)))."""
+    xatol, (k, gap(k)), k-points solved)."""
     solves = [0, 0]
     refinements = []
     solve_k = bloch.solve_k
@@ -72,9 +75,16 @@ def _recorded_search(spec, block, pair):
         solves[1] += 1
         return solve_k(spec, k, *args, **kwargs)
 
-    def recording_refine(gap, seed, scale, xatol):
-        out = refine(gap, seed, scale, xatol)
-        refinements.append((gap, np.array(seed), scale, xatol, out))
+    def recording_refine(gap, seed, scale, xatol, box=None):
+        kpoints = [0]
+
+        def counting_gap(k):
+            kpoints[0] += len(np.atleast_2d(k))
+            return gap(k)
+
+        out = refine(counting_gap, seed, scale, xatol, box=box)
+        refinements.append((gap, np.array(seed), scale, xatol, out,
+                            kpoints[0]))
         return out
 
     with pytest.MonkeyPatch.context() as mp:
@@ -85,6 +95,52 @@ def _recorded_search(spec, block, pair):
     search = _Search((found, solves[0], refinements))
     search.calls = solves[1]
     return search
+
+
+def _full_grid_scan(spec, block, pair, mode, grid_n, eps_deg):
+    """The default-region scan the kx-mirror half replaced (reference): it
+    solves and seeds the whole grid, refines without a region box and adds
+    only the ky mirror images."""
+    _, (lower, upper) = dispersion._check_pair(block, pair)
+    region = dispersion.default_search_region(spec)
+    recip = reciprocal(spec)
+    b1n = float(np.linalg.norm(recip.b1))
+
+    def excluded(kx, ky):
+        return (mode == "retarded") & (np.hypot(kx, ky) < 1.1 * K0)
+
+    grid = bloch.bands_on_grid(spec, np.linspace(*region[:2], grid_n),
+                               np.linspace(*region[2:], grid_n), mode)
+    vals = grid.detuning[:, :, upper] - grid.detuning[:, :, lower]
+    pad = np.pad(vals, 1, constant_values=np.inf)
+    neigh = np.stack([pad[i0:i0 + grid_n, j0:j0 + grid_n]
+                      for i0 in (0, 1, 2) for j0 in (0, 1, 2)
+                      if (i0, j0) != (1, 1)])
+    is_min = (vals < neigh[:4].min(axis=0)) & (vals <= neigh[4:].min(axis=0))
+    is_min &= ~excluded(*np.meshgrid(grid.kx, grid.ky, indexing="ij"))
+    spacing = max(region[1] - region[0], region[3] - region[2]) / (grid_n - 1)
+    margin = 2.0 * spacing
+    gap = dispersion.make_gap_function(spec, block, pair, mode)
+    found = []
+    for i, j in zip(*np.nonzero(is_min)):
+        k, g = dispersion._refine_minimum(
+            gap, np.array([grid.kx[i], grid.ky[j]]), 0.5 * spacing,
+            dispersion.REFINE_FRAC * b1n)
+        if (g < eps_deg and not excluded(*k)
+                and region[0] - margin <= k[0] <= region[1] + margin
+                and region[2] - margin <= k[1] <= region[3] + margin):
+            found.append((k, g))
+
+    def is_new(k, kept):
+        return all(np.linalg.norm(reduce_to_bz(recip, k - k2))
+                   >= dispersion.DEDUP_FRAC * b1n for k2, _ in kept)
+
+    merged = []
+    for k, g in sorted(found, key=lambda t: (t[1], t[0][0], t[0][1])):
+        if is_new(k, merged):
+            merged.append((k, g))
+    mirrors = [(np.array([k[0], -k[1]]), g) for k, g in merged]
+    return merged + [(m, g) for m, g in mirrors if is_new(m, merged)]
 
 
 def _seeds_near(spec, refinements, targets):
@@ -99,7 +155,7 @@ def _check_against_nelder_mead(spec, refinements):
     same point, and the Newton descent a gap of at most 1e-10."""
     recip = reciprocal(spec)
     b1n = np.linalg.norm(recip.b1)
-    for gap, seed, scale, xatol, (k_new, g_new) in refinements:
+    for gap, seed, scale, xatol, (k_new, g_new), _ in refinements:
         k_ref, _ = _nelder_mead(gap, seed, scale, xatol)
         assert g_new <= 1e-10, (seed, g_new)
         assert dist_mod_g(recip, k_new, k_ref) <= 1e-8 * b1n, (seed, k_new)
@@ -132,6 +188,16 @@ def iso_in_plane_search(iso):
 @pytest.fixture(scope="module")
 def search_09():
     return _recorded_search(build_lattice(0.1, 0.9), OUT_OF_PLANE, (0, 1))
+
+
+@pytest.fixture(scope="module")
+def search_093():
+    return _recorded_search(build_lattice(0.1, 0.93), OUT_OF_PLANE, (0, 1))
+
+
+@pytest.fixture(scope="module")
+def search_065():
+    return _recorded_search(build_lattice(0.1, 0.65), IN_PLANE, (0, 1))
 
 
 def test_unit_beta_cones_sit_at_zone_corners(iso, iso_cones):
@@ -234,7 +300,7 @@ def test_reports_come_in_mirror_pairs(search_09):
 def test_find_solve_count_bounded(search_09):
     # a refinement that falls back to a simplex search fails this
     _, solves, refinements = search_09
-    assert len(refinements) == 3
+    assert len(refinements) == 2
     assert solves <= 1.1 * FIND_SOLVES_09
 
 
@@ -243,41 +309,94 @@ def test_find_solve_calls_bounded(search_09):
     assert search_09.calls <= FIND_CALLS_09
 
 
-@pytest.mark.parametrize("field, seed", [
-    (lambda i, j: (i - 2.5) ** 2 + (j - 2) ** 2, (2, 2)),  # tied along kx
-    (lambda i, j: (i - 2) ** 2 + (j - 2.5) ** 2, (2, 2)),  # tied along ky
-    (lambda i, j: (i - 2.5) ** 2 + (j - 2.5) ** 2 + (i + j - 5) ** 2,
-     (2, 3)),  # tied on a diagonal
-    (lambda i, j: (i - 2) ** 2 + (j - 3) ** 2, (2, 3)),  # strict minimum
-], ids=["kx_tie", "ky_tie", "diagonal_tie", "strict"])
-def test_tied_grid_minima_seed_once(monkeypatch, field, seed):
+# the region of the faked grids below whose coordinates are grid indices
+_INDEX_REGION = (0.0, 5.0, 0.0, 5.0)
+
+
+@pytest.mark.parametrize("field, seed, region, n", [
+    (lambda x, y: (x - 2.5) ** 2 + (y - 2) ** 2, (2, 2), _INDEX_REGION, 6),
+    (lambda x, y: (x - 2) ** 2 + (y - 2.5) ** 2, (2, 2), _INDEX_REGION, 6),
+    (lambda x, y: (x - 2.5) ** 2 + (y - 2.5) ** 2 + (x + y - 5) ** 2,
+     (2, 3), _INDEX_REGION, 6),
+    (lambda x, y: (x - 2) ** 2 + (y - 3) ** 2, (2, 3), _INDEX_REGION, 6),
+    # the default region at beta 0.9 (ky grid 0, 4.84, ..., 24.18, or 0,
+    # 4.03, ..., 24.18), its minimum on the kx = 0 seam: between two
+    # mirror-twin columns, or on the centre column
+    (lambda x, y: x ** 2 + (y - 14.5) ** 2, (3, 3), None, 6),
+    (lambda x, y: x ** 2 + (y - 12.0) ** 2, (3, 3), None, 7),
+], ids=["kx_tie", "ky_tie", "diagonal_tie", "strict", "seam_even",
+        "seam_odd"])
+def test_tied_grid_minima_seed_once(monkeypatch, field, seed, region, n):
     # a faked coarse grid whose gap has one minimum, or two exactly tied
-    # neighbouring ones: one refinement, from the first in grid order
-    n = 6
-    kx, ky = np.arange(n, dtype=float), np.arange(n, dtype=float)
-    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    detuning = np.zeros((n, n, 6))
-    detuning[:, :, 5] = field(i, j)
+    # neighbouring ones: one refinement, from the first in grid order;
+    # the default region's grid is solved for kx >= 0 only
+    spec = build_lattice(0.1, 0.9)
+    solved_kx = []
 
     def fake_grid(spec, gx, gy, mode):
-        return bloch.BandGrid(kx=kx, ky=ky, detuning=detuning,
-                              decay=np.zeros((n, n, 6)), block=bloch.BLOCKS,
-                              in_light_cone=np.zeros((n, n), bool),
-                              anomalous=np.zeros((n, n), bool))
+        solved_kx.extend(gx)
+        detuning = np.zeros((len(gx), len(gy), 6))
+        detuning[:, :, 5] = field(*np.meshgrid(gx, gy, indexing="ij"))
+        return bloch.BandGrid(kx=gx, ky=gy, detuning=detuning,
+                              decay=np.zeros_like(detuning),
+                              block=bloch.BLOCKS,
+                              in_light_cone=np.zeros(detuning.shape[:2], bool),
+                              anomalous=np.zeros(detuning.shape[:2], bool))
 
     seeds = []
 
-    def recording_refine(gap, k0pt, scale, xatol):
+    def recording_refine(gap, k0pt, scale, xatol, box=None):
         seeds.append(tuple(k0pt))
         return k0pt, 1.0  # gapped: nothing is reported
 
     monkeypatch.setattr(dispersion, "bands_on_grid", fake_grid)
     monkeypatch.setattr(dispersion, "_refine_minimum", recording_refine)
-    found = find_degeneracies(build_lattice(0.1, 0.9), OUT_OF_PLANE, (0, 1),
-                              search_region=(0.0, n - 1.0, 0.0, n - 1.0),
-                              grid_n=n)
+    found = find_degeneracies(spec, OUT_OF_PLANE, (0, 1),
+                              search_region=region, grid_n=n)
     assert found == []
-    assert seeds == [seed]
+    box = dispersion.default_search_region(spec) if region is None else \
+        region
+    assert seeds == [(np.linspace(*box[:2], n)[seed[0]],
+                      np.linspace(*box[2:], n)[seed[1]])]
+    if region is None:
+        assert len(solved_kx) == (n + 1) // 2 and min(solved_kx) >= 0.0
+    else:
+        assert len(solved_kx) == n
+
+
+@settings(max_examples=10, deadline=None)
+@given(d0=st.floats(0.08, 0.2), beta=st.floats(0.55, 1.3),
+       target=st.sampled_from([(OUT_OF_PLANE, (0, 1)), (IN_PLANE, (0, 1)),
+                               (IN_PLANE, (1, 2)), (IN_PLANE, (2, 3))]),
+       mode=st.sampled_from(["retarded", "quasistatic"]),
+       grid_n=st.sampled_from([23, dispersion.GRID_N]))
+def test_mirror_half_scan_matches_full_grid_scan(d0, beta, target, mode,
+                                                 grid_n):
+    # The default region's scan seeds the kx >= 0 half of the grid and adds
+    # mirror images; the full-grid scan seeds both halves. They report the
+    # same touchings once the full scan's are closed under kx -> -kx: two
+    # cones either side of the kx = 0 seam can share one seed there, and of
+    # two touchings closer than the merge radius either can be the one
+    # kept. Only touchings are compared (gap below 1e-8): where a descent
+    # ends at a kink of the gap, its end point depends on the path taken.
+    eps_deg = 1e-8
+    spec = build_lattice(d0, beta)
+    recip = reciprocal(spec)
+    b1n = np.linalg.norm(recip.b1)
+    ref = [k for k, _ in _full_grid_scan(spec, *target, mode, grid_n,
+                                         eps_deg)]
+    images = ref + [k * [-1.0, 1.0] for k in ref]
+    merged = []
+    for k in images:
+        if all(dist_mod_g(recip, k, m) >= dispersion.DEDUP_FRAC * b1n
+               for m in merged):
+            merged.append(k)
+    found = find_degeneracies(spec, *target, mode=mode, eps_deg=eps_deg,
+                              grid_n=grid_n)
+    assert len(found) == len(merged)
+    for r in found:
+        assert min(dist_mod_g(recip, r.k_star, k) for k in images) \
+            <= 1e-8 * b1n
 
 
 def test_gap_batch_rows_match_one_point_calls():
@@ -295,11 +414,14 @@ def test_gap_batch_rows_match_one_point_calls():
             assert batch[n] == gap(k)
 
 
-def test_refinement_matches_nelder_mead_at_cones(search_09):
-    found, _, refinements = search_09
-    spec = build_lattice(0.1, 0.9)
-    near = _seeds_near(spec, refinements, [r.k_star for r in found])
-    assert _check_against_nelder_mead(spec, near) >= 2
+def test_refinement_matches_nelder_mead_at_cones(search_09, search_093):
+    checked = 0
+    for beta, (found, _, refinements) in ((0.9, search_09),
+                                          (0.93, search_093)):
+        spec = build_lattice(0.1, beta)
+        near = _seeds_near(spec, refinements, [r.k_star for r in found])
+        checked += _check_against_nelder_mead(spec, near)
+    assert checked >= 2
 
 
 def test_refinement_matches_nelder_mead_at_corners(iso, iso_in_plane_search):
@@ -308,12 +430,23 @@ def test_refinement_matches_nelder_mead_at_corners(iso, iso_in_plane_search):
     assert _check_against_nelder_mead(iso, near) >= 2
 
 
-def test_refinement_matches_nelder_mead_on_gamma_m():
+def test_refinement_matches_nelder_mead_on_gamma_m(search_065):
     # the tilted in-plane cones of the type-III window sit on Gamma-M (ky=0)
     spec = build_lattice(0.1, 0.65)
-    _, _, refinements = _recorded_search(spec, IN_PLANE, (0, 1))
-    on_line = [r for r in refinements if r[1][1] == 0.0]
+    on_line = [r for r in search_065[2] if r[1][1] == 0.0]
     assert _check_against_nelder_mead(spec, on_line) >= 2
+
+
+def test_descent_leaving_the_region_stops(search_065):
+    # the seed on the top edge ky = |K| descends out of the region, where
+    # its result is dropped (unstopped, it took 121 k-points to end at gap
+    # 4.8 near ky = 32.9): it ends at its first step past the margin
+    spec = build_lattice(0.1, 0.65)
+    top = dispersion.default_search_region(spec)[3]
+    (edge,) = [r for r in search_065[2] if r[1][1] == top]
+    (k, _), kpoints = edge[4:]
+    assert kpoints <= 40
+    assert k[1] > top + 4.0 * edge[2]  # two grid spacings, scale is half one
 
 
 @settings(max_examples=10, deadline=None)

@@ -1,5 +1,6 @@
 """Geometry invariants of the anisotropic honeycomb builder."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +24,7 @@ from dipolebands import (
     standard_path,
 )
 from dipolebands.bloch import OUT_OF_PLANE
+from dipolebands.lattice import K_MAX_FRAC
 
 BETAS = [0.55, 0.7, 0.84, 1.0, 1.2, 1.4]
 
@@ -174,6 +176,21 @@ def test_reduce_to_bz(iso_lattice):
             for j in (-1, 0, 1):
                 g = i * recip.b1 + j * recip.b2
                 assert np.linalg.norm(kr) <= np.linalg.norm(kr + g) + 1e-9
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("k", [(1e308, 1e308), (1e20, 3.0), (np.nan, 0.0),
+                               (0.0, -np.inf), ((3.0, 4.0), (5e7, 0.0))])
+def test_reduce_to_bz_rejects_huge_or_non_finite_k(iso_lattice, k):
+    # beyond K_MAX_FRAC |b1| (4.19e7 here) the reduction overflows or is
+    # set by rounding; the message names the offending k
+    recip = reciprocal(iso_lattice)
+    k = np.array(k)
+    bad = k if k.ndim == 1 else k[1]
+    with pytest.raises(ValueError, match=re.escape(f"k = {bad}")):
+        reduce_to_bz(recip, k)
+    k_max = 0.999 * K_MAX_FRAC * np.linalg.norm(recip.b1)
+    assert np.isfinite(reduce_to_bz(recip, [k_max, -k_max])).all()
 
 
 def _reduce_to_bz_loop(recip, k):
