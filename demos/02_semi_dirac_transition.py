@@ -20,7 +20,9 @@ from dipolebands import (
 D0 = 0.1
 BLOCK = "out_of_plane"
 
-# gap at M as a function of beta: V-shaped around the merging point
+# gap at M as a function of beta: V-shaped around the merging point;
+# critical_beta extends the two sides of the V to zero gap (secant
+# steps) and narrows the beta bracket to bracket_tol around it
 print("beta    gap at M")
 for beta in (0.80, 0.82, 0.84, 0.86, 0.88):
     spec = build_lattice(D0, beta)

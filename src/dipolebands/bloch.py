@@ -36,6 +36,7 @@ bands_on_path and the Newton trial steps solve one k at a time.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -60,6 +61,10 @@ _BASIS = {IN_PLANE: np.array([0, 1, 3, 4]), OUT_OF_PLANE: np.array([2, 5])}
 # Index of each block's square in a batch of 6x6 matrices.
 _BLOCK = {tag: (slice(None),) + np.ix_(idx, idx)
           for tag, idx in _BASIS.items()}
+# Every column order of a block (2 and 24): band connection picks the one
+# of largest summed overlap.
+_ORDERS = {len(idx): np.array(list(itertools.permutations(range(len(idx)))))
+           for idx in _BASIS.values()}
 
 # Overlap differences below this are treated as matching ties and resolved
 # by energy order (documented arbitrary choice).
@@ -264,14 +269,10 @@ def solve_k(spec: LatticeSpec, k, mode: str = "retarded") -> BandSet:
 
 def _match_block(prev_vecs, cur_vecs, prev_det, cur_det):
     """Overlap assignment of one block's bands; returns cur column order."""
-    # path connection only; scipy.optimize stays off the import path
-    from scipy.optimize import linear_sum_assignment
-
     o = np.abs(prev_vecs.conj().T @ cur_vecs)
     n = len(prev_det)
-    row, col = linear_sum_assignment(-o)
-    order = np.empty(n, dtype=int)
-    order[row] = col
+    orders = _ORDERS[n]
+    order = orders[np.argmax(o[np.arange(n), orders].sum(axis=1))].copy()
     # Resolve swap-indifferent pairs by energy order.
     for i in range(n):
         for j in range(i + 1, n):

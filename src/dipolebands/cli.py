@@ -384,8 +384,11 @@ def cmd_classify(cfg: RunConfig) -> str:
     spec = lattice.build_lattice(cfg.d0, cfg.beta)
     k = _resolve_k(cfg, lattice.reciprocal(spec))
     if cfg.refine:
-        k, _g = dispersion.refine_degeneracy(
+        # a descent that does not close the gap may wander off: keep k
+        k_ref, g = dispersion.refine_degeneracy(
             spec, cfg.block, cfg.pair, k, cfg.mode)
+        if g < cfg.eps_deg:
+            k = k_ref
     rep = dispersion.classify(
         spec, k, cfg.block, cfg.pair, cfg.mode, cfg.fit_radius,
         eps_deg=cfg.eps_deg)

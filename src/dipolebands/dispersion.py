@@ -19,6 +19,7 @@ one band going locally flat along some direction.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,7 @@ NEWTON_MAX_ITER = 20  # Newton iterations per refinement
 DROP_RTOL = 1e-3  # a step lowering gap^2 by less than this fraction ends it
 STENCIL_FLOOR = 1e-3  # smallest stencil step relative to the step tolerance
 DEDUP_FRAC = 1e-4  # merge radius in units of |b1|
+GOLDEN_STEP = 0.5 * (3.0 - np.sqrt(5.0))  # golden-section fraction of a side
 
 KINDS = ("dirac_I", "dirac_II", "dirac_III", "semi_dirac", "quadratic",
          "gapped")
@@ -603,19 +605,79 @@ def tilt_transition_scan(d0: float, beta_start: float, beta_stop: float,
                           events=tuple(events))
 
 
+def _min_gap_beta(gap_at, lo: float, hi: float, tol: float):
+    """Smallest gap_at(beta) over [lo, hi] by a safeguarded secant search.
+
+    Where two cones merge at a fixed k the gap closes linearly in beta, so
+    gap(beta) = |s(beta)| is a V around a simple root of a smooth s. Every
+    beta evaluated is kept, sorted, starting with lo and hi; j is the one
+    with the smallest gap, and (beta_{j-1}, beta_{j+1}) is the bracket, an
+    end of [lo, hi] closing its own side. The lines through (j-1, j) and
+    (j, j+1) reach zero gap beyond beta_j; of those zeros strictly inside
+    the bracket, the one nearest beta_j is evaluated next. Once that zero
+    lies within tol/2 of beta_j, beta_j +- tol/2 are evaluated instead, to
+    close the bracket. A golden-section step into the wider side replaces
+    the secant step when no zero lies inside, or when the bracket has not
+    halved over the last two steps. The search needs no sign of s, so it
+    also finds a quadratic touching or a smooth gapped minimum, in at most
+    about twice golden section's evaluations.
+
+    A tol below 8 float spacings at the ends of [lo, hi] acts as 8
+    spacings: every new beta then differs from those evaluated.
+
+    Returns:
+        (beta, gap): the middle of the first bracket no wider than tol, and
+        the smallest gap evaluated, gap(beta_j).
+    """
+    tol = max(tol, 8.0 * np.spacing(max(abs(lo), abs(hi))))
+    beta, gap = [lo, hi], [gap_at(lo), gap_at(hi)]
+    widths = []
+    while True:
+        j = int(np.argmin(gap))
+        bj, gj = beta[j], gap[j]
+        a, b = beta[max(j - 1, 0)], beta[min(j + 1, len(beta) - 1)]
+        if b - a <= tol:
+            return 0.5 * (a + b), gj
+        widths.append(b - a)
+        new = []
+        if len(widths) < 3 or widths[-1] <= 0.5 * widths[-3]:
+            zeros = [bj - gj * (beta[i] - bj) / (gap[i] - gj)
+                     for i in (j - 1, j + 1)
+                     if 0 <= i < len(beta) and gap[i] > gj]
+            zeros = [z for z in zeros if a < z < b]
+            if zeros:
+                z = min(zeros, key=lambda z: abs(z - bj))
+                # one spacing short of tol/2, so that the rounded pair is
+                # no wider than tol
+                h = 0.5 * tol - np.spacing(bj)
+                new = ([x for x in (bj - h, bj + h) if a < x < b]
+                       if abs(z - bj) <= 0.5 * tol else [z])
+        if not new:
+            far = a if bj - a > b - bj else b
+            new = [bj + GOLDEN_STEP * (far - bj)]
+        for x in new:
+            i = bisect.bisect(beta, x)
+            beta.insert(i, x)
+            gap.insert(i, gap_at(x))
+
+
 def critical_beta(d0: float, block: str, band_pair, target_point,
                   beta_bracket, mode: str = "retarded",
                   bracket_tol: float = 1e-4) -> float:
     """Beta at which a band pair closes its gap at a fixed k-point.
 
-    Golden-section minimization of gap(beta) at target_point down to a
-    beta bracket of width bracket_tol.
+    Minimizes gap(beta) at target_point over beta_bracket with a
+    safeguarded secant search on the V the closing gap makes (see
+    _min_gap_beta): about ten Bloch solves, each on its own lattice, for a
+    linear closing at bracket_tol 1e-6. The result is the middle of a final
+    beta bracket no wider than bracket_tol around the smallest gap found.
 
     Args:
         d0: Cell scale.
         block, band_pair: Which pair to watch.
         target_point: k-point (2,) or a high-symmetry label such as 'M'.
-        beta_bracket: (beta_lo, beta_hi) search interval.
+        beta_bracket: (beta_lo, beta_hi) search interval; both ends are
+            evaluated.
         mode: 'retarded' or 'quasistatic'.
         bracket_tol: Width of the final beta bracket.
 
@@ -641,25 +703,11 @@ def critical_beta(d0: float, block: str, band_pair, target_point,
         spec = build_lattice(d0, beta)
         return make_gap_function(spec, block, band_pair, mode)(k_t)
 
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = gap_at(c), gap_at(d)
-    while (b - a) > bracket_tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = gap_at(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = gap_at(d)
-    beta_c = 0.5 * (a + b)
-    if min(fc, fd) >= EPS_DEG:
+    beta_c, best = _min_gap_beta(gap_at, lo, hi, bracket_tol)
+    if best >= EPS_DEG:
         raise NoClosure(
             f"gap at {np.asarray(k_t)} stayed above {EPS_DEG:g} over "
-            f"beta in [{lo}, {hi}] (best {min(fc, fd):.3e})"
+            f"beta in [{lo}, {hi}] (best {best:.3e})"
         )
     return float(beta_c)
 

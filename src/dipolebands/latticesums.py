@@ -596,14 +596,20 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
         neg = red[n:]
         tie = np.any(neg != -k, axis=1)
         rows = np.concatenate([k, neg[tie]])
-    kn = _spectral_kernels(cell, rows, k0_eff, e, lead)
-    inside = kn.inside[:n]
-    t_k = int(np.count_nonzero(inside))
-    at_k = (inside, kn.qv[:t_k], kn.kern[:t_k], kn.zker[:t_k])
 
     def table(r):
         return _cached(_SPATIAL_TABLES, key + (r.tobytes(),),
                        lambda: _spatial_table(spec, r, k0_eff, e, cell.depth))
+
+    # the spatial tables before the spectral kernels: a prefactor past
+    # overflow raises NonConvergent there, before erfc overflows here
+    t_rho = table(rho)
+    t_same = (table(np.zeros(2)) if bloch
+              else t_rho if req.offset == "same" else None)
+    kn = _spectral_kernels(cell, rows, k0_eff, e, lead)
+    inside = kn.inside[:n]
+    t_k = int(np.count_nonzero(inside))
+    at_k = (inside, kn.qv[:t_k], kn.kern[:t_k], kn.zker[:t_k])
 
     # one (N, orders, 5) block of spectral terms per D, summed as one
     # batch; the sum at rho first (for 'bloch', a_to_b at k)
@@ -611,20 +617,17 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
     unit = np.exp(1j * (at_k[1] @ rho))
     _spectral_terms(w_g[1] if bloch else w_g[0], *at_k, unit, cell.area2)
     if not bloch:
-        t = table(rho)
-        w_r = [_spatial_terms(t, _bloch_phase(t, k))]
+        w_r = [_spatial_terms(t_rho, _bloch_phase(t_rho, k))]
         n_spectral = t_k
-        t_same = t if req.offset == "same" else None
     else:
         # [same, a_to_b at k, a_to_b at -k]: the rows of -k sum the terms
         # at k, negated and in reversed order, under the conjugate phases
         zero = np.zeros(2)
-        t_same, t_ab = table(zero), table(rho)
         _spectral_terms(w_g[0], *at_k, np.exp(1j * (at_k[1] @ zero)),
                         cell.area2)
         _spectral_terms(w_g[2][:, ::-1], inside, -at_k[1], *at_k[2:],
                         unit.conj(), cell.area2)
-        ph_ab = _bloch_phase(t_ab, k)
+        ph_ab = _bloch_phase(t_rho, k)
         ph_ba = ph_ab.conj()
         n_spectral = 3 * t_k
         if tie.any():
@@ -635,10 +638,10 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
             w_g[2][tie] = 0.0
             _spectral_terms(w_g[2], tied, qv, kn.kern[t_k:], kn.zker[t_k:],
                             np.exp(1j * (qv @ rho)), cell.area2)
-            ph_ba[tie] = _bloch_phase(t_ab, neg[tie])
+            ph_ba[tie] = _bloch_phase(t_rho, neg[tie])
             n_spectral += len(qv) - int(np.count_nonzero(inside[tie]))
         w_r = [_spatial_terms(t_same, _bloch_phase(t_same, k)),
-               _spatial_terms(t_ab, np.concatenate([ph_ab, ph_ba]))]
+               _spatial_terms(t_rho, np.concatenate([ph_ab, ph_ba]))]
 
     w_g = w_g.reshape((-1,) + w_g.shape[2:])
     total = w_g.sum(axis=1) + np.concatenate([w.sum(axis=1) for w in w_r])

@@ -214,6 +214,46 @@ def test_path_accepts_labeled_points(iso_lattice):
     assert np.all(np.diff(ss) > 0)
 
 
+def _match_block_lsa(prev_vecs, cur_vecs, prev_det, cur_det):
+    """The band matching by scipy's assignment solver that the search over
+    every column order replaced (reference)."""
+    from scipy.optimize import linear_sum_assignment
+
+    o = np.abs(prev_vecs.conj().T @ cur_vecs)
+    n = len(prev_det)
+    row, col = linear_sum_assignment(-o)
+    order = np.empty(n, dtype=int)
+    order[row] = col
+    for i in range(n):
+        for j in range(i + 1, n):
+            ci, cj = order[i], order[j]
+            gain = abs(o[i, ci] + o[j, cj] - o[i, cj] - o[j, ci])
+            if gain < bloch.TIE_THRESHOLD and (
+                    (prev_det[i] - prev_det[j]) * (cur_det[ci] - cur_det[cj])
+                    < 0):
+                order[i], order[j] = cj, ci
+    return order
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([2, 4]), seed=st.integers(0, 2**32 - 1),
+       noise=st.floats(0.0, 2.0))
+def test_band_matching_matches_assignment_solver(n, seed, noise):
+    # cur: the columns of prev shuffled, mixed by noise and re-normalized
+    rng = np.random.default_rng(seed)
+
+    def normal(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    prev = np.linalg.qr(normal(n, n))[0]
+    cur = prev[:, rng.permutation(n)] + noise * normal(n, n)
+    cur /= np.linalg.norm(cur, axis=0)
+    prev_det, cur_det = rng.normal(size=n), rng.normal(size=n)
+    np.testing.assert_array_equal(
+        bloch._match_block(prev, cur, prev_det, cur_det),
+        _match_block_lsa(prev, cur, prev_det, cur_det))
+
+
 def test_grid_matches_single_point_solve(iso_lattice):
     k = np.array([9.0, 16.0])
     grid = bands_on_grid(iso_lattice, [k[0]], [k[1]])

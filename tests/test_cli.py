@@ -255,22 +255,29 @@ def test_classify_at_explicit_point(capsys):
     assert doc["report"]["kind"] == "dirac_I"
 
 
-@pytest.mark.parametrize("refine", [False, True])
-def test_classify_refine_flag(refine, capsys):
+@pytest.mark.parametrize("block,k_point,refine", [
+    pytest.param("out_of_plane", "0.05,24.2", False, id="False"),
+    pytest.param("out_of_plane", "0.05,24.2", True, id="True"),
+    pytest.param("in_plane", "K", True, id="in_plane-K"),
+])
+def test_classify_refine_flag(block, k_point, refine, capsys):
     # 0.05,24.2 is near K = (0, 24.18399) but gapped; only the refinement
-    # moves it onto the cone
+    # moves it onto the out-of-plane cone. The in-plane pair (0, 1) stays
+    # gapped near K, so the report keeps K rather than where the descent
+    # stopped.
     code, out = run_cli(
-        ["classify", "--block", "out_of_plane", "--format", "json",
-         "--set", "k_point=0.05,24.2", "--set", f"refine={refine}"], capsys)
+        ["classify", "--block", block, "--format", "json",
+         "--set", f"k_point={k_point}", "--set", f"refine={refine}"], capsys)
     assert code == 0
     rep = json.loads(out)["report"]
-    if refine:
-        recip = reciprocal(build_lattice(0.1, 1.0))
+    recip = reciprocal(build_lattice(0.1, 1.0))
+    if block == "out_of_plane" and refine:
         assert rep["kind"] == "dirac_I"
         assert (np.linalg.norm(np.subtract(rep["k_star"], recip.K))
                 <= 1e-6 * np.linalg.norm(recip.b1))
     else:
-        assert rep["k_star"] == [0.05, 24.2]
+        k_req = recip.K if k_point == "K" else [0.05, 24.2]
+        assert rep["k_star"] == list(k_req)
         assert rep["kind"] == "gapped"
         assert list(rep) == REPORT_KEYS
         assert '"tilt_ratio": null' in out
@@ -314,11 +321,15 @@ def test_convergence_json_and_csv(capsys):
     assert "retarded_splitting_dev" in keys
 
 
-def test_exit_code_numerical_failure(capsys):
-    # a cell 300 times the default needs Ewald disks past the index cap
+@pytest.mark.parametrize("d0", ["10", "22", "30"])
+def test_exit_code_numerical_failure(d0, capsys):
+    # from d0 ~ 8.3 the spatial Ewald prefactor would overflow; a cell 300
+    # times the default also needs Ewald disks past the index cap. Either
+    # exits 3 before a special function overflows (a RuntimeWarning fails
+    # the test).
     code, _ = run_cli(
         ["bands", "--set", "path=Gamma,K", "--set", "n_per_segment=2",
-         "--d0", "30"], capsys)
+         "--d0", d0], capsys)
     assert code == 3
 
 
@@ -482,11 +493,13 @@ def test_newton_on_a_singular_hessian_runs_clean():
 
 
 def test_import_leaves_oracle_scipy_unloaded():
-    # scipy.integrate serves only the quasistatic oracle and
-    # scipy.optimize only band connection along a path
+    # scipy.integrate serves only the quasistatic oracle, and band
+    # connection along a path needs no scipy.optimize
     code = ("import sys, dipolebands as d\n"
             "spec = d.build_lattice(0.1, 0.9)\n"
             "d.solve_k(spec, d.reciprocal(spec).K)\n"
+            "d.bands_on_path(spec, d.sample_path(d.reciprocal(spec),\n"
+            "                                    ['Gamma', 'K', 'M'], 3))\n"
             "print(sorted(m for m in sys.modules\n"
             "             if m in ('scipy.integrate', 'scipy.optimize')))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,

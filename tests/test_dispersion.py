@@ -515,6 +515,133 @@ def test_critical_beta_no_closure():
         critical_beta(0.1, OUT_OF_PLANE, (0, 1), "M", (0.60, 0.70))
 
 
+def _golden_section(gap_at, lo, hi, tol):
+    """The golden-section search the secant search of critical_beta
+    replaced (reference): (beta, smallest gap) for a bracket of width tol."""
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = gap_at(c), gap_at(d)
+    while (b - a) > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = gap_at(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = gap_at(d)
+    return 0.5 * (a + b), min(fc, fd)
+
+
+@pytest.mark.parametrize("d0,block,bracket", [
+    (0.1, OUT_OF_PLANE, (0.80, 0.88)),
+    (0.1, IN_PLANE, (0.55, 0.63)),
+    (0.15, OUT_OF_PLANE, (0.81, 0.89)),
+])
+def test_critical_beta_lattice_builds_at_anchors(monkeypatch, d0, block,
+                                                 bracket):
+    # the acceptance anchors; golden section built 27 lattices (26 gap
+    # evaluations and the M lookup)
+    betas = []
+    build = dispersion.build_lattice
+
+    def counting_build(d0, beta):
+        betas.append(beta)
+        return build(d0, beta)
+
+    monkeypatch.setattr(dispersion, "build_lattice", counting_build)
+    bc = critical_beta(d0, block, (0, 1), "M", bracket, bracket_tol=1e-6)
+    assert len(betas) <= 12
+
+    k_m = reciprocal(build(d0, 0.5 * sum(bracket))).M
+    ref, _ = _golden_section(
+        lambda beta: dispersion.make_gap_function(
+            build(d0, beta), block, (0, 1))(k_m), *bracket, 1e-6)
+    assert bc == pytest.approx(ref, abs=1e-6)
+
+
+def _fake_lattices(mp, gap):
+    """Let the lattice critical_beta builds at beta be beta itself, and its
+    Bloch solve gap(beta)."""
+    mp.setattr(dispersion, "build_lattice", lambda d0, beta: beta)
+    mp.setattr(dispersion, "make_gap_function",
+               lambda beta, block, pair, mode: lambda k: gap(beta))
+
+
+def _synthetic_gap(shape, root, slopes, curvatures, g0):
+    """gap(beta) of one of three shapes with its minimum at root: a V
+    |s(beta)| with unequal slopes and curvature on its two sides, a
+    quadratic touching, or a smooth gapped (avoided-crossing) minimum."""
+    def gap(beta):
+        x = beta - root
+        if shape == "vee":
+            side = 1 if x >= 0.0 else 0
+            return abs(x) * (slopes[side] + curvatures[side] * abs(x))
+        if shape == "touching":
+            return slopes[0] * x * x
+        return float(np.hypot(g0, slopes[0] * x))
+
+    return gap
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.sampled_from(["vee", "touching", "gapped"]),
+       lo=st.floats(0.3, 1.2), width=st.floats(1e-3, 0.3),
+       root_frac=st.floats(0.0, 1.0), log_tol=st.floats(-7.0, -4.0),
+       log_slopes=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
+       curv_fracs=st.tuples(st.floats(-0.3, 3.0), st.floats(-0.3, 3.0)),
+       log_g0=st.floats(0.05, 3.0), g0_below=st.booleans())
+def test_critical_beta_search_matches_golden_section(
+        shape, lo, width, root_frac, log_tol, log_slopes, curv_fracs,
+        log_g0, g0_below):
+    hi, tol = lo + width, 10.0 ** log_tol
+    root = lo + root_frac * width
+    slopes = tuple(10.0 ** s for s in log_slopes)
+    # each side stays monotone over the bracket
+    curvatures = tuple(f * m / width for f, m in zip(curv_fracs, slopes))
+    g0 = dispersion.EPS_DEG * 10.0 ** (-log_g0 if g0_below else log_g0)
+    gap = _synthetic_gap(shape, root, slopes, curvatures, g0)
+    n_ref, n_new = [0], [0]
+
+    def counted(n):
+        def gap_at(beta):
+            n[0] += 1
+            return gap(beta)
+        return gap_at
+
+    _, ref_gap = _golden_section(counted(n_ref), lo, hi, tol)
+    with pytest.MonkeyPatch.context() as mp:
+        _fake_lattices(mp, counted(n_new))
+        try:
+            got = critical_beta(0.1, OUT_OF_PLANE, (0, 1), np.zeros(2),
+                                (lo, hi), bracket_tol=tol)
+        except NoClosure:
+            got = None
+    assert n_new[0] <= 2 * n_ref[0]
+    if ref_gap >= dispersion.EPS_DEG:
+        assert got is None
+    else:
+        assert got is not None and abs(got - root) <= tol
+
+
+def test_critical_beta_tolerance_below_float_spacing(monkeypatch):
+    # a bracket_tol no bracket of floats near beta can meet acts as 8
+    # float spacings; golden section never ended here
+    root, calls = 0.8406, []
+
+    def gap(beta):
+        calls.append(beta)
+        assert len(calls) <= 200, "the search does not end"
+        return abs(3.0 * (beta - root))
+
+    _fake_lattices(monkeypatch, gap)
+    got = critical_beta(0.1, OUT_OF_PLANE, (0, 1), np.zeros(2),
+                        (0.80, 0.88), bracket_tol=1e-20)
+    assert abs(got - root) <= 8.0 * np.spacing(0.88)
+
+
 @pytest.mark.parametrize("bracket,bracket_tol", [
     ((0.80, 0.88), 0.0),
     ((0.80, 0.88), -1e-4),
