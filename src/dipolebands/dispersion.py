@@ -172,6 +172,19 @@ def _in_box(k, box) -> bool:
     return box[0] <= k[0] <= box[1] and box[2] <= k[1] <= box[3]
 
 
+def _box_fraction(k, step, box) -> float:
+    """The largest t <= 1 with k + t step inside box (k inside it)."""
+    t = 1.0
+    for axis in (0, 1):
+        lo, hi = box[2 * axis], box[2 * axis + 1]
+        end = k[axis] + step[axis]
+        if end > hi and step[axis] > 0.0:
+            t = min(t, (hi - k[axis]) / step[axis])
+        elif end < lo and step[axis] < 0.0:
+            t = min(t, (lo - k[axis]) / step[axis])
+    return max(t, 0.0)
+
+
 def _refine_minimum(gap, k0pt, scale, xatol, box=None):
     """Safeguarded Newton descent of f(k) = gap(k)^2; returns (k, gap(k)).
 
@@ -186,11 +199,15 @@ def _refine_minimum(gap, k0pt, scale, xatol, box=None):
     The Newton step (steepest descent where the Hessian is not positive
     definite, or is singular to the solver) is cut to `scale` and halved
     until f goes down; if no step longer than xatol does, a stencil wider
-    than xatol narrows to xatol and the iteration repeats. The descent ends
-    there on a narrower stencil, on a step below xatol from a stencil no
-    wider, on a drop of f below DROP_RTOL of f (a kink of the gap, not a
-    touching point), on a step that lands outside box (kx_min, kx_max,
-    ky_min, ky_max) when one is given, or after NEWTON_MAX_ITER iterations.
+    than xatol narrows to xatol and the iteration repeats. When a box
+    (kx_min, kx_max, ky_min, ky_max) is given, a step that would leave it
+    is first cut to end on its edge, so a descent that overshoots a
+    touching inside the box near its edge still comes back to it. The
+    descent ends there on a narrower stencil, on a step below xatol from a
+    stencil no wider, on a drop of f below DROP_RTOL of f (a kink of the
+    gap, not a touching point), on a step cut below xatol at the box edge
+    (the descent heads out of the box), or after NEWTON_MAX_ITER
+    iterations.
     """
     k = np.asarray(k0pt, dtype=float)
     g = gap(k)
@@ -220,14 +237,19 @@ def _refine_minimum(gap, k0pt, scale, xatol, box=None):
         length = float(np.linalg.norm(step))
         if length > scale:
             step, length = step * (scale / length), scale
+        if box is not None:
+            cut = _box_fraction(k, step, box)
+            if cut < 1.0:
+                step, length = step * cut, length * cut
+                if length < xatol:
+                    break
         g_new = gap(k + step)
         while not g_new * g_new < f0 and length >= 2.0 * xatol:
             step, length = 0.5 * step, 0.5 * length
             g_new = gap(k + step)
         if g_new * g_new < f0:
             k, g = k + step, g_new
-            if (length < xatol and h <= xatol or f0 - g * g <= DROP_RTOL * f0
-                    or box is not None and not _in_box(k, box)):
+            if length < xatol and h <= xatol or f0 - g * g <= DROP_RTOL * f0:
                 break
             h = max(length, STENCIL_FLOOR * xatol)
         elif h > xatol:
@@ -248,8 +270,9 @@ def find_degeneracies(spec: LatticeSpec, block: str, band_pair,
     minimum (_refine_minimum, trust radius half a grid spacing; of two
     neighbouring grid points with exactly equal gaps only the first in
     grid order seeds), filtering at eps_deg, and duplicate merging modulo
-    reciprocal vectors. A descent ends once it steps out of the region
-    widened by two grid spacings, where its result would be dropped.
+    reciprocal vectors. A descent stays inside the region widened by two
+    grid spacings, outside which its result would be dropped: its steps are
+    cut at that edge, and it ends there once it heads out.
 
     The coarse grid comes from bloch.bands_on_grid. The default region is
     the upper half zone, which the lattice's two mirrors fill out: kx ->

@@ -493,15 +493,16 @@ def test_newton_on_a_singular_hessian_runs_clean():
 
 
 def test_import_leaves_oracle_scipy_unloaded():
-    # scipy.integrate serves only the quasistatic oracle, and band
-    # connection along a path needs no scipy.optimize
+    # scipy.integrate and scipy.special serve only the quasistatic oracle,
+    # and band connection along a path needs no scipy.optimize
     code = ("import sys, dipolebands as d\n"
             "spec = d.build_lattice(0.1, 0.9)\n"
             "d.solve_k(spec, d.reciprocal(spec).K)\n"
             "d.bands_on_path(spec, d.sample_path(d.reciprocal(spec),\n"
             "                                    ['Gamma', 'K', 'M'], 3))\n"
             "print(sorted(m for m in sys.modules\n"
-            "             if m in ('scipy.integrate', 'scipy.optimize')))\n")
+            "             if m in ('scipy.integrate', 'scipy.optimize',\n"
+            "                      'scipy.special')))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=300, env=_src_env())
     assert proc.returncode == 0, proc.stderr

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
-from scipy.special import erfc, wofz
 
 from dipolebands import (
     BETA_MAX,
@@ -230,26 +229,48 @@ def test_sum_diagnostics_reports_anomaly():
     assert report["quasistatic_direct_dev"] < 1e-6
 
 
+def _kernel_arguments():
+    """The arguments the sums give the kernels: real x = gamma/2E of the
+    evanescent orders, -iy of the propagating ones, and the spatial
+    i r E +- k0/2E."""
+    real = np.linspace(0.0, 6.0, 61) + 0j
+    prop = -1j * np.linspace(0.0, 3.5, 36)
+    re, b = np.meshgrid(np.linspace(0.0, 6.0, 13), np.linspace(0.0, 8.0, 17))
+    spatial = (1j * re + b).ravel()
+    return real, prop, np.concatenate([spatial, -spatial.conj()])
+
+
 def test_special_function_backends_vs_mpmath():
+    # the package's erfc and Faddeeva w against mpmath at 30 digits, and
+    # against scipy.special, which the package no longer imports
     mpmath = pytest.importorskip("mpmath")
     from scipy import special
 
-    mpmath.mp.dps = 30
-    rng = np.random.default_rng(99)
-    # complementary error function on complex arguments, as used by the
-    # spectral series
-    for _ in range(20):
-        z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        got = special.erfc(z) if z.imag == 0 else complex(
-            1.0 - special.erf(complex(z)))
-        want = complex(mpmath.erfc(z))
-        assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
-    # Faddeeva function, as used by the spatial series
-    for _ in range(20):
-        z = complex(rng.uniform(-4, 4), rng.uniform(0, 4))
-        got = complex(special.wofz(z))
-        want = complex(mpmath.exp(-z * z) * mpmath.erfc(-1j * z))
-        assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+    real, prop, spatial = _kernel_arguments()
+    with mpmath.workdps(30):
+        for x, got in zip(np.concatenate([real, prop]),
+                          latticesums._erfc_spectral(
+                              np.concatenate([real, prop]))):
+            want = complex(mpmath.erfc(mpmath.mpc(x)))
+            assert abs(got - want) <= 1e-13 * abs(want), x
+            assert abs(got - special.erfc(x)) <= 1e-13 * abs(want), x
+        for z, got in zip(spatial, latticesums._wofz(spatial)):
+            mz = mpmath.mpc(z)
+            want = complex(mpmath.exp(-mz * mz) * mpmath.erfc(-1j * mz))
+            assert abs(got - want) <= 1e-13 * abs(want), z
+            assert abs(got - special.wofz(z)) <= 1e-13 * abs(want), z
+
+
+def test_faddeeva_forms_agree():
+    # the tables take the i r E - k0/2E kernels from w(-conj z) = conj w(z),
+    # and the propagating orders use the scalar form of the same expansion
+    _, prop, spatial = _kernel_arguments()
+    z = np.concatenate([spatial, 1j * prop])
+    w = latticesums._wofz(z)
+    assert np.allclose(latticesums._wofz(-z.conj()), w.conj(), rtol=1e-14,
+                       atol=0.0)
+    scalar = np.array([latticesums._wofz_scalar(complex(v)) for v in z])
+    assert np.allclose(scalar, w, rtol=1e-14, atol=0.0)
 
 
 def _mp_bloch_sums(spec, k, mode):
@@ -399,14 +420,15 @@ def _ref_spectral_terms(spec, recip, k, rho, k0_eff, e, depth):
                 f"|k+g| within {thr:g}*k0 of the light line at "
                 f"k={np.asarray(k)}", direction=qv[i] / q[i])
         n_prop = int(np.count_nonzero(q < k0_eff))
-    gamma = -1j * np.sqrt((k0_eff**2 - q**2).astype(complex))
+    d = k0_eff**2 - q**2
+    gamma = -1j * np.sqrt(d.astype(complex))
     phase = np.exp(1j * (qv @ rho)) / (2.0 * spec.cell_area)
-    ec = erfc(gamma / (2.0 * e))
+    ec = latticesums._erfc_spectral(gamma / (2.0 * e))
     kern = np.zeros_like(gamma)
     np.divide(ec, gamma, out=kern, where=gamma != 0.0)
     pk = phase * kern
     zker = 2.0 * gamma * ec - (4.0 * e / np.sqrt(np.pi)) * np.exp(
-        -(gamma**2) / (4.0 * e**2))
+        d / (4.0 * e**2))
     qx, qy = qv[:, 0], qv[:, 1]
     w = np.stack([pk, -pk * qx * qx, -pk * qx * qy, -pk * qy * qy,
                   0.5 * phase * zker], axis=1)
@@ -426,8 +448,13 @@ def _ref_spatial_terms(spec, k, rho, k0_eff, e, depth):
     rvecs, rv = rvecs[keep], rv[keep]
     pre = np.exp(-1j * ((rvecs - rho) @ k)) / (8.0 * np.pi)
     gau = np.exp(-(rv**2) * e**2 + gau_cap)
-    tp = gau * wofz(1j * rv * e + k0_eff / (2.0 * e))
-    tm = gau * wofz(1j * rv * e - k0_eff / (2.0 * e))
+    # the package's kernels on the arguments the tables pass them, so that
+    # the sums agree bit for bit: w at i r E + k0/2E, then at k0/2E for the
+    # self-corrections
+    b = k0_eff / (2.0 * e)
+    w = latticesums._wofz(np.append(1j * rv * e + b, b))
+    tp = gau * w[:-1]
+    tm = gau * w[:-1].conj()
     f = tp + tm
     sqrt_pi = np.sqrt(np.pi)
     fp = 1j * k0_eff * (tm - tp) - (4.0 * e / sqrt_pi) * gau
@@ -440,7 +467,7 @@ def _ref_spatial_terms(spec, k, rho, k0_eff, e, depth):
     ux = rvecs[:, 0] / rv
     uy = rvecs[:, 1] / rv
     return np.stack([pre * phi, c1 + c2 * ux * ux, c2 * ux * uy,
-                     c1 + c2 * uy * uy, c1], axis=1)
+                     c1 + c2 * uy * uy, c1], axis=1), w[-1]
 
 
 def _ref_ewald_sum(req):
@@ -453,10 +480,10 @@ def _ref_ewald_sum(req):
     k0_eff = K0 if retarded else 0.0
     depth = np.log(10.0 / tol) + latticesums._MARGIN
     w_g, n_prop = _ref_spectral_terms(spec, recip, k, rho, k0_eff, e, depth)
-    w_r = _ref_spatial_terms(spec, k, rho, k0_eff, e, depth)
+    w_r, w_b = _ref_spatial_terms(spec, k, rho, k0_eff, e, depth)
     total = w_g.sum(axis=0) + w_r.sum(axis=0)
     if req.offset == "same":
-        h0, h2 = latticesums._self_corrections(k0_eff, e)
+        h0, h2 = latticesums._self_corrections(k0_eff, e, w_b)
         total += np.array([h0, 2.0 * h2, 0.0, 2.0 * h2, 2.0 * h2])
     d = latticesums._dyadic(total, retarded)
     magnitude = latticesums._dyadic(
