@@ -10,7 +10,6 @@ Library layout:
 """
 
 from .bloch import (
-    BandGrid,
     BandSet,
     BlochMatrix,
     EigenFailure,
@@ -35,7 +34,6 @@ from .dispersion import (
 )
 from .greens import (
     CouplingPair,
-    GreenDyadic,
     ZeroDisplacement,
     coupling,
     green_quasistatic,
@@ -71,7 +69,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BETA_MAX",
     "BETA_MIN",
-    "BandGrid",
     "BandSet",
     "BetaOutOfRange",
     "BlochMatrix",
@@ -80,7 +77,6 @@ __all__ = [
     "DegeneracyReport",
     "EigenFailure",
     "FitDegenerate",
-    "GreenDyadic",
     "IN_PLANE",
     "LatticeSpec",
     "LatticeSumRequest",

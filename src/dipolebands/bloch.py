@@ -18,20 +18,21 @@ the radiative width gamma_k in units of the single-emitter linewidth.
 
 In-plane displacements decouple the two z polarizations from the four
 in-plane ones exactly; the 2x2 out-of-plane and the 4x4 in-plane block are
-each solved densely. BLOCKS is the band-slot layout of every BandSet and
-BandGrid: in-plane bands in slots 0-3, out-of-plane in 4-5.
+each solved densely. BLOCKS is the band-slot layout of every BandSet:
+in-plane bands in slots 0-3, out-of-plane in 4-5.
 Bands along a path are connected within each block by maximal eigenvector
 overlap so that true crossings are preserved.
 
 assemble, eigensolve and solve_k take one k (2,) or a batch (N, 2); a
 batch gives every per-k field of BlochMatrix and BandSet a leading N axis,
-and row n is bitwise the one-point result at k[n]. solve_k splits a batch
-into passes of at most _PASS_SIZE points (one assemble and one eigensolve
-each); a pass with rows on a light line is assembled once more with only
-those rows moved off it, and they are flagged anomalous. bands_on_grid,
-the degeneracy scan's grid, the five stencil points of each Newton
-iteration, classify's stencil and dos_histogram solve batches;
-bands_on_path and the Newton trial steps solve one k at a time.
+and row n is bitwise the one-point result at k[n]; bands_on_grid reshapes
+that axis to the grid's (nx, ny). solve_k splits a batch into passes of at
+most _PASS_SIZE points (one assemble and one eigensolve each); a pass with
+rows on a light line is assembled once more with only those rows moved off
+it, and they are flagged anomalous. bands_on_grid, the degeneracy scan's
+grid, the five stencil points of each Newton iteration, classify's stencil
+and dos_histogram solve batches; bands_on_path and the Newton trial steps
+solve one k at a time.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .latticesums import (
 OUT_OF_PLANE = "out_of_plane"
 IN_PLANE = "in_plane"
 
-# Band slots of every BandSet and BandGrid: in-plane, then out-of-plane.
+# Band slots of every BandSet: in-plane, then out-of-plane.
 BLOCKS = (IN_PLANE,) * 4 + (OUT_OF_PLANE,) * 2
 SLOTS = {IN_PLANE: slice(0, 4), OUT_OF_PLANE: slice(4, 6)}
 # Basis components (A_x, A_y, A_z, B_x, B_y, B_z) of each block.
@@ -100,7 +101,8 @@ class BandSet:
     Slots 0-3 are the in-plane bands and 4-5 the out-of-plane bands. Each
     block is detuning-sorted as eigensolve returns it; along a path
     (bands_on_path) a slot follows one band by eigenvector overlap instead.
-    A batch BandSet gives every field but block a leading N axis.
+    A batch BandSet gives every field but block a leading N axis, and a
+    grid (bands_on_grid) a leading (nx, ny) shape.
 
     Attributes:
         k: Bloch vector (2,).
@@ -122,24 +124,6 @@ class BandSet:
     block: tuple
     in_light_cone: bool
     anomalous: bool = False
-
-
-@dataclass(frozen=True)
-class BandGrid:
-    """Energy-ordered band surfaces over a rectangular k grid.
-
-    Band slots follow BLOCKS: 0-3 are the in-plane bands and 4-5 the
-    out-of-plane bands, each block sorted by detuning at every grid point
-    independently (sheets, not connected bands). block is BLOCKS.
-    """
-
-    kx: np.ndarray
-    ky: np.ndarray
-    detuning: np.ndarray  # (nx, ny, 6)
-    decay: np.ndarray  # (nx, ny, 6)
-    block: tuple
-    in_light_cone: np.ndarray  # (nx, ny) bool
-    anomalous: np.ndarray  # (nx, ny) bool
 
 
 def assemble(spec: LatticeSpec, k, mode: str = "retarded") -> BlochMatrix:
@@ -310,8 +294,8 @@ def bands_on_path(spec: LatticeSpec, path,
 
     Args:
         spec: Lattice geometry.
-        path: Iterable of (k, arclength, label) triples (see lattice module)
-            or of bare k vectors (arclength 0).
+        path: Iterable of (k, arclength, label) triples (see lattice
+            module).
         mode: 'retarded' or 'quasistatic'.
 
     Returns:
@@ -320,32 +304,26 @@ def bands_on_path(spec: LatticeSpec, path,
         there a slot follows one band by eigenvector overlap, so true
         crossings keep their slots.
     """
-    bands = []
-    for entry in path:
-        if isinstance(entry, tuple) and len(entry) == 3:
-            kvec, s, _label = entry
-        else:
-            kvec, s = entry, 0.0
-        bands.append(replace(solve_k(spec, kvec, mode), arclength=float(s)))
-    return _connect(bands)
+    return _connect([replace(solve_k(spec, k, mode), arclength=float(s))
+                     for k, s, _label in path])
 
 
 def bands_on_grid(spec: LatticeSpec, kx, ky,
-                  mode: str = "retarded") -> BandGrid:
+                  mode: str = "retarded") -> BandSet:
     """Energy-ordered band sheets over a rectangular k grid.
 
     The grid is one solve_k batch.
 
     Returns:
-        BandGrid in the BLOCKS layout, each block detuning-sorted per point;
-        light-line points are flagged in the `anomalous` mask (see solve_k).
+        BandSet in the BLOCKS layout whose per-k fields lead with the grid
+        shape (len(kx), len(ky)): k[i, j] = (kx[i], ky[j]). Each block is
+        detuning-sorted per point; light-line points are flagged in the
+        anomalous mask (see solve_k).
     """
     kx = np.atleast_1d(np.asarray(kx, dtype=float))
     ky = np.atleast_1d(np.asarray(ky, dtype=float))
     shape = (len(kx), len(ky))
     kxy = np.stack(np.meshgrid(kx, ky, indexing="ij"), axis=-1).reshape(-1, 2)
     bs = solve_k(spec, kxy, mode)
-    return BandGrid(kx=kx, ky=ky, detuning=bs.detuning.reshape(shape + (6,)),
-                    decay=bs.decay.reshape(shape + (6,)), block=BLOCKS,
-                    in_light_cone=bs.in_light_cone.reshape(shape),
-                    anomalous=bs.anomalous.reshape(shape))
+    return replace(bs, **{name: getattr(bs, name).reshape(
+        shape + getattr(bs, name).shape[1:]) for name in _PER_K})

@@ -353,7 +353,7 @@ def cmd_surface(cfg: RunConfig) -> str:
                 if cfg.block != "all" and grid.block[band] != cfg.block:
                     continue
                 rows.append([
-                    i, j, grid.kx[i], grid.ky[j], band, grid.block[band],
+                    i, j, *grid.k[i, j], band, grid.block[band],
                     grid.detuning[i, j, band], grid.decay[i, j, band],
                     grid.in_light_cone[i, j], grid.anomalous[i, j],
                 ])

@@ -317,9 +317,9 @@ def find_degeneracies(spec: LatticeSpec, block: str, band_pair,
     # (even grid_n) or of the column to its right (odd), and the tests
     # against those columns already imply "at or below" the twins.
     first = grid_n // 2 if search_region is None else 0
-    grid = bands_on_grid(
-        spec, np.linspace(region[0], region[1], grid_n)[first:],
-        np.linspace(region[2], region[3], grid_n), mode)
+    kx = np.linspace(region[0], region[1], grid_n)[first:]
+    ky = np.linspace(region[2], region[3], grid_n)
+    grid = bands_on_grid(spec, kx, ky, mode)
     vals = grid.detuning[:, :, upper] - grid.detuning[:, :, lower]
 
     spacing = max(region[1] - region[0], region[3] - region[2]) / (grid_n - 1)
@@ -331,8 +331,8 @@ def find_degeneracies(spec: LatticeSpec, block: str, band_pair,
     # below the four after it: of two exactly tied minima, only the first
     # seeds
     is_min = (vals < neigh[:4].min(axis=0)) & (vals <= neigh[4:].min(axis=0))
-    is_min &= ~_excluded(*np.meshgrid(grid.kx, grid.ky, indexing="ij"))
-    seeds = [np.array([grid.kx[i], grid.ky[j]])
+    is_min &= ~_excluded(*np.meshgrid(kx, ky, indexing="ij"))
+    seeds = [np.array([kx[i], ky[j]])
              for i, j in zip(*np.nonzero(is_min))]
 
     gap = make_gap_function(spec, block, band_pair, mode)

@@ -28,19 +28,6 @@ class ZeroDisplacement(ValueError):
 
 
 @dataclass(frozen=True)
-class GreenDyadic:
-    """A 3x3 dyadic evaluated at one displacement, at wavenumber K0.
-
-    Only the components are kept; the displacement is the caller's argument.
-
-    Attributes:
-        components: (3, 3) complex array, units 1/length.
-    """
-
-    components: np.ndarray
-
-
-@dataclass(frozen=True)
 class CouplingPair:
     """Coherent and incoherent pair couplings between two dipoles.
 
@@ -77,26 +64,25 @@ def scalar_parts(rn: float, k0: float) -> tuple[complex, complex]:
     return a, b
 
 
-def green_retarded(r) -> GreenDyadic:
+def green_retarded(r) -> np.ndarray:
     """Retarded free-space dyadic at displacement r, wavenumber K0.
 
     Args:
         r: Displacement, 2-vector (taken in-plane) or 3-vector.
 
     Returns:
-        GreenDyadic with complex symmetric components.
+        (3, 3) complex symmetric array, units 1/length.
     """
     rn, rhat = _prepare(r)
     a, b = scalar_parts(rn, K0)
-    g = a * np.eye(3) + b * np.outer(rhat, rhat)
-    return GreenDyadic(components=g)
+    return a * np.eye(3) + b * np.outer(rhat, rhat)
 
 
-def green_quasistatic(r) -> GreenDyadic:
-    """Quasistatic (1/r^3, no retardation) dyadic at displacement r."""
+def green_quasistatic(r) -> np.ndarray:
+    """Quasistatic (1/r^3, no retardation) (3, 3) dyadic at displacement r."""
     rn, rhat = _prepare(r)
     g = (3.0 * np.outer(rhat, rhat) - np.eye(3)) / (4.0 * np.pi * K0**2 * rn**3)
-    return GreenDyadic(components=g.astype(complex))
+    return g.astype(complex)
 
 
 def coupling(r, p_i, p_j) -> CouplingPair:
@@ -120,5 +106,5 @@ def coupling(r, p_i, p_j) -> CouplingPair:
     for p in (p_i, p_j):
         if abs(np.linalg.norm(p) - 1.0) > 1e-12:
             raise ValueError("dipole orientations must be unit vectors")
-    amp = complex(np.conj(p_i) @ green_retarded(r).components @ p_j)
+    amp = complex(np.conj(p_i) @ green_retarded(r) @ p_j)
     return CouplingPair(J=-1.5 * amp.real, Gamma=3.0 * amp.imag)

@@ -42,8 +42,14 @@ a k the same bits alone and in a batch, which whole-array complex
 arithmetic does not guarantee. So it works element by element: the
 evanescent orders, which have a real gamma/2E >= 0 and are most terms (all
 of them in quasistatic mode), go through libm's erfc, and the few
-propagating ones, erfc(-iy) = e^{y^2} w(y), through a scalar Horner form of
-the same w.
+propagating ones, erfc(-iy) = e^{y^2} w(y), through one one-element call
+of the same w each.
+
+The default splitting is sqrt(pi)/|a1|, raised where needed so that
+k0^2/4E^2 <= _MAX_GAU: the spectral terms grow like e^{k0^2/4E^2} before
+they cancel, and past that cap (from d0 of about 1) the sum loses its
+digits (the high-frequency rule of F. Capolino, D. R. Wilton and W. A.
+Johnson, IEEE Trans. Antennas Propag. 53, 2977 (2005)).
 
 Everything that does not depend on k is built once per lattice and kept in
 two small least-recently-used caches:
@@ -116,6 +122,9 @@ _MARGIN = 4.0
 # Largest lattice index a truncation disk may need; a splitting far from
 # the lattice scale exceeds it and is reported as NonConvergent.
 _MAX_INDEX = 40
+# Largest k0^2/4E^2 the default splitting admits; at 9.6 it is the balanced
+# sqrt(pi)/|a1| up to d0 of about 1.009.
+_MAX_GAU = 9.6
 
 RAYLEIGH_REL_THRESHOLD = 1e-9
 
@@ -164,7 +173,7 @@ class LatticeSumRequest:
             D_ab(-k)], each bitwise its single-offset sum (see the module
             docstring for the -k order and the zone-boundary ties).
         mode: 'retarded' or 'quasistatic'.
-        splitting: Ewald parameter E; None selects sqrt(pi)/|a1|.
+        splitting: Ewald parameter E; None selects default_splitting.
         tolerance: Relative truncation target in (0, 1). It sets the
             radius of both summation disks before any term is summed.
             The default 1e-10 is the only target the layers above use
@@ -213,8 +222,9 @@ class LatticeSumResult:
 
 
 def default_splitting(spec: LatticeSpec) -> float:
-    """Balanced Ewald parameter sqrt(pi)/|a1| for this lattice."""
-    return float(SQRT_PI / np.linalg.norm(spec.a1))
+    """Ewald parameter max(sqrt(pi)/|a1|, k0/(2 sqrt(_MAX_GAU)))."""
+    return float(max(SQRT_PI / np.linalg.norm(spec.a1),
+                     K0 / (2.0 * math.sqrt(_MAX_GAU))))
 
 
 def _disk(basis: np.ndarray, centre: np.ndarray, reach: float) -> np.ndarray:
@@ -271,7 +281,6 @@ def _weideman_coefficients(n: int, l: float) -> np.ndarray:
 _W_N = 36
 _W_L = math.sqrt(_W_N / math.sqrt(2.0))
 _W_COEFFS = _weideman_coefficients(_W_N, _W_L)
-_W_COEFF_LIST = _W_COEFFS.tolist()
 _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 
 
@@ -280,8 +289,8 @@ def _wofz(z: np.ndarray) -> np.ndarray:
 
     Weideman's expansion: with Z = (L + iz)/(L - iz),
     w(z) = 2 p(Z)/(L - iz)^2 + pi^(-1/2)/(L - iz). p is evaluated as the
-    powers of Z (np.vander) times its coefficients; an element's bits may
-    depend on its neighbours, so only the per-lattice tables use this.
+    powers of Z (np.vander) times its coefficients. An element's bits may
+    depend on its neighbours, so a per-k value calls it on one element.
     """
     iz = 1j * z
     d = _W_L - iz
@@ -289,28 +298,18 @@ def _wofz(z: np.ndarray) -> np.ndarray:
     return 2.0 * p / (d * d) + _INV_SQRT_PI / d
 
 
-def _wofz_scalar(z: complex) -> complex:
-    """w(z) for one z with Im z >= 0, by Horner's rule on Python complexes:
-    the same bits wherever z sits in a batch."""
-    d = _W_L - 1j * z
-    zz = (_W_L + 1j * z) / d
-    p = 0.0
-    for c in _W_COEFF_LIST:
-        p = p * zz + c
-    return 2.0 * p / (d * d) + _INV_SQRT_PI / d
-
-
 def _erfc_spectral(x: np.ndarray) -> np.ndarray:
     """erfc(gamma/2E) over the spectral terms, element by element.
 
     An evanescent order has a real x = gamma/2E >= 0 (libm's erfc); a
-    propagating one has x = -iy, y > 0, and erfc(-iy) = e^{y^2} w(y).
+    propagating one has x = -iy, y > 0, and erfc(-iy) = e^{y^2} w(y), one
+    _wofz call per order.
     """
     ec = np.fromiter(map(math.erfc, x.real.tolist()), float,
                      len(x)).astype(complex)
     if x.imag.any():
         prop = np.flatnonzero(x.imag)
-        ec[prop] = [math.exp(y * y) * _wofz_scalar(y)
+        ec[prop] = [math.exp(y * y) * _wofz(np.array([y]))[0]
                     for y in (-x.imag[prop]).tolist()]
     return ec
 
@@ -893,9 +892,10 @@ def direct_sum_quasistatic(
 def sum_diagnostics(spec: LatticeSpec, k) -> dict:
     """Cross-checks of the Ewald engine at one k-point.
 
-    Runs the same-sublattice (offset 'same') ewald_sum at splittings E, 2E
-    and E/2 for both modes and compares the quasistatic result against the
-    direct-sum oracle.
+    Runs the same-sublattice (offset 'same') ewald_sum at the default
+    splitting E, at 2E and at E/2 (1.5E where E/2 would break the cap
+    k0^2/4E^2 <= _MAX_GAU) for both modes and compares the quasistatic
+    result against the direct-sum oracle.
 
     Returns:
         Dict with relative deviations per mode ('retarded_splitting_dev',
@@ -904,6 +904,7 @@ def sum_diagnostics(spec: LatticeSpec, k) -> dict:
         series is singular at this k).
     """
     e0 = default_splitting(spec)
+    low = 0.5 if K0**2 / e0**2 <= _MAX_GAU else 1.5
     report: dict = {
         "k": np.asarray(k, dtype=float).tolist(),
         "splitting": e0,
@@ -914,7 +915,7 @@ def sum_diagnostics(spec: LatticeSpec, k) -> dict:
         results = [
             ewald_sum(LatticeSumRequest(spec=spec, k=k, mode=mode,
                                         splitting=s))
-            for s in (e0, 2.0 * e0, 0.5 * e0)
+            for s in (e0, 2.0 * e0, low * e0)
         ]
         base = np.linalg.norm(results[0].D)
         dev = max(

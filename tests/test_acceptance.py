@@ -454,7 +454,7 @@ def test_criterion_9_numerical_property_suite():
                     - scalar(r - ea + eb) + scalar(r - ea - eb)
                 ) / (4 * step * step)
         want = scalar(r) * np.eye(3) + hess / K0**2
-        got = green_retarded(r).components
+        got = green_retarded(r)
         worst_fd = max(
             worst_fd, np.linalg.norm(got - want) / np.linalg.norm(want))
     if worst_fd >= 1e-6:

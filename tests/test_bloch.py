@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dipolebands import (
@@ -195,7 +195,8 @@ def test_band_connection_closes_on_loop(iso_lattice):
     # band slot to its starting energy
     center = np.array([14.0, 10.0])
     angles = np.linspace(0.0, 2 * np.pi, 33)
-    loop = [center + 1.5 * np.array([np.cos(a), np.sin(a)]) for a in angles]
+    loop = [(center + 1.5 * np.array([np.cos(a), np.sin(a)]), 0.0, "")
+            for a in angles]
     bands = bands_on_path(iso_lattice, loop)
     first, last = bands[0], bands[-1]
     np.testing.assert_allclose(last.detuning, first.detuning, rtol=0,
@@ -391,6 +392,13 @@ def _assert_same_error(got, want):
        vertex=st.sampled_from(_VERTICES),
        shift=st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
        phi=st.floats(0.0, 2.0 * np.pi), at=st.integers(0, 7))
+# d0 1 and 2.5: several orders propagate at each k
+@example(d0=1.0, beta=1.0, mode="retarded",
+         fracs=[(0.05, 0.1), (0.2, -0.15), (0.7, 0.4), (-1.2, 0.3)],
+         vertex="K", shift=(1, -1), phi=0.7, at=2)
+@example(d0=2.5, beta=0.8, mode="retarded",
+         fracs=[(0.02, 0.03), (0.3, 0.1), (-0.4, 1.1)],
+         vertex="M", shift=(0, 2), phi=2.0, at=0)
 def test_batch_rows_match_one_point_calls(d0, beta, mode, fracs, vertex, shift,
                                           phi, at):
     # k inside and outside the first zone, a zone vertex moved by a

@@ -321,16 +321,16 @@ def test_convergence_json_and_csv(capsys):
     assert "retarded_splitting_dev" in keys
 
 
-@pytest.mark.parametrize("d0", ["10", "22", "30"])
-def test_exit_code_numerical_failure(d0, capsys):
-    # from d0 ~ 8.3 the spatial Ewald prefactor would overflow; a cell 300
-    # times the default also needs Ewald disks past the index cap. Either
-    # exits 3 before a special function overflows (a RuntimeWarning fails
-    # the test).
+@pytest.mark.parametrize("d0,want", [("10", 0), ("12", 3), ("22", 3),
+                                     ("30", 3)], ids=["10", "12", "22", "30"])
+def test_exit_code_numerical_failure(d0, want, capsys):
+    # up to d0 ~ 11 the default splitting keeps the sums correct; past it
+    # the Ewald disks need indices beyond the cap, which exits 3 before a
+    # special function overflows (a RuntimeWarning fails the test)
     code, _ = run_cli(
         ["bands", "--set", "path=Gamma,K", "--set", "n_per_segment=2",
          "--d0", d0], capsys)
-    assert code == 3
+    assert code == want
 
 
 def test_exit_code_bad_beta(capsys):

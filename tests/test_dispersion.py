@@ -109,22 +109,23 @@ def _full_grid_scan(spec, block, pair, mode, grid_n, eps_deg):
     def excluded(kx, ky):
         return (mode == "retarded") & (np.hypot(kx, ky) < 1.1 * K0)
 
-    grid = bloch.bands_on_grid(spec, np.linspace(*region[:2], grid_n),
-                               np.linspace(*region[2:], grid_n), mode)
+    kx = np.linspace(*region[:2], grid_n)
+    ky = np.linspace(*region[2:], grid_n)
+    grid = bloch.bands_on_grid(spec, kx, ky, mode)
     vals = grid.detuning[:, :, upper] - grid.detuning[:, :, lower]
     pad = np.pad(vals, 1, constant_values=np.inf)
     neigh = np.stack([pad[i0:i0 + grid_n, j0:j0 + grid_n]
                       for i0 in (0, 1, 2) for j0 in (0, 1, 2)
                       if (i0, j0) != (1, 1)])
     is_min = (vals < neigh[:4].min(axis=0)) & (vals <= neigh[4:].min(axis=0))
-    is_min &= ~excluded(*np.meshgrid(grid.kx, grid.ky, indexing="ij"))
+    is_min &= ~excluded(*np.meshgrid(kx, ky, indexing="ij"))
     spacing = max(region[1] - region[0], region[3] - region[2]) / (grid_n - 1)
     margin = 2.0 * spacing
     gap = dispersion.make_gap_function(spec, block, pair, mode)
     found = []
     for i, j in zip(*np.nonzero(is_min)):
         k, g = dispersion._refine_minimum(
-            gap, np.array([grid.kx[i], grid.ky[j]]), 0.5 * spacing,
+            gap, np.array([kx[i], ky[j]]), 0.5 * spacing,
             dispersion.REFINE_FRAC * b1n)
         if (g < eps_deg and not excluded(*k)
                 and region[0] - margin <= k[0] <= region[1] + margin
@@ -335,13 +336,16 @@ def test_tied_grid_minima_seed_once(monkeypatch, field, seed, region, n):
 
     def fake_grid(spec, gx, gy, mode):
         solved_kx.extend(gx)
-        detuning = np.zeros((len(gx), len(gy), 6))
+        shape = (len(gx), len(gy))
+        k = np.stack(np.meshgrid(gx, gy, indexing="ij"), axis=-1)
+        detuning = np.zeros(shape + (6,))
         detuning[:, :, 5] = field(*np.meshgrid(gx, gy, indexing="ij"))
-        return bloch.BandGrid(kx=gx, ky=gy, detuning=detuning,
-                              decay=np.zeros_like(detuning),
-                              block=bloch.BLOCKS,
-                              in_light_cone=np.zeros(detuning.shape[:2], bool),
-                              anomalous=np.zeros(detuning.shape[:2], bool))
+        return bloch.BandSet(k=k, arclength=np.zeros(shape),
+                             detuning=detuning, decay=np.zeros_like(detuning),
+                             vectors=np.zeros(shape + (6, 6), complex),
+                             block=bloch.BLOCKS,
+                             in_light_cone=np.zeros(shape, bool),
+                             anomalous=np.zeros(shape, bool))
 
     seeds = []
 

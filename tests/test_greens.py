@@ -42,7 +42,7 @@ def test_dyadic_from_scalar_green_oracle():
     for _ in range(50):
         r = rng.normal(size=3)
         r *= rng.uniform(0.05, 2.0) / np.linalg.norm(r)
-        g = green_retarded(r).components
+        g = green_retarded(r)
         want = scalar_green(r) * np.eye(3) + hessian_green(r) / K0**2
         assert np.linalg.norm(g - want) / np.linalg.norm(want) < 1e-6
 
@@ -51,17 +51,17 @@ def test_symmetry_and_reciprocity():
     rng = np.random.default_rng(3)
     for _ in range(10):
         r = rng.normal(size=3)
-        g = green_retarded(r).components
+        g = green_retarded(r)
         np.testing.assert_allclose(g, g.T, rtol=0, atol=1e-14)
         np.testing.assert_allclose(
-            g, green_retarded(-r).components, rtol=0, atol=1e-14)
+            g, green_retarded(-r), rtol=0, atol=1e-14)
 
 
 def test_in_plane_z_decoupling():
     rng = np.random.default_rng(5)
     for _ in range(10):
         r = np.array([rng.normal(), rng.normal(), 0.0])
-        g = green_retarded(r).components
+        g = green_retarded(r)
         assert abs(g[0, 2]) == 0.0
         assert abs(g[1, 2]) == 0.0
         assert abs(g[2, 0]) == 0.0
@@ -71,7 +71,7 @@ def test_in_plane_z_decoupling():
 def test_imaginary_part_small_r_limit():
     # Im G_aa -> k0 / 6 pi as r -> 0 (radiation into each polarization)
     for rn in (1e-3, 1e-4):
-        g = green_retarded([rn, 0.0, 0.0]).components
+        g = green_retarded([rn, 0.0, 0.0])
         for a in range(3):
             assert g[a, a].imag == pytest.approx(K0 / (6 * np.pi), rel=1e-4)
 
@@ -81,7 +81,7 @@ def test_unit_distance_closed_form():
     # x = k0 r, transverse terms carry (1 + i/x - 1/x^2)
     x = K0 * 1.0
     phase = np.exp(1j * x) / (4 * np.pi)
-    g = green_retarded([1.0, 0.0, 0.0]).components
+    g = green_retarded([1.0, 0.0, 0.0])
     want_xx = phase * (-2j / x + 2 / x**2)
     want_yy = phase * (1 + 1j / x - 1 / x**2)
     assert g[0, 0] == pytest.approx(want_xx, rel=1e-12)
@@ -91,7 +91,7 @@ def test_unit_distance_closed_form():
 
 def test_quasistatic_closed_form():
     r = 0.07
-    g = green_quasistatic([r, 0.0, 0.0]).components
+    g = green_quasistatic([r, 0.0, 0.0])
     assert g[0, 0] == pytest.approx(2.0 / (4 * np.pi * K0**2 * r**3),
                                     rel=1e-12)
     assert g[1, 1] == pytest.approx(-1.0 / (4 * np.pi * K0**2 * r**3),
@@ -105,8 +105,8 @@ def test_quasistatic_dominates_at_short_range():
     for _ in range(10):
         r = rng.normal(size=3)
         r *= rng.uniform(2e-4, 1e-3) / np.linalg.norm(r)
-        full = green_retarded(r).components
-        qs = green_quasistatic(r).components
+        full = green_retarded(r)
+        qs = green_quasistatic(r)
         assert np.linalg.norm(full.real - qs) / np.linalg.norm(qs) < 1e-2
 
 
@@ -115,8 +115,8 @@ def test_quasistatic_term_extraction_identity():
     # with the propagation phase removed
     r = np.array([0.003, -0.005, 0.002])
     rn = np.linalg.norm(r)
-    full = green_retarded(r).components
-    qs = green_quasistatic(r).components
+    full = green_retarded(r)
+    qs = green_quasistatic(r)
     extracted = (full * np.exp(-1j * K0 * rn)).real
     # at k0 r << 1 the remaining terms are O((k0 r)^2) relative
     assert np.linalg.norm(extracted - qs) / np.linalg.norm(qs) < 1e-2

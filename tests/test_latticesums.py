@@ -157,6 +157,26 @@ def test_nonconvergent_extreme_splitting():
         _ewald(spec, reciprocal(spec).K, mode="retarded", splitting=2000.0)
 
 
+@pytest.mark.parametrize("d0", [1.5, 2.0, 3.0, 5.0, 8.3, 10.0])
+def test_default_splitting_past_d0_one(d0):
+    # from d0 ~ 1 the default splitting stays at k0/(2 sqrt(9.6)): the sum
+    # agrees with the one at 1.5E, and where 1.5E needs indices past the
+    # cap its rounding bound u sum|terms|/|D| stays small
+    spec = build_lattice(d0, 1.0)
+    recip = reciprocal(spec)
+    e = default_splitting(spec)
+    for k in (0.31 * recip.b1 + 0.17 * recip.b2, recip.K):
+        res = _ewald(spec, k, offset="a_to_b")
+        if d0 < 8.0:
+            other = _ewald(spec, k, offset="a_to_b", splitting=1.5 * e)
+            assert (np.linalg.norm(res.D - other.D)
+                    <= 1e-8 * np.linalg.norm(res.D))
+        else:
+            rounding = (res.est_error * np.finfo(float).eps
+                        / (0.1 * LatticeSumRequest.tolerance))
+            assert rounding <= 1e-10
+
+
 @pytest.mark.parametrize("tolerance,k", [
     (0.0, (1.0, 0.0)),
     (-1e-10, (1.0, 0.0)),
@@ -263,14 +283,14 @@ def test_special_function_backends_vs_mpmath():
 
 def test_faddeeva_forms_agree():
     # the tables take the i r E - k0/2E kernels from w(-conj z) = conj w(z),
-    # and the propagating orders use the scalar form of the same expansion
+    # and the propagating orders call w on one element at a time
     _, prop, spatial = _kernel_arguments()
     z = np.concatenate([spatial, 1j * prop])
     w = latticesums._wofz(z)
     assert np.allclose(latticesums._wofz(-z.conj()), w.conj(), rtol=1e-14,
                        atol=0.0)
-    scalar = np.array([latticesums._wofz_scalar(complex(v)) for v in z])
-    assert np.allclose(scalar, w, rtol=1e-14, atol=0.0)
+    single = np.array([latticesums._wofz(np.array([v]))[0] for v in z])
+    assert np.allclose(single, w, rtol=1e-14, atol=0.0)
 
 
 def _mp_bloch_sums(spec, k, mode):
