@@ -331,9 +331,8 @@ def find_degeneracies(spec: LatticeSpec, block: str, band_pair,
     # below the four after it: of two exactly tied minima, only the first
     # seeds
     is_min = (vals < neigh[:4].min(axis=0)) & (vals <= neigh[4:].min(axis=0))
-    is_min &= ~_excluded(*np.meshgrid(kx, ky, indexing="ij"))
-    seeds = [np.array([kx[i], ky[j]])
-             for i, j in zip(*np.nonzero(is_min))]
+    is_min &= ~_excluded(grid.k[..., 0], grid.k[..., 1])
+    seeds = list(grid.k[is_min])
 
     gap = make_gap_function(spec, block, band_pair, mode)
     margin = 2.0 * spacing

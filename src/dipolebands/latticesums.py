@@ -45,10 +45,10 @@ of them in quasistatic mode), go through libm's erfc, and the few
 propagating ones, erfc(-iy) = e^{y^2} w(y), through one one-element call
 of the same w each.
 
-The default splitting is sqrt(pi)/|a1|, raised where needed so that
-k0^2/4E^2 <= _MAX_GAU: the spectral terms grow like e^{k0^2/4E^2} before
-they cancel, and past that cap (from d0 of about 1) the sum loses its
-digits (the high-frequency rule of F. Capolino, D. R. Wilton and W. A.
+The default splitting is sqrt(pi)/|a1|, in retarded mode raised where
+needed so that k0^2/4E^2 <= _MAX_GAU: the spectral terms grow like
+e^{k0^2/4E^2} before they cancel, and past that cap (from d0 of about 1)
+the sum loses its digits (the high-frequency rule of F. Capolino, D. R. Wilton and W. A.
 Johnson, IEEE Trans. Antennas Propag. 53, 2977 (2005)).
 
 Everything that does not depend on k is built once per lattice and kept in
@@ -221,10 +221,13 @@ class LatticeSumResult:
     n_propagating: int = 0
 
 
-def default_splitting(spec: LatticeSpec) -> float:
-    """Ewald parameter max(sqrt(pi)/|a1|, k0/(2 sqrt(_MAX_GAU)))."""
-    return float(max(SQRT_PI / np.linalg.norm(spec.a1),
-                     K0 / (2.0 * math.sqrt(_MAX_GAU))))
+def default_splitting(spec: LatticeSpec, mode: str = "retarded") -> float:
+    """Ewald parameter sqrt(pi)/|a1|, raised in retarded mode to at least
+    k0/(2 sqrt(_MAX_GAU))."""
+    e = float(SQRT_PI / np.linalg.norm(spec.a1))
+    if mode == "retarded":
+        e = max(e, K0 / (2.0 * math.sqrt(_MAX_GAU)))
+    return e
 
 
 def _disk(basis: np.ndarray, centre: np.ndarray, reach: float) -> np.ndarray:
@@ -655,7 +658,8 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
     spec = req.spec
     bloch = req.offset == "bloch"
     rho = _resolve_offset(spec, "a_to_b" if bloch else req.offset)
-    e = default_splitting(spec) if req.splitting is None else float(req.splitting)
+    e = (default_splitting(spec, req.mode) if req.splitting is None
+         else float(req.splitting))
     if not (np.isfinite(e) and e > 0.0):
         raise ValueError(f"splitting must be finite and positive, got {e}")
     retarded = req.mode == "retarded"
@@ -892,8 +896,8 @@ def direct_sum_quasistatic(
 def sum_diagnostics(spec: LatticeSpec, k) -> dict:
     """Cross-checks of the Ewald engine at one k-point.
 
-    Runs the same-sublattice (offset 'same') ewald_sum at the default
-    splitting E, at 2E and at E/2 (1.5E where E/2 would break the cap
+    Runs the same-sublattice (offset 'same') ewald_sum at each mode's
+    default splitting E, at 2E and at E/2 (1.5E where E/2 would break the cap
     k0^2/4E^2 <= _MAX_GAU) for both modes and compares the quasistatic
     result against the direct-sum oracle.
 
@@ -903,15 +907,16 @@ def sum_diagnostics(spec: LatticeSpec, k) -> dict:
         and 'rayleigh_anomaly' (None, or the message when the retarded
         series is singular at this k).
     """
-    e0 = default_splitting(spec)
-    low = 0.5 if K0**2 / e0**2 <= _MAX_GAU else 1.5
     report: dict = {
         "k": np.asarray(k, dtype=float).tolist(),
-        "splitting": e0,
+        "splitting": default_splitting(spec),
         "rayleigh_anomaly": None,
     }
 
     def _dev(mode):
+        e0 = default_splitting(spec, mode)
+        k0_eff = K0 if mode == "retarded" else 0.0
+        low = 0.5 if k0_eff**2 / e0**2 <= _MAX_GAU else 1.5
         results = [
             ewald_sum(LatticeSumRequest(spec=spec, k=k, mode=mode,
                                         splitting=s))

@@ -333,6 +333,19 @@ def test_exit_code_numerical_failure(d0, want, capsys):
     assert code == want
 
 
+@pytest.mark.parametrize("d0", ["13", "20", "30"])
+def test_quasistatic_bands_past_retarded_cap(d0, capsys):
+    # the quasistatic splitting scales with the cell, so the index cap that
+    # stops retarded sums from d0 ~ 11.5 does not apply
+    code, out = run_cli(
+        ["bands", "--mode", "quasistatic", "--set", "path=Gamma,K",
+         "--set", "n_per_segment=2", "--d0", d0], capsys)
+    assert code == 0
+    rows = [ln for ln in out.splitlines() if not ln.startswith("#")][1:]
+    detuning = np.array([float(r.split(",")[5]) for r in rows])
+    assert len(rows) == 2 * 6 and np.isfinite(detuning).all()
+
+
 def test_exit_code_bad_beta(capsys):
     code, _ = run_cli(["bands", "--beta", "7"], capsys)
     assert code == 2

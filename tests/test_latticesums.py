@@ -177,6 +177,25 @@ def test_default_splitting_past_d0_one(d0):
             assert rounding <= 1e-10
 
 
+@pytest.mark.parametrize("d0", [3.0, 20.0])
+def test_quasistatic_splitting_scales_with_cell(d0):
+    # without k0 there is no growth to cap: the quasistatic splitting stays
+    # sqrt(pi)/|a1| at any d0, past the retarded index cap included, and
+    # the sums match the direct oracle
+    spec = build_lattice(d0, 1.0)
+    assert (default_splitting(spec, "quasistatic")
+            == np.sqrt(np.pi) / np.linalg.norm(spec.a1))
+    k = reciprocal(spec).K
+    for offset in ("same", "a_to_b"):
+        ew = _ewald(spec, k, offset=offset, mode="quasistatic").D
+        direct = direct_sum_quasistatic(LatticeSumRequest(
+            spec=spec, k=k, offset=offset, mode="quasistatic")).D
+        dev = np.linalg.norm(ew - direct) / np.linalg.norm(direct)
+        assert dev < 1e-6, (offset, dev)
+    if d0 < 5.0:
+        assert sum_diagnostics(spec, k)["quasistatic_splitting_dev"] < 1e-11
+
+
 @pytest.mark.parametrize("tolerance,k", [
     (0.0, (1.0, 0.0)),
     (-1e-10, (1.0, 0.0)),
