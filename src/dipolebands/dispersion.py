@@ -34,6 +34,7 @@ EXP_TOL_LINEAR = 0.15  # window half-width around p = 1
 EXP_TOL_QUAD = 0.25  # window half-width around p = 2
 FIT_RADIUS_FRAC = 0.05  # default fit radius in units of |b1|
 FIT_INNER_FRAC = 0.1  # inner fit radius relative to the outer
+ISO_RTOL = 1e-9  # A's eigenvalues this close: isotropic, axes kx and ky
 N_DIRECTIONS = 16
 N_RADII = 12
 GRID_N = 48
@@ -75,7 +76,8 @@ class DegeneracyReport:
         tilt_ratio: t = sqrt(w . A^-1 w) (NaN when exponents are not both 1).
         exponents: Gap exponents along the principal axes of A.
         residuals: Dict of rms fit residuals.
-        principal_axes: Columns are the principal directions of A.
+        principal_axes: Columns are the principal directions of A; kx
+            and ky where its eigenvalues agree within ISO_RTOL.
         top_curvatures: Signed quadratic coefficients of the upper band
             along the two principal axes.
         beta, d0: Lattice parameters.
@@ -445,6 +447,8 @@ def classify(spec: LatticeSpec, location, block: str, band_pair,
     rms_a = float(np.sqrt(np.mean((xa @ coef - halves**2) ** 2)))
 
     evals, evecs = np.linalg.eigh(a_mat)
+    if evals[1] - evals[0] <= ISO_RTOL * np.abs(evals).max():
+        evecs = np.eye(2)  # every direction is principal: eigh's are arbitrary
 
     # Gap exponents and upper-band curvature along the principal axes,
     # both axes in one batch.

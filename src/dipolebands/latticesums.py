@@ -22,7 +22,10 @@ k0^2/4E^2), so the truncation is fixed before summing: each series is one
 vectorised pass over the disk of lattice vectors on which that exponent
 stays below ln(10/tolerance) + _MARGIN. Every omitted term is then smaller
 than tolerance/10 times the leading scale, and est_error reports that
-bound relative to the result.
+bound relative to the result. The same summed magnitudes bound the
+rounding error, u sum|terms|/|D| with u the float epsilon; where that
+passes _MAX_ROUNDING at some k, the terms cancel too many digits (a
+splitting far from balanced) and ewald_sum raises NonConvergent naming k.
 
 Spatial-series kernels are evaluated through the Faddeeva function w(z) with
 arguments i r E +- k0/(2E) in the upper half plane, which keeps every factor
@@ -48,8 +51,8 @@ of the same w each.
 The default splitting is sqrt(pi)/|a1|, in retarded mode raised where
 needed so that k0^2/4E^2 <= _MAX_GAU: the spectral terms grow like
 e^{k0^2/4E^2} before they cancel, and past that cap (from d0 of about 1)
-the sum loses its digits (the high-frequency rule of F. Capolino, D. R. Wilton and W. A.
-Johnson, IEEE Trans. Antennas Propag. 53, 2977 (2005)).
+the sum loses its digits (the high-frequency rule of F. Capolino, D. R.
+Wilton and W. A. Johnson, IEEE Trans. Antennas Propag. 53, 2977 (2005)).
 
 Everything that does not depend on k is built once per lattice and kept in
 two small least-recently-used caches:
@@ -76,29 +79,31 @@ every table array is read-only.
 
 A request's k is one point (2,) or a batch (N, 2), and a one-point request
 is the batch N = 1 with the leading axis dropped. A batch is one pass: an
-(N, spatial terms) Bloch-phase array against the spatial table, and an
-(N, orders) array over the order list whose entries outside each k's
-spectral disk are zero. Each row adds its terms in the one-point order, so
-row n of a batch is bitwise the one-point sum at k[n]. Per-k result fields
-(D, k_reduced, n_propagating) gain the leading N axis; n_spatial and
-n_spectral are the terms summed over the whole batch and est_error is the
-batch's worst, so the counts of N one-point calls and of one batch agree.
-The working set grows as N times the terms of one k, so bloch.solve_k
-hands the sums at most bloch._PASS_SIZE points per pass.
+(N, spatial terms) Bloch-phase array against the spatial table, and the
+spectral terms of all N laid out as runs, one per k in its one-point order.
+One segment reduction (np.add.reduceat) sums every run, and the sum of a
+run depends on its own terms only, so row n of a batch is bitwise the
+one-point sum at k[n]. Per-k result fields (D, k_reduced, n_propagating)
+gain the leading N axis; n_spatial and n_spectral are the terms summed
+over the whole batch and est_error is the batch's worst, so the counts of
+N one-point calls and of one batch agree. The working set grows as N times
+the terms of one k, so bloch.solve_k hands the sums at most
+bloch._PASS_SIZE points per pass.
 
 The offset "bloch" returns the three sums of a Bloch matrix from that one
 pass: D gains a leading axis of 3, [D_same(k), D_ab(k), D_ba(k)], each
 bitwise the single-offset sum ("same" at k, "a_to_b" at k, "a_to_b" at
 -k). The dyadic is even, so D_ba(k) = D_ab(-k), and the kernels at k
 serve all three: D_same weighs them by 1 and D_ab by e^{i(k+g).rho}. The
-order list is symmetric (its reverse is its negation), so the orders about
--reduce_to_bz(k) are those about reduce_to_bz(k) negated, in reversed
-order; D_ba sums them in that order under the conjugate phases, and the
-spatial terms of the a_to_b table under the conjugate Bloch phase. Where
-reduce_to_bz(-k) is not -reduce_to_bz(k) (ties on the zone boundary, such
-as M), the kernels of that -k are evaluated as one more row of the same
-pass. k_reduced and n_propagating are the same-site sum's, n_spatial and
-n_spectral count the terms of all three and est_error is the worst.
+order list is symmetric (its reverse is its negation), so the run about
+-reduce_to_bz(k) is the one about reduce_to_bz(k) negated and reversed:
+the D_ba runs are the D_ab runs reversed as a whole, under the conjugate
+phases, and the spatial terms those of the a_to_b table under the
+conjugate Bloch phase. Where reduce_to_bz(-k) is not -reduce_to_bz(k)
+(ties on the zone boundary, such as M), the kernels of that -k are one
+more row of the same pass, whose run gives the tie's D_ba. k_reduced and
+n_propagating are the same-site sum's, n_spatial and n_spectral count the
+terms of all three and est_error is the worst.
 """
 
 from __future__ import annotations
@@ -106,7 +111,6 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -125,6 +129,9 @@ _MAX_INDEX = 40
 # Largest k0^2/4E^2 the default splitting admits; at 9.6 it is the balanced
 # sqrt(pi)/|a1| up to d0 of about 1.009.
 _MAX_GAU = 9.6
+# Largest rounding bound u sum|terms|/|D| (u = float eps) a sum may carry;
+# past it the terms cancel too many digits and the sum is NonConvergent.
+_MAX_ROUNDING = 1e-10
 
 RAYLEIGH_REL_THRESHOLD = 1e-9
 
@@ -153,8 +160,9 @@ class RayleighAnomaly(ArithmeticError):
 class NonConvergent(ArithmeticError):
     """The truncation cannot be reached at this splitting.
 
-    Raised when a summation disk needs lattice indices past the cap, or
-    when the spatial prefactor exp(k0^2/4E^2) would overflow.
+    Raised when a summation disk needs lattice indices past the cap, when
+    the spatial prefactor exp(k0^2/4E^2) would overflow, or when the terms
+    cancel past the rounding bound _MAX_ROUNDING.
     """
 
 
@@ -469,34 +477,14 @@ def _spatial_table(spec: LatticeSpec, rho: np.ndarray, k0_eff: float,
         self_term=np.array([h0, 2.0 * h2, 0.0, 2.0 * h2, 2.0 * h2])))
 
 
-class _Kernels(NamedTuple):
-    """The rho-free part of the spectral series on some rows of k.
-
-    The terms are the (row, order) pairs with k + g in the spectral disk,
-    row by row and in order-list order within a row.
-
-    Attributes:
-        inside: (rows, orders) disk mask.
-        qv: (terms, 2) the vectors k + g.
-        kern: (terms,) erfc(gamma/2E)/gamma, zero where gamma = 0.
-        zker: (terms,) the kernel of the z-derivative column.
-        n_prop: (rows,) counts of propagating orders.
-    """
-
-    inside: np.ndarray
-    qv: np.ndarray
-    kern: np.ndarray
-    zker: np.ndarray
-    n_prop: np.ndarray
-
-
-def _spectral_kernels(cell: _CellTable, k, k0_eff, e, lead) -> _Kernels:
+def _spectral_kernels(cell: _CellTable, k, k0_eff, e, lead):
     """Spectral kernels over |k+g|^2 <= k0^2 + 4 E^2 depth, per row of k.
 
     The orders of row n are the rows of the cell's order list g with
     k[n] + g in the disk: the _disk of (b1, b2) about k[n], in the same
-    order. Nothing here depends on the offset rho; _spectral_terms weighs
-    the kernels by a Bloch phase.
+    order. The terms are laid out as runs, row after row: run n holds row
+    n's orders in that order. Nothing here depends on the offset rho;
+    _spectral_terms weighs the kernels by a Bloch phase.
 
     Args:
         k: (rows, 2) zone-reduced Bloch vectors: the request's N rows,
@@ -506,19 +494,24 @@ def _spectral_kernels(cell: _CellTable, k, k0_eff, e, lead) -> _Kernels:
         lead: The request's leading shape, (N,) or () for one k; it shapes
             RayleighAnomaly.direction like the request's k.
 
+    Returns:
+        (counts, qv, kern, zker, n_prop): per row its run length (>= 1, as
+        |k| < reach) and propagating orders; per term k + g, the kernel
+        erfc(gamma/2E)/gamma (0 at gamma = 0) and the z column's kernel.
+
     Raises:
         RayleighAnomaly: an order of one of the request's rows grazes the
             light line.
     """
     v = cell.orders + k[:, None, :]
     flat = v.reshape(-1, 2)
-    inside = (np.einsum("ij,ij->i", flat, flat)
-              <= cell.reach * cell.reach).reshape(v.shape[:2])
-    qv = v[inside]
+    disk = (np.einsum("ij,ij->i", flat, flat)
+            <= cell.reach * cell.reach).reshape(v.shape[:2])
+    qv = v[disk]
     q = np.linalg.norm(qv, axis=1)
-    row = np.nonzero(inside)[0]  # the k of each term
     n_prop = np.zeros(len(k), dtype=int)
     if k0_eff != 0.0:
+        row = np.nonzero(disk)[0]  # the k of each term
         n = math.prod(lead)
         grazing = (np.abs(q - k0_eff) < RAYLEIGH_REL_THRESHOLD * k0_eff) \
             & (row < n)
@@ -539,24 +532,21 @@ def _spectral_kernels(cell: _CellTable, k, k0_eff, e, lead) -> _Kernels:
     kern = np.zeros_like(gamma)
     np.divide(ec, gamma, out=kern, where=gamma != 0.0)
     zker = 2.0 * gamma * ec - (4.0 * e / SQRT_PI) * np.exp(d / (4.0 * e**2))
-    return _Kernels(inside, qv, kern, zker, n_prop)
+    return np.count_nonzero(disk, axis=1), qv, kern, zker, n_prop
 
 
-def _spectral_terms(out, inside, qv, kern, zker, unit, area2):
-    """Write the spectral contributions to (S, Txx, Txy, Tyy, Tzz) into out.
+def _spectral_terms(qv, kern, zker, unit, area2):
+    """The (terms, 5) spectral contributions to (S, Txx, Txy, Tyy, Tzz).
 
-    The term at k + g = qv weighs the kernels by the Bloch phase unit =
-    e^{i (k+g).rho}, over twice the cell area, and lands at its place in
-    the order list: out[inside], out being (rows, orders, 5) and zero
-    elsewhere. With out a reversed view, qv negated and unit conjugated
-    these are the terms at -k, whose orders are the negated ones in the
-    reversed order.
+    The term at k + g = qv weighs its kernels by the Bloch phase unit =
+    e^{i (k+g).rho}, over twice the cell area. The terms keep the order of
+    their arguments, runs included.
     """
     phase = unit / area2
     pk = phase * kern
     qx, qy = qv[:, 0], qv[:, 1]
-    out[inside] = _columns(pk, -pk * qx * qx, -pk * qx * qy, -pk * qy * qy,
-                           0.5 * phase * zker)
+    return _columns(pk, -pk * qx * qx, -pk * qx * qy, -pk * qy * qy,
+                    0.5 * phase * zker)
 
 
 def _spatial_terms(t: _SpatialTable, unit):
@@ -639,8 +629,9 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
         RayleighAnomaly: retarded mode with |k+g| on the light line (for
             'bloch', as the same-site request at k raises it).
         NonConvergent: truncation disk past the index cap (the spectral
-            cap holds per lattice: past it every k fails), or spatial
-            prefactor overflow (e.g. extreme splitting override).
+            cap holds per lattice: past it every k fails), spatial
+            prefactor overflow or a rounding bound past _MAX_ROUNDING (an
+            extreme splitting override).
     """
     if req.mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {req.mode!r}")
@@ -688,62 +679,66 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
     t_rho = table(rho)
     t_same = (table(np.zeros(2)) if bloch
               else t_rho if req.offset == "same" else None)
-    kn = _spectral_kernels(cell, rows, k0_eff, e, lead)
-    inside = kn.inside[:n]
-    t_k = int(np.count_nonzero(inside))
-    at_k = (inside, kn.qv[:t_k], kn.kern[:t_k], kn.zker[:t_k])
-
-    # one (N, orders, 5) block of spectral terms per D, summed as one
-    # batch; the sum at rho first (for 'bloch', a_to_b at k)
-    w_g = np.zeros((3 if bloch else 1,) + inside.shape + (5,), dtype=complex)
-    unit = np.exp(1j * (at_k[1] @ rho))
-    _spectral_terms(w_g[1] if bloch else w_g[0], *at_k, unit, cell.area2)
+    counts, qv, kern, zker, n_prop = _spectral_kernels(
+        cell, rows, k0_eff, e, lead)
+    unit = np.exp(1j * (qv @ rho))
+    runs = counts
     if not bloch:
         w_r = [_spatial_terms(t_rho, _bloch_phase(t_rho, k))]
-        n_spectral = t_k
     else:
-        # [same, a_to_b at k, a_to_b at -k]: the rows of -k sum the terms
-        # at k, negated and in reversed order, under the conjugate phases
-        zero = np.zeros(2)
-        _spectral_terms(w_g[0], *at_k, np.exp(1j * (at_k[1] @ zero)),
-                        cell.area2)
-        _spectral_terms(w_g[2][:, ::-1], inside, -at_k[1], *at_k[2:],
-                        unit.conj(), cell.area2)
+        # the runs of [same, a_to_b at k, a_to_b at -k, each tie's own -k]:
+        # the terms at -k are those at k negated, each run reversed, under
+        # the conjugate phases, i.e. the a_to_b block reversed as a whole
+        t = int(counts[:n].sum())
+        runs, qv, kern, zker, unit = (
+            np.concatenate([a[:m], a[:m], a[:m][::-1], a[m:]]) for a, m in
+            ((counts, n), (qv, t), (kern, t), (zker, t), (unit, t)))
+        ba = slice(2 * t, 3 * t)
+        qv[ba] *= -1.0
+        unit[:t], unit[ba] = 1.0, unit[ba].conj()  # e^{i (k+g).0} = 1
         ph_ab = _bloch_phase(t_rho, k)
         ph_ba = ph_ab.conj()
-        n_spectral = 3 * t_k
         if tie.any():
-            # a tie's -k sums its own kernels, the rows after the first n
-            tied = np.zeros_like(inside)
-            tied[tie] = kn.inside[n:]
-            qv = kn.qv[t_k:]
-            w_g[2][tie] = 0.0
-            _spectral_terms(w_g[2], tied, qv, kn.kern[t_k:], kn.zker[t_k:],
-                            np.exp(1j * (qv @ rho)), cell.area2)
             ph_ba[tie] = _bloch_phase(t_rho, neg[tie])
-            n_spectral += len(qv) - int(np.count_nonzero(inside[tie]))
         w_r = [_spatial_terms(t_same, _bloch_phase(t_same, k)),
                _spatial_terms(t_rho, np.concatenate([ph_ab, ph_ba]))]
+    terms = _spectral_terms(qv, kern, zker, unit, cell.area2)
 
-    w_g = w_g.reshape((-1,) + w_g.shape[2:])
-    total = w_g.sum(axis=1) + np.concatenate([w.sum(axis=1) for w in w_r])
+    # one segment reduction over the runs, each summed as one k alone
+    starts = np.cumsum(runs) - runs
+    sums = np.add.reduceat(terms, starts, axis=0)
+    mags = np.add.reduceat(np.abs(terms), starts, axis=0)
+    n_spectral = len(terms)
+    if bloch:
+        # D_ba back in row order, a tie's from its own run
+        pick = np.arange(3 * n)
+        pick[2 * n:] = pick[2 * n:][::-1]
+        pick[2 * n:][tie] = np.arange(3 * n, len(runs))
+        sums, mags = sums[pick], mags[pick]
+        n_spectral -= int(counts[:n][tie].sum())
+    total = sums + np.concatenate([w.sum(axis=1) for w in w_r])
     if t_same is not None:
         total[:n] += t_same.self_term
     d = _dyadic(total, retarded)
     # each omitted term is below tol/10 of the leading scale, so the tail
     # is bounded by tol/10 times the summed magnitudes, component-wise
-    magnitude = _dyadic(np.abs(w_g).sum(axis=1)
-                        + np.concatenate([np.abs(w).sum(axis=1) for w in w_r]),
-                        retarded)
+    magnitude = _dyadic(mags + np.concatenate([np.abs(w).sum(axis=1)
+                                               for w in w_r]), retarded)
     est = 0.1 * tol * _norms(magnitude) / _norms(d)
+    # and u = eps times them bound its rounding error
+    rounding = est * (np.finfo(float).eps / (0.1 * tol))
+    if rounding.max(initial=0.0) > _MAX_ROUNDING:
+        at = int(np.argmax(rounding))
+        raise NonConvergent(
+            f"rounding bound {rounding[at]:.3g} past {_MAX_ROUNDING:g} at "
+            f"k={k[at % n]}: splitting {e:g} cancels too many digits")
     return LatticeSumResult(
         D=d.reshape(((3,) if bloch else ()) + lead + (3, 3)),
         n_spatial=sum(w.shape[0] * w.shape[1] for w in w_r),
         n_spectral=n_spectral,
         est_error=float(est.max(initial=0.0)),
         k_reduced=k.reshape(lead + (2,)),
-        n_propagating=(kn.n_prop[:n].reshape(lead) if lead
-                       else int(kn.n_prop[0])),
+        n_propagating=n_prop[:n].reshape(lead) if lead else int(n_prop[0]),
     )
 
 

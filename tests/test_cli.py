@@ -3,17 +3,21 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dipolebands import dispersion
 from dipolebands.cli import ConfigError, load_config_file, main, resolve_config
 from dipolebands.dispersion import DegeneracyReport
-from dipolebands.lattice import D0_MIN, build_lattice, reciprocal
+from dipolebands.lattice import (BETA_MAX, BETA_MIN, D0_MIN, build_lattice,
+                                 reciprocal)
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -403,6 +407,58 @@ _SWEEP = ["sweep-beta", "--block", "in_plane"]
 def test_exit_code_bad_config(argv, capsys):
     code, _ = run_cli(argv, capsys)
     assert code == 2
+
+
+_LABELS = ("Gamma", "K", "Kprime", "M", "M_top", "M_bottom")
+_FRACS = st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
+
+
+@st.composite
+def _cli_draws(draw):
+    """argv of a cheap run at random (d0, beta, k): d0 log-uniform over
+    [D0_MIN, 30], beta over its range, k a label or a numeric point."""
+    d0 = min(10.0 ** draw(st.floats(np.log10(D0_MIN), np.log10(30.0))), 30.0)
+    beta = draw(st.floats(BETA_MIN, BETA_MAX))
+    recip = reciprocal(build_lattice(d0, beta))
+
+    def coords(fracs):
+        return [repr(float(c)) for c in fracs[0] * recip.b1
+                + fracs[1] * recip.b2]
+
+    command = draw(st.sampled_from(
+        ("bands", "surface", "convergence", "classify")))
+    argv = [command, "--set", f"d0={d0!r}", "--beta", repr(beta)]
+    if command == "bands":
+        argv += ["--mode", draw(st.sampled_from(
+            ("retarded", "quasistatic", "both"))),
+            "--set", f"n_per_segment={draw(st.integers(2, 3))}"]
+    elif command == "surface":
+        (x0, y0), (x1, y1) = coords(draw(_FRACS)), coords(draw(_FRACS))
+        nx, ny = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        argv += ["--mode", draw(st.sampled_from(("retarded", "quasistatic"))),
+                 "--set", f"grid={x0},{x1},{y0},{y1},{nx},{ny}"]
+    else:
+        k = draw(st.one_of(st.sampled_from(_LABELS),
+                           _FRACS.map(lambda f: ",".join(coords(f)))))
+        argv += ["--set", f"k_point={k}"]
+        if command == "classify":
+            argv += ["--block", draw(st.sampled_from(
+                ("out_of_plane", "in_plane"))), "--set", "refine=false",
+                "--mode", draw(st.sampled_from(("retarded", "quasistatic")))]
+    return argv
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_cli_draws())
+def test_cli_fuzz_exits_cleanly(argv, capsys):
+    # no exception escapes main (a RuntimeWarning is one), the exit code is
+    # 0, 2 or 3, and a successful run prints no NaN or inf
+    code, out = run_cli(argv, capsys)
+    assert code in (0, 2, 3), argv
+    if code == 0:
+        words = set(re.findall(r"[a-z]+", out.lower()))
+        assert not words & {"nan", "inf", "infinity"}, argv
 
 
 @pytest.mark.parametrize("argv", [

@@ -234,6 +234,26 @@ def test_classify_dirac_point_at_corner(iso, iso_cones):
     assert rep.residuals["velocity_rms"] < 0.05
 
 
+@pytest.mark.parametrize("delta", [None, (1, 0, -1), (0, 1, 0), (-1, 1, 1)])
+def test_isotropic_cone_axes_are_kx_ky(iso, monkeypatch, delta):
+    # at beta 1, A is a multiple of the identity to rounding, where eigh's
+    # axes are arbitrary: kx and ky are reported, also with A's fitted
+    # entries (xx, xy, yy) moved by 1e-15 of their scale
+    if delta is not None:
+        lstsq = np.linalg.lstsq
+
+        def perturbed(a, b, **kwargs):
+            x, *rest = lstsq(a, b, **kwargs)
+            if a.shape[1] == 3:  # the quadratic form's design
+                x = x + 1e-15 * np.abs(x).max() * np.array(delta)
+            return (x, *rest)
+
+        monkeypatch.setattr(np.linalg, "lstsq", perturbed)
+    rep = classify(iso, reciprocal(iso).K, OUT_OF_PLANE, (0, 1))
+    assert rep.kind == "dirac_I"
+    assert np.array_equal(rep.principal_axes, np.eye(2))
+
+
 def test_semi_dirac_at_merging_beta():
     spec = build_lattice(0.1, BETA_C_OOP_M)
     recip = reciprocal(spec)

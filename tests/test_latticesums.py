@@ -177,6 +177,24 @@ def test_default_splitting_past_d0_one(d0):
             assert rounding <= 1e-10
 
 
+@pytest.mark.parametrize("d0", [1.5, 2.0])
+def test_cancelling_splitting_is_nonconvergent(d0):
+    # sqrt(pi)/|a1| past d0 ~ 1: the spectral terms grow like e^{k0^2/4E^2}
+    # and cancel, which left D off by 1.1e-7 at d0 1.5 and by 52% at d0 2
+    # (relative to the default-splitting sum); the rounding bound
+    # u sum|terms|/|D| gates it, naming the k
+    spec = build_lattice(d0, 1.0)
+    recip = reciprocal(spec)
+    k = 0.31 * recip.b1 + 0.17 * recip.b2
+    e = np.sqrt(np.pi) / np.linalg.norm(spec.a1)
+    for offset in ("a_to_b", "bloch"):
+        with pytest.raises(NonConvergent, match="rounding bound") as exc:
+            _ewald(spec, k, offset=offset, splitting=e)
+        assert f"k={reduce_to_bz(recip, k)}" in str(exc.value)
+        # the default splitting sums the same k
+        _ewald(spec, k, offset=offset)
+
+
 @pytest.mark.parametrize("d0", [3.0, 20.0])
 def test_quasistatic_splitting_scales_with_cell(d0):
     # without k0 there is no growth to cap: the quasistatic splitting stays
@@ -520,13 +538,15 @@ def _ref_ewald_sum(req):
     depth = np.log(10.0 / tol) + latticesums._MARGIN
     w_g, n_prop = _ref_spectral_terms(spec, recip, k, rho, k0_eff, e, depth)
     w_r, w_b = _ref_spatial_terms(spec, k, rho, k0_eff, e, depth)
-    total = w_g.sum(axis=0) + w_r.sum(axis=0)
+    # the spectral terms are summed as the package sums one k's run
+    total = np.add.reduceat(w_g, [0], axis=0)[0] + w_r.sum(axis=0)
     if req.offset == "same":
         h0, h2 = latticesums._self_corrections(k0_eff, e, w_b)
         total += np.array([h0, 2.0 * h2, 0.0, 2.0 * h2, 2.0 * h2])
     d = latticesums._dyadic(total, retarded)
     magnitude = latticesums._dyadic(
-        np.abs(w_g).sum(axis=0) + np.abs(w_r).sum(axis=0), retarded)
+        np.add.reduceat(np.abs(w_g), [0], axis=0)[0]
+        + np.abs(w_r).sum(axis=0), retarded)
     return LatticeSumResult(
         D=d, n_spatial=len(w_r), n_spectral=len(w_g),
         est_error=float(0.1 * tol * np.linalg.norm(magnitude)
