@@ -66,29 +66,28 @@ two small least-recently-used caches:
 The keys hold no beta: a1 and a2 do not depend on it, so every lattice of
 one d0 shares the cell table and the same-site (rho = 0) spatial table. Per
 k, ewald_sum reduces k to the first zone once (the result carries it as
-k_reduced), keeps the rows of the order list with k + g inside the
-spectral disk and evaluates the offset-free spectral kernels (erfc and
-the z kernel) on them; then it weighs those kernels by the phase
-e^{i(k+g).rho} and the spatial kernels by the Bloch phase e^{-ik.R}.
-Those are the terms of a fresh _disk about k, in the same order, so the
-result does not depend on what the caches hold. The
-index cap is a property of the lattice, not of k: when the order list or
-the spatial disk would need an index past it, the table is not built and
-every k fails with NonConvergent. A build that raises stores nothing, and
-every table array is read-only.
+k_reduced), keeps the rows of the order list with k + g inside the spectral
+disk and evaluates the offset-free spectral kernels (erfc and the z kernel)
+on them; then it weighs those kernels by the phase e^{i(k+g).rho} and the
+spatial kernels by the Bloch phase e^{-ik.R}. Those are the terms of a
+fresh _disk about k, in the same order, so the result does not depend on
+what the caches hold. The index cap is a property of the lattice, not of k:
+when the order list or the spatial disk would need an index past it, the
+table is not built and every k fails with NonConvergent. A build that
+raises stores nothing, and every table array is read-only.
 
 A request's k is one point (2,) or a batch (N, 2), and a one-point request
 is the batch N = 1 with the leading axis dropped. A batch is one pass: an
 (N, spatial terms) Bloch-phase array against the spatial table, and the
 spectral terms of all N laid out as runs, one per k in its one-point order.
-One segment reduction (np.add.reduceat) sums every run, and the sum of a
-run depends on its own terms only, so row n of a batch is bitwise the
-one-point sum at k[n]. Per-k result fields (D, k_reduced, n_propagating)
-gain the leading N axis; n_spatial and n_spectral are the terms summed
-over the whole batch and est_error is the batch's worst, so the counts of
-N one-point calls and of one batch agree. The working set grows as N times
-the terms of one k, so bloch.solve_k hands the sums at most
-bloch._PASS_SIZE points per pass.
+One segment reduction (np.add.reduceat) sums the runs (an empty one, left
+by a small splitting override, is zero), and the sum of a run depends on
+its own terms only, so row n of a batch is bitwise the one-point sum at
+k[n]. Per-k result fields (D, k_reduced, n_propagating) gain the leading N
+axis; n_spatial and n_spectral are the terms summed over the whole batch
+and est_error is the batch's worst, so the counts of N one-point calls and
+of one batch agree. The working set grows as N times the terms of one k, so
+bloch.solve_k hands the sums at most bloch._PASS_SIZE points per pass.
 
 The offset "bloch" returns the three sums of a Bloch matrix from that one
 pass: D gains a leading axis of 3, [D_same(k), D_ab(k), D_ba(k)], each
@@ -495,9 +494,10 @@ def _spectral_kernels(cell: _CellTable, k, k0_eff, e, lead):
             RayleighAnomaly.direction like the request's k.
 
     Returns:
-        (counts, qv, kern, zker, n_prop): per row its run length (>= 1, as
-        |k| < reach) and propagating orders; per term k + g, the kernel
-        erfc(gamma/2E)/gamma (0 at gamma = 0) and the z column's kernel.
+        (counts, qv, kern, zker, n_prop): per row its run length (0 where
+        a small splitting override puts reach below |k|) and propagating
+        orders; per term k + g, the kernel erfc(gamma/2E)/gamma (0 at
+        gamma = 0) and the z column's kernel.
 
     Raises:
         RayleighAnomaly: an order of one of the request's rows grazes the
@@ -661,14 +661,11 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
                    lambda: _cell_table(spec, k0_eff, e, tol))
     n = len(k)
     red = reduce_to_bz(cell.recip, np.concatenate([k, -k]) if bloch else k)
-    k = red[:n]
-    rows = k
-    if bloch:
-        # -k mostly reduces to -k_reduced, whose terms are those at k
-        # negated; a zone-boundary tie reduces elsewhere and gets a row
-        neg = red[n:]
-        tie = np.any(neg != -k, axis=1)
-        rows = np.concatenate([k, neg[tie]])
+    # for 'bloch', -k mostly reduces to -k_reduced, whose terms are those at
+    # k negated; a zone-boundary tie reduces elsewhere and gets a row
+    k, neg = red[:n], red[n:]
+    tie = np.any(neg != -k, axis=1) if bloch else np.zeros(0, dtype=bool)
+    rows = np.concatenate([k, neg[tie]])
 
     def table(r):
         return _cached(_SPATIAL_TABLES, key + (r.tobytes(),),
@@ -704,10 +701,14 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
                _spatial_terms(t_rho, np.concatenate([ph_ab, ph_ba]))]
     terms = _spectral_terms(qv, kern, zker, unit, cell.area2)
 
-    # one segment reduction over the runs, each summed as one k alone
-    starts = np.cumsum(runs) - runs
-    sums = np.add.reduceat(terms, starts, axis=0)
-    mags = np.add.reduceat(np.abs(terms), starts, axis=0)
+    # one segment reduction over the non-empty runs, each summed as one k
+    # alone; an empty run sums to zero (reduceat would read the next one's)
+    full = runs > 0
+    starts = (np.cumsum(runs) - runs)[full]
+    sums = np.zeros((len(runs), 5), dtype=complex)
+    mags = np.zeros((len(runs), 5))
+    sums[full] = np.add.reduceat(terms, starts, axis=0)
+    mags[full] = np.add.reduceat(np.abs(terms), starts, axis=0)
     n_spectral = len(terms)
     if bloch:
         # D_ba back in row order, a tie's from its own run

@@ -195,6 +195,27 @@ def test_cancelling_splitting_is_nonconvergent(d0):
         _ewald(spec, k, offset=offset)
 
 
+@pytest.mark.parametrize("mode, d0, e_a1", [("quasistatic", 0.2, 0.2),
+                                             ("retarded", 0.2, 0.33)])
+def test_empty_spectral_run_sums_to_zero(mode, d0, e_a1):
+    # a splitting this small puts the spectral reach below |K|: no order of
+    # K is in the disk, its run is empty and its spectral part zero, alone,
+    # inside a batch and as a batch's last row
+    spec = build_lattice(d0, 1.0)
+    recip = reciprocal(spec)
+    e = e_a1 / np.linalg.norm(spec.a1)
+    for offset in ("same", "a_to_b", "bloch"):
+        one = _ewald(spec, recip.K, offset=offset, mode=mode, splitting=e)
+        assert one.n_spectral == 0
+        ref = _ewald(spec, recip.K, offset=offset, mode=mode).D
+        assert (np.linalg.norm(one.D - ref) <= 1e-8 * np.linalg.norm(ref))
+        for ks in ([np.zeros(2), recip.K, np.zeros(2)],
+                   [np.zeros(2), recip.K]):
+            batch = _ewald(spec, np.array(ks), offset=offset, mode=mode,
+                           splitting=e)
+            assert np.array_equal(batch.D[..., 1, :, :], one.D)
+
+
 @pytest.mark.parametrize("d0", [3.0, 20.0])
 def test_quasistatic_splitting_scales_with_cell(d0):
     # without k0 there is no growth to cap: the quasistatic splitting stays
