@@ -11,17 +11,23 @@ where the D blocks are the dyadic lattice sums (in wavelength/linewidth
 units the coupling prefactor is exactly 3/2). The dyadic is even, G(-r) =
 G(r), so D_ba(k) = D_ab(-k): assemble makes one ewald_sum call per pass,
 offset 'bloch', which returns all three D blocks from one spectral pass
-over the k of the pass. Eigenvalues are
-reported as (detuning, decay) = (Re lam, -2 Im lam): detuning is the band
-energy relative to the emitter resonance in linewidth units and decay is
-the radiative width gamma_k in units of the single-emitter linewidth.
+over the k of the pass. Eigenvalues are reported as (detuning, decay) =
+(Re lam, -2 Im lam): detuning is the band energy relative to the emitter
+resonance in linewidth units and decay is the radiative width gamma_k in
+units of the single-emitter linewidth.
 
 In-plane displacements decouple the two z polarizations from the four
 in-plane ones exactly; the 2x2 out-of-plane and the 4x4 in-plane block are
-each solved densely. BLOCKS is the band-slot layout of every BandSet:
-in-plane bands in slots 0-3, out-of-plane in 4-5.
-Bands along a path are connected within each block by maximal eigenvector
-overlap so that true crossings are preserved.
+each solved densely. BLOCKS is the band-slot layout of a BandSet of both
+blocks: in-plane bands in slots 0-3, out-of-plane in 4-5. eigensolve,
+solve_k and bands_on_grid take block=None for that layout, or a block tag
+to diagonalize that block alone: its nb bands (4 in-plane, 2 out-of-plane)
+then fill slots 0 to nb - 1, bitwise the block's SLOTS of the full solve.
+The lattice sums are the same either way; a caller that reads one block
+(the degeneracy search, classify, critical_beta, dos_histogram) skips the
+other block's eigensolve and its eigenvectors. Bands along a path are
+connected within each block by maximal eigenvector overlap so that true
+crossings are preserved.
 
 assemble, eigensolve and solve_k take one k (2,) or a batch (N, 2); a
 batch gives every per-k field of BlochMatrix and BandSet a leading N axis,
@@ -96,21 +102,25 @@ class BlochMatrix:
 
 @dataclass(frozen=True)
 class BandSet:
-    """Six eigenpairs at one k in the BLOCKS slot layout.
+    """The eigenpairs at one k: six in the BLOCKS layout, or nb of one block.
 
-    Slots 0-3 are the in-plane bands and 4-5 the out-of-plane bands. Each
-    block is detuning-sorted as eigensolve returns it; along a path
-    (bands_on_path) a slot follows one band by eigenvector overlap instead.
-    A batch BandSet gives every field but block a leading N axis, and a
-    grid (bands_on_grid) a leading (nx, ny) shape.
+    With both blocks, slots 0-3 are the in-plane bands and 4-5 the
+    out-of-plane bands; a block-only BandSet (eigensolve with a block tag)
+    holds that block's nb bands in slots 0 to nb - 1. Each block is
+    detuning-sorted as eigensolve returns it; along a path (bands_on_path)
+    a slot follows one band by eigenvector overlap instead. A batch BandSet
+    gives every field but block a leading N axis, and a grid
+    (bands_on_grid) a leading (nx, ny) shape.
 
     Attributes:
         k: Bloch vector (2,).
         arclength: Position along a path (0 for isolated evaluations).
-        detuning: (6,) band energies (omega_k - omega_a)/Gamma_a.
-        decay: (6,) radiative widths gamma_k/Gamma_a.
-        vectors: (6, 6) eigenvectors as columns, full-basis components.
-        block: BLOCKS, the polarization tag of each slot.
+        detuning: (nb,) band energies (omega_k - omega_a)/Gamma_a, nb = 6
+            for both blocks.
+        decay: (nb,) radiative widths gamma_k/Gamma_a.
+        vectors: (6, nb) eigenvectors as columns, full-basis components.
+        block: The polarization tag of each slot: BLOCKS, or the block's
+            tag nb times.
         in_light_cone: True when the zone-reduced k is inside the light
             cone, |k_reduced| < k0 (see assemble).
         anomalous: True when the k-point needed a light-line nudge.
@@ -161,30 +171,40 @@ def assemble(spec: LatticeSpec, k, mode: str = "retarded") -> BlochMatrix:
                        else bool(inside[0]))
 
 
-def eigensolve(bm: BlochMatrix) -> BandSet:
-    """Diagonalize a Bloch matrix, or a batch, into a BandSet (BLOCKS layout).
+def eigensolve(bm: BlochMatrix, block: str | None = None) -> BandSet:
+    """Diagonalize a Bloch matrix, or a batch, into a BandSet.
 
-    Each block is solved densely, in one batched call over the rows: the
-    in-plane 4x4 into slots 0-3 and the out-of-plane 2x2 into slots 4-5,
-    each sorted by detuning (stable sort). Every eigenpair must satisfy
-    ||m v - lam v|| <= 1e-10 ||m||. The BandSet has arclength 0 and
-    anomalous False; path position and light-line nudges belong to the
-    callers (bands_on_path, solve_k).
+    Each block is solved densely, in one batched call over the rows: with
+    block None, the in-plane 4x4 into slots 0-3 and the out-of-plane 2x2
+    into slots 4-5 (the BLOCKS layout); with a block tag, that block alone
+    into slots 0 to nb - 1 (nb = 4 or 2), bitwise the block's SLOTS of the
+    full solve. Each block is sorted by detuning (stable sort). Every
+    eigenpair must satisfy ||m v - lam v|| <= 1e-10 ||m||, with m the full
+    6x6 matrix. The BandSet has arclength 0 and anomalous False; path
+    position and light-line nudges belong to the callers (bands_on_path,
+    solve_k).
 
     Raises:
+        ValueError: an unknown block tag.
         EigenFailure: residual bound unmet (naming the first such k).
     """
+    if block is not None and block not in SLOTS:
+        raise ValueError(f"block must be one of {tuple(SLOTS)} or None, got "
+                         f"{block!r}")
+    # the slots of each block solved
+    layout = SLOTS if block is None else {block: slice(len(_BASIS[block]))}
+    nb = 6 if block is None else len(_BASIS[block])
     lead = bm.m.shape[:-2]
     m = bm.m.reshape(-1, 6, 6)
     rows = np.arange(len(m))[:, None]
-    vals = np.zeros((len(m), 6), dtype=complex)
-    vecs = np.zeros((len(m), 6, 6), dtype=complex)
-    for tag in SLOTS:
+    vals = np.zeros((len(m), nb), dtype=complex)
+    vecs = np.zeros((len(m), 6, nb), dtype=complex)
+    for tag, slots in layout.items():
         w, v = np.linalg.eig(m[_BLOCK[tag]])
         order = np.argsort(w.real, axis=1, kind="stable")
-        vals[:, SLOTS[tag]] = w[rows, order]
+        vals[:, slots] = w[rows, order]
         # column order[n, j] of v[n] into slot j
-        vecs[:, _BASIS[tag], SLOTS[tag]] = np.swapaxes(
+        vecs[:, _BASIS[tag], slots] = np.swapaxes(
             np.swapaxes(v, 1, 2)[rows, order], 1, 2)
 
     r = m @ vecs - vecs * vals[:, None, :]
@@ -201,16 +221,17 @@ def eigensolve(bm: BlochMatrix) -> BandSet:
     return BandSet(
         k=bm.k,
         arclength=np.zeros(lead) if lead else 0.0,
-        detuning=vals.real.reshape(lead + (6,)),
-        decay=-2.0 * vals.imag.reshape(lead + (6,)),
-        vectors=vecs.reshape(lead + (6, 6)),
-        block=BLOCKS,
+        detuning=vals.real.reshape(lead + (nb,)),
+        decay=-2.0 * vals.imag.reshape(lead + (nb,)),
+        vectors=vecs.reshape(lead + (6, nb)),
+        block=BLOCKS if block is None else (block,) * nb,
         in_light_cone=bm.in_light_cone,
         anomalous=np.zeros(lead, dtype=bool) if lead else False,
     )
 
 
-def _solve_pass(spec: LatticeSpec, k: np.ndarray, mode: str) -> BandSet:
+def _solve_pass(spec: LatticeSpec, k: np.ndarray, mode: str,
+                block: str | None) -> BandSet:
     """solve_k on one k or on a batch of at most _PASS_SIZE."""
     try:
         bm = assemble(spec, k, mode)
@@ -219,13 +240,19 @@ def _solve_pass(spec: LatticeSpec, k: np.ndarray, mode: str) -> BandSet:
         step = 1e-7 * float(np.linalg.norm(reciprocal(spec).b1))
         bm = assemble(spec, np.where(moved[..., None],
                                      k + step * exc.direction, k), mode)
-        return replace(eigensolve(bm), k=k,
+        return replace(eigensolve(bm, block), k=k,
                        anomalous=moved if k.ndim == 2 else True)
-    return eigensolve(bm)
+    return eigensolve(bm, block)
 
 
-def solve_k(spec: LatticeSpec, k, mode: str = "retarded") -> BandSet:
+def solve_k(spec: LatticeSpec, k, mode: str = "retarded",
+            block: str | None = None) -> BandSet:
     """Bands at one k-point (2,) or at each row of a batch (N, 2).
+
+    With block None the BandSet holds both blocks in the BLOCKS layout;
+    with a block tag only that block is diagonalized, and the BandSet
+    holds its bands alone (see eigensolve), bitwise the block's SLOTS of
+    the full solve. The lattice sums are the same either way.
 
     A k-point on a light-line (Rayleigh) singularity is moved once by
     1e-7 |b1| along the normal of the grazing order's |k+g| = k0 circle and
@@ -239,10 +266,10 @@ def solve_k(spec: LatticeSpec, k, mode: str = "retarded") -> BandSet:
     """
     k = np.asarray(k, dtype=float)
     if k.ndim == 1 or len(k) <= _PASS_SIZE:
-        return _solve_pass(spec, k, mode)
+        return _solve_pass(spec, k, mode, block)
     out = {}
     for i in range(0, len(k), _PASS_SIZE):
-        part = _solve_pass(spec, k[i:i + _PASS_SIZE], mode)
+        part = _solve_pass(spec, k[i:i + _PASS_SIZE], mode, block)
         for name in _PER_K:
             value = getattr(part, name)
             if not i:
@@ -308,22 +335,22 @@ def bands_on_path(spec: LatticeSpec, path,
                      for k, s, _label in path])
 
 
-def bands_on_grid(spec: LatticeSpec, kx, ky,
-                  mode: str = "retarded") -> BandSet:
+def bands_on_grid(spec: LatticeSpec, kx, ky, mode: str = "retarded",
+                  block: str | None = None) -> BandSet:
     """Energy-ordered band sheets over a rectangular k grid.
 
-    The grid is one solve_k batch.
+    The grid is one solve_k batch, of both blocks or of block alone.
 
     Returns:
-        BandSet in the BLOCKS layout whose per-k fields lead with the grid
-        shape (len(kx), len(ky)): k[i, j] = (kx[i], ky[j]). Each block is
-        detuning-sorted per point; light-line points are flagged in the
-        anomalous mask (see solve_k).
+        BandSet in solve_k's layout for block (BLOCKS for None) whose per-k
+        fields lead with the grid shape (len(kx), len(ky)): k[i, j] =
+        (kx[i], ky[j]). Each block is detuning-sorted per point; light-line
+        points are flagged in the anomalous mask (see solve_k).
     """
     kx = np.atleast_1d(np.asarray(kx, dtype=float))
     ky = np.atleast_1d(np.asarray(ky, dtype=float))
     shape = (len(kx), len(ky))
     kxy = np.stack(np.meshgrid(kx, ky, indexing="ij"), axis=-1).reshape(-1, 2)
-    bs = solve_k(spec, kxy, mode)
+    bs = solve_k(spec, kxy, mode, block)
     return replace(bs, **{name: getattr(bs, name).reshape(
         shape + getattr(bs, name).shape[1:]) for name in _PER_K})

@@ -130,8 +130,8 @@ def _check_positive(name: str, value) -> None:
 
 
 def _check_pair(block: str, band_pair) -> tuple:
-    """band_pair as (i, j), 0 <= i < j < the block's band count, and the
-    BandSet slots of bands i and j of the block; or raise."""
+    """band_pair as (i, j), 0 <= i < j < the block's band count (the slots
+    of a block-only BandSet); or raise."""
     _check_block(block)
     n_bands = BLOCKS.count(block)
     pair = tuple(band_pair)
@@ -139,7 +139,7 @@ def _check_pair(block: str, band_pair) -> tuple:
         raise ValueError(
             f"band_pair must be ascending indices below {n_bands} for the "
             f"{block} block, got {band_pair!r}")
-    return pair, tuple(SLOTS[block].start + i for i in pair)
+    return pair
 
 
 def make_gap_function(spec: LatticeSpec, block: str, band_pair,
@@ -147,15 +147,16 @@ def make_gap_function(spec: LatticeSpec, block: str, band_pair,
     """Return gap(k) for one band pair (energy-sorted within block).
 
     gap takes one k (2,) and returns a scalar, or a batch (N, 2) and
-    returns (N,) gaps, each bitwise the one-point gap of its row.
+    returns (N,) gaps, each bitwise the one-point gap of its row. Each
+    call is one solve_k of block alone.
 
     Raises:
         ValueError: a bad block or band_pair.
     """
-    _, (lower, upper) = _check_pair(block, band_pair)
+    lower, upper = _check_pair(block, band_pair)
 
     def gap(k):
-        det = solve_k(spec, k, mode).detuning
+        det = solve_k(spec, k, mode, block).detuning
         return det[..., upper] - det[..., lower]
 
     return gap
@@ -276,13 +277,14 @@ def find_degeneracies(spec: LatticeSpec, block: str, band_pair,
     grid spacings, outside which its result would be dropped: its steps are
     cut at that edge, and it ends there once it heads out.
 
-    The coarse grid comes from bloch.bands_on_grid. The default region is
-    the upper half zone, which the lattice's two mirrors fill out: kx ->
-    -kx maps the band structure onto itself as well as ky -> -ky. So only
-    its columns with kx >= 0 are solved and seed (the centre column of an
-    odd grid_n once), and the kx, ky and (kx, ky) mirror images of the
-    merged points are added to the reports. With the default region in
-    retarded mode, no seed is taken in the radiative neighborhood
+    The coarse grid comes from bloch.bands_on_grid, of block alone, and so
+    does every gap of the refinement (make_gap_function). The default
+    region is the upper half zone, which the lattice's two mirrors fill
+    out: kx -> -kx maps the band structure onto itself as well as ky ->
+    -ky. So only its columns with kx >= 0 are solved and seed (the centre
+    column of an odd grid_n once), and the kx, ky and (kx, ky) mirror
+    images of the merged points are added to the reports. With the default
+    region in retarded mode, no seed is taken in the radiative neighborhood
     |k| < 1.1 k0 and refined points that end there are dropped: there the
     branch hugging the light line crosses the other bands, which would
     otherwise swamp the search with near-light-cone degeneracies. Grid
@@ -298,7 +300,7 @@ def find_degeneracies(spec: LatticeSpec, block: str, band_pair,
             finite, grid_n below 2, or a search_region with kx_min >= kx_max
             or ky_min >= ky_max.
     """
-    pair, (lower, upper) = _check_pair(block, band_pair)
+    pair = lower, upper = _check_pair(block, band_pair)
     _check_positive("eps_deg", eps_deg)
     if grid_n < 2:
         raise ValueError(f"grid_n must be at least 2, got {grid_n}")
@@ -321,7 +323,7 @@ def find_degeneracies(spec: LatticeSpec, block: str, band_pair,
     first = grid_n // 2 if search_region is None else 0
     kx = np.linspace(region[0], region[1], grid_n)[first:]
     ky = np.linspace(region[2], region[3], grid_n)
-    grid = bands_on_grid(spec, kx, ky, mode)
+    grid = bands_on_grid(spec, kx, ky, mode, block)
     vals = grid.detuning[:, :, upper] - grid.detuning[:, :, lower]
 
     spacing = max(region[1] - region[0], region[3] - region[2]) / (grid_n - 1)
@@ -386,8 +388,9 @@ def classify(spec: LatticeSpec, location, block: str, band_pair,
     out to fit_radius (default FIT_RADIUS_FRAC |b1|), fits
     the tilt vector from the band average, the quadratic form A from
     (gap/2)^2, and the gap exponents along A's principal axes, then applies
-    the taxonomy thresholds. The ray samples are one batched solve_k, the
-    samples along both axes another.
+    the taxonomy thresholds. Every sample is a solve_k of block alone: the
+    location one, the ray samples one batch and the samples along both
+    axes another.
 
     Returns:
         Full DegeneracyReport. kind='gapped' when the gap at the location
@@ -398,7 +401,7 @@ def classify(spec: LatticeSpec, location, block: str, band_pair,
             finite, or fit_radius neither None nor positive and finite.
         FitDegenerate: ill-conditioned fit design (cond > 1e8).
     """
-    pair, (lower, upper) = _check_pair(block, band_pair)
+    pair = lower, upper = _check_pair(block, band_pair)
     _check_positive("eps_deg", eps_deg)
     if fit_radius is not None:
         _check_positive("fit_radius", fit_radius)
@@ -409,7 +412,7 @@ def classify(spec: LatticeSpec, location, block: str, band_pair,
 
     def both(k):
         """The pair's two bands at k (2,) or at each row of k (N, 2)."""
-        det = solve_k(spec, k, mode).detuning
+        det = solve_k(spec, k, mode, block).detuning
         return det[..., lower], det[..., upper]
 
     lo0, hi0 = both(k_star)
@@ -746,7 +749,7 @@ def dos_histogram(spec: LatticeSpec, block: str, energy_window,
     Equal-weight k sampling on a rectangular grid masked to the first zone:
     a grid point is kept when it is no farther from Gamma than its
     zone-reduced image (reduce_to_bz), within 1e-12 in |k|^2. The kept
-    points are one batched solve_k.
+    points are one solve_k batch of block alone.
 
     Args:
         spec: Lattice.
@@ -756,14 +759,21 @@ def dos_histogram(spec: LatticeSpec, block: str, energy_window,
         n_bins: Histogram bins across the window.
 
     Returns:
-        (bin_centers, density) arrays; empty arrays for an empty window,
-        zero density when no level falls inside the window.
+        (bin_centers, density) arrays; empty arrays for an empty or
+        reversed window, zero density when no level falls inside the
+        window.
 
     Raises:
-        ValueError: an unknown block.
+        ValueError: an unknown block, k_grid or n_bins below 1, or an
+            energy_window bound that is not finite.
     """
     _check_block(block)
+    for name, value in (("k_grid", k_grid), ("n_bins", n_bins)):
+        if not value >= 1:
+            raise ValueError(f"{name} must be at least 1, got {value!r}")
     lo, hi = float(energy_window[0]), float(energy_window[1])
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError(f"energy_window must be finite, got {(lo, hi)}")
     if not (hi > lo):
         return np.array([]), np.array([])
     kx_lo, kx_hi, _, ky = default_search_region(spec)
@@ -773,7 +783,7 @@ def dos_histogram(spec: LatticeSpec, block: str, energy_window,
     kxy = kxy[np.einsum("ni,ni->n", kxy, kxy)
               <= np.einsum("ni,ni->n", red, red) + 1e-12]
 
-    energies = solve_k(spec, kxy, mode).detuning[:, SLOTS[block]].ravel()
+    energies = solve_k(spec, kxy, mode, block).detuning.ravel()
     energies = energies[(energies >= lo) & (energies <= hi)]
     counts, edges = np.histogram(energies, bins=n_bins, range=(lo, hi))
     centers = 0.5 * (edges[:-1] + edges[1:])

@@ -61,33 +61,40 @@ two small least-recently-used caches:
   lattice and one list of reciprocal orders g, in "ij" order, that holds
   every order of the spectral disk about any zone-reduced k;
 - a spatial table, keyed on (a1, a2, rho, mode, E, tolerance): the R + rho
-  disk and its Faddeeva kernels phi, phi' and phi'' - phi'/r.
+  disk and, per lattice vector, the k-free weights of its five columns
+  (the Faddeeva kernels phi, phi' and phi'' - phi'/r times the direction
+  factors, see _SpatialTable), with their summed magnitudes.
 
 The keys hold no beta: a1 and a2 do not depend on it, so every lattice of
 one d0 shares the cell table and the same-site (rho = 0) spatial table. Per
 k, ewald_sum reduces k to the first zone once (the result carries it as
 k_reduced), keeps the rows of the order list with k + g inside the spectral
 disk and evaluates the offset-free spectral kernels (erfc and the z kernel)
-on them; then it weighs those kernels by the phase e^{i(k+g).rho} and the
-spatial kernels by the Bloch phase e^{-ik.R}. Those are the terms of a
-fresh _disk about k, in the same order, so the result does not depend on
-what the caches hold. The index cap is a property of the lattice, not of k:
-when the order list or the spatial disk would need an index past it, the
-table is not built and every k fails with NonConvergent. A build that
-raises stores nothing, and every table array is read-only.
+on them; then it weighs those kernels by the phase e^{i(k+g).rho}, and
+sums the spatial weights against the Bloch phases e^{-ik.R}. The Bloch
+phase has unit modulus, so the spatial terms' summed magnitudes, which
+enter est_error and the rounding bound, are the table's at every k. The
+spectral terms are those of a fresh _disk about k, in the same order, so
+the result does not depend on what the caches hold. The index cap is a
+property of the lattice, not of k: when the order list or the spatial disk
+would need an index past it, the table is not built and every k fails with
+NonConvergent. A build that raises stores nothing, and every table array is
+read-only.
 
 A request's k is one point (2,) or a batch (N, 2), and a one-point request
-is the batch N = 1 with the leading axis dropped. A batch is one pass: an
-(N, spatial terms) Bloch-phase array against the spatial table, and the
-spectral terms of all N laid out as runs, one per k in its one-point order.
-One segment reduction (np.add.reduceat) sums the runs (an empty one, left
-by a small splitting override, is zero), and the sum of a run depends on
-its own terms only, so row n of a batch is bitwise the one-point sum at
-k[n]. Per-k result fields (D, k_reduced, n_propagating) gain the leading N
-axis; n_spatial and n_spectral are the terms summed over the whole batch
-and est_error is the batch's worst, so the counts of N one-point calls and
-of one batch agree. The working set grows as N times the terms of one k, so
-bloch.solve_k hands the sums at most bloch._PASS_SIZE points per pass.
+is the batch N = 1 with the leading axis dropped. A batch is one pass: per
+spatial table one product, np.einsum("nr,rc->nc"), of the (N, n) Bloch
+phases and the (n, 5) weights, whose row n is bitwise the one-point
+product, and the spectral terms of all N laid out as runs, one per k in
+its one-point order. One segment reduction (np.add.reduceat) sums the runs
+(an empty one, left by a small splitting override, is zero), and the sum of
+a run depends on its own terms only, so row n of a batch is bitwise the
+one-point sum at k[n]. Per-k result fields (D, k_reduced, n_propagating)
+gain the leading N axis; n_spatial and n_spectral are the terms summed over
+the whole batch and est_error is the batch's worst, so the counts of N
+one-point calls and of one batch agree. The working set grows as N times the
+terms of one k, so bloch.solve_k hands the sums at most bloch._PASS_SIZE
+points per pass.
 
 The offset "bloch" returns the three sums of a Bloch matrix from that one
 pass: D gains a leading axis of 3, [D_same(k), D_ab(k), D_ba(k)], each
@@ -376,24 +383,24 @@ class _SpatialTable:
     """The k-independent part of the spatial series for one offset rho.
 
     Row n belongs to the lattice vector R = lattice[n] with r = |R + rho|
-    on the screened disk (R + rho = 0 left out).
+    on the screened disk (R + rho = 0 left out). The series at k is
+    sum_n e^{-i k.R_n} weights[n]; the Bloch phase has unit modulus, so
+    its term magnitudes are those of the weights at every k.
 
     Attributes:
         lattice: (n, 2) lattice vectors R, which carry the Bloch phase.
-        rv: (n,) distances r.
-        ux, uy: (n,) components of the unit vector (R + rho)/r.
-        phi, phip: (n,) the screened radial kernel phi(r) and phi'(r).
-        c2: (n,) phi''(r) - phi'(r)/r.
+        weights: (n, 5) the terms' k-free factors on (S, Txx, Txy, Tyy,
+            Tzz): [phi, phi'/r + c2 ux^2, c2 ux uy, phi'/r + c2 uy^2,
+            phi'/r] / 8 pi, with phi(r) the screened radial kernel, c2 =
+            phi'' - phi'/r and (ux, uy) = (R + rho)/r.
+        magnitudes: (5,) sum over n of |weights|, the spatial series'
+            summed term magnitudes at any k.
         self_term: (5,) the R = 0 exclusion, added when rho = 0 (same-site).
     """
 
     lattice: np.ndarray
-    rv: np.ndarray
-    ux: np.ndarray
-    uy: np.ndarray
-    phi: np.ndarray
-    phip: np.ndarray
-    c2: np.ndarray
+    weights: np.ndarray
+    magnitudes: np.ndarray
     self_term: np.ndarray
 
 
@@ -469,10 +476,15 @@ def _spatial_table(spec: LatticeSpec, rho: np.ndarray, k0_eff: float,
     fpp = -(k0_eff**2) * f + (8.0 * rv * e**3 / SQRT_PI) * gau
     phip = fp / rv - f / rv**2
     phipp = fpp / rv - 2.0 * fp / rv**2 + 2.0 * f / rv**3
+    c1 = phip / rv  # delta_ab coefficient; also the zz derivative
+    c2 = phipp - c1  # rhat_a rhat_b coefficient (in-plane)
+    ux, uy = rvecs[:, 0] / rv, rvecs[:, 1] / rv
+    weights = _columns(f / rv, c1 + c2 * ux * ux, c2 * ux * uy,
+                       c1 + c2 * uy * uy, c1) / (8.0 * np.pi)
     h0, h2 = _self_corrections(k0_eff, e, w[-1])
     return _read_only(_SpatialTable(
-        lattice=rvecs - rho, rv=rv, ux=rvecs[:, 0] / rv,
-        uy=rvecs[:, 1] / rv, phi=f / rv, phip=phip, c2=phipp - phip / rv,
+        lattice=rvecs - rho, weights=weights,
+        magnitudes=np.abs(weights).sum(axis=0),
         self_term=np.array([h0, 2.0 * h2, 0.0, 2.0 * h2, 2.0 * h2])))
 
 
@@ -547,20 +559,6 @@ def _spectral_terms(qv, kern, zker, unit, area2):
     qx, qy = qv[:, 0], qv[:, 1]
     return _columns(pk, -pk * qx * qx, -pk * qx * qy, -pk * qy * qy,
                     0.5 * phase * zker)
-
-
-def _spatial_terms(t: _SpatialTable, unit):
-    """The (N, n, 5) spatial contributions to (S, Txx, Txy, Tyy, Tzz).
-
-    Args:
-        unit: (N, n) Bloch phases e^{-i k.R} over the table's lattice
-            vectors R (_bloch_phase).
-    """
-    pre = unit / (8.0 * np.pi)
-    c1 = pre * t.phip / t.rv  # delta_ab coefficient; also the zz derivative
-    c2 = pre * t.c2  # rhat_a rhat_b coefficient (in-plane)
-    return _columns(pre * t.phi, c1 + c2 * t.ux * t.ux, c2 * t.ux * t.uy,
-                    c1 + c2 * t.uy * t.uy, c1)
 
 
 def _bloch_phase(t: _SpatialTable, k):
@@ -681,7 +679,7 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
     unit = np.exp(1j * (qv @ rho))
     runs = counts
     if not bloch:
-        w_r = [_spatial_terms(t_rho, _bloch_phase(t_rho, k))]
+        spatial = [(t_rho, _bloch_phase(t_rho, k))]
     else:
         # the runs of [same, a_to_b at k, a_to_b at -k, each tie's own -k]:
         # the terms at -k are those at k negated, each run reversed, under
@@ -697,8 +695,8 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
         ph_ba = ph_ab.conj()
         if tie.any():
             ph_ba[tie] = _bloch_phase(t_rho, neg[tie])
-        w_r = [_spatial_terms(t_same, _bloch_phase(t_same, k)),
-               _spatial_terms(t_rho, np.concatenate([ph_ab, ph_ba]))]
+        spatial = [(t_same, _bloch_phase(t_same, k)),
+                   (t_rho, np.concatenate([ph_ab, ph_ba]))]
     terms = _spectral_terms(qv, kern, zker, unit, cell.area2)
 
     # one segment reduction over the non-empty runs, each summed as one k
@@ -717,14 +715,18 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
         pick[2 * n:][tie] = np.arange(3 * n, len(runs))
         sums, mags = sums[pick], mags[pick]
         n_spectral -= int(counts[:n][tie].sum())
-    total = sums + np.concatenate([w.sum(axis=1) for w in w_r])
+    # the spatial series: per table, its Bloch phases against its weights
+    total = sums + np.concatenate([np.einsum("nr,rc->nc", ph, t.weights)
+                                   for t, ph in spatial])
     if t_same is not None:
         total[:n] += t_same.self_term
     d = _dyadic(total, retarded)
     # each omitted term is below tol/10 of the leading scale, so the tail
-    # is bounded by tol/10 times the summed magnitudes, component-wise
-    magnitude = _dyadic(mags + np.concatenate([np.abs(w).sum(axis=1)
-                                               for w in w_r]), retarded)
+    # is bounded by tol/10 times the summed magnitudes, component-wise; a
+    # spatial term's is its weight's, the Bloch phase having unit modulus
+    magnitude = _dyadic(mags + np.concatenate(
+        [np.broadcast_to(t.magnitudes, (len(ph), 5)) for t, ph in spatial]),
+        retarded)
     est = 0.1 * tol * _norms(magnitude) / _norms(d)
     # and u = eps times them bound its rounding error
     rounding = est * (np.finfo(float).eps / (0.1 * tol))
@@ -735,7 +737,7 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
             f"k={k[at % n]}: splitting {e:g} cancels too many digits")
     return LatticeSumResult(
         D=d.reshape(((3,) if bloch else ()) + lead + (3, 3)),
-        n_spatial=sum(w.shape[0] * w.shape[1] for w in w_r),
+        n_spatial=sum(ph.size for _, ph in spatial),
         n_spectral=n_spectral,
         est_error=float(est.max(initial=0.0)),
         k_reduced=k.reshape(lead + (2,)),

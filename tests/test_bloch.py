@@ -465,6 +465,45 @@ def test_batch_splits_into_passes(iso_lattice, monkeypatch):
                               solve_k(iso_lattice, k).vectors)
 
 
+@settings(max_examples=25, deadline=None)
+@given(d0=st.floats(0.05, 0.3), beta=st.floats(BETA_MIN, BETA_MAX),
+       mode=st.sampled_from(("retarded", "quasistatic")),
+       fracs=st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+                      max_size=4),
+       phi=st.floats(0.0, 2.0 * np.pi), at=st.integers(0, 5))
+def test_block_solve_is_the_full_solves_slots(d0, beta, mode, fracs, phi, at):
+    # one block alone is bitwise its slots of the full solve: in a batch
+    # with the zone-boundary tie M and a row on the light line (nudged in
+    # retarded mode), and at each row alone
+    spec = build_lattice(d0, beta)
+    recip = reciprocal(spec)
+    ks = [f0 * recip.b1 + f1 * recip.b2 for f0, f1 in fracs] + [recip.M]
+    light = min(at, len(ks))
+    ks.insert(light, K0 * np.array([np.cos(phi), np.sin(phi)]))
+    ks = np.array(ks)
+
+    def bits(a):
+        return np.shape(a), np.asarray(a).tobytes()
+
+    for k in (ks, *ks):
+        full = solve_k(spec, k, mode)
+        for tag, slots in bloch.SLOTS.items():
+            got = solve_k(spec, k, mode, block=tag)
+            assert got.block == full.block[slots]
+            for name in ("detuning", "decay", "vectors"):
+                assert bits(getattr(got, name)) == \
+                    bits(getattr(full, name)[..., slots])
+            for name in ("k", "anomalous", "in_light_cone"):
+                assert bits(getattr(got, name)) == bits(getattr(full, name))
+    assert solve_k(spec, ks, mode, OUT_OF_PLANE).anomalous[light] == \
+        (mode == "retarded")
+
+
+def test_unknown_block_is_rejected(iso_lattice):
+    with pytest.raises(ValueError, match="block"):
+        solve_k(iso_lattice, [1.0, 2.0], block="z")
+
+
 @settings(max_examples=20, deadline=None)
 @given(d0=st.floats(0.08, 0.2), beta=st.floats(0.55, 1.3),
        fracs=st.lists(st.tuples(st.floats(-0.7, 0.7), st.floats(-0.7, 0.7)),

@@ -101,7 +101,8 @@ def _full_grid_scan(spec, block, pair, mode, grid_n, eps_deg):
     """The default-region scan the kx-mirror half replaced (reference): it
     solves and seeds the whole grid, refines without a region box and adds
     only the ky mirror images."""
-    _, (lower, upper) = dispersion._check_pair(block, pair)
+    lower, upper = (bloch.SLOTS[block].start + i
+                    for i in dispersion._check_pair(block, pair))
     region = dispersion.default_search_region(spec)
     recip = reciprocal(spec)
     b1n = float(np.linalg.norm(recip.b1))
@@ -354,16 +355,16 @@ def test_tied_grid_minima_seed_once(monkeypatch, field, seed, region, n):
     spec = build_lattice(0.1, 0.9)
     solved_kx = []
 
-    def fake_grid(spec, gx, gy, mode):
+    def fake_grid(spec, gx, gy, mode, block):
         solved_kx.extend(gx)
         shape = (len(gx), len(gy))
         k = np.stack(np.meshgrid(gx, gy, indexing="ij"), axis=-1)
-        detuning = np.zeros(shape + (6,))
-        detuning[:, :, 5] = field(*np.meshgrid(gx, gy, indexing="ij"))
+        detuning = np.zeros(shape + (2,))
+        detuning[:, :, 1] = field(*np.meshgrid(gx, gy, indexing="ij"))
         return bloch.BandSet(k=k, arclength=np.zeros(shape),
                              detuning=detuning, decay=np.zeros_like(detuning),
-                             vectors=np.zeros(shape + (6, 6), complex),
-                             block=bloch.BLOCKS,
+                             vectors=np.zeros(shape + (6, 2), complex),
+                             block=(block,) * 2,
                              in_light_cone=np.zeros(shape, bool),
                              anomalous=np.zeros(shape, bool))
 
@@ -746,6 +747,29 @@ def test_dos_rejects_unknown_block(monkeypatch, block):
     _forbid_solves(monkeypatch)
     with pytest.raises(ValueError, match="block"):
         dos_histogram(build_lattice(0.1, 1.0), block, (-1.0, 1.0))
+
+
+@pytest.mark.parametrize("bad, name", [
+    ({"k_grid": 0}, "k_grid"),
+    ({"n_bins": 0}, "n_bins"),
+    ({"energy_window": (-np.inf, 1.0)}, "energy_window"),
+    ({"energy_window": (-1.0, np.inf)}, "energy_window"),
+    ({"energy_window": (np.nan, 1.0)}, "energy_window"),
+    ({"energy_window": (-1.0, np.nan)}, "energy_window"),
+])
+def test_dos_rejects_bad_grid_bins_and_window(monkeypatch, bad, name):
+    # each is named before any solve; a NaN window is not an empty one
+    _forbid_solves(monkeypatch)
+    args = {"energy_window": (-1.0, 1.0)} | bad
+    with pytest.raises(ValueError, match=name):
+        dos_histogram(build_lattice(0.1, 0.9), OUT_OF_PLANE, **args)
+
+
+def test_dos_reversed_window_is_empty(monkeypatch):
+    _forbid_solves(monkeypatch)
+    centers, dens = dos_histogram(build_lattice(0.1, 0.9), OUT_OF_PLANE,
+                                  (1.0, -1.0))
+    assert centers.size == 0 and dens.size == 0
 
 
 def test_dos_dip_at_dirac_energy(iso, iso_cones):

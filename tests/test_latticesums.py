@@ -513,7 +513,10 @@ def _ref_spectral_terms(spec, recip, k, rho, k0_eff, e, depth):
     return w, n_prop
 
 
-def _ref_spatial_terms(spec, k, rho, k0_eff, e, depth):
+def _ref_spatial_kernels(spec, rho, k0_eff, e, depth):
+    """The spatial disk and its radial kernels, rebuilt per call: the lattice
+    vectors R, r = |R + rho|, the unit vector (ux, uy), phi, phi'/r (c1),
+    phi'' - phi'/r (c2) and w(k0/2E) for the self-corrections."""
     gau_cap = k0_eff**2 / (4.0 * e**2)
     if gau_cap > 650.0:
         raise NonConvergent(
@@ -524,7 +527,6 @@ def _ref_spatial_terms(spec, k, rho, k0_eff, e, depth):
     rv = np.linalg.norm(rvecs, axis=1)
     keep = rv > 0.0
     rvecs, rv = rvecs[keep], rv[keep]
-    pre = np.exp(-1j * ((rvecs - rho) @ k)) / (8.0 * np.pi)
     gau = np.exp(-(rv**2) * e**2 + gau_cap)
     # the package's kernels on the arguments the tables pass them, so that
     # the sums agree bit for bit: w at i r E + k0/2E, then at k0/2E for the
@@ -537,18 +539,37 @@ def _ref_spatial_terms(spec, k, rho, k0_eff, e, depth):
     sqrt_pi = np.sqrt(np.pi)
     fp = 1j * k0_eff * (tm - tp) - (4.0 * e / sqrt_pi) * gau
     fpp = -(k0_eff**2) * f + (8.0 * rv * e**3 / sqrt_pi) * gau
-    phi = f / rv
     phip = fp / rv - f / rv**2
     phipp = fpp / rv - 2.0 * fp / rv**2 + 2.0 * f / rv**3
-    c1 = pre * phip / rv
-    c2 = pre * (phipp - phip / rv)
-    ux = rvecs[:, 0] / rv
-    uy = rvecs[:, 1] / rv
-    return np.stack([pre * phi, c1 + c2 * ux * ux, c2 * ux * uy,
-                     c1 + c2 * uy * uy, c1], axis=1), w[-1]
+    c1 = phip / rv
+    return (rvecs - rho, rvecs[:, 0] / rv, rvecs[:, 1] / rv, f / rv, c1,
+            phipp - c1, w[-1])
 
 
-def _ref_ewald_sum(req):
+def _ref_spatial_sums(spec, k, rho, k0_eff, e, depth, per_term=False):
+    """The spatial series at k as (sum, summed magnitudes, terms, w(k0/2E)).
+
+    By default in the weights form: the Bloch phases against k-free
+    weights, whose magnitudes are the series'. per_term=True builds each
+    term phase times kernels and sums the terms and their magnitudes, as
+    the engine did before the weights form (a second, looser reference).
+    """
+    lattice, ux, uy, phi, c1, c2, w_b = _ref_spatial_kernels(
+        spec, rho, k0_eff, e, depth)
+    phase = np.exp(-1j * (lattice @ k))
+    if per_term:
+        pre = phase / (8.0 * np.pi)
+        c1, c2 = pre * c1, pre * c2
+        terms = np.stack([pre * phi, c1 + c2 * ux * ux, c2 * ux * uy,
+                          c1 + c2 * uy * uy, c1], axis=1)
+        return terms.sum(axis=0), np.abs(terms).sum(axis=0), len(terms), w_b
+    weights = np.stack([phi, c1 + c2 * ux * ux, c2 * ux * uy,
+                        c1 + c2 * uy * uy, c1], axis=1) / (8.0 * np.pi)
+    return (np.einsum("nr,rc->nc", phase[None], weights)[0],
+            np.abs(weights).sum(axis=0), len(weights), w_b)
+
+
+def _ref_ewald_sum(req, per_term=False):
     spec, tol = req.spec, req.tolerance
     recip = reciprocal(spec)
     k = reduce_to_bz(recip, np.asarray(req.k, dtype=float))
@@ -558,18 +579,18 @@ def _ref_ewald_sum(req):
     k0_eff = K0 if retarded else 0.0
     depth = np.log(10.0 / tol) + latticesums._MARGIN
     w_g, n_prop = _ref_spectral_terms(spec, recip, k, rho, k0_eff, e, depth)
-    w_r, w_b = _ref_spatial_terms(spec, k, rho, k0_eff, e, depth)
+    s_r, m_r, n_r, w_b = _ref_spatial_sums(spec, k, rho, k0_eff, e, depth,
+                                           per_term)
     # the spectral terms are summed as the package sums one k's run
-    total = np.add.reduceat(w_g, [0], axis=0)[0] + w_r.sum(axis=0)
+    total = np.add.reduceat(w_g, [0], axis=0)[0] + s_r
     if req.offset == "same":
         h0, h2 = latticesums._self_corrections(k0_eff, e, w_b)
         total += np.array([h0, 2.0 * h2, 0.0, 2.0 * h2, 2.0 * h2])
     d = latticesums._dyadic(total, retarded)
     magnitude = latticesums._dyadic(
-        np.add.reduceat(np.abs(w_g), [0], axis=0)[0]
-        + np.abs(w_r).sum(axis=0), retarded)
+        np.add.reduceat(np.abs(w_g), [0], axis=0)[0] + m_r, retarded)
     return LatticeSumResult(
-        D=d, n_spatial=len(w_r), n_spectral=len(w_g),
+        D=d, n_spatial=n_r, n_spectral=len(w_g),
         est_error=float(0.1 * tol * np.linalg.norm(magnitude)
                         / np.linalg.norm(d)),
         k_reduced=k, n_propagating=n_prop)
@@ -626,7 +647,17 @@ def test_tables_match_per_call_series(d0, beta, offset, mode, scale, k_at,
     want = _outcome(_ref_ewald_sum, req)
     _clear_tables()
     _assert_same_bits(_outcome(ewald_sum, req), want)  # cold
-    _assert_same_bits(_outcome(ewald_sum, req), want)  # warm
+    got = _outcome(ewald_sum, req)
+    _assert_same_bits(got, want)  # warm
+    # the weights form moves the per-term series by rounding only
+    old = _outcome(lambda r: _ref_ewald_sum(r, per_term=True), req)
+    if isinstance(want, Exception):
+        assert type(old) is type(want) and str(old) == str(want)
+        return
+    assert np.linalg.norm(got.D - old.D) <= 1e-14 * np.linalg.norm(old.D)
+    assert abs(got.est_error - old.est_error) <= 1e-12 * old.est_error
+    assert (got.n_spatial, got.n_spectral, got.n_propagating) == \
+        (old.n_spatial, old.n_spectral, old.n_propagating)
 
 
 @settings(max_examples=40, deadline=None)
@@ -742,7 +773,7 @@ def test_tables_bounded_and_read_only():
             if isinstance(value, np.ndarray):
                 assert not value.flags.writeable, field.name
     with pytest.raises(ValueError):
-        tables[-1].phi[0] = 0.0
+        tables[-1].weights[0, 0] = 0.0
 
 
 def test_tables_shared_by_threads(monkeypatch):
