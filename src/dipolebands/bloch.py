@@ -36,9 +36,9 @@ that axis to the grid's (nx, ny). solve_k splits a batch into passes of at
 most _PASS_SIZE points (one assemble and one eigensolve each); a pass with
 rows on a light line is assembled once more with only those rows moved off
 it, and they are flagged anomalous. bands_on_grid, the degeneracy scan's
-grid, the five stencil points of each Newton iteration, classify's stencil
-and dos_histogram solve batches; bands_on_path and the Newton trial steps
-solve one k at a time.
+grid, each Newton trial step with the five stencil points it would use
+next, classify's samples and dos_histogram solve batches; bands_on_path
+solves one k at a time.
 """
 
 from __future__ import annotations
@@ -77,8 +77,11 @@ _ORDERS = {len(idx): np.array(list(itertools.permutations(range(len(idx)))))
 # by energy order (documented arbitrary choice).
 TIE_THRESHOLD = 1e-6
 # Most k-points solve_k takes in one pass: it bounds the lattice sums'
-# (k, term) arrays; a whole 48 x 48 grid in one pass took about 28 MB more.
-_PASS_SIZE = 48
+# (k, term) arrays. At d0 0.1 a 48 x 48 out-of-plane grid raised the peak
+# RSS by about 2.0 MB in passes of 128, 0.6 MB in passes of 48 and 41 MB
+# in one pass; the cone search ran as fast in passes of 96 to 256, and
+# about 14% slower in passes of 48.
+_PASS_SIZE = 128
 # BandSet fields with one entry per k (a leading N axis in a batch).
 _PER_K = ("k", "arclength", "detuning", "decay", "vectors", "in_light_cone",
           "anomalous")

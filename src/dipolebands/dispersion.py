@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BLOCKS, SLOTS, bands_on_grid, solve_k
+from .bloch import BLOCKS, SLOTS, solve_k
 from .greens import K0
 from .lattice import LatticeSpec, build_lattice, reciprocal, reduce_to_bz
 
@@ -197,8 +197,11 @@ def _refine_minimum(gap, k0pt, scale, xatol, box=None):
     k + h(s x + y) gives gradient and Hessian, h being the last step length
     and s the sign of the start point's kx (+1 at kx = 0): the descent from
     the kx mirror image of a start point is then the mirror image of the
-    descent from it, to rounding. Those five points are one batched gap
-    call, so an iteration costs one call plus one per trial step.
+    descent from it, to rounding. The gap is called on batches, each row
+    bitwise its one-point gap: the start point with its stencil, and each
+    trial step, halved ones included, with the stencil it would use next.
+    So an iteration costs one call plus one per halving, and only a
+    stencil narrowed at the same k is a call of its own.
     The Newton step (steepest descent where the Hessian is not positive
     definite, or is singular to the solver) is cut to `scale` and halved
     until f goes down; if no step longer than xatol does, a stencil wider
@@ -213,16 +216,29 @@ def _refine_minimum(gap, k0pt, scale, xatol, box=None):
     iterations.
     """
     k = np.asarray(k0pt, dtype=float)
-    g = gap(k)
     h = scale
     ex, ey = np.eye(2)
     s = 1.0 if k[0] >= 0.0 else -1.0
-    for _ in range(NEWTON_MAX_ITER):
-        f0 = g * g
+    floor = STENCIL_FLOOR * xatol
+
+    def stencil(p, h):
+        return p + np.array([h * ex, -h * ex, h * ey, -h * ey,
+                             h * (s * ex + ey)])
+
+    def squares(gaps):
         # each gap squared as a scalar, as for one point: the array
         # square can differ from it in the last bit
-        fpx, fmx, fpy, fmy, fxy = (x ** 2 for x in gap(k + np.array([
-            h * ex, -h * ex, h * ey, -h * ey, h * (s * ex + ey)])))
+        return tuple(x ** 2 for x in gaps)
+
+    def probe(p, h):
+        """gap(p), and f on p's stencil of step h, from one call."""
+        gaps = gap(np.vstack([p, stencil(p, h)]))
+        return gaps[0], squares(gaps[1:])
+
+    g, fs = probe(k, h)
+    for _ in range(NEWTON_MAX_ITER):
+        f0 = g * g
+        fpx, fmx, fpy, fmy, fxy = fs
         grad = np.array([fpx - fmx, fpy - fmy]) / (2.0 * h)
         hxy = s * (fxy - (fpx if s > 0.0 else fmx) - fpy + f0)
         hess = np.array([[fpx - 2.0 * f0 + fmx, hxy],
@@ -246,20 +262,32 @@ def _refine_minimum(gap, k0pt, scale, xatol, box=None):
                 step, length = step * cut, length * cut
                 if length < xatol:
                     break
-        g_new = gap(k + step)
+        g_new, fs_new = probe(k + step, max(length, floor))
         while not g_new * g_new < f0 and length >= 2.0 * xatol:
             step, length = 0.5 * step, 0.5 * length
-            g_new = gap(k + step)
+            g_new, fs_new = probe(k + step, max(length, floor))
         if g_new * g_new < f0:
             k, g = k + step, g_new
             if length < xatol and h <= xatol or f0 - g * g <= DROP_RTOL * f0:
                 break
-            h = max(length, STENCIL_FLOOR * xatol)
+            h = max(length, floor)
+            fs = fs_new
         elif h > xatol:
             h = xatol
+            fs = squares(gap(stencil(k, h)))
         else:
             break
     return k, float(g)
+
+
+def _neighbours(a: np.ndarray, fill) -> np.ndarray:
+    """The 8 neighbours of each point of a 2-D grid a, stacked in grid
+    order (the four before the point, then the four after it), with fill
+    past the grid's edges."""
+    pad = np.pad(a, 1, constant_values=fill)
+    return np.stack([pad[i0:i0 + a.shape[0], j0:j0 + a.shape[1]]
+                     for i0 in (0, 1, 2) for j0 in (0, 1, 2)
+                     if (i0, j0) != (1, 1)])
 
 
 def find_degeneracies(spec: LatticeSpec, block: str, band_pair,
@@ -277,8 +305,8 @@ def find_degeneracies(spec: LatticeSpec, block: str, band_pair,
     grid spacings, outside which its result would be dropped: its steps are
     cut at that edge, and it ends there once it heads out.
 
-    The coarse grid comes from bloch.bands_on_grid, of block alone, and so
-    does every gap of the refinement (make_gap_function). The default
+    The coarse grid is one solve_k batch of block alone, and so is every
+    gap call of the refinement (make_gap_function). The default
     region is the upper half zone, which the lattice's two mirrors fill
     out: kx -> -kx maps the band structure onto itself as well as ky ->
     -ky. So only its columns with kx >= 0 are solved and seed (the centre
@@ -287,10 +315,11 @@ def find_degeneracies(spec: LatticeSpec, block: str, band_pair,
     region in retarded mode, no seed is taken in the radiative neighborhood
     |k| < 1.1 k0 and refined points that end there are dropped: there the
     branch hugging the light line crosses the other bands, which would
-    otherwise swamp the search with near-light-cone degeneracies. Grid
-    points inside it are still solved and count as neighbors of the seeds
-    around it. Pass an explicit search_region to probe that neighborhood;
-    it is scanned literally, on the full grid and with no mirror added.
+    otherwise swamp the search with near-light-cone degeneracies. A grid
+    point inside it is solved only where one of its 8 neighbours lies
+    outside, since it is read only as a neighbour of a seed candidate.
+    Pass an explicit search_region to probe that neighborhood; it is
+    scanned literally, on the full grid and with no mirror added.
 
     Returns:
         Location-and-gap reports sorted by (gap, kx, ky); empty if gapped.
@@ -319,24 +348,27 @@ def find_degeneracies(spec: LatticeSpec, block: str, band_pair,
     # centre out. The +inf pad left of the first of them drops no seed
     # test: its left neighbours would be mirror twins of its own column
     # (even grid_n) or of the column to its right (odd), and the tests
-    # against those columns already imply "at or below" the twins.
+    # against those columns already imply "at or below" the twins. For
+    # the same reason, taking the points left of it as non-seeding loses
+    # no point that a seed test reads.
     first = grid_n // 2 if search_region is None else 0
     kx = np.linspace(region[0], region[1], grid_n)[first:]
     ky = np.linspace(region[2], region[3], grid_n)
-    grid = bands_on_grid(spec, kx, ky, mode, block)
-    vals = grid.detuning[:, :, upper] - grid.detuning[:, :, lower]
+    grid = np.stack(np.meshgrid(kx, ky, indexing="ij"), axis=-1)
+    seeding = ~_excluded(grid[..., 0], grid[..., 1])
+    # a point that cannot seed is read only as a neighbour of one that can
+    read = seeding | _neighbours(seeding, False).any(axis=0)
+    det = solve_k(spec, grid[read], mode, block).detuning
+    vals = np.full(read.shape, np.inf)
+    vals[read] = det[:, upper] - det[:, lower]
 
     spacing = max(region[1] - region[0], region[3] - region[2]) / (grid_n - 1)
-    pad = np.pad(vals, 1, constant_values=np.inf)
-    neigh = np.stack([pad[i0:i0 + vals.shape[0], j0:j0 + grid_n]
-                      for i0 in (0, 1, 2) for j0 in (0, 1, 2)
-                      if (i0, j0) != (1, 1)])
+    neigh = _neighbours(vals, np.inf)
     # strictly below the four neighbours before it in grid order, at or
     # below the four after it: of two exactly tied minima, only the first
     # seeds
     is_min = (vals < neigh[:4].min(axis=0)) & (vals <= neigh[4:].min(axis=0))
-    is_min &= ~_excluded(grid.k[..., 0], grid.k[..., 1])
-    seeds = list(grid.k[is_min])
+    seeds = list(grid[is_min & seeding])
 
     gap = make_gap_function(spec, block, band_pair, mode)
     margin = 2.0 * spacing
