@@ -19,9 +19,9 @@ units of the single-emitter linewidth.
 In-plane displacements decouple the two z polarizations from the four
 in-plane ones exactly; the 2x2 out-of-plane and the 4x4 in-plane block are
 each solved densely. BLOCKS is the band-slot layout of a BandSet of both
-blocks: in-plane bands in slots 0-3, out-of-plane in 4-5. eigensolve,
-solve_k and bands_on_grid take block=None for that layout, or a block tag
-to diagonalize that block alone: its nb bands (4 in-plane, 2 out-of-plane)
+blocks: in-plane bands in slots 0-3, out-of-plane in 4-5. eigensolve and
+solve_k take block=None for that layout, or a block tag to diagonalize
+that block alone: its nb bands (4 in-plane, 2 out-of-plane)
 then fill slots 0 to nb - 1, bitwise the block's SLOTS of the full solve.
 The lattice sums are the same either way; a caller that reads one block
 (the degeneracy search, classify, critical_beta, dos_histogram) skips the
@@ -29,21 +29,22 @@ other block's eigensolve and its eigenvectors. Bands along a path are
 connected within each block by maximal eigenvector overlap so that true
 crossings are preserved.
 
-assemble, eigensolve and solve_k take one k (2,) or a batch (N, 2); a
-batch gives every per-k field of BlochMatrix and BandSet a leading N axis,
-and row n is bitwise the one-point result at k[n]; bands_on_grid reshapes
-that axis to the grid's (nx, ny). solve_k splits a batch into passes of at
-most _PASS_SIZE points (one assemble and one eigensolve each); a pass with
-rows on a light line is assembled once more with only those rows moved off
-it, and they are flagged anomalous. bands_on_grid, the degeneracy scan's
-grid, each Newton trial step with the five stencil points it would use
-next, classify's samples and dos_histogram solve batches; bands_on_path
-solves one k at a time.
+assemble, eigensolve and solve_k take k of any shape (..., 2): per-k
+fields follow k's leading shape, empty for one k-point (numpy scalar
+flags), and the entry at each k is bitwise the one-point result there.
+solve_k runs the points in C order in passes of at most _PASS_SIZE (one
+assemble and one eigensolve each); a pass with points on a light line is
+assembled once more with only those moved off it, and they are flagged
+anomalous. bands_on_grid is one solve_k call on its (nx, ny, 2) grid, and
+the degeneracy scan's grid, each Newton trial step with the five stencil
+points it would use next, classify's samples and dos_histogram are one
+call each; bands_on_path solves one k at a time.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -82,7 +83,7 @@ TIE_THRESHOLD = 1e-6
 # in one pass; the cone search ran as fast in passes of 96 to 256, and
 # about 14% slower in passes of 48.
 _PASS_SIZE = 128
-# BandSet fields with one entry per k (a leading N axis in a batch).
+# BandSet fields with one entry per k (shaped by k's leading shape).
 _PER_K = ("k", "arclength", "detuning", "decay", "vectors", "in_light_cone",
           "anomalous")
 
@@ -93,10 +94,8 @@ class EigenFailure(ArithmeticError):
 
 @dataclass(frozen=True)
 class BlochMatrix:
-    """The 6x6 collective-coupling matrix at one Bloch vector (assemble).
-
-    For a batch, m is (N, 6, 6), k (N, 2) and in_light_cone (N,) bool.
-    """
+    """The 6x6 collective-coupling matrices at Bloch vectors k (assemble):
+    k (..., 2), m (..., 6, 6) and in_light_cone (...) bool."""
 
     m: np.ndarray
     k: np.ndarray
@@ -111,9 +110,9 @@ class BandSet:
     out-of-plane bands; a block-only BandSet (eigensolve with a block tag)
     holds that block's nb bands in slots 0 to nb - 1. Each block is
     detuning-sorted as eigensolve returns it; along a path (bands_on_path)
-    a slot follows one band by eigenvector overlap instead. A batch BandSet
-    gives every field but block a leading N axis, and a grid
-    (bands_on_grid) a leading (nx, ny) shape.
+    a slot follows one band by eigenvector overlap instead. Every field but
+    block follows k's leading shape: below are the shapes at one k (2,),
+    which a batch (N, 2) or grid (nx, ny, 2) leads with (N,) or (nx, ny).
 
     Attributes:
         k: Bloch vector (2,).
@@ -140,7 +139,7 @@ class BandSet:
 
 
 def assemble(spec: LatticeSpec, k, mode: str = "retarded") -> BlochMatrix:
-    """The 6x6 Bloch matrix from one lattice-sum call, at one k or a batch.
+    """The 6x6 Bloch matrices at k from one lattice-sum call.
 
     One ewald_sum request with offset 'bloch' returns D_same(k), D_ab(k)
     and D_ba(k) = D_ab(-k) (the dyadic is even, G(-r) = G(r)) from one
@@ -151,7 +150,7 @@ def assemble(spec: LatticeSpec, k, mode: str = "retarded") -> BlochMatrix:
 
     Args:
         spec: Lattice geometry.
-        k: Bloch vector (2,), or a batch (N, 2).
+        k: Bloch vectors, an array (..., 2).
         mode: 'retarded' or 'quasistatic'.
 
     Returns:
@@ -169,15 +168,14 @@ def assemble(spec: LatticeSpec, k, mode: str = "retarded") -> BlochMatrix:
     m[..., 3:, :3] = d_ba
     m *= -1.5
     m -= 0.5j * np.eye(6)
-    inside = _norms(sums.k_reduced.reshape(-1, 2)) < K0
-    return BlochMatrix(m=m, k=k, in_light_cone=inside if k.ndim == 2
-                       else bool(inside[0]))
+    inside = _norms(sums.k_reduced.reshape(-1, 2)).reshape(k.shape[:-1]) < K0
+    return BlochMatrix(m=m, k=k, in_light_cone=inside[()])
 
 
 def eigensolve(bm: BlochMatrix, block: str | None = None) -> BandSet:
-    """Diagonalize a Bloch matrix, or a batch, into a BandSet.
+    """Diagonalize Bloch matrices into a BandSet of the same leading shape.
 
-    Each block is solved densely, in one batched call over the rows: with
+    Each block is solved densely, in one batched call over the points: with
     block None, the in-plane 4x4 into slots 0-3 and the out-of-plane 2x2
     into slots 4-5 (the BLOCKS layout); with a block tag, that block alone
     into slots 0 to nb - 1 (nb = 4 or 2), bitwise the block's SLOTS of the
@@ -199,16 +197,15 @@ def eigensolve(bm: BlochMatrix, block: str | None = None) -> BandSet:
     nb = 6 if block is None else len(_BASIS[block])
     lead = bm.m.shape[:-2]
     m = bm.m.reshape(-1, 6, 6)
-    rows = np.arange(len(m))[:, None]
     vals = np.zeros((len(m), nb), dtype=complex)
     vecs = np.zeros((len(m), 6, nb), dtype=complex)
     for tag, slots in layout.items():
         w, v = np.linalg.eig(m[_BLOCK[tag]])
         order = np.argsort(w.real, axis=1, kind="stable")
-        vals[:, slots] = w[rows, order]
+        vals[:, slots] = np.take_along_axis(w, order, axis=1)
         # column order[n, j] of v[n] into slot j
-        vecs[:, _BASIS[tag], slots] = np.swapaxes(
-            np.swapaxes(v, 1, 2)[rows, order], 1, 2)
+        vecs[:, _BASIS[tag], slots] = np.take_along_axis(
+            v, order[:, None, :], axis=2)
 
     r = m @ vecs - vecs * vals[:, None, :]
     res = np.sqrt((r.conj() * r).real.sum(axis=1)).max(axis=1)
@@ -223,19 +220,19 @@ def eigensolve(bm: BlochMatrix, block: str | None = None) -> BandSet:
 
     return BandSet(
         k=bm.k,
-        arclength=np.zeros(lead) if lead else 0.0,
+        arclength=np.zeros(lead)[()],
         detuning=vals.real.reshape(lead + (nb,)),
         decay=-2.0 * vals.imag.reshape(lead + (nb,)),
         vectors=vecs.reshape(lead + (6, nb)),
         block=BLOCKS if block is None else (block,) * nb,
         in_light_cone=bm.in_light_cone,
-        anomalous=np.zeros(lead, dtype=bool) if lead else False,
+        anomalous=np.zeros(lead, dtype=bool)[()],
     )
 
 
 def _solve_pass(spec: LatticeSpec, k: np.ndarray, mode: str,
                 block: str | None) -> BandSet:
-    """solve_k on one k or on a batch of at most _PASS_SIZE."""
+    """solve_k on k (..., 2) of at most _PASS_SIZE points."""
     try:
         bm = assemble(spec, k, mode)
     except RayleighAnomaly as exc:
@@ -243,14 +240,13 @@ def _solve_pass(spec: LatticeSpec, k: np.ndarray, mode: str,
         step = 1e-7 * float(np.linalg.norm(reciprocal(spec).b1))
         bm = assemble(spec, np.where(moved[..., None],
                                      k + step * exc.direction, k), mode)
-        return replace(eigensolve(bm, block), k=k,
-                       anomalous=moved if k.ndim == 2 else True)
+        return replace(eigensolve(bm, block), k=k, anomalous=moved[()])
     return eigensolve(bm, block)
 
 
 def solve_k(spec: LatticeSpec, k, mode: str = "retarded",
             block: str | None = None) -> BandSet:
-    """Bands at one k-point (2,) or at each row of a batch (N, 2).
+    """Bands at each point of k (..., 2), shaped by k's leading shape.
 
     With block None the BandSet holds both blocks in the BLOCKS layout;
     with a block tag only that block is diagonalized, and the BandSet
@@ -262,22 +258,26 @@ def solve_k(spec: LatticeSpec, k, mode: str = "retarded",
     solved there; the BandSet keeps the requested k, carries the eigendata
     of the moved point and has anomalous=True. Its arclength is 0.
 
-    A batch is solved in passes of at most _PASS_SIZE points. A pass whose
-    rows touch a light line is assembled again with only those rows moved,
-    so every row is bitwise the one-point solve of its k. A failure raises
-    for the whole batch, as the one-point solve of the failing k would.
+    The points are solved in C order in passes of at most _PASS_SIZE,
+    stitched into arrays of k's leading shape past one pass. A pass whose
+    points touch a light line is assembled again with only those moved, so
+    every point is bitwise the one-point solve of its k. A failure raises
+    for the whole request, as the one-point solve of the failing k would.
     """
     k = np.asarray(k, dtype=float)
-    if k.ndim == 1 or len(k) <= _PASS_SIZE:
+    lead = k.shape[:-1]
+    n = math.prod(lead)
+    if n <= _PASS_SIZE:
         return _solve_pass(spec, k, mode, block)
+    rows = k.reshape((n,) + k.shape[-1:])
     out = {}
-    for i in range(0, len(k), _PASS_SIZE):
-        part = _solve_pass(spec, k[i:i + _PASS_SIZE], mode, block)
+    for i in range(0, n, _PASS_SIZE):
+        part = _solve_pass(spec, rows[i:i + _PASS_SIZE], mode, block)
         for name in _PER_K:
             value = getattr(part, name)
             if not i:
-                out[name] = np.empty((len(k),) + value.shape[1:], value.dtype)
-            out[name][i:i + _PASS_SIZE] = value
+                out[name] = np.empty(lead + value.shape[1:], value.dtype)
+            out[name].reshape((n,) + value.shape[1:])[i:i + _PASS_SIZE] = value
     return replace(part, **out)
 
 
@@ -338,22 +338,17 @@ def bands_on_path(spec: LatticeSpec, path,
                      for k, s, _label in path])
 
 
-def bands_on_grid(spec: LatticeSpec, kx, ky, mode: str = "retarded",
-                  block: str | None = None) -> BandSet:
+def bands_on_grid(spec: LatticeSpec, kx, ky,
+                  mode: str = "retarded") -> BandSet:
     """Energy-ordered band sheets over a rectangular k grid.
 
-    The grid is one solve_k batch, of both blocks or of block alone.
+    The grid is one solve_k call on the (len(kx), len(ky), 2) array of its
+    points, k[i, j] = (kx[i], ky[j]).
 
     Returns:
-        BandSet in solve_k's layout for block (BLOCKS for None) whose per-k
-        fields lead with the grid shape (len(kx), len(ky)): k[i, j] =
-        (kx[i], ky[j]). Each block is detuning-sorted per point; light-line
-        points are flagged in the anomalous mask (see solve_k).
+        BandSet in the BLOCKS layout whose per-k fields lead with the grid
+        shape (len(kx), len(ky)). Each block is detuning-sorted per point;
+        light-line points are flagged in the anomalous mask (see solve_k).
     """
-    kx = np.atleast_1d(np.asarray(kx, dtype=float))
-    ky = np.atleast_1d(np.asarray(ky, dtype=float))
-    shape = (len(kx), len(ky))
-    kxy = np.stack(np.meshgrid(kx, ky, indexing="ij"), axis=-1).reshape(-1, 2)
-    bs = solve_k(spec, kxy, mode, block)
-    return replace(bs, **{name: getattr(bs, name).reshape(
-        shape + getattr(bs, name).shape[1:]) for name in _PER_K})
+    return solve_k(spec, np.stack(np.meshgrid(kx, ky, indexing="ij"),
+                                  axis=-1), mode)

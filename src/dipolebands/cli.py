@@ -15,6 +15,7 @@ Nothing is read from the environment.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -442,7 +443,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parsing leaves it as is."""
     parser = argparse.ArgumentParser(
         prog="dipolebands",
         description="Band structures and Dirac-point taxonomy of anisotropic "

@@ -146,9 +146,9 @@ def make_gap_function(spec: LatticeSpec, block: str, band_pair,
                       mode: str = "retarded"):
     """Return gap(k) for one band pair (energy-sorted within block).
 
-    gap takes one k (2,) and returns a scalar, or a batch (N, 2) and
-    returns (N,) gaps, each bitwise the one-point gap of its row. Each
-    call is one solve_k of block alone.
+    gap takes k of any shape (..., 2) and returns the gaps in k's leading
+    shape (a scalar for one k), each bitwise the one-point gap at its k.
+    Each call is one solve_k of block alone.
 
     Raises:
         ValueError: a bad block or band_pair.
@@ -209,11 +209,11 @@ def _refine_minimum(gap, k0pt, scale, xatol, box=None):
     (kx_min, kx_max, ky_min, ky_max) is given, a step that would leave it
     is first cut to end on its edge, so a descent that overshoots a
     touching inside the box near its edge still comes back to it. The
-    descent ends there on a narrower stencil, on a step below xatol from a
-    stencil no wider, on a drop of f below DROP_RTOL of f (a kink of the
-    gap, not a touching point), on a step cut below xatol at the box edge
-    (the descent heads out of the box), or after NEWTON_MAX_ITER
-    iterations.
+    descent ends there on a narrower stencil; on a step below xatol or a
+    drop of f below DROP_RTOL of f (a kink of the gap, not a touching
+    point) from a stencil no wider, since a wider one's Newton step can
+    fall short of a touching; on a step cut below xatol at the box edge
+    (the descent heads out of the box); or after NEWTON_MAX_ITER iterations.
     """
     k = np.asarray(k0pt, dtype=float)
     h = scale
@@ -268,7 +268,7 @@ def _refine_minimum(gap, k0pt, scale, xatol, box=None):
             g_new, fs_new = probe(k + step, max(length, floor))
         if g_new * g_new < f0:
             k, g = k + step, g_new
-            if length < xatol and h <= xatol or f0 - g * g <= DROP_RTOL * f0:
+            if h <= xatol and (length < xatol or f0 - g * g <= DROP_RTOL * f0):
                 break
             h = max(length, floor)
             fs = fs_new
@@ -305,19 +305,20 @@ def find_degeneracies(spec: LatticeSpec, block: str, band_pair,
     grid spacings, outside which its result would be dropped: its steps are
     cut at that edge, and it ends there once it heads out.
 
-    The coarse grid is one solve_k batch of block alone, and so is every
-    gap call of the refinement (make_gap_function). The default
-    region is the upper half zone, which the lattice's two mirrors fill
-    out: kx -> -kx maps the band structure onto itself as well as ky ->
-    -ky. So only its columns with kx >= 0 are solved and seed (the centre
-    column of an odd grid_n once), and the kx, ky and (kx, ky) mirror
-    images of the merged points are added to the reports. With the default
-    region in retarded mode, no seed is taken in the radiative neighborhood
-    |k| < 1.1 k0 and refined points that end there are dropped: there the
-    branch hugging the light line crosses the other bands, which would
-    otherwise swamp the search with near-light-cone degeneracies. A grid
-    point inside it is solved only where one of its 8 neighbours lies
-    outside, since it is read only as a neighbour of a seed candidate.
+    The coarse grid is one call of the refinement's gap function
+    (make_gap_function). The default region is the upper half zone, which
+    the lattice's two mirrors fill out: kx -> -kx maps the band structure
+    onto itself as well as ky -> -ky. So only its columns with kx >= 0 are
+    solved and seed (the centre column of an odd grid_n once), and the kx,
+    ky and (kx, ky) mirror images of the merged points are added to the
+    reports. With the default region in retarded mode, no seed is taken in
+    the radiative neighborhood, where the zone-reduced k (reduce_to_bz, as
+    assemble reads the light cone) has |k| < 1.1 k0, and refined points
+    that end there are dropped: there the branch hugging the light line
+    crosses the other bands, which would otherwise swamp the search with
+    near-light-cone degeneracies. A grid point inside it is solved only
+    where one of its 8 neighbours lies outside, since it is read only as a
+    neighbour of a seed candidate.
     Pass an explicit search_region to probe that neighborhood; it is
     scanned literally, on the full grid and with no mirror added.
 
@@ -329,7 +330,7 @@ def find_degeneracies(spec: LatticeSpec, block: str, band_pair,
             finite, grid_n below 2, or a search_region with kx_min >= kx_max
             or ky_min >= ky_max.
     """
-    pair = lower, upper = _check_pair(block, band_pair)
+    pair = _check_pair(block, band_pair)
     _check_positive("eps_deg", eps_deg)
     if grid_n < 2:
         raise ValueError(f"grid_n must be at least 2, got {grid_n}")
@@ -341,8 +342,10 @@ def find_degeneracies(spec: LatticeSpec, block: str, band_pair,
     recip = reciprocal(spec)
     b1n = float(np.linalg.norm(recip.b1))
 
-    def _excluded(kx, ky):
-        return exclude_radiative & (np.hypot(kx, ky) < 1.1 * K0)
+    def _excluded(k):
+        red = reduce_to_bz(recip, k)
+        return exclude_radiative & (np.hypot(red[..., 0], red[..., 1])
+                                    < 1.1 * K0)
 
     # The default region is symmetric in kx: solve its columns from the
     # centre out. The +inf pad left of the first of them drops no seed
@@ -355,12 +358,12 @@ def find_degeneracies(spec: LatticeSpec, block: str, band_pair,
     kx = np.linspace(region[0], region[1], grid_n)[first:]
     ky = np.linspace(region[2], region[3], grid_n)
     grid = np.stack(np.meshgrid(kx, ky, indexing="ij"), axis=-1)
-    seeding = ~_excluded(grid[..., 0], grid[..., 1])
+    seeding = ~_excluded(grid)
     # a point that cannot seed is read only as a neighbour of one that can
     read = seeding | _neighbours(seeding, False).any(axis=0)
-    det = solve_k(spec, grid[read], mode, block).detuning
+    gap = make_gap_function(spec, block, band_pair, mode)
     vals = np.full(read.shape, np.inf)
-    vals[read] = det[:, upper] - det[:, lower]
+    vals[read] = gap(grid[read])
 
     spacing = max(region[1] - region[0], region[3] - region[2]) / (grid_n - 1)
     neigh = _neighbours(vals, np.inf)
@@ -370,7 +373,6 @@ def find_degeneracies(spec: LatticeSpec, block: str, band_pair,
     is_min = (vals < neigh[:4].min(axis=0)) & (vals <= neigh[4:].min(axis=0))
     seeds = list(grid[is_min & seeding])
 
-    gap = make_gap_function(spec, block, band_pair, mode)
     margin = 2.0 * spacing
     box = (region[0] - margin, region[1] + margin,
            region[2] - margin, region[3] + margin)
@@ -378,7 +380,7 @@ def find_degeneracies(spec: LatticeSpec, block: str, band_pair,
     for seed in seeds:
         k_star, g = _refine_minimum(gap, seed, 0.5 * spacing,
                                     REFINE_FRAC * b1n, box=box)
-        if g < eps_deg and not _excluded(*k_star) and _in_box(k_star, box):
+        if g < eps_deg and not _excluded(k_star) and _in_box(k_star, box):
             found.append((k_star, g))
 
     def _is_new(k, kept):
@@ -443,7 +445,7 @@ def classify(spec: LatticeSpec, location, block: str, band_pair,
     r_out = FIT_RADIUS_FRAC * b1n if fit_radius is None else float(fit_radius)
 
     def both(k):
-        """The pair's two bands at k (2,) or at each row of k (N, 2)."""
+        """The pair's two bands at each point of k (..., 2)."""
         det = solve_k(spec, k, mode, block).detuning
         return det[..., lower], det[..., upper]
 

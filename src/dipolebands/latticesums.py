@@ -81,21 +81,20 @@ would need an index past it, the table is not built and every k fails with
 NonConvergent. A build that raises stores nothing, and every table array is
 read-only.
 
-A request's k is one point (2,) or a batch (N, 2), and a one-point request
-is the batch N = 1 with the leading axis dropped. A batch is one pass: per
-spatial table one product, np.einsum("nr,rc->nc"), of the (N, n) Bloch
-phases and the (n, 5) weights, whose row n is bitwise the one-point
+A request's k is any array (..., 2): its N points, in C order, are one
+pass. Per spatial table one product, np.einsum("nr,rc->nc"), of the (N, n)
+Bloch phases and the (n, 5) weights, whose row n is bitwise the one-point
 product, and the spectral terms of all N laid out as runs, one per k in
 its one-point order. One segment reduction (np.add.reduceat) sums the runs
 (an empty one, left by a small splitting override, is zero), and the sum of
-a run depends on its own terms only, so row n of a batch is bitwise the
-one-point sum at k[n]. Per-k result fields (D, k_reduced, n_propagating)
-gain the leading N axis; n_spatial and n_spectral are the terms summed over
-the whole batch and est_error is the batch's worst, so the counts of N
-one-point calls and of one batch agree. The working set grows as N times the
-terms of one k, so bloch.solve_k hands the sums at most bloch._PASS_SIZE
-points per pass: a "bloch" pass at d0 0.1 peaks at about 17.5 KB per k
-(tracemalloc). The (terms, 5) spectral block is its largest array, and it
+a run depends on its own terms only, so each point is bitwise the
+one-point sum at its k. Per-k result fields (D, k_reduced, n_propagating)
+follow k's leading shape, empty for one point; n_spatial and n_spectral
+are the terms summed over the request and est_error is its worst, so the
+counts of N one-point calls and of one batch agree. The working set grows
+as N times the terms of one k, so bloch.solve_k hands the sums at most
+bloch._PASS_SIZE points per pass: a "bloch" pass at d0 0.1 peaks at about
+16.5 KB per k (tracemalloc). The (terms, 5) spectral block is its largest array, and it
 is written column by column in place (see _spectral_terms).
 
 The offset "bloch" returns the three sums of a Bloch matrix from that one
@@ -181,12 +180,12 @@ class LatticeSumRequest:
 
     Attributes:
         spec: Lattice geometry.
-        k: Bloch vector (2,), or a batch (N, 2) of them; each is reduced
-            internally to the first zone.
+        k: Bloch vectors, an array (..., 2); each is reduced internally
+            to the first zone.
         offset: 'same' (rho = 0, R = 0 excluded), 'a_to_b' (rho = +d) or
             'b_to_a' (rho = -d), d the basis offset; or 'bloch', the three
-            sums of a Bloch matrix from one pass: D is (3, 3, 3), or
-            (3, N, 3, 3) for a batch, holding [D_same(k), D_ab(k),
+            sums of a Bloch matrix from one pass: D is (3, ..., 3, 3),
+            k's leading shape between, holding [D_same(k), D_ab(k),
             D_ab(-k)], each bitwise its single-offset sum (see the module
             docstring for the -k order and the zone-boundary ties).
         mode: 'retarded' or 'quasistatic'.
@@ -211,11 +210,11 @@ class LatticeSumRequest:
 class LatticeSumResult:
     """Dyadic lattice sum with convergence metadata.
 
-    For a batch request, D, k_reduced and n_propagating carry a leading N
-    axis (one row per k); the other fields describe the whole batch.
+    D, k_reduced and n_propagating follow k's leading shape (numpy scalars
+    for one k); the other fields describe the whole request.
 
     Attributes:
-        D: (3, 3) complex dyadic, units 1/length; a 'bloch' request
+        D: (..., 3, 3) complex dyadics, units 1/length; a 'bloch' request
             stacks its three sums on a leading axis of 3.
         n_spatial, n_spectral: Number of lattice vectors in the spatial
             and spectral truncation disks, i.e. the terms summed (over all
@@ -223,7 +222,7 @@ class LatticeSumResult:
         est_error: A priori relative truncation bound, tolerance/10 times
             the summed term magnitudes over |D| (an overestimate); the
             largest over a batch and over the sums of a 'bloch' request.
-        k_reduced: (2,) the zone-reduced k the series were summed at,
+        k_reduced: (..., 2) the zone-reduced k the series were summed at,
             reduce_to_bz(reciprocal(spec), k); callers read the light
             cone off it instead of reducing k again.
         n_propagating: Number of propagating spectral orders (|k+g| < k0);
@@ -505,7 +504,7 @@ def _spectral_kernels(cell: _CellTable, k, k0_eff, e, lead):
             possibly followed by the -k rows of zone-boundary ties, which
             are not checked for grazing orders (their |k+g| are those of
             their k).
-        lead: The request's leading shape, (N,) or () for one k; it shapes
+        lead: The request k's leading shape, () for one point; it shapes
             RayleighAnomaly.direction like the request's k.
 
     Returns:
@@ -626,7 +625,7 @@ def _norms(a: np.ndarray) -> np.ndarray:
 
 def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
     """Evaluate one quasi-periodic dyadic lattice sum, or the three of a
-    Bloch matrix (offset 'bloch'), at one k or a batch.
+    Bloch matrix (offset 'bloch'), at each point of k (..., 2).
 
     The k-independent set-up comes from the per-lattice tables, and a batch
     is summed in one pass (see the module docstring); only the k-dependent
@@ -642,7 +641,7 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
         subtract the screened R = 0 term analytically.
 
     Raises:
-        ValueError: unknown mode or offset, k not (2,) or (N, 2) or not
+        ValueError: unknown mode or offset, k not of shape (..., 2) or not
             finite, a tolerance outside (0, 1), or a splitting that is not
             finite and positive.
         RayleighAnomaly: retarded mode with |k+g| on the light line (for
@@ -658,8 +657,8 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tolerance must lie in (0, 1), got {tol}")
     k = np.asarray(req.k, dtype=float)
-    if k.ndim not in (1, 2) or k.shape[-1] != 2:
-        raise ValueError(f"k must have shape (2,) or (N, 2), got {k.shape}")
+    if k.shape[-1:] != (2,):
+        raise ValueError(f"k must have shape (..., 2), got {k.shape}")
     lead = k.shape[:-1]
     k = k.reshape(-1, 2)
     if not np.isfinite(k).all():
@@ -719,6 +718,7 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
         spatial = [(t_same, _bloch_phase(t_same, k)),
                    (t_rho, np.concatenate([ph_ab, ph_ba]))]
     terms = _spectral_terms(qv, kern, zker, unit, cell.area2)
+    del qv, kern, zker, unit  # unread from here: free them for the sums
 
     # one segment reduction over the non-empty runs, each summed as one k
     # alone; an empty run sums to zero (reduceat would read the next one's)
@@ -762,7 +762,7 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
         n_spectral=n_spectral,
         est_error=float(est.max(initial=0.0)),
         k_reduced=k.reshape(lead + (2,)),
-        n_propagating=n_prop[:n].reshape(lead) if lead else int(n_prop[0]),
+        n_propagating=n_prop[:n].reshape(lead)[()],
     )
 
 

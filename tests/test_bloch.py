@@ -465,6 +465,47 @@ def test_batch_splits_into_passes(iso_lattice, monkeypatch):
                               solve_k(iso_lattice, k).vectors)
 
 
+def _bits(a):
+    return np.shape(a), np.asarray(a).tobytes()
+
+
+def test_grid_shaped_k_is_its_flat_batch(iso_lattice, monkeypatch):
+    # per-k fields follow k's leading shape: an (nx, ny, 2) request, in one
+    # pass and in passes of 2, is bitwise its flat batch, bands_on_grid and
+    # the one-point solve at each k; the light-line point (2 pi, 0), in the
+    # second pass of 2, keeps its requested k
+    kx, ky = np.array([9.0, 2.0 * np.pi, 0.5]), np.array([16.0, 0.0])
+    k = np.stack(np.meshgrid(kx, ky, indexing="ij"), axis=-1)
+    whole = solve_k(iso_lattice, k)
+    monkeypatch.setattr(bloch, "_PASS_SIZE", 2)
+    grid = solve_k(iso_lattice, k)
+    flat = solve_k(iso_lattice, k.reshape(-1, 2))
+    on_grid = bands_on_grid(iso_lattice, kx, ky)
+    for name in bloch._PER_K:
+        want = getattr(flat, name)
+        got = getattr(grid, name)
+        assert got.shape == (3, 2) + want.shape[1:]
+        assert _bits(got.reshape(want.shape)) == _bits(want)
+        for other in (whole, on_grid):
+            assert _bits(getattr(other, name)) == _bits(got)
+        for idx in np.ndindex(3, 2):
+            assert _bits(got[idx]) == \
+                _bits(getattr(solve_k(iso_lattice, k[idx]), name))
+    assert grid.anomalous.tolist() == [[False, False], [False, True],
+                                       [False, False]]
+    assert grid.k[1, 1].tolist() == [2.0 * np.pi, 0.0]
+    assert grid.in_light_cone[2, 1] and not grid.in_light_cone[0, 0]
+
+
+def test_one_point_flags_are_numpy_scalars(iso_lattice):
+    one = solve_k(iso_lattice, [2.0 * np.pi, 0.0])
+    assert isinstance(one.anomalous, np.bool_) and one.anomalous
+    assert isinstance(one.in_light_cone, np.bool_)
+    sums = ewald_sum(LatticeSumRequest(spec=iso_lattice, k=[0.5, 0.3]))
+    assert isinstance(sums.n_propagating, np.integer)
+    assert sums.n_propagating >= 1
+
+
 @settings(max_examples=25, deadline=None)
 @given(d0=st.floats(0.05, 0.3), beta=st.floats(BETA_MIN, BETA_MAX),
        mode=st.sampled_from(("retarded", "quasistatic")),

@@ -10,14 +10,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from dipolebands import dispersion
+from dipolebands import cli, dispersion
 from dipolebands.cli import ConfigError, load_config_file, main, resolve_config
 from dipolebands.dispersion import DegeneracyReport
+from dipolebands.greens import K0
 from dipolebands.lattice import (BETA_MAX, BETA_MIN, D0_MIN, build_lattice,
-                                 reciprocal)
+                                 reciprocal, reduce_to_bz)
+from tests.conftest import dist_mod_g
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -462,6 +464,74 @@ def test_cli_fuzz_exits_cleanly(argv, capsys):
     if code == 0:
         words = set(re.findall(r"[a-z]+", out.lower()))
         assert not words & {"nan", "inf", "infinity"}, argv
+
+
+_PAIRS = (("out_of_plane", "0,1"), ("in_plane", "0,1"), ("in_plane", "1,2"),
+          ("in_plane", "2,3"))
+
+
+@st.composite
+def _search_draws(draw):
+    """argv of a find-cones run (or, one draw in five, a sweep-beta run of
+    two betas) at random d0, log-uniform over [0.03, 1], beta over its
+    range, mode and band pair: the default search region throughout."""
+    d0 = min(10.0 ** draw(st.floats(np.log10(0.03), 0.0)), 1.0)
+    block, pair = draw(st.sampled_from(_PAIRS))
+    mode = draw(st.sampled_from(("retarded", "quasistatic")))
+    argv = ["--set", f"d0={d0!r}", "--block", block, "--pair", pair,
+            "--mode", mode]
+    if draw(st.integers(0, 4)):
+        beta = draw(st.floats(BETA_MIN, BETA_MAX))
+        return ["find-cones", "--beta", repr(beta)] + argv
+    start = draw(st.floats(BETA_MIN, BETA_MAX - 0.005))
+    return ["sweep-beta", "--set", f"beta_start={start!r}",
+            "--set", f"beta_stop={start + 0.005!r}"] + argv
+
+
+@settings(max_examples=22, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_search_draws())
+# at d0 0.3 the default region's corners reduce into the light cone: an
+# exclusion on the unreduced k reports 16 touchings there, all radiating
+@example(argv=["find-cones", "--beta", "0.918", "--set", "d0=0.3",
+               "--block", "in_plane", "--pair", "2,3", "--mode", "retarded"])
+def test_search_fuzz_reports_bound_mirrored_touchings(argv, capsys):
+    # a search exits 0, 2 or 3; every report of a default-region search
+    # closes its gap below eps_deg and comes with its ky mirror image (mod
+    # G), and in retarded mode its zone-reduced k lies outside the
+    # radiative disk the search excludes, |k| >= 1.1 k0
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 2, 3), (argv, err)
+    if code != 0 or argv[0] != "find-cones":
+        return
+    doc = json.loads(out)
+    cfg = doc["config"]
+    recip = reciprocal(build_lattice(cfg["d0"], cfg["beta"]))
+    b1n = float(np.linalg.norm(recip.b1))
+    ks = [np.array(r["k_star"]) for r in doc["reports"]]
+    for rep, k in zip(doc["reports"], ks):
+        assert rep["gap_min"] < cfg["eps_deg"], (argv, rep)
+        if cfg["mode"] == "retarded":
+            assert np.linalg.norm(reduce_to_bz(recip, k)) >= 1.1 * K0, \
+                (argv, k)
+        mirror = k * [1.0, -1.0]
+        assert min(dist_mod_g(recip, mirror, other) for other in ks) \
+            < dispersion.DEDUP_FRAC * b1n, (argv, k)
+
+
+def test_successive_main_calls_share_no_state(capsys):
+    # the parser is built once per process, and each call's --set values
+    # reach that call alone: the second run's config is its own argv's
+    code, first = run_cli(["bands", "--set", "path=Gamma,K", "--set",
+                           "n_per_segment=2", "--set", "d0=0.2"], capsys)
+    assert code == 0 and "# d0 = 0.2\n" in first
+    code, second = run_cli(["bands", "--set", "n_per_segment=3"], capsys)
+    assert code == 0
+    cfg = resolve_config({}, {"n_per_segment": "3"})
+    assert second.startswith("".join(
+        f"# {k} = {v}\n" for k, v in sorted(dataclasses.asdict(cfg).items())))
+    assert cli._build_parser() is cli._build_parser()
 
 
 @pytest.mark.parametrize("argv", [
