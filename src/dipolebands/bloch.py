@@ -11,10 +11,14 @@ where the D blocks are the dyadic lattice sums (in wavelength/linewidth
 units the coupling prefactor is exactly 3/2). The dyadic is even, G(-r) =
 G(r), so D_ba(k) = D_ab(-k): assemble makes one ewald_sum call per pass,
 offset 'bloch', which returns all three D blocks from one spectral pass
-over the k of the pass. Eigenvalues are reported as (detuning, decay) =
-(Re lam, -2 Im lam): detuning is the band energy relative to the emitter
-resonance in linewidth units and decay is the radiative width gamma_k in
-units of the single-emitter linewidth.
+over the k of the pass. Only D_ab and D_ba depend on beta: the lattice
+sums keep the beta-free half of a pass asked for twice (see latticesums),
+so the lattices of one d0 share the zone reduction, the spectral kernels
+and D_same of a k-set they all solve, bit for bit, such as the degeneracy
+scan's grid or critical_beta's M. Eigenvalues are reported as
+(detuning, decay) = (Re lam, -2 Im lam): detuning is the band energy
+relative to the emitter resonance in linewidth units and decay is the
+radiative width gamma_k in units of the single-emitter linewidth.
 
 In-plane displacements decouple the two z polarizations from the four
 in-plane ones exactly; the 2x2 out-of-plane and the 4x4 in-plane block are

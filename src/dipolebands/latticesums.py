@@ -94,8 +94,8 @@ are the terms summed over the request and est_error is its worst, so the
 counts of N one-point calls and of one batch agree. The working set grows
 as N times the terms of one k, so bloch.solve_k hands the sums at most
 bloch._PASS_SIZE points per pass: a "bloch" pass at d0 0.1 peaks at about
-16.5 KB per k (tracemalloc). The (terms, 5) spectral block is its largest array, and it
-is written column by column in place (see _spectral_terms).
+12 KB per k (tracemalloc). The (terms, 5) spectral block is its largest
+array, and it is written column by column in place (see _spectral_terms).
 
 The offset "bloch" returns the three sums of a Bloch matrix from that one
 pass: D gains a leading axis of 3, [D_same(k), D_ab(k), D_ba(k)], each
@@ -112,6 +112,30 @@ conjugate Bloch phase. Where reduce_to_bz(-k) is not -reduce_to_bz(k)
 more row of the same pass, whose run gives the tie's D_ba. k_reduced and
 n_propagating are the same-site sum's, n_spatial and n_spectral count the
 terms of all three and est_error is the worst.
+
+Only the basis offset rho depends on beta, so a "bloch" pass is built in
+two halves. The beta-free half (_PassHalf) is the zone reduction of k and
+-k with the tie rows, the run lengths, every row's k + g and spectral
+kernels, n_propagating, and D_same's five columns (spectral, then spatial,
+then the self term) with their summed magnitudes and term counts. The rho
+half weighs the kernels by e^{i(k+g).rho} into the a_to_b runs, the
+reversed -k block and the tie runs, sums the a_to_b table against its Bloch
+phases and applies the rounding gate. A third least-recently-used cache,
+of at most _CACHE_SIZE entries, keeps beta-free halves read-only, keyed on
+the cell table's key (which holds no beta) and the bytes of the pass's k.
+A half is stored on its key's second request only: the first records the
+key (in a key cache of the same bound) and stores nothing, so a pass asked
+for once holds no memory (a Newton stencil, classify's rays, a path
+point), while a k-set that every lattice of one d0 solves, such as the
+degeneracy scan's grid or critical_beta's M, is summed twice and then read.
+A pass that raises stores and records nothing. A stored half is read in
+place of being built, and the rest of the pass is the same code, so a hit
+returns every result field bitwise as a cold call does; it reads no
+same-site spatial table. The Rayleigh test holds on a hit (a half that
+grazes is never stored), and the NonConvergent checks run in the same
+order, the rounding gate on every row of every call. On twelve
+find-cones searches at d0 0.1 the stored halves hold about 1.6 MB
+(tracemalloc).
 """
 
 from __future__ import annotations
@@ -406,11 +430,64 @@ class _SpatialTable:
     self_term: np.ndarray
 
 
-# Tables kept per cache; past it the least recently used one is dropped.
+@dataclass(frozen=True)
+class _PassHalf:
+    """The part of a pass at N points k that no basis offset rho enters.
+
+    Attributes:
+        k: (N, 2) the points reduced to the first zone.
+        tie: (N,) for 'bloch', where reduce_to_bz(-k) is not -k_reduced (a
+            zone-boundary tie); empty otherwise.
+        neg: (ties, 2) those points' reduced -k.
+        counts: (N + ties,) the run lengths of the k rows, then the ties'.
+        qv, kern, zker: Per term of those runs, k + g and its spectral
+            kernels (_spectral_kernels).
+        n_prop: (N,) propagating orders per point.
+        total: (N, 5) D_same's columns (S, Txx, Txy, Tyy, Tzz): spectral,
+            then spatial, then the self term; None without a same-site sum.
+        mags: (N, 5) their summed term magnitudes, or None.
+        n_spectral, n_spatial: D_same's terms (0 without it).
+    """
+
+    k: np.ndarray
+    tie: np.ndarray
+    neg: np.ndarray
+    counts: np.ndarray
+    qv: np.ndarray
+    kern: np.ndarray
+    zker: np.ndarray
+    n_prop: np.ndarray
+    total: np.ndarray | None
+    mags: np.ndarray | None
+    n_spectral: int
+    n_spatial: int
+
+
+# Entries kept per cache; past it the least recently used one is dropped.
 _CACHE_SIZE = 64
 _CELL_TABLES: dict = {}
 _SPATIAL_TABLES: dict = {}
+# The beta-free halves of "bloch" passes stored, and the keys of passes
+# requested once (see _remember_pass).
+_PASS_HALVES: dict = {}
+_PASS_KEYS: dict = {}
 _CACHE_LOCK = threading.Lock()
+
+
+def _touch(cache: dict, key):
+    """The entry under key, made the most recently used; None if absent."""
+    value = cache.pop(key, None)
+    if value is not None:
+        cache[key] = value
+    return value
+
+
+def _put(cache: dict, key, value) -> None:
+    """Store value under key, dropping the least recently used entry past
+    _CACHE_SIZE."""
+    if len(cache) >= _CACHE_SIZE:
+        del cache[next(iter(cache))]
+    cache[key] = value
 
 
 def _cached(cache: dict, key, build):
@@ -419,13 +496,30 @@ def _cached(cache: dict, key, build):
     A build that raises stores nothing.
     """
     with _CACHE_LOCK:
-        table = cache.pop(key, None)
+        table = _touch(cache, key)
         if table is None:
             table = build()
-            if len(cache) >= _CACHE_SIZE:
-                del cache[next(iter(cache))]
-        cache[key] = table
+            _put(cache, key, table)
         return table
+
+
+def _stored_pass(key):
+    """The beta-free half stored under a pass key, or None."""
+    with _CACHE_LOCK:
+        return _touch(_PASS_HALVES, key)
+
+
+def _remember_pass(key, half) -> None:
+    """Store a pass's beta-free half on its key's second request.
+
+    The first request only records the key, so a pass asked for once (a
+    Newton stencil, classify's rays, a path point) holds no memory.
+    """
+    with _CACHE_LOCK:
+        if _PASS_KEYS.pop(key, None):
+            _put(_PASS_HALVES, key, _read_only(half))
+        else:
+            _put(_PASS_KEYS, key, True)
 
 
 def _cell_table(spec: LatticeSpec, k0_eff: float, e: float,
@@ -581,6 +675,25 @@ def _spectral_terms(qv, kern, zker, unit, area2):
     return out
 
 
+def _run_sums(terms, runs):
+    """Per run, the sums of its terms and of their magnitudes, (runs, 5).
+
+    One segment reduction over the non-empty runs, each summed as one k
+    alone; an empty run sums to zero (reduceat would read the next one's).
+    """
+    starts = np.cumsum(runs) - runs
+    if runs.all():  # the usual case, with no empty run to mask
+        return (np.add.reduceat(terms, starts, axis=0),
+                np.add.reduceat(np.abs(terms), starts, axis=0))
+    full = runs > 0
+    starts = starts[full]
+    sums = np.zeros((len(runs), 5), dtype=complex)
+    mags = np.zeros((len(runs), 5))
+    sums[full] = np.add.reduceat(terms, starts, axis=0)
+    mags[full] = np.add.reduceat(np.abs(terms), starts, axis=0)
+    return sums, mags
+
+
 def _bloch_phase(t: _SpatialTable, k):
     """The (N, n) phases e^{-i k.R} of a table's lattice vectors, k (N, 2).
 
@@ -677,78 +790,69 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
            tol)
     cell = _cached(_CELL_TABLES, key,
                    lambda: _cell_table(spec, k0_eff, e, tol))
-    n = len(k)
-    red = reduce_to_bz(cell.recip, np.concatenate([k, -k]) if bloch else k)
-    # for 'bloch', -k mostly reduces to -k_reduced, whose terms are those at
-    # k negated; a zone-boundary tie reduces elsewhere and gets a row
-    k, neg = red[:n], red[n:]
-    tie = np.any(neg != -k, axis=1) if bloch else np.zeros(0, dtype=bool)
-    rows = np.concatenate([k, neg[tie]])
 
     def table(r):
         return _cached(_SPATIAL_TABLES, key + (r.tobytes(),),
                        lambda: _spatial_table(spec, r, k0_eff, e, cell.depth))
 
     # the spatial tables before the spectral kernels: a prefactor past
-    # overflow raises NonConvergent there, before e^{y^2} overflows here
+    # overflow raises NonConvergent there, before e^{y^2} overflows in
+    # _spectral_kernels
     t_rho = table(rho)
-    t_same = (table(np.zeros(2)) if bloch
-              else t_rho if req.offset == "same" else None)
-    counts, qv, kern, zker, n_prop = _spectral_kernels(
-        cell, rows, k0_eff, e, lead)
-    unit = np.exp(1j * (qv @ rho))
-    runs = counts
-    if not bloch:
-        spatial = [(t_rho, _bloch_phase(t_rho, k))]
-    else:
-        # the runs of [same, a_to_b at k, a_to_b at -k, each tie's own -k]:
-        # the terms at -k are those at k negated, each run reversed, under
-        # the conjugate phases, i.e. the a_to_b block reversed as a whole
-        # (its k + g are left unnegated: every term is even in k + g)
-        t = int(counts[:n].sum())
-        runs, qv, kern, zker, unit = (
-            np.concatenate([a[:m], a[:m], a[:m][::-1], a[m:]]) for a, m in
-            ((counts, n), (qv, t), (kern, t), (zker, t), (unit, t)))
-        ba = slice(2 * t, 3 * t)
-        unit[:t], unit[ba] = 1.0, unit[ba].conj()  # e^{i (k+g).0} = 1
-        ph_ab = _bloch_phase(t_rho, k)
-        ph_ba = ph_ab.conj()
-        if tie.any():
-            ph_ba[tie] = _bloch_phase(t_rho, neg[tie])
-        spatial = [(t_same, _bloch_phase(t_same, k)),
-                   (t_rho, np.concatenate([ph_ab, ph_ba]))]
-    terms = _spectral_terms(qv, kern, zker, unit, cell.area2)
-    del qv, kern, zker, unit  # unread from here: free them for the sums
-
-    # one segment reduction over the non-empty runs, each summed as one k
-    # alone; an empty run sums to zero (reduceat would read the next one's)
-    full = runs > 0
-    starts = (np.cumsum(runs) - runs)[full]
-    sums = np.zeros((len(runs), 5), dtype=complex)
-    mags = np.zeros((len(runs), 5))
-    sums[full] = np.add.reduceat(terms, starts, axis=0)
-    mags[full] = np.add.reduceat(np.abs(terms), starts, axis=0)
-    n_spectral = len(terms)
-    if bloch:
-        # D_ba back in row order, a tie's from its own run
-        pick = np.arange(3 * n)
-        pick[2 * n:] = pick[2 * n:][::-1]
-        pick[2 * n:][tie] = np.arange(3 * n, len(runs))
-        sums, mags = sums[pick], mags[pick]
-        n_spectral -= int(counts[:n][tie].sum())
-    # the spatial series: per table, its Bloch phases against its weights
-    total = sums + np.concatenate([np.einsum("nr,rc->nc", ph, t.weights)
-                                   for t, ph in spatial])
-    if t_same is not None:
-        total[:n] += t_same.self_term
+    # a 'bloch' pass's beta-free half, stored from its second request
+    pass_key = key + (k.tobytes(),)
+    half = _stored_pass(pass_key) if bloch else None
+    fresh = half is None
+    if fresh:
+        t_same = (table(np.zeros(2)) if bloch
+                  else t_rho if req.offset == "same" else None)
+        half = _pass_half(cell, t_same, k, bloch, k0_eff, e, lead)
+    n, k = len(k), half.k
+    total, mags = half.total, half.mags
+    n_spectral, n_spatial = half.n_spectral, half.n_spatial
+    if req.offset != "same":
+        # the offset's series: the kernels weighed by e^{i(k+g).rho}, and
+        # the rho table's weights against the Bloch phases
+        t = int(half.counts[:n].sum())
+        runs, qv, kern, zker = half.counts, half.qv, half.kern, half.zker
+        unit = np.exp(1j * (qv @ rho))
+        ph = _bloch_phase(t_rho, k)
+        if bloch:
+            # the runs of [a_to_b at k, a_to_b at -k, each tie's own -k]:
+            # the terms at -k are those at k negated, each run reversed,
+            # under the conjugate phases, i.e. the a_to_b block reversed as
+            # a whole (its k + g are left unnegated: every term is even in
+            # k + g)
+            runs, qv, kern, zker, unit = (
+                np.concatenate([a[:m], a[:m][::-1], a[m:]]) for a, m in
+                ((runs, n), (qv, t), (kern, t), (zker, t), (unit, t)))
+            unit[t:2 * t] = unit[t:2 * t].conj()
+            ph_ba = ph.conj()
+            if len(half.neg):
+                ph_ba[half.tie] = _bloch_phase(t_rho, half.neg)
+            ph = np.concatenate([ph, ph_ba])
+        terms = _spectral_terms(qv, kern, zker, unit, cell.area2)
+        del qv, kern, zker, unit  # unread from here: free them for the sums
+        sums, rmags = _run_sums(terms, runs)
+        if bloch:
+            # D_ba back in row order, a tie's from its own run
+            pick = np.arange(2 * n)
+            pick[n:] = pick[n:][::-1]
+            pick[n:][half.tie] = np.arange(2 * n, len(runs))
+            sums, rmags, runs = sums[pick], rmags[pick], runs[pick]
+        # the spatial series: the Bloch phases against the weights
+        sums += np.einsum("nr,rc->nc", ph, t_rho.weights)
+        rmags += t_rho.magnitudes
+        n_spectral += int(runs.sum())
+        n_spatial += ph.size
+        total, mags = ((np.concatenate([total, sums]),
+                        np.concatenate([mags, rmags])) if bloch
+                       else (sums, rmags))
     d = _dyadic(total, retarded)
     # each omitted term is below tol/10 of the leading scale, so the tail
     # is bounded by tol/10 times the summed magnitudes, component-wise; a
     # spatial term's is its weight's, the Bloch phase having unit modulus
-    magnitude = _dyadic(mags + np.concatenate(
-        [np.broadcast_to(t.magnitudes, (len(ph), 5)) for t, ph in spatial]),
-        retarded)
-    est = 0.1 * tol * _norms(magnitude) / _norms(d)
+    est = 0.1 * tol * _norms(_dyadic(mags, retarded)) / _norms(d)
     # and u = eps times them bound its rounding error
     rounding = est * (np.finfo(float).eps / (0.1 * tol))
     if rounding.max(initial=0.0) > _MAX_ROUNDING:
@@ -756,14 +860,53 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
         raise NonConvergent(
             f"rounding bound {rounding[at]:.3g} past {_MAX_ROUNDING:g} at "
             f"k={k[at % n]}: splitting {e:g} cancels too many digits")
+    if bloch and fresh:
+        _remember_pass(pass_key, half)
     return LatticeSumResult(
         D=d.reshape(((3,) if bloch else ()) + lead + (3, 3)),
-        n_spatial=sum(ph.size for _, ph in spatial),
+        n_spatial=n_spatial,
         n_spectral=n_spectral,
         est_error=float(est.max(initial=0.0)),
-        k_reduced=k.reshape(lead + (2,)),
-        n_propagating=n_prop[:n].reshape(lead)[()],
+        # copies: the half's arrays may be stored and shared
+        k_reduced=k.reshape(lead + (2,)).copy(),
+        n_propagating=half.n_prop.reshape(lead).copy()[()],
     )
+
+
+def _pass_half(cell: _CellTable, t_same: _SpatialTable | None, k, bloch,
+               k0_eff, e, lead) -> _PassHalf:
+    """The beta-free half of a pass at k (N, 2): the zone reduction, the
+    spectral kernels and, with a same-site table, D_same's sums.
+
+    Raises:
+        RayleighAnomaly: an order of one of the points grazes the light
+            line.
+    """
+    n = len(k)
+    red = reduce_to_bz(cell.recip, np.concatenate([k, -k]) if bloch else k)
+    # for 'bloch', -k mostly reduces to -k_reduced, whose terms are those at
+    # k negated; a zone-boundary tie reduces elsewhere and gets a row
+    k, neg = red[:n], red[n:]
+    tie = np.any(neg != -k, axis=1) if bloch else np.zeros(0, dtype=bool)
+    neg = neg[tie]
+    counts, qv, kern, zker, n_prop = _spectral_kernels(
+        cell, np.concatenate([k, neg]), k0_eff, e, lead)
+    total = mags = None
+    n_spectral = n_spatial = 0
+    if t_same is not None:
+        n_spectral = int(counts[:n].sum())
+        # e^{i (k+g).0} = 1
+        total, mags = _run_sums(_spectral_terms(
+            qv[:n_spectral], kern[:n_spectral], zker[:n_spectral],
+            np.ones(n_spectral, dtype=complex), cell.area2), counts[:n])
+        total += np.einsum("nr,rc->nc", _bloch_phase(t_same, k),
+                           t_same.weights)
+        total += t_same.self_term
+        mags += t_same.magnitudes
+        n_spatial = n * len(t_same.lattice)
+    return _PassHalf(k=k, tie=tie, neg=neg, counts=counts, qv=qv, kern=kern,
+                     zker=zker, n_prop=n_prop[:n], total=total, mags=mags,
+                     n_spectral=n_spectral, n_spatial=n_spatial)
 
 
 def _rolloff(x: np.ndarray) -> np.ndarray:

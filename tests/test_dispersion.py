@@ -21,12 +21,14 @@ from dipolebands import (
     dispersion,
     dos_histogram,
     find_degeneracies,
+    latticesums,
     reciprocal,
     reduce_to_bz,
     tilt_transition_scan,
 )
 from dipolebands.greens import K0
 from tests.conftest import dist_mod_g
+from tests.test_latticesums import _clear_tables
 
 # gap-closing betas measured with critical_beta at bracket 1e-4; the
 # acceptance suite re-derives them, unit tests reuse them for speed
@@ -457,6 +459,12 @@ def test_tied_grid_minima_seed_once(monkeypatch, field, seed, region, n):
 # lies at 1.06 k0, so both scans then drop it
 @example(d0=0.125, beta=1.078125, target=(IN_PLANE, (2, 3)),
          mode="retarded", grid_n=23)
+# from the seed (0, ky_max) the descent heads up out of the region, a step
+# is cut at the box edge two grid spacings above it, and it ends on the
+# bound-mode touching (0, 19.87) just inside that edge (reduced k at
+# 2.55 k0), which both scans report
+@example(d0=0.1408, beta=0.9066, target=(OUT_OF_PLANE, (0, 1)),
+         mode="retarded", grid_n=23)
 def test_mirror_half_scan_matches_full_grid_scan(d0, beta, target, mode,
                                                  grid_n):
     # The default region's scan seeds the kx >= 0 half of the grid and adds
@@ -541,6 +549,58 @@ def test_search_solves_only_grid_points_it_reads(monkeypatch):
         half & ~unread]
     assert np.count_nonzero(half & unread) == 65
     assert np.array_equal(batches[0], want)
+
+
+def _count_kernel_rows(mp):
+    """The row count of every _spectral_kernels call from here on."""
+    rows = []
+    kernels = latticesums._spectral_kernels
+
+    def counting(cell, k, *args):
+        rows.append(len(k))
+        return kernels(cell, k, *args)
+
+    mp.setattr(latticesums, "_spectral_kernels", counting)
+    return rows
+
+
+def test_cone_searches_reuse_the_grid_not_the_rays(monkeypatch):
+    # beta moves only the basis offset: the search grid is one k-set at
+    # every beta, whose passes are stored on the second search and read on
+    # the third. Classify's ray batch moves with the cone: asked for once,
+    # it is never stored
+    _clear_tables()
+    rows = _count_kernel_rows(monkeypatch)
+    calls = []
+    solve_k = dispersion.solve_k
+
+    def recording(spec, k, *args):
+        before = sum(rows)
+        out = solve_k(spec, k, *args)
+        calls.append((np.array(k).reshape(-1, 2), sum(rows) - before))
+        return out
+
+    monkeypatch.setattr(dispersion, "solve_k", recording)
+    grid_rows, rays = [], []
+    for beta in (0.9, 0.93, 0.95):
+        spec = build_lattice(0.1, beta)
+        calls.clear()
+        reports = find_degeneracies(spec, OUT_OF_PLANE, (0, 1))
+        grid, computed = calls[0]
+        assert len(grid) == 1087
+        grid_rows.append(computed)
+        for r in reports:
+            calls.clear()
+            classify(spec, r.k_star, OUT_OF_PLANE, (0, 1))
+            rays.append(calls[1][0])
+    assert grid_rows[0] >= 1087 and grid_rows[1] >= 1087
+    assert grid_rows[2] == 0
+    size = bloch._PASS_SIZE
+    ray_passes = {r[i:i + size].tobytes() for r in rays
+                  for i in range(0, len(r), size)}
+    assert {len(r) for r in rays} == {192}
+    assert not ray_passes & {key[-1] for key in latticesums._PASS_HALVES}
+    assert ray_passes & {key[-1] for key in latticesums._PASS_KEYS}
 
 
 def test_refinement_matches_sequential_descent(search_09, search_093,
@@ -722,6 +782,27 @@ def test_critical_beta_lattice_builds_at_anchors(monkeypatch, d0, block,
         lambda beta: dispersion.make_gap_function(
             build(d0, beta), block, (0, 1))(k_m), *bracket, 1e-6)
     assert bc == pytest.approx(ref, abs=1e-6)
+
+
+def test_critical_beta_computes_m_kernels_twice(monkeypatch):
+    # every gap evaluation solves M on a lattice of its own: the first
+    # records the pass, the second stores its beta-free half and the rest
+    # read it. M's -k is a zone-boundary tie, a row of its own
+    _clear_tables()
+    rows = _count_kernel_rows(monkeypatch)
+    betas = []
+    build = dispersion.build_lattice
+
+    def counting_build(d0, beta):
+        betas.append(beta)
+        return build(d0, beta)
+
+    monkeypatch.setattr(dispersion, "build_lattice", counting_build)
+    beta_c = critical_beta(0.1, OUT_OF_PLANE, (0, 1), "M", (0.80, 0.88),
+                           bracket_tol=1e-6)
+    assert round(beta_c, 6) == 0.840603
+    assert len(betas) > 5
+    assert rows == [2, 2]
 
 
 def _fake_lattices(mp, gap):

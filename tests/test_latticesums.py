@@ -599,6 +599,8 @@ def _ref_ewald_sum(req, per_term=False):
 def _clear_tables():
     latticesums._CELL_TABLES.clear()
     latticesums._SPATIAL_TABLES.clear()
+    latticesums._PASS_HALVES.clear()
+    latticesums._PASS_KEYS.clear()
 
 
 def _outcome(fn, req):
@@ -614,8 +616,9 @@ def _assert_same_bits(got, want):
         return
     assert isinstance(got, LatticeSumResult), got
     assert np.array_equal(got.D, want.D)
-    assert (got.n_spatial, got.n_spectral, got.n_propagating) == \
-        (want.n_spatial, want.n_spectral, want.n_propagating)
+    assert (got.n_spatial, got.n_spectral) == (want.n_spatial,
+                                               want.n_spectral)
+    assert np.array_equal(got.n_propagating, want.n_propagating)
     assert got.est_error == want.est_error
     assert np.array_equal(got.k_reduced, want.k_reduced)
 
@@ -736,10 +739,22 @@ def test_failed_builds_cache_nothing():
     # spatial index cap at splitting 0.01
     for mode, splitting in (("retarded", 2000.0), ("retarded", 0.01),
                             ("quasistatic", 0.01)):
-        for _ in range(2):
-            with pytest.raises(NonConvergent):
-                _ewald(spec, k, mode=mode, splitting=splitting)
+        for offset in ("same", "bloch"):
+            for _ in range(2):
+                with pytest.raises(NonConvergent):
+                    _ewald(spec, k, offset, mode, splitting)
     assert not latticesums._SPATIAL_TABLES
+    # a pass that raises after its beta-free half is built (on the light
+    # line, or at the rounding gate) neither stores nor records it
+    for _ in range(2):
+        with pytest.raises(RayleighAnomaly):
+            _ewald(spec, np.array([k, [K0, 0.0]]), "bloch")
+    far = build_lattice(1.5, 1.0)
+    for _ in range(2):
+        with pytest.raises(NonConvergent, match="rounding bound"):
+            _ewald(far, reciprocal(far).K, "bloch",
+                   splitting=np.sqrt(np.pi) / np.linalg.norm(far.a1))
+    assert not latticesums._PASS_HALVES and not latticesums._PASS_KEYS
     side = 2 * latticesums._MAX_INDEX + 1
     for cell in latticesums._CELL_TABLES.values():
         assert len(cell.orders) <= side * side
@@ -758,14 +773,22 @@ def test_index_cap_holds_per_lattice():
 
 def test_tables_bounded_and_read_only():
     _clear_tables()
+    twice = set()
     for d0 in np.linspace(0.05, 0.3, 200):
         spec = build_lattice(d0, 0.9)
-        for offset in ("same", "a_to_b"):
+        for offset in ("same", "a_to_b", "bloch", "bloch"):
             _ewald(spec, reciprocal(spec).K, offset=offset,
                    mode="quasistatic")
-    assert len(latticesums._CELL_TABLES) <= latticesums._CACHE_SIZE
-    assert len(latticesums._SPATIAL_TABLES) <= latticesums._CACHE_SIZE
-    tables = [*latticesums._CELL_TABLES.values(),
+        twice.add(reciprocal(spec).K.tobytes())
+        # a pass asked for once is recorded, not stored
+        _ewald(spec, reciprocal(spec).M, "bloch", "quasistatic")
+    for cache in (latticesums._CELL_TABLES, latticesums._SPATIAL_TABLES,
+                  latticesums._PASS_HALVES, latticesums._PASS_KEYS):
+        assert len(cache) == latticesums._CACHE_SIZE
+    assert all(key[-1] in twice for key in latticesums._PASS_HALVES)
+    assert not any(key[-1] in twice for key in latticesums._PASS_KEYS)
+    tables = [*latticesums._PASS_HALVES.values(),
+              *latticesums._CELL_TABLES.values(),
               *latticesums._SPATIAL_TABLES.values()]
     for table in tables:
         for field in dataclasses.fields(table):
@@ -786,6 +809,14 @@ def test_tables_shared_by_threads(monkeypatch):
             for spec in (build_lattice(d0, 0.9) for d0 in (0.08, 0.1, 0.12))
             for t in (0.3, 1.2) for offset in ("same", "a_to_b")]
     want = [_ref_ewald_sum(req).D for req in reqs]
+    # and Bloch passes at two betas, which share their beta-free halves
+    for d0 in (0.08, 0.1, 0.12):
+        for beta in (0.9, 0.95):
+            spec = build_lattice(d0, beta)
+            k = np.array([reciprocal(spec).M, 0.3 * reciprocal(spec).K])
+            reqs.append(LatticeSumRequest(spec=spec, k=k, offset="bloch"))
+            want.append(ewald_sum(reqs[-1]).D)
+            _clear_tables()
     mismatched, finished = [], []
 
     def work(seed):
@@ -810,5 +841,59 @@ def test_tables_shared_by_threads(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert sorted(finished) == list(range(6))
     assert not mismatched
-    assert len(latticesums._CELL_TABLES) <= 2
-    assert len(latticesums._SPATIAL_TABLES) <= 2
+    for cache in (latticesums._CELL_TABLES, latticesums._SPATIAL_TABLES,
+                  latticesums._PASS_HALVES, latticesums._PASS_KEYS):
+        assert len(cache) <= 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(d0=st.floats(0.05, 0.3), beta1=st.floats(BETA_MIN, BETA_MAX),
+       beta2=st.floats(BETA_MIN, BETA_MAX),
+       mode=st.sampled_from(("retarded", "quasistatic")),
+       frac=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+       phi=st.floats(0.0, 2.0 * np.pi),
+       rel=st.sampled_from((1e-10, 1e-8, 1e-6, 1e-3)))
+def test_warm_pass_is_the_cold_pass(d0, beta1, beta2, mode, frac, phi, rel):
+    # a 'bloch' pass asked for twice at beta1 stores its beta-free half,
+    # which the pass at beta2 reads: it gives the cold call's bits, or
+    # raises as the cold call does. The batch holds M, whose -k is a
+    # zone-boundary tie, and rows next to the light line (within the
+    # Rayleigh threshold at rel 1e-10)
+    recip = reciprocal(build_lattice(d0, beta1))  # the same at every beta
+    light = [K0 * (1.0 + s * rel) * np.array([np.cos(phi), np.sin(phi)])
+             for s in (1.0, -1.0)]
+    batch = np.array([recip.M, -recip.M, recip.M + recip.b1, recip.K,
+                      *light])
+    one = frac[0] * recip.b1 + frac[1] * recip.b2
+    for k in (batch, one):
+        def at(beta):
+            return _outcome(ewald_sum, LatticeSumRequest(
+                spec=build_lattice(d0, beta), k=k, offset="bloch", mode=mode))
+        _clear_tables()
+        want = at(beta2)
+        _clear_tables()
+        first = at(beta1)
+        _assert_same_bits(at(beta1), first)
+        stored = len(latticesums._PASS_HALVES)
+        assert stored == (0 if isinstance(first, Exception) else 1)
+        _assert_same_bits(at(beta2), want)
+
+
+def test_pass_hit_reads_no_same_site_table():
+    # a stored half carries its same-site term count: a hit reads no
+    # same-site spatial table, so one evicted before it stays unbuilt
+    spec, other = build_lattice(0.1, 0.9), build_lattice(0.1, 0.95)
+    recip = reciprocal(spec)
+    k = np.array([recip.M, recip.K, 0.3 * recip.b1])
+    _clear_tables()
+    want = _ewald(other, k, "bloch")
+    _clear_tables()
+    for _ in range(2):
+        _ewald(spec, k, "bloch")
+    zero = np.zeros(2).tobytes()
+    same_site = [key for key in latticesums._SPATIAL_TABLES
+                 if key[-1] == zero]
+    assert len(same_site) == 1
+    del latticesums._SPATIAL_TABLES[same_site[0]]
+    _assert_same_bits(_ewald(other, k, "bloch"), want)
+    assert zero not in [key[-1] for key in latticesums._SPATIAL_TABLES]
