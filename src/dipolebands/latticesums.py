@@ -124,10 +124,13 @@ phases and applies the rounding gate. A third least-recently-used cache,
 of at most _CACHE_SIZE entries, keeps beta-free halves read-only, keyed on
 the cell table's key (which holds no beta) and the bytes of the pass's k.
 A half is stored on its key's second request only: the first records the
-key (in a key cache of the same bound) and stores nothing, so a pass asked
-for once holds no memory (a Newton stencil, classify's rays, a path
-point), while a k-set that every lattice of one d0 solves, such as the
-degeneracy scan's grid or critical_beta's M, is summed twice and then read.
+key and stores nothing, so a pass asked for once keeps no arrays (a Newton
+stencil, classify's rays, a path point), while a k-set that every lattice
+of one d0 solves, such as the degeneracy scan's grid or critical_beta's M,
+is summed twice and then read. The one-off passes fill the key record too,
+so it has a bound of its own, _PASS_KEY_SIZE keys, least recently used
+out: find-cones records about 20 keys per search, and a full record holds
+about 0.7 MB of keys on find-cones and 0.3 MB on bands paths.
 A pass that raises stores and records nothing. A stored half is read in
 place of being built, and the rest of the pass is the same code, so a hit
 returns every result field bitwise as a cold call does; it reads no
@@ -468,9 +471,12 @@ _CACHE_SIZE = 64
 _CELL_TABLES: dict = {}
 _SPATIAL_TABLES: dict = {}
 # The beta-free halves of "bloch" passes stored, and the keys of passes
-# requested once (see _remember_pass).
+# requested once (see _remember_pass). The key record has its own bound:
+# one-off passes fill it too, and a k-set asked for again is stored only
+# while its key is still there.
 _PASS_HALVES: dict = {}
 _PASS_KEYS: dict = {}
+_PASS_KEY_SIZE = 1024
 _CACHE_LOCK = threading.Lock()
 
 
@@ -482,10 +488,10 @@ def _touch(cache: dict, key):
     return value
 
 
-def _put(cache: dict, key, value) -> None:
+def _put(cache: dict, key, value, size: int) -> None:
     """Store value under key, dropping the least recently used entry past
-    _CACHE_SIZE."""
-    if len(cache) >= _CACHE_SIZE:
+    size entries."""
+    if len(cache) >= size:
         del cache[next(iter(cache))]
     cache[key] = value
 
@@ -499,7 +505,7 @@ def _cached(cache: dict, key, build):
         table = _touch(cache, key)
         if table is None:
             table = build()
-            _put(cache, key, table)
+            _put(cache, key, table, _CACHE_SIZE)
         return table
 
 
@@ -513,13 +519,13 @@ def _remember_pass(key, half) -> None:
     """Store a pass's beta-free half on its key's second request.
 
     The first request only records the key, so a pass asked for once (a
-    Newton stencil, classify's rays, a path point) holds no memory.
+    Newton stencil, classify's rays, a path point) keeps no arrays.
     """
     with _CACHE_LOCK:
         if _PASS_KEYS.pop(key, None):
-            _put(_PASS_HALVES, key, _read_only(half))
+            _put(_PASS_HALVES, key, _read_only(half), _CACHE_SIZE)
         else:
-            _put(_PASS_KEYS, key, True)
+            _put(_PASS_KEYS, key, True, _PASS_KEY_SIZE)
 
 
 def _cell_table(spec: LatticeSpec, k0_eff: float, e: float,
@@ -681,12 +687,8 @@ def _run_sums(terms, runs):
     One segment reduction over the non-empty runs, each summed as one k
     alone; an empty run sums to zero (reduceat would read the next one's).
     """
-    starts = np.cumsum(runs) - runs
-    if runs.all():  # the usual case, with no empty run to mask
-        return (np.add.reduceat(terms, starts, axis=0),
-                np.add.reduceat(np.abs(terms), starts, axis=0))
     full = runs > 0
-    starts = starts[full]
+    starts = (np.cumsum(runs) - runs)[full]
     sums = np.zeros((len(runs), 5), dtype=complex)
     mags = np.zeros((len(runs), 5))
     sums[full] = np.add.reduceat(terms, starts, axis=0)

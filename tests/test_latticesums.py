@@ -771,7 +771,10 @@ def test_index_cap_holds_per_lattice():
                    splitting=splitting)
 
 
-def test_tables_bounded_and_read_only():
+def test_tables_bounded_and_read_only(monkeypatch):
+    # the pass-key record has its own bound, set here below the 200 keys
+    # recorded once
+    monkeypatch.setattr(latticesums, "_PASS_KEY_SIZE", 150)
     _clear_tables()
     twice = set()
     for d0 in np.linspace(0.05, 0.3, 200):
@@ -783,8 +786,9 @@ def test_tables_bounded_and_read_only():
         # a pass asked for once is recorded, not stored
         _ewald(spec, reciprocal(spec).M, "bloch", "quasistatic")
     for cache in (latticesums._CELL_TABLES, latticesums._SPATIAL_TABLES,
-                  latticesums._PASS_HALVES, latticesums._PASS_KEYS):
+                  latticesums._PASS_HALVES):
         assert len(cache) == latticesums._CACHE_SIZE
+    assert len(latticesums._PASS_KEYS) == 150
     assert all(key[-1] in twice for key in latticesums._PASS_HALVES)
     assert not any(key[-1] in twice for key in latticesums._PASS_KEYS)
     tables = [*latticesums._PASS_HALVES.values(),
@@ -803,6 +807,7 @@ def test_tables_shared_by_threads(monkeypatch):
     # more threads than cores on three lattices with room for two tables
     # per cache: every sum keeps its bits and the caches their bound
     monkeypatch.setattr(latticesums, "_CACHE_SIZE", 2)
+    monkeypatch.setattr(latticesums, "_PASS_KEY_SIZE", 2)
     _clear_tables()
     reqs = [LatticeSumRequest(spec=spec, k=t * reciprocal(spec).K,
                               offset=offset)
@@ -877,6 +882,21 @@ def test_warm_pass_is_the_cold_pass(d0, beta1, beta2, mode, frac, phi, rel):
         stored = len(latticesums._PASS_HALVES)
         assert stored == (0 if isinstance(first, Exception) else 1)
         _assert_same_bits(at(beta2), want)
+
+
+def test_pass_key_outlasts_one_off_passes():
+    # the key record is not flushed by more one-off passes than the tables'
+    # bound: a k-set asked for again after them is stored, then read
+    _clear_tables()
+    spec = build_lattice(0.1, 0.9)
+    recip = reciprocal(spec)
+    k = np.array([recip.M, recip.K])
+    _ewald(spec, k, "bloch", "quasistatic")
+    for t in np.linspace(0.01, 0.99, 4 * latticesums._CACHE_SIZE):
+        _ewald(spec, t * recip.b1, "bloch", "quasistatic")
+    assert not latticesums._PASS_HALVES
+    _ewald(spec, k, "bloch", "quasistatic")
+    assert [key[-1] for key in latticesums._PASS_HALVES] == [k.tobytes()]
 
 
 def test_pass_hit_reads_no_same_site_table():
