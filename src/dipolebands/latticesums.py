@@ -120,24 +120,27 @@ kernels, n_propagating, and D_same's five columns (spectral, then spatial,
 then the self term) with their summed magnitudes and term counts. The rho
 half weighs the kernels by e^{i(k+g).rho} into the a_to_b runs, the
 reversed -k block and the tie runs, sums the a_to_b table against its Bloch
-phases and applies the rounding gate. A third least-recently-used cache,
-of at most _CACHE_SIZE entries, keeps beta-free halves read-only, keyed on
-the cell table's key (which holds no beta) and the bytes of the pass's k.
-A half is stored on its key's second request only: the first records the
-key and stores nothing, so a pass asked for once keeps no arrays (a Newton
-stencil, classify's rays, a path point), while a k-set that every lattice
-of one d0 solves, such as the degeneracy scan's grid or critical_beta's M,
-is summed twice and then read. The one-off passes fill the key record too,
-so it has a bound of its own, _PASS_KEY_SIZE keys, least recently used
-out: find-cones records about 20 keys per search, and a full record holds
-about 0.7 MB of keys on find-cones and 0.3 MB on bands paths.
-A pass that raises stores and records nothing. A stored half is read in
-place of being built, and the rest of the pass is the same code, so a hit
-returns every result field bitwise as a cold call does; it reads no
-same-site spatial table. The Rayleigh test holds on a hit (a half that
-grazes is never stored), and the NonConvergent checks run in the same
-order, the rounding gate on every row of every call. On twelve
-find-cones searches at d0 0.1 the stored halves hold about 1.6 MB
+phases and applies the rounding gate. A pass that builds its half sums
+D_same's runs in the same segment reduction, ahead of the a_to_b runs, as
+the one pass of the three sums does without the split, and keeps D_same's
+rows for the half; a pass that reads a stored half leaves that block out
+and prepends the stored rows. Every term and every run sum depends on its
+own inputs only, so a hit returns every result field bitwise as a cold call
+does; it reads no same-site spatial table. A third least-recently-used
+cache, of at most _CACHE_SIZE entries, keeps beta-free halves read-only,
+keyed on the cell table's key (which holds no beta) and the bytes of the
+pass's k. A half is stored on its key's second request only: the first
+records the key and stores nothing, so a pass asked for once keeps no
+arrays (a Newton stencil, classify's rays, a path point), while a k-set
+that every lattice of one d0 solves, such as the degeneracy scan's grid or
+critical_beta's M, is summed twice and then read. The one-off passes fill
+the key record too, so it has a bound of its own, _PASS_KEY_SIZE keys,
+least recently used out: find-cones records about 20 keys per search, and a
+full record holds about 0.7 MB of keys on find-cones and 0.3 MB on bands
+paths. A pass that raises stores and records nothing. The Rayleigh test
+holds on a hit (a half that grazes is never stored), and the NonConvergent
+checks run in the same order, the rounding gate on every row of every call.
+On twelve find-cones searches at d0 0.1 the stored halves hold about 1.6 MB
 (tracemalloc).
 """
 
@@ -145,7 +148,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -447,9 +450,10 @@ class _PassHalf:
             kernels (_spectral_kernels).
         n_prop: (N,) propagating orders per point.
         total: (N, 5) D_same's columns (S, Txx, Txy, Tyy, Tzz): spectral,
-            then spatial, then the self term; None without a same-site sum.
+            then spatial, then the self term; None until the pass that
+            built the half has summed them (a stored half holds them).
         mags: (N, 5) their summed term magnitudes, or None.
-        n_spectral, n_spatial: D_same's terms (0 without it).
+        n_spectral, n_spatial: D_same's terms (0 while total is None).
     """
 
     k: np.ndarray
@@ -515,15 +519,19 @@ def _stored_pass(key):
         return _touch(_PASS_HALVES, key)
 
 
-def _remember_pass(key, half) -> None:
-    """Store a pass's beta-free half on its key's second request.
+def _remember_pass(key, half: _PassHalf, total, mags, n_spectral: int,
+                   n_spatial: int) -> None:
+    """Store a pass's beta-free half on its key's second request, with
+    D_same's sums (total and mags, its (N, 5) rows; copied) and term counts.
 
     The first request only records the key, so a pass asked for once (a
     Newton stencil, classify's rays, a path point) keeps no arrays.
     """
     with _CACHE_LOCK:
         if _PASS_KEYS.pop(key, None):
-            _put(_PASS_HALVES, key, _read_only(half), _CACHE_SIZE)
+            _put(_PASS_HALVES, key, _read_only(replace(
+                half, total=total.copy(), mags=mags.copy(),
+                n_spectral=n_spectral, n_spatial=n_spatial)), _CACHE_SIZE)
         else:
             _put(_PASS_KEYS, key, True, _PASS_KEY_SIZE)
 
@@ -681,21 +689,6 @@ def _spectral_terms(qv, kern, zker, unit, area2):
     return out
 
 
-def _run_sums(terms, runs):
-    """Per run, the sums of its terms and of their magnitudes, (runs, 5).
-
-    One segment reduction over the non-empty runs, each summed as one k
-    alone; an empty run sums to zero (reduceat would read the next one's).
-    """
-    full = runs > 0
-    starts = (np.cumsum(runs) - runs)[full]
-    sums = np.zeros((len(runs), 5), dtype=complex)
-    mags = np.zeros((len(runs), 5))
-    sums[full] = np.add.reduceat(terms, starts, axis=0)
-    mags[full] = np.add.reduceat(np.abs(terms), starts, axis=0)
-    return sums, mags
-
-
 def _bloch_phase(t: _SpatialTable, k):
     """The (N, n) phases e^{-i k.R} of a table's lattice vectors, k (N, 2).
 
@@ -804,56 +797,76 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
     # a 'bloch' pass's beta-free half, stored from its second request
     pass_key = key + (k.tobytes(),)
     half = _stored_pass(pass_key) if bloch else None
-    fresh = half is None
-    if fresh:
+    # the same-site table where this pass sums D_same: offset 'same', or a
+    # 'bloch' pass whose half does not hold its sums
+    t_same = None
+    if half is None:
         t_same = (table(np.zeros(2)) if bloch
                   else t_rho if req.offset == "same" else None)
-        half = _pass_half(cell, t_same, k, bloch, k0_eff, e, lead)
+        half = _pass_half(cell, k, bloch, k0_eff, e, lead)
     n, k = len(k), half.k
-    total, mags = half.total, half.mags
-    n_spectral, n_spatial = half.n_spectral, half.n_spatial
-    if req.offset != "same":
-        # the offset's series: the kernels weighed by e^{i(k+g).rho}, and
-        # the rho table's weights against the Bloch phases
-        t = int(half.counts[:n].sum())
-        runs, qv, kern, zker = half.counts, half.qv, half.kern, half.zker
-        unit = np.exp(1j * (qv @ rho))
-        ph = _bloch_phase(t_rho, k)
-        if bloch:
-            # the runs of [a_to_b at k, a_to_b at -k, each tie's own -k]:
-            # the terms at -k are those at k negated, each run reversed,
-            # under the conjugate phases, i.e. the a_to_b block reversed as
-            # a whole (its k + g are left unnegated: every term is even in
-            # k + g)
-            runs, qv, kern, zker, unit = (
-                np.concatenate([a[:m], a[:m][::-1], a[m:]]) for a, m in
-                ((runs, n), (qv, t), (kern, t), (zker, t), (unit, t)))
-            unit[t:2 * t] = unit[t:2 * t].conj()
-            ph_ba = ph.conj()
-            if len(half.neg):
-                ph_ba[half.tie] = _bloch_phase(t_rho, half.neg)
-            ph = np.concatenate([ph, ph_ba])
-        terms = _spectral_terms(qv, kern, zker, unit, cell.area2)
-        del qv, kern, zker, unit  # unread from here: free them for the sums
-        sums, rmags = _run_sums(terms, runs)
-        if bloch:
-            # D_ba back in row order, a tie's from its own run
-            pick = np.arange(2 * n)
-            pick[n:] = pick[n:][::-1]
-            pick[n:][half.tie] = np.arange(2 * n, len(runs))
-            sums, rmags, runs = sums[pick], rmags[pick], runs[pick]
-        # the spatial series: the Bloch phases against the weights
-        sums += np.einsum("nr,rc->nc", ph, t_rho.weights)
-        rmags += t_rho.magnitudes
-        n_spectral += int(runs.sum())
-        n_spatial += ph.size
-        total, mags = ((np.concatenate([total, sums]),
-                        np.concatenate([mags, rmags])) if bloch
-                       else (sums, rmags))
-    d = _dyadic(total, retarded)
+    runs, qv, kern, zker = half.counts, half.qv, half.kern, half.zker
+    unit = np.exp(1j * (qv @ rho))
+    if not bloch:
+        spatial = [(t_rho, _bloch_phase(t_rho, k))]
+    else:
+        # the runs of [same, a_to_b at k, a_to_b at -k, each tie's own -k],
+        # the first only where D_same is summed here: the terms at -k are
+        # those at k negated, each run reversed, under the conjugate
+        # phases, i.e. the a_to_b block reversed as a whole (its k + g are
+        # left unnegated: every term is even in k + g)
+        t = int(runs[:n].sum())
+        same = t_same is not None
+        first = 0 if same else 1
+        runs, qv, kern, zker, unit = (
+            np.concatenate([a[:m], a[:m], a[:m][::-1], a[m:]][first:])
+            for a, m in ((runs, n), (qv, t), (kern, t), (zker, t), (unit, t)))
+        ab = t if same else 0  # where the a_to_b terms start
+        ba = slice(ab + t, ab + 2 * t)
+        unit[:ab], unit[ba] = 1.0, unit[ba].conj()  # e^{i (k+g).0} = 1
+        ph_ab = _bloch_phase(t_rho, k)
+        ph_ba = ph_ab.conj()
+        if len(half.neg):
+            ph_ba[half.tie] = _bloch_phase(t_rho, half.neg)
+        spatial = ([(t_same, _bloch_phase(t_same, k))] if same else []) \
+            + [(t_rho, np.concatenate([ph_ab, ph_ba]))]
+    terms = _spectral_terms(qv, kern, zker, unit, cell.area2)
+    del qv, kern, zker, unit  # unread from here: free them for the sums
+    # one segment reduction over the non-empty runs, each summed as one k
+    # alone; an empty run sums to zero (reduceat would read the next one's)
+    full = runs > 0
+    starts = (np.cumsum(runs) - runs)[full]
+    sums = np.zeros((len(runs), 5), dtype=complex)
+    mags = np.zeros((len(runs), 5))
+    sums[full] = np.add.reduceat(terms, starts, axis=0)
+    mags[full] = np.add.reduceat(np.abs(terms), starts, axis=0)
+    n_spectral = len(terms)
+    if bloch:
+        # D_ba back in row order, a tie's from its own run
+        m = len(runs) - len(half.neg)
+        pick = np.arange(m)
+        pick[m - n:] = pick[m - n:][::-1]
+        pick[m - n:][half.tie] = np.arange(m, len(runs))
+        sums, mags = sums[pick], mags[pick]
+        n_spectral -= int(half.counts[:n][half.tie].sum())
+    # the spatial series: per table, its Bloch phases against its weights
+    total = sums + np.concatenate([np.einsum("nr,rc->nc", ph, t.weights)
+                                   for t, ph in spatial])
+    if t_same is not None:
+        total[:n] += t_same.self_term
     # each omitted term is below tol/10 of the leading scale, so the tail
     # is bounded by tol/10 times the summed magnitudes, component-wise; a
     # spatial term's is its weight's, the Bloch phase having unit modulus
+    mags += np.concatenate([np.broadcast_to(t.magnitudes, (len(ph), 5))
+                            for t, ph in spatial])
+    n_spatial = sum(ph.size for _, ph in spatial)
+    if bloch and t_same is None:
+        # D_same's rows from the stored half
+        total = np.concatenate([half.total, total])
+        mags = np.concatenate([half.mags, mags])
+        n_spectral += half.n_spectral
+        n_spatial += half.n_spatial
+    d = _dyadic(total, retarded)
     est = 0.1 * tol * _norms(_dyadic(mags, retarded)) / _norms(d)
     # and u = eps times them bound its rounding error
     rounding = est * (np.finfo(float).eps / (0.1 * tol))
@@ -862,8 +875,9 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
         raise NonConvergent(
             f"rounding bound {rounding[at]:.3g} past {_MAX_ROUNDING:g} at "
             f"k={k[at % n]}: splitting {e:g} cancels too many digits")
-    if bloch and fresh:
-        _remember_pass(pass_key, half)
+    if bloch and t_same is not None:
+        _remember_pass(pass_key, half, total[:n], mags[:n], t,
+                       n * len(t_same.lattice))
     return LatticeSumResult(
         D=d.reshape(((3,) if bloch else ()) + lead + (3, 3)),
         n_spatial=n_spatial,
@@ -875,10 +889,9 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
     )
 
 
-def _pass_half(cell: _CellTable, t_same: _SpatialTable | None, k, bloch,
-               k0_eff, e, lead) -> _PassHalf:
-    """The beta-free half of a pass at k (N, 2): the zone reduction, the
-    spectral kernels and, with a same-site table, D_same's sums.
+def _pass_half(cell: _CellTable, k, bloch, k0_eff, e, lead) -> _PassHalf:
+    """The beta-free half of a pass at k (N, 2): the zone reduction and the
+    spectral kernels, without D_same's sums (the pass adds them).
 
     Raises:
         RayleighAnomaly: an order of one of the points grazes the light
@@ -893,22 +906,9 @@ def _pass_half(cell: _CellTable, t_same: _SpatialTable | None, k, bloch,
     neg = neg[tie]
     counts, qv, kern, zker, n_prop = _spectral_kernels(
         cell, np.concatenate([k, neg]), k0_eff, e, lead)
-    total = mags = None
-    n_spectral = n_spatial = 0
-    if t_same is not None:
-        n_spectral = int(counts[:n].sum())
-        # e^{i (k+g).0} = 1
-        total, mags = _run_sums(_spectral_terms(
-            qv[:n_spectral], kern[:n_spectral], zker[:n_spectral],
-            np.ones(n_spectral, dtype=complex), cell.area2), counts[:n])
-        total += np.einsum("nr,rc->nc", _bloch_phase(t_same, k),
-                           t_same.weights)
-        total += t_same.self_term
-        mags += t_same.magnitudes
-        n_spatial = n * len(t_same.lattice)
     return _PassHalf(k=k, tie=tie, neg=neg, counts=counts, qv=qv, kern=kern,
-                     zker=zker, n_prop=n_prop[:n], total=total, mags=mags,
-                     n_spectral=n_spectral, n_spatial=n_spatial)
+                     zker=zker, n_prop=n_prop[:n], total=None, mags=None,
+                     n_spectral=0, n_spatial=0)
 
 
 def _rolloff(x: np.ndarray) -> np.ndarray:
