@@ -136,7 +136,7 @@ that every lattice of one d0 solves, such as the degeneracy scan's grid or
 critical_beta's M, is summed twice and then read. The one-off passes fill
 the key record too, so it has a bound of its own, _PASS_KEY_SIZE keys,
 least recently used out: find-cones records about 20 keys per search, and a
-full record holds about 0.7 MB of keys on find-cones and 0.3 MB on bands
+full record holds about 0.36 MB of keys on find-cones and 0.15 MB on bands
 paths. A pass that raises stores and records nothing. The Rayleigh test
 holds on a hit (a half that grazes is never stored), and the NonConvergent
 checks run in the same order, the rounding gate on every row of every call.
@@ -480,7 +480,7 @@ _SPATIAL_TABLES: dict = {}
 # while its key is still there.
 _PASS_HALVES: dict = {}
 _PASS_KEYS: dict = {}
-_PASS_KEY_SIZE = 1024
+_PASS_KEY_SIZE = 512
 _CACHE_LOCK = threading.Lock()
 
 
