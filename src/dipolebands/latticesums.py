@@ -20,11 +20,11 @@ Both series decay as Gaussians, the spectral terms like
 exp(-(|k+g|^2 - k0^2)/4E^2) and the spatial ones like exp(-r^2 E^2 +
 k0^2/4E^2), so the truncation is fixed before summing: each series is one
 vectorised pass over the disk of lattice vectors on which that exponent
-stays below ln(10/tolerance) + _MARGIN. Every omitted term is then smaller
-than tolerance/10 times the leading scale, and est_error reports that
-bound relative to the result. The same summed magnitudes bound the
-rounding error, u sum|terms|/|D| with u the float epsilon; where that
-passes _MAX_ROUNDING at some k, the terms cancel too many digits (a
+stays below _DEPTH = ln(10/_TOLERANCE) + _MARGIN. Every omitted term is
+then smaller than _TOLERANCE/10 times the leading scale, and est_error
+reports that bound relative to the result. The same summed magnitudes
+bound the rounding error, u sum|terms|/|D| with u the float epsilon; where
+that passes _MAX_ROUNDING at some k, the terms cancel too many digits (a
 splitting far from balanced) and ewald_sum raises NonConvergent naming k.
 
 Spatial-series kernels are evaluated through the Faddeeva function w(z) with
@@ -57,10 +57,10 @@ Wilton and W. A. Johnson, IEEE Trans. Antennas Propag. 53, 2977 (2005)).
 Everything that does not depend on k is built once per lattice and kept in
 two small least-recently-used caches:
 
-- a cell table, keyed on (a1, a2, mode, E, tolerance): the reciprocal
+- a cell table, keyed on (a1, a2, mode, E): the reciprocal
   lattice and one list of reciprocal orders g, in "ij" order, that holds
   every order of the spectral disk about any zone-reduced k;
-- a spatial table, keyed on (a1, a2, rho, mode, E, tolerance): the R + rho
+- a spatial table, keyed on (a1, a2, rho, mode, E): the R + rho
   disk and, per lattice vector, the k-free weights of its five columns
   (the Faddeeva kernels phi, phi' and phi'' - phi'/r times the direction
   factors, see _SpatialTable), with their summed magnitudes.
@@ -93,8 +93,9 @@ follow k's leading shape, empty for one point; n_spatial and n_spectral
 are the terms summed over the request and est_error is its worst, so the
 counts of N one-point calls and of one batch agree. The working set grows
 as N times the terms of one k, so bloch.solve_k hands the sums at most
-bloch._PASS_SIZE points per pass: a "bloch" pass at d0 0.1 peaks at about
-12 KB per k (tracemalloc). The (terms, 5) spectral block is its largest
+bloch._PASS_SIZE points per pass: a 128-point "bloch" pass at d0 0.1, beta
+0.9 peaks at about 17 KB per k cold and 11 KB per k when it reads a stored
+beta-free half (tracemalloc). The (terms, 5) spectral block is its largest
 array, and it is written column by column in place (see _spectral_terms).
 
 The offset "bloch" returns the three sums of a Bloch matrix from that one
@@ -141,7 +142,10 @@ paths. A pass that raises stores and records nothing. The Rayleigh test
 holds on a hit (a half that grazes is never stored), and the NonConvergent
 checks run in the same order, the rounding gate on every row of every call.
 On twelve find-cones searches at d0 0.1 the stored halves hold about 1.6 MB
-(tracemalloc).
+(tracemalloc). Two other layouts were slower on the cones benchmark (op_s,
+10 s runs): D_same in a block of its own, 0.0775 -> 0.0825 s (+6%, slower
+in 10 of 10 alternating pairs), and a half of the kernels alone, 0.0779 ->
+0.0928 s (+19%, 4 of 4).
 """
 
 from __future__ import annotations
@@ -157,10 +161,15 @@ from .lattice import LatticeSpec, ReciprocalSpec, reciprocal, reduce_to_bz
 
 SQRT_PI = np.sqrt(np.pi)
 
-# Extra Gaussian exponent beyond ln(10/tolerance) at the disk edge; it
+# Relative truncation target of every sum. The 1e-8 splitting-invariance
+# bound does not hold at a looser one (about 2e-6 at 1e-4).
+_TOLERANCE = 1e-10
+# Extra Gaussian exponent beyond ln(10/_TOLERANCE) at the disk edge; it
 # covers the polynomial factors (|k+g|^2 in T, 1/r in the spatial kernels)
 # and the growing number of terms per ring of the omitted tail.
 _MARGIN = 4.0
+# Gaussian exponent at the edge of both summation disks.
+_DEPTH = np.log(10.0 / _TOLERANCE) + _MARGIN
 # Largest lattice index a truncation disk may need; a splitting far from
 # the lattice scale exceeds it and is reported as NonConvergent.
 _MAX_INDEX = 40
@@ -170,6 +179,8 @@ _MAX_GAU = 9.6
 # Largest rounding bound u sum|terms|/|D| (u = float eps) a sum may carry;
 # past it the terms cancel too many digits and the sum is NonConvergent.
 _MAX_ROUNDING = 1e-10
+# Radius of the direct-sum oracle's disk, in units of |a1|.
+_ORACLE_CUTOFF = 60.0
 
 RAYLEIGH_REL_THRESHOLD = 1e-9
 
@@ -220,12 +231,6 @@ class LatticeSumRequest:
             docstring for the -k order and the zone-boundary ties).
         mode: 'retarded' or 'quasistatic'.
         splitting: Ewald parameter E; None selects default_splitting.
-        tolerance: Relative truncation target in (0, 1). It sets the
-            radius of both summation disks before any term is summed.
-            The default 1e-10 is the only target the layers above use
-            (no band, degeneracy or CLI call can change it): the 1e-8
-            splitting-invariance bound does not hold at a looser one
-            (about 2e-6 at 1e-4).
     """
 
     spec: LatticeSpec
@@ -233,7 +238,6 @@ class LatticeSumRequest:
     offset: str = "same"
     mode: str = "retarded"
     splitting: float | None = None
-    tolerance: float = 1e-10
 
 
 @dataclass(frozen=True)
@@ -249,7 +253,7 @@ class LatticeSumResult:
         n_spatial, n_spectral: Number of lattice vectors in the spatial
             and spectral truncation disks, i.e. the terms summed (over all
             k of a batch, and over the three sums of a 'bloch' request).
-        est_error: A priori relative truncation bound, tolerance/10 times
+        est_error: A priori relative truncation bound, _TOLERANCE/10 times
             the summed term magnitudes over |D| (an overestimate); the
             largest over a batch and over the sums of a 'bloch' request.
         k_reduced: (..., 2) the zone-reduced k the series were summed at,
@@ -396,17 +400,15 @@ class _CellTable:
 
     Attributes:
         recip: Reciprocal lattice of (a1, a2).
-        reach: Spectral disk radius sqrt(k0^2 + 4 E^2 depth).
+        reach: Spectral disk radius sqrt(k0^2 + 4 E^2 _DEPTH).
         orders: (n, 2) reciprocal vectors g in "ij" order: every order of
             the spectral disk |k + g| <= reach about any zone-reduced k.
-        depth: Gaussian exponent at both disk edges.
         area2: Twice the cell area.
     """
 
     recip: ReciprocalSpec
     reach: float
     orders: np.ndarray
-    depth: float
     area2: float
 
 
@@ -536,8 +538,7 @@ def _remember_pass(key, half: _PassHalf, total, mags, n_spectral: int,
             _put(_PASS_KEYS, key, True, _PASS_KEY_SIZE)
 
 
-def _cell_table(spec: LatticeSpec, k0_eff: float, e: float,
-                tol: float) -> _CellTable:
+def _cell_table(spec: LatticeSpec, k0_eff: float, e: float) -> _CellTable:
     """The order list covers every spectral disk about a zone-reduced k.
 
     Raises:
@@ -545,19 +546,18 @@ def _cell_table(spec: LatticeSpec, k0_eff: float, e: float,
             the spectral disk is out of reach at every k of this lattice.
     """
     recip = reciprocal(spec)
-    depth = np.log(10.0 / tol) + _MARGIN
-    reach = np.sqrt(k0_eff**2 + 4.0 * e**2 * depth)
+    reach = np.sqrt(k0_eff**2 + 4.0 * e**2 * _DEPTH)
     # a zone-reduced k has |k| <= |K| < (|b1| + |b2|)/2; the difference
     # absorbs rounding at the disk edge
     kmax = 0.5 * (np.linalg.norm(recip.b1) + np.linalg.norm(recip.b2))
     orders = _disk(np.array([recip.b1, recip.b2]), np.zeros(2), reach + kmax)
     return _read_only(_CellTable(recip=recip, reach=reach, orders=orders,
-                                 depth=depth, area2=2.0 * spec.cell_area))
+                                 area2=2.0 * spec.cell_area))
 
 
 def _spatial_table(spec: LatticeSpec, rho: np.ndarray, k0_eff: float,
-                   e: float, depth: float) -> _SpatialTable:
-    """Kernels over |R + rho|^2 E^2 <= depth + k0^2/4E^2.
+                   e: float) -> _SpatialTable:
+    """Kernels over |R + rho|^2 E^2 <= _DEPTH + k0^2/4E^2.
 
     Raises:
         NonConvergent: the prefactor exp(k0^2/4E^2) would overflow, or the
@@ -570,7 +570,7 @@ def _spatial_table(spec: LatticeSpec, rho: np.ndarray, k0_eff: float,
             "overflows"
         )
     rvecs = _disk(np.array([spec.a1, spec.a2]), rho,
-                  np.sqrt(depth + gau_cap) / e)
+                  np.sqrt(_DEPTH + gau_cap) / e)
     rv = np.linalg.norm(rvecs, axis=1)
     keep = rv > 0.0
     rvecs, rv = rvecs[keep], rv[keep]
@@ -589,8 +589,8 @@ def _spatial_table(spec: LatticeSpec, rho: np.ndarray, k0_eff: float,
     c1 = phip / rv  # delta_ab coefficient; also the zz derivative
     c2 = phipp - c1  # rhat_a rhat_b coefficient (in-plane)
     ux, uy = rvecs[:, 0] / rv, rvecs[:, 1] / rv
-    weights = _columns(f / rv, c1 + c2 * ux * ux, c2 * ux * uy,
-                       c1 + c2 * uy * uy, c1) / (8.0 * np.pi)
+    weights = np.stack([f / rv, c1 + c2 * ux * ux, c2 * ux * uy,
+                        c1 + c2 * uy * uy, c1], axis=-1) / (8.0 * np.pi)
     h0, h2 = _self_corrections(k0_eff, e, w[-1])
     return _read_only(_SpatialTable(
         lattice=rvecs - rho, weights=weights,
@@ -599,7 +599,7 @@ def _spatial_table(spec: LatticeSpec, rho: np.ndarray, k0_eff: float,
 
 
 def _spectral_kernels(cell: _CellTable, k, k0_eff, e, lead):
-    """Spectral kernels over |k+g|^2 <= k0^2 + 4 E^2 depth, per row of k.
+    """Spectral kernels over |k+g|^2 <= k0^2 + 4 E^2 _DEPTH, per row of k.
 
     The orders of row n are the rows of the cell's order list g with
     k[n] + g in the disk: the _disk of (b1, b2) about k[n], in the same
@@ -699,14 +699,6 @@ def _bloch_phase(t: _SpatialTable, k):
     return np.exp(-1j * kr)
 
 
-def _columns(*cols) -> np.ndarray:
-    """np.stack(cols, axis=-1), with less call overhead."""
-    out = np.empty(cols[0].shape + (len(cols),), dtype=complex)
-    for i, col in enumerate(cols):
-        out[..., i] = col
-    return out
-
-
 def _dyadic(v, retarded: bool) -> np.ndarray:
     """The (..., 3, 3) dyadics from (S, Txx, Txy, Tyy, Tzz) on v's last axis.
 
@@ -745,13 +737,12 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
 
     Returns:
         LatticeSumResult. The result is independent of the splitting
-        parameter within the truncation tolerance; same-site sums
+        parameter within the truncation target; same-site sums
         subtract the screened R = 0 term analytically.
 
     Raises:
         ValueError: unknown mode or offset, k not of shape (..., 2) or not
-            finite, a tolerance outside (0, 1), or a splitting that is not
-            finite and positive.
+            finite, or a splitting that is not finite and positive.
         RayleighAnomaly: retarded mode with |k+g| on the light line (for
             'bloch', as the same-site request at k raises it).
         NonConvergent: truncation disk past the index cap (the spectral
@@ -761,9 +752,6 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
     """
     if req.mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {req.mode!r}")
-    tol = float(req.tolerance)
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tolerance must lie in (0, 1), got {tol}")
     k = np.asarray(req.k, dtype=float)
     if k.shape[-1:] != (2,):
         raise ValueError(f"k must have shape (..., 2), got {k.shape}")
@@ -781,14 +769,12 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
         raise ValueError(f"splitting must be finite and positive, got {e}")
     retarded = req.mode == "retarded"
     k0_eff = K0 if retarded else 0.0
-    key = (np.array([spec.a1, spec.a2], dtype=float).tobytes(), retarded, e,
-           tol)
-    cell = _cached(_CELL_TABLES, key,
-                   lambda: _cell_table(spec, k0_eff, e, tol))
+    key = (np.array([spec.a1, spec.a2], dtype=float).tobytes(), retarded, e)
+    cell = _cached(_CELL_TABLES, key, lambda: _cell_table(spec, k0_eff, e))
 
     def table(r):
         return _cached(_SPATIAL_TABLES, key + (r.tobytes(),),
-                       lambda: _spatial_table(spec, r, k0_eff, e, cell.depth))
+                       lambda: _spatial_table(spec, r, k0_eff, e))
 
     # the spatial tables before the spectral kernels: a prefactor past
     # overflow raises NonConvergent there, before e^{y^2} overflows in
@@ -854,9 +840,10 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
                                    for t, ph in spatial])
     if t_same is not None:
         total[:n] += t_same.self_term
-    # each omitted term is below tol/10 of the leading scale, so the tail
-    # is bounded by tol/10 times the summed magnitudes, component-wise; a
-    # spatial term's is its weight's, the Bloch phase having unit modulus
+    # each omitted term is below _TOLERANCE/10 of the leading scale, so the
+    # tail is bounded by _TOLERANCE/10 times the summed magnitudes,
+    # component-wise; a spatial term's is its weight's, the Bloch phase
+    # having unit modulus
     mags += np.concatenate([np.broadcast_to(t.magnitudes, (len(ph), 5))
                             for t, ph in spatial])
     n_spatial = sum(ph.size for _, ph in spatial)
@@ -867,9 +854,9 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
         n_spectral += half.n_spectral
         n_spatial += half.n_spatial
     d = _dyadic(total, retarded)
-    est = 0.1 * tol * _norms(_dyadic(mags, retarded)) / _norms(d)
+    est = 0.1 * _TOLERANCE * _norms(_dyadic(mags, retarded)) / _norms(d)
     # and u = eps times them bound its rounding error
-    rounding = est * (np.finfo(float).eps / (0.1 * tol))
+    rounding = est * (np.finfo(float).eps / (0.1 * _TOLERANCE))
     if rounding.max(initial=0.0) > _MAX_ROUNDING:
         at = int(np.argmax(rounding))
         raise NonConvergent(
@@ -961,10 +948,9 @@ def _tail_radial(order: int, kn: float, cutoff: float) -> float:
     return inner + outer
 
 
-def direct_sum_quasistatic(
-    req: LatticeSumRequest, cutoff_radius: float | None = None
-) -> LatticeSumResult:
-    """Real-space quasistatic sum over |R + rho| <= cutoff (oracle).
+def direct_sum_quasistatic(req: LatticeSumRequest) -> LatticeSumResult:
+    """Real-space quasistatic sum over |R + rho| <= _ORACLE_CUTOFF |a1|
+    (oracle).
 
     The quasistatic dyadic decays like 1/r^3, so the sum converges
     absolutely, but a sharp circular truncation leaves an O(1/cutoff)
@@ -978,7 +964,6 @@ def direct_sum_quasistatic(
 
     Args:
         req: Request with mode 'quasistatic' and one k (2,).
-        cutoff_radius: Inclusion radius; default 60 |a1|.
 
     Returns:
         LatticeSumResult; est_error is the relative bare magnitude of the
@@ -999,7 +984,7 @@ def direct_sum_quasistatic(
     k = reduce_to_bz(reciprocal(spec), k)
     rho = _resolve_offset(spec, req.offset)
     a1n = float(np.linalg.norm(spec.a1))
-    cutoff = 60.0 * a1n if cutoff_radius is None else float(cutoff_radius)
+    cutoff = _ORACLE_CUTOFF * a1n
 
     a = np.array([spec.a1, spec.a2])
     height = spec.cell_area / a1n  # shortest lattice-line spacing
@@ -1057,13 +1042,20 @@ def direct_sum_quasistatic(
         est_error=est, k_reduced=k)
 
 
+# sum_diagnostics' splittings, in units of E, in the order they are tried.
+# The retarded 2E needs indices past the cap from d0 ~ 6.2, 1.5E from ~ 8
+# and 1.1E from ~ 10.5; 0.8E would already deviate by 1e-8.
+_LEGS = (2.0, 0.5, 1.5, 1.1, 0.95, 0.9)
+
+
 def sum_diagnostics(spec: LatticeSpec, k) -> dict:
     """Cross-checks of the Ewald engine at one k-point.
 
-    Runs the same-sublattice (offset 'same') ewald_sum at each mode's
-    default splitting E, at 2E and at E/2 (1.5E where E/2 would break the cap
-    k0^2/4E^2 <= _MAX_GAU) for both modes and compares the quasistatic
-    result against the direct-sum oracle.
+    Runs the same-sublattice (offset 'same') ewald_sum in both modes at the
+    default splitting E and at the first two of 2E, E/2, 1.5E, 1.1E, 0.95E
+    and 0.9E that converge, E/2 left out where it breaks the cap k0^2/4E^2
+    <= _MAX_GAU: 2E and E/2 (or 1.5E) up to d0 ~ 6.2, 0.95E and 0.9E at d0
+    11. It compares the quasistatic result against the direct-sum oracle.
 
     Returns:
         Dict with relative deviations per mode ('retarded_splitting_dev',
@@ -1080,18 +1072,23 @@ def sum_diagnostics(spec: LatticeSpec, k) -> dict:
     def _dev(mode):
         e0 = default_splitting(spec, mode)
         k0_eff = K0 if mode == "retarded" else 0.0
-        low = 0.5 if k0_eff**2 / e0**2 <= _MAX_GAU else 1.5
-        results = [
-            ewald_sum(LatticeSumRequest(spec=spec, k=k, mode=mode,
-                                        splitting=s))
-            for s in (e0, 2.0 * e0, low * e0)
-        ]
-        base = np.linalg.norm(results[0].D)
-        dev = max(
-            np.linalg.norm(results[i].D - results[0].D) / base
-            for i in (1, 2)
-        )
-        return dev, results[0]
+        factors = [s for s in _LEGS
+                   if s != 0.5 or k0_eff**2 / e0**2 <= _MAX_GAU]
+
+        def at(s):
+            return ewald_sum(LatticeSumRequest(spec=spec, k=k, mode=mode,
+                                               splitting=s * e0))
+
+        res, legs = at(1.0), []
+        for s in factors:
+            try:
+                legs.append(at(s))
+            except NonConvergent:
+                continue
+            if len(legs) == 2:
+                break
+        base = np.linalg.norm(res.D)
+        return max(np.linalg.norm(leg.D - res.D) / base for leg in legs), res
 
     try:
         dev, res = _dev("retarded")

@@ -327,6 +327,19 @@ def test_convergence_json_and_csv(capsys):
     assert "retarded_splitting_dev" in keys
 
 
+@pytest.mark.parametrize("d0", ["6.5", "10", "11"])
+def test_convergence_past_the_2e_leg(d0, capsys):
+    # from d0 ~ 6.2 the retarded 2E leg needs indices past the cap, from
+    # d0 ~ 8 the 1.5E leg too and from ~ 10.5 1.1E: the check falls back
+    # to the legs that the sums admit, down to 0.95E and 0.9E at d0 11
+    code, out = run_cli(["convergence", "--format", "json", "--set",
+                         f"d0={d0}", "--set", "k_point=K"], capsys)
+    assert code == 0
+    diag = json.loads(out)["diagnostics"]
+    assert diag["rayleigh_anomaly"] is None
+    assert diag["retarded_splitting_dev"] <= 1e-8
+
+
 @pytest.mark.parametrize("d0,want", [("10", 0), ("12", 3), ("22", 3),
                                      ("30", 3)], ids=["10", "12", "22", "30"])
 def test_exit_code_numerical_failure(d0, want, capsys):

@@ -6,7 +6,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from dipolebands import (
@@ -67,13 +67,14 @@ def test_quasistatic_matches_direct_sum(beta, label):
         assert dev < 1e-6, (offset, dev)
 
 
-def test_direct_sum_cutoff_doubling():
+def test_direct_sum_cutoff_doubling(monkeypatch):
     spec = build_lattice(0.1, 0.84)
     k = reciprocal(spec).M
-    a1n = np.linalg.norm(spec.a1)
     req = LatticeSumRequest(spec=spec, k=k, mode="quasistatic")
-    d30 = direct_sum_quasistatic(req, cutoff_radius=30 * a1n).D
-    d60 = direct_sum_quasistatic(req, cutoff_radius=60 * a1n).D
+    d60 = direct_sum_quasistatic(req).D
+    assert latticesums._ORACLE_CUTOFF == 60.0
+    monkeypatch.setattr(latticesums, "_ORACLE_CUTOFF", 30.0)
+    d30 = direct_sum_quasistatic(req).D
     assert np.linalg.norm(d60 - d30) / np.linalg.norm(d60) < 1e-6
 
 
@@ -173,7 +174,7 @@ def test_default_splitting_past_d0_one(d0):
                     <= 1e-8 * np.linalg.norm(res.D))
         else:
             rounding = (res.est_error * np.finfo(float).eps
-                        / (0.1 * LatticeSumRequest.tolerance))
+                        / (0.1 * latticesums._TOLERANCE))
             assert rounding <= 1e-10
 
 
@@ -235,18 +236,10 @@ def test_quasistatic_splitting_scales_with_cell(d0):
         assert sum_diagnostics(spec, k)["quasistatic_splitting_dev"] < 1e-11
 
 
-@pytest.mark.parametrize("tolerance,k", [
-    (0.0, (1.0, 0.0)),
-    (-1e-10, (1.0, 0.0)),
-    (1e-10, (np.nan, 0.0)),
-    (1.0, (1.0, 0.0)),
-    (1000.0, (1.0, 0.0)),
-])
-def test_rejects_bad_tolerance_and_k(tolerance, k):
+def test_rejects_non_finite_k():
     spec = build_lattice(0.1, 1.0)
-    with pytest.raises(ValueError):
-        ewald_sum(LatticeSumRequest(spec=spec, k=np.array(k),
-                                    tolerance=tolerance))
+    with pytest.raises(ValueError, match="finite"):
+        ewald_sum(LatticeSumRequest(spec=spec, k=np.array((np.nan, 0.0))))
 
 
 def test_reported_error_estimates_honest():
@@ -262,29 +255,32 @@ def test_reported_error_estimates_honest():
        frac=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
        offset=st.sampled_from(("same", "a_to_b", "b_to_a")),
        mode=st.sampled_from(("retarded", "quasistatic")),
-       scale=st.sampled_from((0.5, 1.0, 2.0)),
-       tol=st.sampled_from((1e-6, 1e-8, 1e-10)))
-def test_truncation_honours_tolerance(d0, beta, frac, offset, mode, scale,
-                                      tol):
-    # the a priori truncation must meet the requested tolerance, and the
-    # reported estimate must bound the true truncation error
+       scale=st.sampled_from((0.5, 1.0, 2.0)))
+def test_truncation_honours_tolerance(d0, beta, frac, offset, mode, scale):
+    # the a priori truncation must meet the target, and the reported
+    # estimate must bound the true truncation error
     spec = build_lattice(d0, beta)
     recip = reciprocal(spec)
     k = frac[0] * recip.b1 + frac[1] * recip.b2
-    e = scale * default_splitting(spec)
-
-    def run(tolerance):
-        return ewald_sum(LatticeSumRequest(
-            spec=spec, k=k, offset=offset, mode=mode, splitting=e,
-            tolerance=tolerance))
-
+    req = LatticeSumRequest(spec=spec, k=k, offset=offset, mode=mode,
+                            splitting=scale * default_splitting(spec))
     try:
-        res = run(tol)
+        res = ewald_sum(req)
     except RayleighAnomaly:
         reject()
-    ref = run(1e-14).D
+    # the reference sums to 1e-14, on tables built for it (their keys hold
+    # no target)
+    _clear_tables()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(latticesums, "_TOLERANCE", 1e-14)
+            mp.setattr(latticesums, "_DEPTH",
+                       np.log(10.0 / 1e-14) + latticesums._MARGIN)
+            ref = ewald_sum(req).D
+    finally:
+        _clear_tables()
     err = np.linalg.norm(res.D - ref) / np.linalg.norm(ref)
-    assert err <= tol
+    assert err <= latticesums._TOLERANCE
     assert err <= res.est_error
 
 
@@ -570,7 +566,7 @@ def _ref_spatial_sums(spec, k, rho, k0_eff, e, depth, per_term=False):
 
 
 def _ref_ewald_sum(req, per_term=False):
-    spec, tol = req.spec, req.tolerance
+    spec, tol = req.spec, latticesums._TOLERANCE
     recip = reciprocal(spec)
     k = reduce_to_bz(recip, np.asarray(req.k, dtype=float))
     rho = latticesums._resolve_offset(spec, req.offset)
@@ -634,6 +630,10 @@ _VERTICES = ("K", "Kprime", "M", "M_top", "M_bottom", "Gamma")
        k_at=st.one_of(st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
                       st.sampled_from(_VERTICES)),
        shift=st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+# terms that sum to 1/1525 of their magnitudes: u sum|terms| is 3.4e-13 |D|,
+# so no summation order holds the two series within 1e-14 |D|
+@example(d0=0.25, beta=1.73046875, offset="a_to_b", mode="retarded",
+         scale=0.5, k_at=(0.0, 1.5), shift=(0, 0))
 def test_tables_match_per_call_series(d0, beta, offset, mode, scale, k_at,
                                       shift):
     # k inside and outside the first zone, zone vertices included; the
@@ -652,12 +652,17 @@ def test_tables_match_per_call_series(d0, beta, offset, mode, scale, k_at,
     _assert_same_bits(_outcome(ewald_sum, req), want)  # cold
     got = _outcome(ewald_sum, req)
     _assert_same_bits(got, want)  # warm
-    # the weights form moves the per-term series by rounding only
+    # the weights form moves the per-term series by rounding only: a small
+    # multiple of u sum|terms| (u the float epsilon), the sum's own
+    # rounding bound, which est_error gives as est_error |D| / (0.1 target)
     old = _outcome(lambda r: _ref_ewald_sum(r, per_term=True), req)
     if isinstance(want, Exception):
         assert type(old) is type(want) and str(old) == str(want)
         return
-    assert np.linalg.norm(got.D - old.D) <= 1e-14 * np.linalg.norm(old.D)
+    magnitudes = (got.est_error * np.linalg.norm(got.D)
+                  / (0.1 * latticesums._TOLERANCE))
+    assert (np.linalg.norm(got.D - old.D)
+            <= 16 * np.finfo(float).eps * magnitudes)
     assert abs(got.est_error - old.est_error) <= 1e-12 * old.est_error
     assert (got.n_spatial, got.n_spectral, got.n_propagating) == \
         (old.n_spatial, old.n_spectral, old.n_propagating)
@@ -917,3 +922,32 @@ def test_pass_hit_reads_no_same_site_table():
     del latticesums._SPATIAL_TABLES[same_site[0]]
     _assert_same_bits(_ewald(other, k, "bloch"), want)
     assert zero not in [key[-1] for key in latticesums._SPATIAL_TABLES]
+
+
+def test_one_spectral_block_per_pass(monkeypatch):
+    # a 'bloch' pass builds one spectral block and sums it in one segment
+    # reduction, with D_same's runs in it on a miss and out of it on a hit.
+    # Both alternatives measured slower on the cones benchmark (op_s, 10 s
+    # runs): a block of its own for D_same, 0.0775 -> 0.0825 s (+6%, 10 of
+    # 10 alternating pairs slower), and storing only the kernels, 0.0779 ->
+    # 0.0928 s (+19%, 4 of 4)
+    calls = []
+    spectral_terms = latticesums._spectral_terms
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return spectral_terms(*args)
+
+    monkeypatch.setattr(latticesums, "_spectral_terms", counted)
+    recip = reciprocal(build_lattice(0.1, 0.9))
+    k = np.array([recip.M, recip.K, 0.3 * recip.b1])
+    _clear_tables()
+    # cold, then the pass that stores its half, then hits at other betas
+    blocks = []
+    for beta in (0.9, 0.9, 0.95, 1.2):
+        calls.clear()
+        _ewald(build_lattice(0.1, beta), k, "bloch")
+        assert len(calls) == 1, beta
+        blocks.append(calls[0])
+    # the hits leave D_same's runs out of their block
+    assert blocks[0] == blocks[1] > blocks[2] == blocks[3]
