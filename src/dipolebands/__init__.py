@@ -27,6 +27,7 @@ from .dispersion import (
     FitDegenerate,
     NoClosure,
     classify,
+    classify_all,
     critical_beta,
     dos_histogram,
     find_degeneracies,
@@ -93,6 +94,7 @@ __all__ = [
     "bands_on_path",
     "build_lattice",
     "classify",
+    "classify_all",
     "coupling",
     "critical_beta",
     "default_splitting",

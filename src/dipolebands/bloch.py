@@ -40,9 +40,11 @@ solve_k runs the points in C order in passes of at most _PASS_SIZE (one
 assemble and one eigensolve each); a pass with points on a light line is
 assembled once more with only those moved off it, and they are flagged
 anomalous. bands_on_grid is one solve_k call on its (nx, ny, 2) grid, and
-the degeneracy scan's grid, each Newton trial step with the five stencil
-points it would use next, classify's samples and dos_histogram are one
-call each; bands_on_path solves one k at a time.
+so are the degeneracy scan's grid, each round of its Newton descents (the
+batches of every live descent, each a trial step with the five stencil
+points it would use next, stacked), classify's location with its ray
+samples, classify's axis samples and dos_histogram; bands_on_path solves
+one k at a time.
 """
 
 from __future__ import annotations

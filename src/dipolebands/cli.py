@@ -370,15 +370,12 @@ def _report_payload(rep) -> dict:
 
 def cmd_find_cones(cfg: RunConfig) -> str:
     spec = lattice.build_lattice(cfg.d0, cfg.beta)
-    reports = []
-    for block, pair in _block_pairs(cfg):
-        for rep in dispersion.find_degeneracies(
-                spec, block, pair, cfg.region, cfg.mode, cfg.eps_deg):
-            full = dispersion.classify(
-                spec, rep.k_star, block, pair, cfg.mode, cfg.fit_radius,
-                eps_deg=cfg.eps_deg)
-            reports.append(_report_payload(full))
-    return _json_text(cfg, {"reports": reports})
+    found = [rep for block, pair in _block_pairs(cfg)
+             for rep in dispersion.find_degeneracies(
+                 spec, block, pair, cfg.region, cfg.mode, cfg.eps_deg)]
+    reports = dispersion.classify_all(spec, found, cfg.mode, cfg.fit_radius,
+                                      cfg.eps_deg)
+    return _json_text(cfg, {"reports": [_report_payload(r) for r in reports]})
 
 
 def cmd_classify(cfg: RunConfig) -> str:

@@ -1,10 +1,14 @@
 """Locating, classifying, and tracking band degeneracies.
 
 A degeneracy of a band pair is located by a coarse gap scan over a k-region
-followed by a deterministic, safeguarded Newton descent of gap(k)^2, which is
-smooth with a zero minimum where the bands touch (see _refine_minimum). The
-default region, the upper half zone, is scanned on its kx >= 0 half only:
-the lattice's kx and ky mirrors give the rest (see find_degeneracies).
+followed by deterministic, safeguarded Newton descents of gap(k)^2, which is
+smooth with a zero minimum where the bands touch (see _descent). The
+descents from all seeds run in lockstep, one gap call per round for all of
+them (_refine_minima). The default region, the upper half zone, is scanned
+on its kx >= 0 half only: the lattice's kx and ky mirrors give the rest
+(see find_degeneracies). The same mirrors carry a classification over to
+the mirror images of a cone, so classify_all classifies each mirror orbit
+once.
 Around a degeneracy the two bands behave like
 
     omega_+-(q) = m0 + w . q +- sqrt(q . A q)   (+ higher order)
@@ -20,7 +24,7 @@ one band going locally flat along some direction.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,6 +48,11 @@ DROP_RTOL = 1e-3  # a step lowering gap^2 by less than this fraction ends it
 STENCIL_FLOOR = 1e-3  # smallest stencil step relative to the step tolerance
 DEDUP_FRAC = 1e-4  # merge radius in units of |b1|
 GOLDEN_STEP = 0.5 * (3.0 - np.sqrt(5.0))  # golden-section fraction of a side
+
+# diag(s) of the ky, kx and (kx, ky) mirrors: m(kx, -ky) = U m U and
+# m(-kx, ky) = S m S
+_MIRRORS = (np.array([1.0, -1.0]), np.array([-1.0, 1.0]),
+            np.array([-1.0, -1.0]))
 
 KINDS = ("dirac_I", "dirac_II", "dirac_III", "semi_dirac", "quadratic",
          "gapped")
@@ -188,20 +197,21 @@ def _box_fraction(k, step, box) -> float:
     return max(t, 0.0)
 
 
-def _refine_minimum(gap, k0pt, scale, xatol, box=None):
-    """Safeguarded Newton descent of f(k) = gap(k)^2; returns (k, gap(k)).
+def _descent(k0pt, scale, xatol, box=None):
+    """One safeguarded Newton descent of f(k) = gap(k)^2, as a generator.
 
+    It yields each batch of points whose gaps it needs, is sent back those
+    gaps (each row bitwise its one-point gap), and returns (k, gap(k)).
     Where two bands touch, gap^2 = 4|d(q)|^2 is smooth with a zero minimum:
     Newton converges quadratically at a Dirac point and linearly along the
     flat axis of a semi-Dirac point. f at k, k +- h x, k +- h y and
     k + h(s x + y) gives gradient and Hessian, h being the last step length
     and s the sign of the start point's kx (+1 at kx = 0): the descent from
     the kx mirror image of a start point is then the mirror image of the
-    descent from it, to rounding. The gap is called on batches, each row
-    bitwise its one-point gap: the start point with its stencil, and each
-    trial step, halved ones included, with the stencil it would use next.
-    So an iteration costs one call plus one per halving, and only a
-    stencil narrowed at the same k is a call of its own.
+    descent from it, to rounding. The batches are the start point with its
+    stencil, each trial step, halved ones included, with the stencil it
+    would use next, and a stencil narrowed at the same k. So an iteration
+    asks for one batch plus one per halving.
     The Newton step (steepest descent where the Hessian is not positive
     definite, or is singular to the solver) is cut to `scale` and halved
     until f goes down; if no step longer than xatol does, a stencil wider
@@ -231,11 +241,11 @@ def _refine_minimum(gap, k0pt, scale, xatol, box=None):
         return tuple(x ** 2 for x in gaps)
 
     def probe(p, h):
-        """gap(p), and f on p's stencil of step h, from one call."""
-        gaps = gap(np.vstack([p, stencil(p, h)]))
+        """gap(p), and f on p's stencil of step h, from one batch."""
+        gaps = yield np.vstack([p, stencil(p, h)])
         return gaps[0], squares(gaps[1:])
 
-    g, fs = probe(k, h)
+    g, fs = yield from probe(k, h)
     for _ in range(NEWTON_MAX_ITER):
         f0 = g * g
         fpx, fmx, fpy, fmy, fxy = fs
@@ -262,10 +272,10 @@ def _refine_minimum(gap, k0pt, scale, xatol, box=None):
                 step, length = step * cut, length * cut
                 if length < xatol:
                     break
-        g_new, fs_new = probe(k + step, max(length, floor))
+        g_new, fs_new = yield from probe(k + step, max(length, floor))
         while not g_new * g_new < f0 and length >= 2.0 * xatol:
             step, length = 0.5 * step, 0.5 * length
-            g_new, fs_new = probe(k + step, max(length, floor))
+            g_new, fs_new = yield from probe(k + step, max(length, floor))
         if g_new * g_new < f0:
             k, g = k + step, g_new
             if h <= xatol and (length < xatol or f0 - g * g <= DROP_RTOL * f0):
@@ -274,10 +284,48 @@ def _refine_minimum(gap, k0pt, scale, xatol, box=None):
             fs = fs_new
         elif h > xatol:
             h = xatol
-            fs = squares(gap(stencil(k, h)))
+            fs = squares((yield stencil(k, h)))
         else:
             break
     return k, float(g)
+
+
+def _refine_minima(gap, seeds, scale, xatol, box=None) -> list:
+    """Newton descents of gap^2 from every seed in lockstep (_descent).
+
+    Each round is one gap call on the batches that the live descents ask
+    for, stacked in seed order. Every row is bitwise its one-point gap, so
+    each descent takes the steps it takes alone, to the bit, and the
+    descents cost as many calls as the longest asks for batches.
+
+    Returns:
+        [(k, gap(k))], one per seed, in seed order.
+    """
+    descents = [_descent(seed, scale, xatol, box) for seed in seeds]
+    ends = [None] * len(descents)
+    sent = [None] * len(descents)  # what each live descent is sent next
+    live = range(len(descents))
+    while live:
+        asks = []
+        for i in live:
+            try:
+                asks.append((i, descents[i].send(sent[i])))
+            except StopIteration as stop:
+                ends[i] = stop.value
+        if asks:
+            gaps = gap(np.concatenate([points for _, points in asks]))
+            cuts = np.cumsum([len(points) for _, points in asks])[:-1]
+            for (i, _), part in zip(asks, np.split(gaps, cuts)):
+                sent[i] = part
+        live = [i for i, _ in asks]
+    return ends
+
+
+def _refine_minimum(gap, k0pt, scale, xatol, box=None):
+    """The Newton descent of gap^2 from one start point (_descent), one
+    gap call per batch; returns (k, gap(k))."""
+    (end,) = _refine_minima(gap, [k0pt], scale, xatol, box)
+    return end
 
 
 def _neighbours(a: np.ndarray, fill) -> np.ndarray:
@@ -298,10 +346,11 @@ def find_degeneracies(spec: LatticeSpec, block: str, band_pair,
 
     Coarse grid scan (grid_n x grid_n) of search_region = (kx_min, kx_max,
     ky_min, ky_max), Newton refinement of gap^2 from every coarse local
-    minimum (_refine_minimum, trust radius half a grid spacing; of two
-    neighbouring grid points with exactly equal gaps only the first in
-    grid order seeds), filtering at eps_deg, and duplicate merging modulo
-    reciprocal vectors. A descent stays inside the region widened by two
+    minimum (trust radius half a grid spacing; of two neighbouring grid
+    points with exactly equal gaps only the first in grid order seeds),
+    filtering at eps_deg, and duplicate merging modulo reciprocal vectors.
+    The descents run in lockstep (_refine_minima): each round of all of
+    them is one gap call. A descent stays inside the region widened by two
     grid spacings, outside which its result would be dropped: its steps are
     cut at that edge, and it ends there once it heads out.
 
@@ -310,15 +359,16 @@ def find_degeneracies(spec: LatticeSpec, block: str, band_pair,
     the lattice's two mirrors fill out: kx -> -kx maps the band structure
     onto itself as well as ky -> -ky. So only its columns with kx >= 0 are
     solved and seed (the centre column of an odd grid_n once), and the kx,
-    ky and (kx, ky) mirror images of the merged points are added to the
-    reports. With the default region in retarded mode, no seed is taken in
-    the radiative neighborhood, where the zone-reduced k (reduce_to_bz, as
-    assemble reads the light cone) has |k| < 1.1 k0, and refined points
-    that end there are dropped: there the branch hugging the light line
-    crosses the other bands, which would otherwise swamp the search with
-    near-light-cone degeneracies. A grid point inside it is solved only
-    where one of its 8 neighbours lies outside, since it is read only as a
-    neighbour of a seed candidate.
+    ky and (kx, ky) mirror images of the merged points, diag(s) k for s
+    in _MIRRORS, are added to the reports (classify_all maps a
+    classification onto them). With the default region in retarded
+    mode, no seed is taken in the radiative neighborhood, where the
+    zone-reduced k (reduce_to_bz, as assemble reads the light cone) has
+    |k| < 1.1 k0, and refined points that end there are dropped: there the
+    branch hugging the light line crosses the other bands, which would
+    otherwise swamp the search with near-light-cone degeneracies. A grid
+    point inside it is solved only where one of its 8 neighbours lies
+    outside, since it is read only as a neighbour of a seed candidate.
     Pass an explicit search_region to probe that neighborhood; it is
     scanned literally, on the full grid and with no mirror added.
 
@@ -376,12 +426,9 @@ def find_degeneracies(spec: LatticeSpec, block: str, band_pair,
     margin = 2.0 * spacing
     box = (region[0] - margin, region[1] + margin,
            region[2] - margin, region[3] + margin)
-    found = []
-    for seed in seeds:
-        k_star, g = _refine_minimum(gap, seed, 0.5 * spacing,
-                                    REFINE_FRAC * b1n, box=box)
-        if g < eps_deg and not _excluded(k_star) and _in_box(k_star, box):
-            found.append((k_star, g))
+    found = [(k_star, g) for k_star, g in _refine_minima(
+        gap, seeds, 0.5 * spacing, REFINE_FRAC * b1n, box=box)
+        if g < eps_deg and not _excluded(k_star) and _in_box(k_star, box)]
 
     def _is_new(k, kept):
         return all(np.linalg.norm(reduce_to_bz(recip, k - k2))
@@ -400,7 +447,7 @@ def find_degeneracies(spec: LatticeSpec, block: str, band_pair,
     reports = list(merged)
     if search_region is None:
         for k, g in merged:
-            for image in (k * [1.0, -1.0], k * [-1.0, 1.0], -k):
+            for image in (s * k for s in _MIRRORS):
                 if _is_new(image, reports):
                     reports.append((image, g))
     reports.sort(key=lambda t: (t[1], t[0][0], t[0][1]))
@@ -423,8 +470,10 @@ def classify(spec: LatticeSpec, location, block: str, band_pair,
     the tilt vector from the band average, the quadratic form A from
     (gap/2)^2, and the gap exponents along A's principal axes, then applies
     the taxonomy thresholds. Every sample is a solve_k of block alone: the
-    location one, the ray samples one batch and the samples along both
-    axes another.
+    location and the ray samples one batch (the location its first row),
+    and the samples along both axes another. Each axis is sampled on its
+    +e half only, so the exponents and curvatures depend on the sign that
+    eigh gives e; classify_all makes the mirror images of one cone agree.
 
     Returns:
         Full DegeneracyReport. kind='gapped' when the gap at the location
@@ -449,7 +498,13 @@ def classify(spec: LatticeSpec, location, block: str, band_pair,
         det = solve_k(spec, k, mode, block).detuning
         return det[..., lower], det[..., upper]
 
-    lo0, hi0 = both(k_star)
+    radii = np.geomspace(FIT_INNER_FRAC * r_out, r_out, N_RADII)
+    thetas = 2.0 * np.pi * np.arange(N_DIRECTIONS) / N_DIRECTIONS
+    # the location, then every radius on every ray, ray by ray, in one batch
+    rays = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+    qs = (radii[None, :, None] * rays[:, None, :]).reshape(-1, 2)
+    lo, hi = both(np.vstack([k_star, k_star + qs]))
+    (lo0, lo), (hi0, hi) = (lo[0], lo[1:]), (hi[0], hi[1:])
     gap0 = hi0 - lo0
     base = dict(k_star=k_star, band_pair=pair, block=block,
                 gap_min=float(gap0), beta=spec.beta, d0=spec.d0, mode=mode)
@@ -457,12 +512,6 @@ def classify(spec: LatticeSpec, location, block: str, band_pair,
         return DegeneracyReport(kind="gapped", **base)
 
     m0 = 0.5 * (lo0 + hi0)
-    radii = np.geomspace(FIT_INNER_FRAC * r_out, r_out, N_RADII)
-    thetas = 2.0 * np.pi * np.arange(N_DIRECTIONS) / N_DIRECTIONS
-    # every radius on every ray, ray by ray, in one batch
-    rays = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-    qs = (radii[None, :, None] * rays[:, None, :]).reshape(-1, 2)
-    lo, hi = both(k_star + qs)
     mids = 0.5 * (lo + hi) - m0
     halves = 0.5 * (hi - lo)
 
@@ -541,12 +590,64 @@ def classify(spec: LatticeSpec, location, block: str, band_pair,
     )
 
 
+def _mirrored(rep: DegeneracyReport, s: np.ndarray,
+              k_star: np.ndarray) -> DegeneracyReport:
+    """rep's classification at its mirror image k_star = diag(s) rep.k_star.
+
+    With P = diag(s) the tilt becomes P w, the velocity matrix P A P and
+    the principal axes P times rep's; the rest is copied. Flipping signs
+    is exact, so the image is the mirror of rep to the bit.
+    """
+    if rep.tilt is None:  # gapped: no fits
+        return replace(rep, k_star=k_star)
+    return replace(rep, k_star=k_star, tilt=s * rep.tilt,
+                   velocity_matrix=np.outer(s, s) * rep.velocity_matrix,
+                   principal_axes=s[:, None] * rep.principal_axes,
+                   residuals=dict(rep.residuals))
+
+
+def classify_all(spec: LatticeSpec, reports, mode: str = "retarded",
+                 fit_radius: float | None = None,
+                 eps_deg: float = EPS_DEG) -> list[DegeneracyReport]:
+    """Classify find_degeneracies' reports, one classify per mirror orbit.
+
+    The lattice's mirrors map the bands about k onto those about k's
+    mirror image, so the local model there is the mirror image of the
+    model at k. A report whose k_star is, bit for bit, diag(s) times the
+    k_star of an earlier report of the same block and pair, with s one of
+    (1, -1), (-1, 1) and (-1, -1) (the images find_degeneracies adds), gets
+    that report's classification mirrored: its own k_star, the tilt P w,
+    the velocity matrix P A P and the principal axes P times the axes,
+    with P = diag(s); kind, gap_min, tilt_ratio, exponents, residuals and
+    top_curvatures are copied. Every other report is classified (classify,
+    with mode, fit_radius and eps_deg).
+
+    Returns:
+        The classified reports, in the order of reports.
+
+    Raises:
+        As classify.
+    """
+    done: list[DegeneracyReport] = []
+    for rep in reports:
+        bits = rep.k_star.tobytes()
+        image = next(((prev, s) for prev in done for s in _MIRRORS
+                      if prev.block == rep.block
+                      and prev.band_pair == rep.band_pair
+                      and (s * prev.k_star).tobytes() == bits), None)
+        done.append(
+            classify(spec, rep.k_star, rep.block, rep.band_pair, mode,
+                     fit_radius, eps_deg) if image is None
+            else _mirrored(*image, rep.k_star))
+    return done
+
+
 def refine_degeneracy(spec: LatticeSpec, block: str, band_pair, k_warm,
                       mode: str = "retarded"):
     """Newton refinement of gap^2 from a warm start near a degeneracy.
 
-    The trust radius is 0.01 |b1| and the step tolerance REFINE_FRAC |b1|
-    (see _refine_minimum).
+    The one-seed case of the search's descents (_refine_minimum): trust
+    radius 0.01 |b1| and step tolerance REFINE_FRAC |b1|.
 
     Returns:
         (k, gap(k)); the caller decides whether the gap is closed.

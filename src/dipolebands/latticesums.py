@@ -94,9 +94,10 @@ are the terms summed over the request and est_error is its worst, so the
 counts of N one-point calls and of one batch agree. The working set grows
 as N times the terms of one k, so bloch.solve_k hands the sums at most
 bloch._PASS_SIZE points per pass: a 128-point "bloch" pass at d0 0.1, beta
-0.9 peaks at about 17 KB per k cold and 11 KB per k when it reads a stored
-beta-free half (tracemalloc). The (terms, 5) spectral block is its largest
-array, and it is written column by column in place (see _spectral_terms).
+0.9 peaks at about 15.8 KB per k cold and 11 KB per k when it reads a
+stored beta-free half (tracemalloc). The (terms, 5) spectral block is its
+largest array, and it is written column by column in place (see
+_spectral_terms).
 
 The offset "bloch" returns the three sums of a Bloch matrix from that one
 pass: D gains a leading axis of 3, [D_same(k), D_ab(k), D_ba(k)], each
@@ -132,7 +133,8 @@ cache, of at most _CACHE_SIZE entries, keeps beta-free halves read-only,
 keyed on the cell table's key (which holds no beta) and the bytes of the
 pass's k. A half is stored on its key's second request only: the first
 records the key and stores nothing, so a pass asked for once keeps no
-arrays (a Newton stencil, classify's rays, a path point), while a k-set
+arrays (a Newton stencil, classify's rays, a path point) and lets its
+half's kernels go as soon as it has read them, while a k-set
 that every lattice of one d0 solves, such as the degeneracy scan's grid or
 critical_beta's M, is summed twice and then read. The one-off passes fill
 the key record too, so it has a bound of its own, _PASS_KEY_SIZE keys,
@@ -449,7 +451,8 @@ class _PassHalf:
         neg: (ties, 2) those points' reduced -k.
         counts: (N + ties,) the run lengths of the k rows, then the ties'.
         qv, kern, zker: Per term of those runs, k + g and its spectral
-            kernels (_spectral_kernels).
+            kernels (_spectral_kernels); None in a pass that does not
+            store its half, once it has read them.
         n_prop: (N,) propagating orders per point.
         total: (N, 5) D_same's columns (S, Txx, Txy, Tyy, Tzz): spectral,
             then spatial, then the self term; None until the pass that
@@ -462,9 +465,9 @@ class _PassHalf:
     tie: np.ndarray
     neg: np.ndarray
     counts: np.ndarray
-    qv: np.ndarray
-    kern: np.ndarray
-    zker: np.ndarray
+    qv: np.ndarray | None
+    kern: np.ndarray | None
+    zker: np.ndarray | None
     n_prop: np.ndarray
     total: np.ndarray | None
     mags: np.ndarray | None
@@ -521,16 +524,25 @@ def _stored_pass(key):
         return _touch(_PASS_HALVES, key)
 
 
+def _pass_recorded(key) -> bool:
+    """Whether a pass key is recorded: the pass under it will store its
+    half."""
+    with _CACHE_LOCK:
+        return key in _PASS_KEYS
+
+
 def _remember_pass(key, half: _PassHalf, total, mags, n_spectral: int,
                    n_spatial: int) -> None:
     """Store a pass's beta-free half on its key's second request, with
     D_same's sums (total and mags, its (N, 5) rows; copied) and term counts.
 
     The first request only records the key, so a pass asked for once (a
-    Newton stencil, classify's rays, a path point) keeps no arrays.
+    Newton stencil, classify's rays, a path point) keeps no arrays. So does
+    a pass whose half let its kernels go (qv None) because the key was not
+    recorded when it was built, though another pass has recorded it since.
     """
     with _CACHE_LOCK:
-        if _PASS_KEYS.pop(key, None):
+        if _PASS_KEYS.pop(key, None) and half.qv is not None:
             _put(_PASS_HALVES, key, _read_only(replace(
                 half, total=total.copy(), mags=mags.copy(),
                 n_spectral=n_spectral, n_spatial=n_spatial)), _CACHE_SIZE)
@@ -786,12 +798,17 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
     # the same-site table where this pass sums D_same: offset 'same', or a
     # 'bloch' pass whose half does not hold its sums
     t_same = None
-    if half is None:
+    fresh = half is None
+    if fresh:
         t_same = (table(np.zeros(2)) if bloch
                   else t_rho if req.offset == "same" else None)
         half = _pass_half(cell, k, bloch, k0_eff, e, lead)
     n, k = len(k), half.k
     runs, qv, kern, zker = half.counts, half.qv, half.kern, half.zker
+    if fresh and not (bloch and _pass_recorded(pass_key)):
+        # a half this pass will not store lets its kernels go once they
+        # are read (for 'bloch', once concatenated)
+        half = replace(half, qv=None, kern=None, zker=None)
     unit = np.exp(1j * (qv @ rho))
     if not bloch:
         spatial = [(t_rho, _bloch_phase(t_rho, k))]

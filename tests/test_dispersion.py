@@ -43,10 +43,15 @@ BETA_C_IP01_M = 0.587086
 # stencils and trial steps solved in calls of their own, made it 1,213 in
 # 22 calls, the whole grid and 3 seeds 2,433, seeding inside the
 # radiative disk 3,202 (13 seeds), the Nelder-Mead refinement 6,032. They
-# take 12 solve_k calls: one for the grid and 11 for the refinement, which
-# solves each trial step with the five stencil points it would use next.
+# take 7 solve_k calls: one for the grid and 6 rounds of the two Newton
+# descents in lockstep, each solving a trial step with the five stencil
+# points it would use next (11 calls with the descents one after the other).
 FIND_SOLVES_09 = 1153
-FIND_CALLS_09 = 12
+FIND_CALLS_09 = 7
+# solve_k calls of the same search at d0 0.15, beta 1.2, where descents to
+# kinks of the gap take up to 136 rounds (137 calls; 458 one descent after
+# the other)
+FIND_CALLS_015 = 140
 
 
 def _nelder_mead(gap, k0pt, scale, xatol):
@@ -99,8 +104,8 @@ def _sequential_descent(gap, k0pt, scale, xatol, box=None):
             g_new = gap(k + step)
         if g_new * g_new < f0:
             k, g = k + step, g_new
-            if (length < xatol and h <= xatol
-                    or f0 - g * g <= dispersion.DROP_RTOL * f0):
+            if h <= xatol and (length < xatol
+                               or f0 - g * g <= dispersion.DROP_RTOL * f0):
                 break
             h = max(length, dispersion.STENCIL_FLOOR * xatol)
         elif h > xatol:
@@ -117,37 +122,48 @@ class _Search(tuple):
     calls: int
 
 
+def _recording_descent(mp, gap, refinements):
+    """Patch the per-descent step so that each descent is recorded as (gap,
+    seed, scale, xatol, (k, gap(k)), k-points asked for, box, batches)."""
+    descent = dispersion._descent
+
+    def recording(seed, scale, xatol, box=None):
+        kpoints = batches = 0
+        steps = descent(seed, scale, xatol, box)
+        try:
+            points = next(steps)
+            while True:
+                kpoints += len(points)
+                batches += 1
+                points = steps.send((yield points))
+        except StopIteration as stop:
+            out = stop.value
+        refinements.append((gap, np.array(seed), scale, xatol, out, kpoints,
+                            box, batches))
+        return out
+
+    mp.setattr(dispersion, "_descent", recording)
+
+
 def _recorded_search(spec, block, pair):
     """find_degeneracies, counting its Bloch solves (the k-points of the
     coarse grid's batch in bloch and of the refinement in dispersion) and
-    the solve_k calls, and recording each refinement as (gap, seed, scale,
-    xatol, (k, gap(k)), k-points solved, box)."""
+    the solve_k calls, and recording each descent as _recording_descent
+    does."""
     solves = [0, 0]
     refinements = []
     solve_k = bloch.solve_k
-    refine = dispersion._refine_minimum
 
     def counting_solve(spec, k, *args, **kwargs):
         solves[0] += len(np.atleast_2d(k))
         solves[1] += 1
         return solve_k(spec, k, *args, **kwargs)
 
-    def recording_refine(gap, seed, scale, xatol, box=None):
-        kpoints = [0]
-
-        def counting_gap(k):
-            kpoints[0] += len(np.atleast_2d(k))
-            return gap(k)
-
-        out = refine(counting_gap, seed, scale, xatol, box=box)
-        refinements.append((gap, np.array(seed), scale, xatol, out,
-                            kpoints[0], box))
-        return out
-
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bloch, "solve_k", counting_solve)
         mp.setattr(dispersion, "solve_k", counting_solve)
-        mp.setattr(dispersion, "_refine_minimum", recording_refine)
+        _recording_descent(
+            mp, dispersion.make_gap_function(spec, block, pair), refinements)
         found = find_degeneracies(spec, block, pair)
     search = _Search((found, solves[0], refinements))
     search.calls = solves[1]
@@ -254,6 +270,11 @@ def search_09():
 @pytest.fixture(scope="module")
 def search_093():
     return _recorded_search(build_lattice(0.1, 0.93), OUT_OF_PLANE, (0, 1))
+
+
+@pytest.fixture(scope="module")
+def search_015():
+    return _recorded_search(build_lattice(0.15, 1.2), OUT_OF_PLANE, (0, 1))
 
 
 @pytest.fixture(scope="module")
@@ -385,9 +406,13 @@ def test_find_solve_count_bounded(search_09):
     assert solves <= 1.1 * FIND_SOLVES_09
 
 
-def test_find_solve_calls_bounded(search_09):
-    # one call for the grid, then one per Newton stencil and per trial step
+def test_find_solve_calls_bounded(search_09, search_015):
+    # one call for the grid, then one per round of the lockstep descents:
+    # as many as the longest descent asks for batches
     assert search_09.calls <= FIND_CALLS_09
+    assert search_015.calls <= FIND_CALLS_015
+    for search in (search_09, search_015):
+        assert search.calls == 1 + max(r[7] for r in search[2])
 
 
 # the region of the faked grids below whose coordinates are grid indices
@@ -429,12 +454,13 @@ def test_tied_grid_minima_seed_once(monkeypatch, field, seed, region, n):
 
     seeds = []
 
-    def recording_refine(gap, k0pt, scale, xatol, box=None):
+    def recording_descent(k0pt, scale, xatol, box=None):
         seeds.append(tuple(k0pt))
         return k0pt, 1.0  # gapped: nothing is reported
+        yield  # a descent that asks for no point
 
     monkeypatch.setattr(dispersion, "solve_k", fake_grid)
-    monkeypatch.setattr(dispersion, "_refine_minimum", recording_refine)
+    monkeypatch.setattr(dispersion, "_descent", recording_descent)
     found = find_degeneracies(spec, OUT_OF_PLANE, (0, 1),
                               search_region=region, grid_n=n)
     assert found == []
@@ -567,8 +593,8 @@ def _count_kernel_rows(mp):
 def test_cone_searches_reuse_the_grid_not_the_rays(monkeypatch):
     # beta moves only the basis offset: the search grid is one k-set at
     # every beta, whose passes are stored on the second search and read on
-    # the third. Classify's ray batch moves with the cone: asked for once,
-    # it is never stored
+    # the third. Classify's batch of the location and its rays moves with
+    # the cone: asked for once, it is never stored
     _clear_tables()
     rows = _count_kernel_rows(monkeypatch)
     calls = []
@@ -592,13 +618,14 @@ def test_cone_searches_reuse_the_grid_not_the_rays(monkeypatch):
         for r in reports:
             calls.clear()
             classify(spec, r.k_star, OUT_OF_PLANE, (0, 1))
-            rays.append(calls[1][0])
+            assert len(calls) == 2  # location and rays, then both axes
+            rays.append(calls[0][0])
     assert grid_rows[0] >= 1087 and grid_rows[1] >= 1087
     assert grid_rows[2] == 0
     size = bloch._PASS_SIZE
     ray_passes = {r[i:i + size].tobytes() for r in rays
                   for i in range(0, len(r), size)}
-    assert {len(r) for r in rays} == {192}
+    assert {len(r) for r in rays} == {193}
     assert not ray_passes & {key[-1] for key in latticesums._PASS_HALVES}
     assert ray_passes & {key[-1] for key in latticesums._PASS_KEYS}
 
@@ -609,12 +636,114 @@ def test_refinement_matches_sequential_descent(search_09, search_093,
     # same steps as the descent that solved them apart, to the bit
     checked = 0
     for _, _, refinements in (search_09, search_093, search_065):
-        for gap, seed, scale, xatol, (k, g), _, box in refinements:
+        for gap, seed, scale, xatol, (k, g), _, box, _ in refinements:
             k_ref, g_ref = _sequential_descent(gap, seed, scale, xatol,
                                                box=box)
             assert k.tobytes() == k_ref.tobytes() and g == g_ref, seed
             checked += 1
     assert checked >= 7
+
+
+# seed fractions of the default region at d0 0.1, beta 0.9: descents that
+# end on the box's top edge after 6 and 10 batches and on a cone after 19
+_STAGGERED = [(0.0, 1.0), (-0.943, 0.124), (0.087, 0.935)]
+
+
+@settings(max_examples=8, deadline=None)
+@given(fracs=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 1.0)),
+                      min_size=1, max_size=4),
+       staggered=st.just(False))
+@example(fracs=_STAGGERED, staggered=True)
+def test_lockstep_descents_end_where_each_ends_alone(fracs, staggered):
+    # the descents of one search share each round's gap call, stacked in
+    # seed order; each still ends where it ends alone, to the bit, and the
+    # rounds are as many as the longest descent's batches
+    spec = build_lattice(0.1, 0.9)
+    region = dispersion.default_search_region(spec)
+    spacing = max(region[1] - region[0], region[3] - region[2]) / (
+        dispersion.GRID_N - 1)
+    box = (region[0] - 2 * spacing, region[1] + 2 * spacing,
+           region[2] - 2 * spacing, region[3] + 2 * spacing)
+    scale = 0.5 * spacing
+    xatol = dispersion.REFINE_FRAC * np.linalg.norm(reciprocal(spec).b1)
+    seeds = [np.array([fx * region[1], fy * region[3]]) for fx, fy in fracs]
+    gap = dispersion.make_gap_function(spec, OUT_OF_PLANE, (0, 1))
+    calls, descents = [0], []
+
+    def counting_gap(k):
+        calls[0] += 1
+        return gap(k)
+
+    with pytest.MonkeyPatch.context() as mp:
+        _recording_descent(mp, gap, descents)
+        ends = dispersion._refine_minima(counting_gap, seeds, scale, xatol,
+                                         box=box)
+    batches = [d[7] for d in descents]
+    assert calls[0] == max(batches)
+    for seed, (k, g) in zip(seeds, ends):
+        k_ref, g_ref = _sequential_descent(gap, seed, scale, xatol, box=box)
+        assert k.tobytes() == k_ref.tobytes() and g == g_ref, seed
+    if staggered:
+        assert len(set(batches)) == len(batches)
+        assert any(k[1] == pytest.approx(box[3], rel=1e-12) for k, _ in ends)
+
+
+def _mirror_source(reports, i):
+    """(earlier report, s) with reports[i].k_star = diag(s) its k_star,
+    bit for bit; None if there is none."""
+    bits = reports[i].k_star.tobytes()
+    return next(((r, s) for r in reports[:i] for s in dispersion._MIRRORS
+                 if (s * r.k_star).tobytes() == bits), None)
+
+
+def _assert_close(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert np.array_equal(np.isnan(a), np.isnan(b))
+    a, b = np.nan_to_num(a), np.nan_to_num(b)
+    assert np.linalg.norm(a - b) <= 1e-9 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("search, mapped", [("search_09", 1),
+                                            ("search_015", 3)])
+def test_mirror_images_take_their_orbit_classification(request, monkeypatch,
+                                                       search, mapped):
+    # classify_all classifies the first report of each mirror orbit and
+    # maps it onto the others. A mapped report agrees with a direct classify
+    # of its image in what the mirror-symmetric ray set fits (tilt, velocity
+    # matrix, tilt ratio) and reads its source's kind, exponents and
+    # curvatures, which a direct classify of the image samples on the
+    # opposite half-axes: at d0 0.15, beta 1.2 the kink images read
+    # semi_dirac and quadratic
+    found = request.getfixturevalue(search)[0]
+    spec = build_lattice(found[0].d0, found[0].beta)
+    direct = [classify(spec, r.k_star, OUT_OF_PLANE, (0, 1)) for r in found]
+    classified = []
+    classify_one = dispersion.classify
+
+    def recording(spec, k, *args, **kwargs):
+        classified.append(np.asarray(k).tobytes())
+        return classify_one(spec, k, *args, **kwargs)
+
+    monkeypatch.setattr(dispersion, "classify", recording)
+    reports = dispersion.classify_all(spec, found)
+    assert [r.k_star.tobytes() for r in reports] == \
+        [r.k_star.tobytes() for r in found]
+    assert len(classified) == len(found) - mapped
+    for i, rep in enumerate(reports):
+        source = _mirror_source(reports, i)
+        if source is None:
+            assert _report_bits([rep]) == _report_bits([direct[i]])
+            continue
+        src, s = source
+        assert rep.k_star.tobytes() not in classified
+        assert (rep.kind, rep.exponents, rep.top_curvatures, rep.gap_min,
+                rep.residuals) == (src.kind, src.exponents,
+                                   src.top_curvatures, src.gap_min,
+                                   src.residuals)
+        assert np.array_equal(rep.principal_axes,
+                              s[:, None] * src.principal_axes)
+        for field in ("tilt", "velocity_matrix", "tilt_ratio"):
+            _assert_close(getattr(rep, field), getattr(direct[i], field))
 
 
 def test_gap_batch_rows_match_one_point_calls():

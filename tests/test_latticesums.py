@@ -3,6 +3,7 @@
 import dataclasses
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -806,6 +807,38 @@ def test_tables_bounded_and_read_only(monkeypatch):
                 assert not value.flags.writeable, field.name
     with pytest.raises(ValueError):
         tables[-1].weights[0, 0] = 0.0
+
+
+def test_cold_pass_lets_its_kernels_go(monkeypatch):
+    # a 'bloch' pass that will not store its beta-free half drops the
+    # half's per-term kernels once it has concatenated them: a cold
+    # 128-point pass at d0 0.1, beta 0.9 peaks at about 15.8 KiB per point
+    # (tracemalloc; 17.0 KiB with the half's kernels kept alongside)
+    spec = build_lattice(0.1, 0.9)
+    recip = reciprocal(spec)
+    mx, ky = abs(recip.M[0]), float(np.linalg.norm(recip.K))
+    k = np.random.default_rng(2).uniform([-mx, -ky], [mx, ky], (128, 2))
+    _clear_tables()
+    _ewald(spec, recip.M, "bloch")  # the tables, built outside the trace
+    tracemalloc.start()
+    try:
+        cold = _ewald(spec, k, "bloch")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / len(k) <= 16.4 * 1024
+    # a pass whose key another pass records while it runs (faked: it sees
+    # the key unrecorded) has let its kernels go, so the key stays only
+    # recorded; the next request stores the half, and all three keep the
+    # cold bits
+    key = list(latticesums._PASS_KEYS)[-1]
+    with monkeypatch.context() as mp:
+        mp.setattr(latticesums, "_pass_recorded", lambda key: False)
+        assert _ewald(spec, k, "bloch").D.tobytes() == cold.D.tobytes()
+    assert not latticesums._PASS_HALVES
+    assert list(latticesums._PASS_KEYS)[-1] == key
+    assert _ewald(spec, k, "bloch").D.tobytes() == cold.D.tobytes()
+    assert list(latticesums._PASS_HALVES) == [key]
 
 
 def test_tables_shared_by_threads(monkeypatch):
