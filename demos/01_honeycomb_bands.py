@@ -21,11 +21,12 @@ spec = build_lattice(d0=0.1, beta=1.0)
 recip = reciprocal(spec)
 path = standard_path(recip, n_per_segment=60)
 bands = bands_on_path(spec, path)
+# the path position of each sample
+s = np.array([arc for _k, arc, _label in path])
 
 print(f"lattice: d0={spec.d0}, beta={spec.beta}, "
       f"|a1|={np.linalg.norm(spec.a1):.6f}")
-print(f"path: {len(bands)} points, arclength "
-      f"{bands[0].arclength:.3f} .. {bands[-1].arclength:.3f}")
+print(f"path: {len(bands)} points, arclength {s[0]:.3f} .. {s[-1]:.3f}")
 
 # the two corner contacts: out-of-plane pair and middle in-plane pair
 for label in ("K", "Kprime"):
@@ -50,17 +51,16 @@ except ImportError:
 
 if plt is not None:
     fig, ax = plt.subplots(figsize=(7, 5))
-    s = np.array([b.arclength for b in bands])
     for n in range(6):
         e = np.array([b.detuning[n] for b in bands])
         tag = bands[len(bands) // 2].block[n]
         ax.plot(s, e, lw=1.2,
                 color="tab:blue" if tag == "in_plane" else "tab:red")
-    for b in bands:
+    for b, arc in zip(bands, s):
         if not b.in_light_cone:
             continue
-        ax.axvspan(b.arclength, b.arclength, color="0.9", zorder=0)
-    ticks = [b.arclength for b, (_, _, lab) in zip(bands, path) if lab]
+        ax.axvspan(arc, arc, color="0.9", zorder=0)
+    ticks = [arc for _, arc, lab in path if lab]
     labels = [lab for _, _, lab in path if lab]
     ax.set_xticks(ticks, labels)
     ax.set_xlabel("path position")

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -89,9 +89,6 @@ TIE_THRESHOLD = 1e-6
 # in one pass; the cone search ran as fast in passes of 96 to 256, and
 # about 14% slower in passes of 48.
 _PASS_SIZE = 128
-# BandSet fields with one entry per k (shaped by k's leading shape).
-_PER_K = ("k", "arclength", "detuning", "decay", "vectors", "in_light_cone",
-          "anomalous")
 
 
 class EigenFailure(ArithmeticError):
@@ -105,7 +102,7 @@ class BlochMatrix:
 
     m: np.ndarray
     k: np.ndarray
-    in_light_cone: bool
+    in_light_cone: bool | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -122,7 +119,6 @@ class BandSet:
 
     Attributes:
         k: Bloch vector (2,).
-        arclength: Position along a path (0 for isolated evaluations).
         detuning: (nb,) band energies (omega_k - omega_a)/Gamma_a, nb = 6
             for both blocks.
         decay: (nb,) radiative widths gamma_k/Gamma_a.
@@ -135,13 +131,16 @@ class BandSet:
     """
 
     k: np.ndarray
-    arclength: float
     detuning: np.ndarray
     decay: np.ndarray
     vectors: np.ndarray
     block: tuple
-    in_light_cone: bool
-    anomalous: bool = False
+    in_light_cone: bool | np.ndarray
+    anomalous: bool | np.ndarray = False
+
+
+# BandSet fields with one entry per k (shaped by k's leading shape).
+_PER_K = tuple(f.name for f in fields(BandSet) if f.name != "block")
 
 
 def assemble(spec: LatticeSpec, k, mode: str = "retarded") -> BlochMatrix:
@@ -187,9 +186,8 @@ def eigensolve(bm: BlochMatrix, block: str | None = None) -> BandSet:
     into slots 0 to nb - 1 (nb = 4 or 2), bitwise the block's SLOTS of the
     full solve. Each block is sorted by detuning (stable sort). Every
     eigenpair must satisfy ||m v - lam v|| <= 1e-10 ||m||, with m the full
-    6x6 matrix. The BandSet has arclength 0 and anomalous False; path
-    position and light-line nudges belong to the callers (bands_on_path,
-    solve_k).
+    6x6 matrix. The BandSet has anomalous False; light-line nudges belong
+    to solve_k.
 
     Raises:
         ValueError: an unknown block tag.
@@ -226,7 +224,6 @@ def eigensolve(bm: BlochMatrix, block: str | None = None) -> BandSet:
 
     return BandSet(
         k=bm.k,
-        arclength=np.zeros(lead)[()],
         detuning=vals.real.reshape(lead + (nb,)),
         decay=-2.0 * vals.imag.reshape(lead + (nb,)),
         vectors=vecs.reshape(lead + (6, nb)),
@@ -262,7 +259,7 @@ def solve_k(spec: LatticeSpec, k, mode: str = "retarded",
     A k-point on a light-line (Rayleigh) singularity is moved once by
     1e-7 |b1| along the normal of the grazing order's |k+g| = k0 circle and
     solved there; the BandSet keeps the requested k, carries the eigendata
-    of the moved point and has anomalous=True. Its arclength is 0.
+    of the moved point and has anomalous=True.
 
     The points are solved in C order in passes of at most _PASS_SIZE,
     stitched into arrays of k's leading shape past one pass. A pass whose
@@ -335,13 +332,12 @@ def bands_on_path(spec: LatticeSpec, path,
         mode: 'retarded' or 'quasistatic'.
 
     Returns:
-        List of BandSet in the BLOCKS layout, each carrying its sample's
-        arclength. Each block is detuning-sorted at the first sample; from
-        there a slot follows one band by eigenvector overlap, so true
-        crossings keep their slots.
+        List of BandSet in the BLOCKS layout, one per sample; the path's
+        triples hold each sample's arclength. Each block is detuning-sorted
+        at the first sample; from there a slot follows one band by
+        eigenvector overlap, so true crossings keep their slots.
     """
-    return _connect([replace(solve_k(spec, k, mode), arclength=float(s))
-                     for k, s, _label in path])
+    return _connect([solve_k(spec, k, mode) for k, _s, _label in path])
 
 
 def bands_on_grid(spec: LatticeSpec, kx, ky,

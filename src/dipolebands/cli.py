@@ -33,10 +33,13 @@ _MODES = ("retarded", "quasistatic", "both")
 _BLOCKS = ("out_of_plane", "in_plane", "all")
 _FORMATS = ("csv", "json")
 # Config keys with their own --KEY flag; commands that reject mode=both;
-# commands that reject block=all.
+# commands that reject block=all; the format of each command that writes
+# only one (convergence writes either; an explicit other format exits 2).
 _FLAG_KEYS = ("out", "d0", "beta", "mode", "block", "pair", "format")
 _SINGLE_MODE = ("surface", "find-cones", "classify", "sweep-beta")
 _NEEDS_BLOCK = ("classify", "sweep-beta")
+_ONE_FORMAT = {"bands": "csv", "surface": "csv", "find-cones": "json",
+               "classify": "json", "sweep-beta": "json"}
 
 
 class ConfigError(ValueError):
@@ -324,11 +327,11 @@ def cmd_bands(cfg: RunConfig) -> str:
     header += ["in_light_cone", "anomalous"]
     rows = []
     first = results[modes[0]]
-    for i, bs in enumerate(first):
+    for i, (bs, (_k, arclength, _label)) in enumerate(zip(first, samples)):
         for band in range(6):
             if cfg.block != "all" and bs.block[band] != cfg.block:
                 continue
-            row = [bs.arclength, bs.k[0], bs.k[1], band, bs.block[band]]
+            row = [arclength, bs.k[0], bs.k[1], band, bs.block[band]]
             for m in modes:
                 other = results[m][i]
                 row += [other.detuning[band], other.decay[band]]
@@ -482,6 +485,12 @@ def main(argv=None) -> int:
             raise ConfigError(f"{args.command} supports a single mode per run")
         if cfg.block == "all" and args.command in _NEEDS_BLOCK:
             raise ConfigError(f"{args.command} requires an explicit block")
+        # format defaults to csv; only a format asked for is checked
+        written = _ONE_FORMAT.get(args.command, cfg.format)
+        if cfg.format != written and (
+                "format" in file_updates or "format" in flag_updates):
+            raise ConfigError(f"{args.command} writes {written} only, got "
+                              f"format={cfg.format}")
         if cfg.out:
             _check_out(cfg.out)
         _emit(cfg, _COMMANDS[args.command](cfg))

@@ -83,12 +83,15 @@ class DegeneracyReport:
         tilt: Fitted tilt vector w (2,) of the band average.
         velocity_matrix: Fitted 2x2 symmetric A with (gap/2)^2 ~ q.Aq.
         tilt_ratio: t = sqrt(w . A^-1 w) (NaN when exponents are not both 1).
-        exponents: Gap exponents along the principal axes of A.
+        exponents: Gap exponents along the principal axes of A, each
+            fitted on both halves of its axis.
         residuals: Dict of rms fit residuals.
         principal_axes: Columns are the principal directions of A; kx
             and ky where its eigenvalues agree within ISO_RTOL.
         top_curvatures: Signed quadratic coefficients of the upper band
-            along the two principal axes.
+            along the two principal axes, each one quadratic over both
+            halves of its axis; along an axis where the gap is linear it
+            also takes up the cone's |q| term.
         beta, d0: Lattice parameters.
         mode: 'retarded' or 'quasistatic'.
     """
@@ -321,13 +324,6 @@ def _refine_minima(gap, seeds, scale, xatol, box=None) -> list:
     return ends
 
 
-def _refine_minimum(gap, k0pt, scale, xatol, box=None):
-    """The Newton descent of gap^2 from one start point (_descent), one
-    gap call per batch; returns (k, gap(k))."""
-    (end,) = _refine_minima(gap, [k0pt], scale, xatol, box)
-    return end
-
-
 def _neighbours(a: np.ndarray, fill) -> np.ndarray:
     """The 8 neighbours of each point of a 2-D grid a, stacked in grid
     order (the four before the point, then the four after it), with fill
@@ -471,9 +467,12 @@ def classify(spec: LatticeSpec, location, block: str, band_pair,
     (gap/2)^2, and the gap exponents along A's principal axes, then applies
     the taxonomy thresholds. Every sample is a solve_k of block alone: the
     location and the ray samples one batch (the location its first row),
-    and the samples along both axes another. Each axis is sampled on its
-    +e half only, so the exponents and curvatures depend on the sign that
-    eigh gives e; classify_all makes the mirror images of one cone agree.
+    and the samples along both axes another. Each axis e is sampled on
+    both halves, at +-r e for every other radius (radii[1::2]): each
+    exponent is one fit over both halves, and each upper-band curvature one
+    quadratic over the signed radii. So neither depends on the sign that
+    eigh gives e, and a direct classify of two mirror images of one cone
+    agrees to rounding.
 
     Returns:
         Full DegeneracyReport. kind='gapped' when the gap at the location
@@ -536,20 +535,21 @@ def classify(spec: LatticeSpec, location, block: str, band_pair,
     if evals[1] - evals[0] <= ISO_RTOL * np.abs(evals).max():
         evecs = np.eye(2)  # every direction is principal: eigh's are arbitrary
 
-    # Gap exponents and upper-band curvature along the principal axes,
-    # both axes in one batch.
-    lo, hi = both(k_star + (radii[None, :, None] * evecs.T[:, None, :])
+    # Gap exponents and upper-band curvature along the principal axes, on
+    # both halves of each, both axes in one batch.
+    signed = np.concatenate([radii[1::2], -radii[1::2]])
+    lo, hi = both(k_star + (signed[None, :, None] * evecs.T[:, None, :])
                   .reshape(-1, 2))
-    gaps = np.maximum(hi - lo, 1e-300).reshape(2, N_RADII)
-    ups = (hi - hi0).reshape(2, N_RADII)
+    gaps = np.maximum(hi - lo, 1e-300).reshape(2, len(signed))
+    ups = (hi - hi0).reshape(2, len(signed))
+    logr = np.log(np.abs(signed))
     exps, rms_e, curvs = [], [], []
     for gvals, upvals in zip(gaps, ups):
-        logr = np.log(radii)
         p, _b = np.polyfit(logr, np.log(gvals), 1)
         fit = np.polyval([p, _b], logr)
         exps.append(float(p))
         rms_e.append(float(np.sqrt(np.mean((fit - np.log(gvals)) ** 2))))
-        cs = np.polyfit(radii, upvals, 2)  # curvature + tilt + offset drift
+        cs = np.polyfit(signed, upvals, 2)  # curvature + tilt + offset drift
         curvs.append(float(cs[0]))
 
     # The nearer class; fallback marks an exponent outside both windows.
@@ -646,7 +646,7 @@ def refine_degeneracy(spec: LatticeSpec, block: str, band_pair, k_warm,
                       mode: str = "retarded"):
     """Newton refinement of gap^2 from a warm start near a degeneracy.
 
-    The one-seed case of the search's descents (_refine_minimum): trust
+    The one-seed case of the search's descents (_refine_minima): trust
     radius 0.01 |b1| and step tolerance REFINE_FRAC |b1|.
 
     Returns:
@@ -654,7 +654,7 @@ def refine_degeneracy(spec: LatticeSpec, block: str, band_pair, k_warm,
     """
     b1n = float(np.linalg.norm(reciprocal(spec).b1))
     gap = make_gap_function(spec, block, band_pair, mode)
-    return _refine_minimum(gap, k_warm, 0.01 * b1n, REFINE_FRAC * b1n)
+    return _refine_minima(gap, [k_warm], 0.01 * b1n, REFINE_FRAC * b1n)[0]
 
 
 def tilt_transition_scan(d0: float, beta_start: float, beta_stop: float,
@@ -877,20 +877,21 @@ def critical_beta(d0: float, block: str, band_pair, target_point,
 
 
 def dos_histogram(spec: LatticeSpec, block: str, energy_window,
-                  k_grid: int = 60, n_bins: int = 80,
+                  k_grid: int = 52, n_bins: int = 80,
                   mode: str = "retarded"):
     """Normalized density-of-states histogram over the Brillouin zone.
 
-    Equal-weight k sampling on a rectangular grid masked to the first zone:
-    a grid point is kept when it is no farther from Gamma than its
-    zone-reduced image (reduce_to_bz), within 1e-12 in |k|^2. The kept
-    points are one solve_k batch of block alone.
+    Equal-weight k sampling of one primitive reciprocal cell: the k_grid^2
+    points k = (i b1 + j b2)/k_grid, i, j = 0 .. k_grid - 1, hold each k
+    once modulo the reciprocal lattice (uniform zone sampling; the lattice
+    sums reduce each k to the first zone). They are one solve_k batch of
+    block alone.
 
     Args:
         spec: Lattice.
         block: Which polarization block to histogram.
         energy_window: (lo, hi) detuning window.
-        k_grid: Grid points per axis before masking.
+        k_grid: Grid points along each reciprocal vector.
         n_bins: Histogram bins across the window.
 
     Returns:
@@ -911,14 +912,11 @@ def dos_histogram(spec: LatticeSpec, block: str, energy_window,
         raise ValueError(f"energy_window must be finite, got {(lo, hi)}")
     if not (hi > lo):
         return np.array([]), np.array([])
-    kx_lo, kx_hi, _, ky = default_search_region(spec)
-    kxy = np.array([[x, y] for x in np.linspace(kx_lo, kx_hi, k_grid)
-                    for y in np.linspace(-ky, ky, k_grid)])
-    red = reduce_to_bz(reciprocal(spec), kxy)
-    kxy = kxy[np.einsum("ni,ni->n", kxy, kxy)
-              <= np.einsum("ni,ni->n", red, red) + 1e-12]
+    recip = reciprocal(spec)
+    n = np.arange(k_grid)
+    k = (n[:, None, None] * recip.b1 + n[:, None] * recip.b2) / k_grid
 
-    energies = solve_k(spec, kxy, mode, block).detuning.ravel()
+    energies = solve_k(spec, k, mode, block).detuning.ravel()
     energies = energies[(energies >= lo) & (energies <= hi)]
     counts, edges = np.histogram(energies, bins=n_bins, range=(lo, hi))
     centers = 0.5 * (edges[:-1] + edges[1:])

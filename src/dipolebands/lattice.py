@@ -273,7 +273,9 @@ def reduce_to_bz(recip: ReciprocalSpec, k) -> np.ndarray:
         determinism on the zone boundary).
 
     Raises:
-        ValueError: a coordinate not finite or beyond K_MAX_FRAC |b1|.
+        ValueError: a coordinate not finite or beyond K_MAX_FRAC |b1|. The
+            lattice sums and their oracle reduce every k they sum here, so
+            this is the one place that refuses such a k.
     """
     k = np.asarray(k, dtype=float)
     k_max = K_MAX_FRAC * math.hypot(*recip.b1)

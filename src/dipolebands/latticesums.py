@@ -131,14 +131,16 @@ own inputs only, so a hit returns every result field bitwise as a cold call
 does; it reads no same-site spatial table. A third least-recently-used
 cache, of at most _CACHE_SIZE entries, keeps beta-free halves read-only,
 keyed on the cell table's key (which holds no beta) and the bytes of the
-pass's k. A half is stored on its key's second request only: the first
-records the key and stores nothing, so a pass asked for once keeps no
-arrays (a Newton stencil, classify's rays, a path point) and lets its
-half's kernels go as soon as it has read them, while a k-set
-that every lattice of one d0 solves, such as the degeneracy scan's grid or
-critical_beta's M, is summed twice and then read. The one-off passes fill
-the key record too, so it has a bound of its own, _PASS_KEY_SIZE keys,
-least recently used out: find-cones records about 20 keys per search, and a
+pass's k. A half is stored on its key's second request only, decided at
+the pass's one lookup (_pass_lookup: the stored half, and whether the key
+is recorded). A pass that finds its key recorded stores its half once it
+has succeeded (_pass_done), any other records the key then: so a pass
+asked for once keeps no arrays (a Newton stencil, classify's rays, a path
+point) and lets its half's kernels go as soon as it has read them, while a
+k-set that every lattice of one d0 solves, such as the degeneracy scan's
+grid or critical_beta's M, is summed twice and then read. The one-off
+passes fill the key record too, so it has a bound of its own,
+_PASS_KEY_SIZE keys, least recently used out: find-cones records about 20 keys per search, and a
 full record holds about 0.36 MB of keys on find-cones and 0.15 MB on bands
 paths. A pass that raises stores and records nothing. The Rayleigh test
 holds on a hit (a half that grazes is never stored), and the NonConvergent
@@ -270,7 +272,7 @@ class LatticeSumResult:
     n_spectral: int
     est_error: float
     k_reduced: np.ndarray
-    n_propagating: int = 0
+    n_propagating: int | np.ndarray = 0
 
 
 def default_splitting(spec: LatticeSpec, mode: str = "retarded") -> float:
@@ -480,7 +482,7 @@ _CACHE_SIZE = 64
 _CELL_TABLES: dict = {}
 _SPATIAL_TABLES: dict = {}
 # The beta-free halves of "bloch" passes stored, and the keys of passes
-# requested once (see _remember_pass). The key record has its own bound:
+# requested once (see _pass_done). The key record has its own bound:
 # one-off passes fill it too, and a k-set asked for again is stored only
 # while its key is still there.
 _PASS_HALVES: dict = {}
@@ -518,36 +520,27 @@ def _cached(cache: dict, key, build):
         return table
 
 
-def _stored_pass(key):
-    """The beta-free half stored under a pass key, or None."""
+def _pass_lookup(key):
+    """(the beta-free half stored under a pass key or None, whether the key
+    is recorded): a pass that finds its key recorded stores its half."""
     with _CACHE_LOCK:
-        return _touch(_PASS_HALVES, key)
+        return _touch(_PASS_HALVES, key), key in _PASS_KEYS
 
 
-def _pass_recorded(key) -> bool:
-    """Whether a pass key is recorded: the pass under it will store its
-    half."""
-    with _CACHE_LOCK:
-        return key in _PASS_KEYS
+def _pass_done(key, half: _PassHalf | None) -> None:
+    """After a pass has succeeded: store its half (read-only) under key,
+    or, given None, record the key.
 
-
-def _remember_pass(key, half: _PassHalf, total, mags, n_spectral: int,
-                   n_spatial: int) -> None:
-    """Store a pass's beta-free half on its key's second request, with
-    D_same's sums (total and mags, its (N, 5) rows; copied) and term counts.
-
-    The first request only records the key, so a pass asked for once (a
-    Newton stencil, classify's rays, a path point) keeps no arrays. So does
-    a pass whose half let its kernels go (qv None) because the key was not
-    recorded when it was built, though another pass has recorded it since.
+    A pass whose key was not recorded at lookup stores nothing, so a pass
+    asked for once (a Newton stencil, classify's rays, a path point) keeps
+    no arrays.
     """
     with _CACHE_LOCK:
-        if _PASS_KEYS.pop(key, None) and half.qv is not None:
-            _put(_PASS_HALVES, key, _read_only(replace(
-                half, total=total.copy(), mags=mags.copy(),
-                n_spectral=n_spectral, n_spatial=n_spatial)), _CACHE_SIZE)
-        else:
+        _PASS_KEYS.pop(key, None)
+        if half is None:
             _put(_PASS_KEYS, key, True, _PASS_KEY_SIZE)
+        else:
+            _put(_PASS_HALVES, key, _read_only(half), _CACHE_SIZE)
 
 
 def _cell_table(spec: LatticeSpec, k0_eff: float, e: float) -> _CellTable:
@@ -753,8 +746,9 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
         subtract the screened R = 0 term analytically.
 
     Raises:
-        ValueError: unknown mode or offset, k not of shape (..., 2) or not
-            finite, or a splitting that is not finite and positive.
+        ValueError: unknown mode or offset, k not of shape (..., 2), a k
+            that reduce_to_bz refuses (not finite or too large), or a
+            splitting that is not finite and positive.
         RayleighAnomaly: retarded mode with |k+g| on the light line (for
             'bloch', as the same-site request at k raises it).
         NonConvergent: truncation disk past the index cap (the spectral
@@ -769,9 +763,6 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
         raise ValueError(f"k must have shape (..., 2), got {k.shape}")
     lead = k.shape[:-1]
     k = k.reshape(-1, 2)
-    if not np.isfinite(k).all():
-        bad = ~np.isfinite(k).all(axis=1)
-        raise ValueError(f"k must be finite, got {k[np.argmax(bad)]}")
     spec = req.spec
     bloch = req.offset == "bloch"
     rho = _resolve_offset(spec, "a_to_b" if bloch else req.offset)
@@ -794,7 +785,7 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
     t_rho = table(rho)
     # a 'bloch' pass's beta-free half, stored from its second request
     pass_key = key + (k.tobytes(),)
-    half = _stored_pass(pass_key) if bloch else None
+    half, keep = _pass_lookup(pass_key) if bloch else (None, False)
     # the same-site table where this pass sums D_same: offset 'same', or a
     # 'bloch' pass whose half does not hold its sums
     t_same = None
@@ -805,7 +796,7 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
         half = _pass_half(cell, k, bloch, k0_eff, e, lead)
     n, k = len(k), half.k
     runs, qv, kern, zker = half.counts, half.qv, half.kern, half.zker
-    if fresh and not (bloch and _pass_recorded(pass_key)):
+    if fresh and not keep:
         # a half this pass will not store lets its kernels go once they
         # are read (for 'bloch', once concatenated)
         half = replace(half, qv=None, kern=None, zker=None)
@@ -880,8 +871,10 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
             f"rounding bound {rounding[at]:.3g} past {_MAX_ROUNDING:g} at "
             f"k={k[at % n]}: splitting {e:g} cancels too many digits")
     if bloch and t_same is not None:
-        _remember_pass(pass_key, half, total[:n], mags[:n], t,
-                       n * len(t_same.lattice))
+        _pass_done(pass_key, replace(
+            half, total=total[:n].copy(), mags=mags[:n].copy(),
+            n_spectral=t, n_spatial=n * len(t_same.lattice)) if keep
+            else None)
     return LatticeSumResult(
         D=d.reshape(((3,) if bloch else ()) + lead + (3, 3)),
         n_spatial=n_spatial,
@@ -987,16 +980,14 @@ def direct_sum_quasistatic(req: LatticeSumRequest) -> LatticeSumResult:
         outermost one-|a1| annulus (a deliberate overestimate).
 
     Raises:
-        ValueError: a mode other than 'quasistatic', or k not (2,) or not
-            finite.
+        ValueError: a mode other than 'quasistatic', k not (2,), or a k
+            that reduce_to_bz refuses (not finite or too large).
     """
     if req.mode != "quasistatic":
         raise ValueError("direct summation is provided for quasistatic mode only")
     k = np.asarray(req.k, dtype=float)
     if k.shape != (2,):
         raise ValueError(f"k must have shape (2,), got {k.shape}")
-    if not np.isfinite(k).all():
-        raise ValueError(f"k must be finite, got {k}")
     spec = req.spec
     k = reduce_to_bz(reciprocal(spec), k)
     rho = _resolve_offset(spec, req.offset)

@@ -585,6 +585,30 @@ def test_directory_out_is_config_error(tmp_path, capsys, monkeypatch):
     assert captured.err.startswith(f"config error: cannot write {tmp_path}")
 
 
+@pytest.mark.parametrize("argv, cfg_text", [
+    (["find-cones", "--format", "csv"], None),
+    (["bands", "--format", "json"], None),
+    (["surface", "--set", "grid=0,1,0,1,2,2", "--set", "format=json"], None),
+    (["classify", "--block", "in_plane", "--set", "k_point=K"],
+     "format = csv\n"),
+    (["sweep-beta", "--block", "in_plane", "--set", "beta_start=0.63",
+      "--set", "beta_stop=0.64", "--format", "csv"], None),
+])
+def test_unwritable_format_is_config_error(argv, cfg_text, tmp_path, capsys,
+                                           monkeypatch):
+    # a format set by flag, --set or config file that the command cannot
+    # write exits 2 before any solve (the default csv is not checked)
+    _forbid_solves(monkeypatch)
+    if cfg_text is not None:
+        (tmp_path / "run.cfg").write_text(cfg_text)
+        argv = argv + ["--config", str(tmp_path / "run.cfg")]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"config error: {argv[0]} writes ")
+    assert captured.out == ""
+
+
 def test_light_line_point_nudged_and_flagged(capsys):
     # at d0 = 1 a path midpoint puts a g != 0 order on the light line; the
     # nudge must step off it along that order's |k+g| = k0 normal

@@ -64,7 +64,7 @@ def _nelder_mead(gap, k0pt, scale, xatol):
 
 
 def _sequential_descent(gap, k0pt, scale, xatol, box=None):
-    """The Newton descent of _refine_minimum with every stencil and every
+    """The Newton descent of _refine_minima with every stencil and every
     trial step a gap call of its own (reference)."""
     k = np.asarray(k0pt, dtype=float)
     g = gap(k)
@@ -201,8 +201,8 @@ def _full_grid_scan(spec, block, pair, mode, grid_n, eps_deg):
     gap = dispersion.make_gap_function(spec, block, pair, mode)
     found = []
     for i, j in zip(*np.nonzero(is_min)):
-        k, g = dispersion._refine_minimum(
-            gap, np.array([kx[i], ky[j]]), 0.5 * spacing,
+        (k, g), = dispersion._refine_minima(
+            gap, [np.array([kx[i], ky[j]])], 0.5 * spacing,
             dispersion.REFINE_FRAC * b1n)
         if (g < eps_deg and not excluded(k)
                 and region[0] - margin <= k[0] <= region[1] + margin
@@ -445,8 +445,8 @@ def test_tied_grid_minima_seed_once(monkeypatch, field, seed, region, n):
         n_k = len(k)
         detuning = np.zeros((n_k, 2))
         detuning[:, 1] = field(k[:, 0], k[:, 1])
-        return bloch.BandSet(k=k, arclength=np.zeros(n_k),
-                             detuning=detuning, decay=np.zeros_like(detuning),
+        return bloch.BandSet(k=k, detuning=detuning,
+                             decay=np.zeros_like(detuning),
                              vectors=np.zeros((n_k, 6, 2), complex),
                              block=(block,) * 2,
                              in_light_cone=np.zeros(n_k, bool),
@@ -708,12 +708,12 @@ def _assert_close(a, b):
 def test_mirror_images_take_their_orbit_classification(request, monkeypatch,
                                                        search, mapped):
     # classify_all classifies the first report of each mirror orbit and
-    # maps it onto the others. A mapped report agrees with a direct classify
-    # of its image in what the mirror-symmetric ray set fits (tilt, velocity
-    # matrix, tilt ratio) and reads its source's kind, exponents and
-    # curvatures, which a direct classify of the image samples on the
-    # opposite half-axes: at d0 0.15, beta 1.2 the kink images read
-    # semi_dirac and quadratic
+    # maps it onto the others. A mapped report reads its source's kind,
+    # exponents and curvatures, and agrees with a direct classify of its
+    # image in what the mirror-symmetric ray set fits (tilt, velocity
+    # matrix, tilt ratio). The direct classify samples both half-axes, so
+    # it reads the same kind, exponents and curvatures to rounding, though
+    # eigh may give its axes the opposite sign
     found = request.getfixturevalue(search)[0]
     spec = build_lattice(found[0].d0, found[0].beta)
     direct = [classify(spec, r.k_star, OUT_OF_PLANE, (0, 1)) for r in found]
@@ -742,7 +742,9 @@ def test_mirror_images_take_their_orbit_classification(request, monkeypatch,
                                    src.residuals)
         assert np.array_equal(rep.principal_axes,
                               s[:, None] * src.principal_axes)
-        for field in ("tilt", "velocity_matrix", "tilt_ratio"):
+        assert direct[i].kind == src.kind
+        for field in ("tilt", "velocity_matrix", "tilt_ratio", "exponents",
+                      "top_curvatures"):
             _assert_close(getattr(rep, field), getattr(direct[i], field))
 
 
@@ -819,8 +821,8 @@ def test_refinement_converges_from_displaced_seed(beta, angle, frac):
     # coarse spacing and refinement scales as in find_degeneracies
     spacing = max(2.0 * mx, ky) / (dispersion.GRID_N - 1)
     seed = cone + frac * spacing * np.array([np.cos(angle), np.sin(angle)])
-    k, g = dispersion._refine_minimum(gap, seed, 0.5 * spacing,
-                                      dispersion.REFINE_FRAC * b1n)
+    (k, g), = dispersion._refine_minima(gap, [seed], 0.5 * spacing,
+                                        dispersion.REFINE_FRAC * b1n)
     assert g <= 1e-10
     assert np.linalg.norm(k - cone) <= 1e-6 * b1n
 
@@ -1158,7 +1160,7 @@ def test_dos_dip_at_dirac_energy(iso, iso_cones):
     lo_b, hi_b = bs.detuning[np.array(bs.block) == OUT_OF_PLANE]
     e_cone = 0.5 * (lo_b + hi_b)
     centers, dens = dos_histogram(
-        iso, OUT_OF_PLANE, (e_cone - 0.6, e_cone + 0.6), k_grid=80,
+        iso, OUT_OF_PLANE, (e_cone - 0.6, e_cone + 0.6), k_grid=70,
         n_bins=15)
     assert centers.size == 15
     mid = int(np.argmin(np.abs(centers - e_cone)))
@@ -1228,15 +1230,12 @@ def _scripted_scan(monkeypatch, refine_at, kind_at, cones_at, **scan):
             block=block, gap_min=0.0, beta=spec.beta, d0=spec.d0,
             mode="retarded", kind=kind_at(spec.beta))
 
-    def fake_refine(beta, k0, scale, xatol):
-        k, g = refine_at(round(beta, 6), tuple(np.asarray(k0, dtype=float)))
+    def fake_refine(spec, block, pair, k0, *args):
+        k, g = refine_at(round(spec.beta, 6),
+                         tuple(np.asarray(k0, dtype=float)))
         return np.asarray(k, dtype=float), g
 
-    # the fake gap function is the lattice's beta, which the fake
-    # refinement reads back
-    monkeypatch.setattr(dispersion, "make_gap_function",
-                        lambda spec, *args, **kwargs: spec.beta)
-    monkeypatch.setattr(dispersion, "_refine_minimum", fake_refine)
+    monkeypatch.setattr(dispersion, "refine_degeneracy", fake_refine)
     monkeypatch.setattr(dispersion, "find_degeneracies", fake_search)
     monkeypatch.setattr(dispersion, "classify", fake_classify)
     traj = tilt_transition_scan(0.1, block=IN_PLANE, band_pair=(0, 1),

@@ -209,16 +209,6 @@ def _reduce_to_bz_loop(recip, k):
     return best[1]
 
 
-def _bz_mask_reference(recip, kxy):
-    """The Wigner-Seitz test the DOS grid used before (reference)."""
-    d0sq = np.einsum("ni,ni->n", kxy, kxy)
-    ok = np.ones(len(kxy), dtype=bool)
-    for i, j in ((1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (-1, -1)):
-        g = i * recip.b1 + j * recip.b2
-        ok &= d0sq <= np.einsum("ni,ni->n", kxy - g, kxy - g) + 1e-12
-    return ok
-
-
 _LANDMARKS = ("Gamma", "K", "Kprime", "M", "M_top", "M_bottom")
 
 
@@ -250,18 +240,17 @@ def test_reduce_to_bz_matches_loop_reference(beta, fracs, shifts):
 @pytest.mark.parametrize("beta", [0.55, 0.9, 1.0, 1.3])
 @pytest.mark.parametrize("k_grid", [60, 80])
 def test_dos_grid_keeps_the_reference_zone(monkeypatch, beta, k_grid):
+    # the reference zone is one primitive reciprocal cell: solve_k sees its
+    # k_grid^2 points (i b1 + j b2)/k_grid, each k once modulo G, so no
+    # zone-boundary point is counted twice
     spec = build_lattice(0.1, beta)
     recip = reciprocal(spec)
-    mx = abs(recip.M[0])
-    ky = float(np.linalg.norm(recip.K))
-    kxy = np.array([[x, y] for x in np.linspace(-mx, mx, k_grid)
-                    for y in np.linspace(-ky, ky, k_grid)])
     # every grid point is handed the same bands; only the k set is compared
     bs = solve_k(spec, recip.K)
     seen = []
 
     def same_bands(spec, k, *args):
-        k = np.atleast_2d(k)
+        k = np.reshape(k, (-1, 2))
         seen.extend(k)
         return replace(bs, detuning=np.broadcast_to(bs.detuning, (len(k), 6)))
 
@@ -269,5 +258,9 @@ def test_dos_grid_keeps_the_reference_zone(monkeypatch, beta, k_grid):
     dos_histogram(spec, OUT_OF_PLANE,
                   (bs.detuning.min() - 1.0, bs.detuning.max() + 1.0),
                   k_grid=k_grid)
-    np.testing.assert_array_equal(np.array(seen),
-                                  kxy[_bz_mask_reference(recip, kxy)])
+    # fractional coordinates along (b1, b2), in units of 1/k_grid
+    ij = np.linalg.solve(np.array([recip.b1, recip.b2]).T,
+                         np.array(seen).T).T * k_grid
+    cells = np.round(ij).astype(int) % k_grid
+    assert len(np.unique(cells, axis=0)) == len(seen) == k_grid ** 2
+    np.testing.assert_allclose(ij, np.round(ij), rtol=0, atol=1e-9)

@@ -827,13 +827,13 @@ def test_cold_pass_lets_its_kernels_go(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak / len(k) <= 16.4 * 1024
-    # a pass whose key another pass records while it runs (faked: it sees
-    # the key unrecorded) has let its kernels go, so the key stays only
-    # recorded; the next request stores the half, and all three keep the
-    # cold bits
+    # a pass decides at its lookup whether it stores its half: one that
+    # sees its key unrecorded there (faked: another pass records it while
+    # this one runs) lets its kernels go and only records the key; the
+    # next request stores the half, and all three keep the cold bits
     key = list(latticesums._PASS_KEYS)[-1]
     with monkeypatch.context() as mp:
-        mp.setattr(latticesums, "_pass_recorded", lambda key: False)
+        mp.setattr(latticesums, "_pass_lookup", lambda key: (None, False))
         assert _ewald(spec, k, "bloch").D.tobytes() == cold.D.tobytes()
     assert not latticesums._PASS_HALVES
     assert list(latticesums._PASS_KEYS)[-1] == key
