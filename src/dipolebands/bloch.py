@@ -11,19 +11,25 @@ where the D blocks are the dyadic lattice sums (in wavelength/linewidth
 units the coupling prefactor is exactly 3/2). The dyadic is even, G(-r) =
 G(r), so D_ba(k) = D_ab(-k): assemble makes one ewald_sum call per pass,
 offset 'bloch', which returns all three D blocks from one spectral pass
-over the k of the pass. Only D_ab and D_ba depend on beta: the lattice
-sums keep the beta-free half of a pass asked for twice (see latticesums),
-so the lattices of one d0 share the zone reduction, the spectral kernels
-and D_same of a k-set they all solve, bit for bit, such as the degeneracy
-scan's grid or critical_beta's M. Eigenvalues are reported as
+over the k of the pass. Where no diffraction order propagates (every
+quasistatic k, and the bound modes outside the light cone) that D_ba is
+conj(D_ab), exactly, so the coupling blocks are Hermitian; only the k
+where an order propagates sum D_ba at -k. Only D_ab and D_ba depend on
+beta: the lattice sums keep the beta-free half of a pass asked for twice
+(see latticesums), so the lattices of one d0 share the zone reduction,
+the spectral kernels and D_same of a k-set they all solve, bit for bit,
+such as the degeneracy scan's grid or critical_beta's M. Eigenvalues are
+reported as
 (detuning, decay) = (Re lam, -2 Im lam): detuning is the band energy
 relative to the emitter resonance in linewidth units and decay is the
 radiative width gamma_k in units of the single-emitter linewidth.
 
 In-plane displacements decouple the two z polarizations from the four
-in-plane ones exactly; the 2x2 out-of-plane and the 4x4 in-plane block are
-each solved densely. BLOCKS is the band-slot layout of a BandSet of both
-blocks: in-plane bands in slots 0-3, out-of-plane in 4-5. eigensolve and
+in-plane ones exactly. The 4x4 in-plane block is solved densely (eig); the
+2x2 out-of-plane block is [[a, b], [c, a]], the two-band cone model
+itself, whose pair a -+ sqrt(bc) and eigenvectors are solved in closed
+form (_out_of_plane_pair). BLOCKS is the band-slot layout of a BandSet of
+both blocks: in-plane bands in slots 0-3, out-of-plane in 4-5. eigensolve and
 solve_k take block=None for that layout, or a block tag to diagonalize
 that block alone: its nb bands (4 in-plane, 2 out-of-plane)
 then fill slots 0 to nb - 1, bitwise the block's SLOTS of the full solve.
@@ -149,9 +155,12 @@ def assemble(spec: LatticeSpec, k, mode: str = "retarded") -> BlochMatrix:
     One ewald_sum request with offset 'bloch' returns D_same(k), D_ab(k)
     and D_ba(k) = D_ab(-k) (the dyadic is even, G(-r) = G(r)) from one
     spectral pass, at the lattice-sum layer's own truncation target and
-    splitting (LatticeSumRequest defaults); each is bitwise its
-    single-offset sum. The lattice sums are the only layer that reduces k
-    to the first zone: in_light_cone is read off the result's k_reduced.
+    splitting (LatticeSumRequest defaults). D_same and D_ab are bitwise
+    their single-offset sums; D_ba is too where an order propagates, and
+    elsewhere it is conj(D_ab) exactly, so m is Hermitian there up to its
+    -i/2 diagonal and the radiation reaction of D_same (see latticesums).
+    The lattice sums are the only layer that reduces k to the first zone:
+    in_light_cone is read off the result's k_reduced.
 
     Args:
         spec: Lattice geometry.
@@ -177,17 +186,61 @@ def assemble(spec: LatticeSpec, k, mode: str = "retarded") -> BlochMatrix:
     return BlochMatrix(m=m, k=k, in_light_cone=inside[()])
 
 
+def _out_of_plane_pair(m: np.ndarray):
+    """The out-of-plane eigenpairs of m (N, 6, 6) in closed form.
+
+    assemble writes D_same into both diagonal blocks, so the block is
+    [[a, b], [c, a]] with eigenvalues a -+ s, s = sqrt(bc) the principal
+    root: Re s >= 0 puts them in detuning order. The eigenvector of a +- s
+    is (b, +-s), or (+-s, c) where |c| > |b|, normalized once; where
+    b = c = 0 it is the identity's column.
+
+    Returns:
+        (vals, vecs): (N, 2) eigenvalues in detuning order and (N, 2, 2)
+        eigenvectors as columns, over the (A_z, B_z) components.
+    """
+    a, b, c = m[:, 2, 2], m[:, 2, 5], m[:, 5, 2]
+    s = np.sqrt(b * c)
+    vals = np.empty((len(m), 2), dtype=complex)
+    np.subtract(a, s, out=vals[:, 0])
+    np.add(a, s, out=vals[:, 1])
+    # (p, -+s) with p the longer of b and c, its components swapped where
+    # p is c; |s|^2 = |b| |c|
+    abs_b, abs_c = np.abs(b), np.abs(c)
+    by_c = abs_c > abs_b
+    p = np.where(by_c, c, b)
+    norm = np.sqrt(np.maximum(abs_b, abs_c) ** 2 + abs_b * abs_c)
+    zero = None if norm.all() else norm == 0.0  # b = c = 0
+    if zero is not None:
+        norm[zero] = 1.0
+    vecs = np.empty((len(m), 2, 2), dtype=complex)
+    vecs[:, 0] = (p / norm)[:, None]
+    np.divide(s, norm, out=vecs[:, 1, 1])
+    np.negative(vecs[:, 1, 1], out=vecs[:, 1, 0])
+    if by_c.any():
+        vecs[by_c] = vecs[by_c, ::-1]
+    if zero is not None:
+        vecs[zero] = np.eye(2)
+    return vals, vecs
+
+
 def eigensolve(bm: BlochMatrix, block: str | None = None) -> BandSet:
     """Diagonalize Bloch matrices into a BandSet of the same leading shape.
 
-    Each block is solved densely, in one batched call over the points: with
-    block None, the in-plane 4x4 into slots 0-3 and the out-of-plane 2x2
-    into slots 4-5 (the BLOCKS layout); with a block tag, that block alone
-    into slots 0 to nb - 1 (nb = 4 or 2), bitwise the block's SLOTS of the
-    full solve. Each block is sorted by detuning (stable sort). Every
-    eigenpair must satisfy ||m v - lam v|| <= 1e-10 ||m||, with m the full
-    6x6 matrix. The BandSet has anomalous False; light-line nudges belong
-    to solve_k.
+    Each block is solved in one batched pass over the points: with block
+    None, the in-plane 4x4 into slots 0-3 and the out-of-plane 2x2 into
+    slots 4-5 (the BLOCKS layout); with a block tag, that block alone into
+    slots 0 to nb - 1 (nb = 4 or 2), bitwise the block's SLOTS of the full
+    solve. The in-plane block is solved densely (np.linalg.eig) and sorted
+    by detuning (stable sort). The out-of-plane block [[a, b], [c, a]] is
+    solved in closed form, for either block argument: with s = sqrt(bc)
+    the principal root, Re s >= 0, so (a - s, a + s) fill its slots in
+    detuning order, and the eigenvector of a +- s is (b, +-s), or (+-s, c)
+    where |c| > |b|, normalized once; the identity where b = c = 0. Both
+    depend on each point alone, so a batch row is bitwise its one-point
+    solve. Every eigenpair must satisfy ||m v - lam v|| <= 1e-10 ||m||,
+    with m the full 6x6 matrix. The BandSet has anomalous False;
+    light-line nudges belong to solve_k.
 
     Raises:
         ValueError: an unknown block tag.
@@ -204,12 +257,16 @@ def eigensolve(bm: BlochMatrix, block: str | None = None) -> BandSet:
     vals = np.zeros((len(m), nb), dtype=complex)
     vecs = np.zeros((len(m), 6, nb), dtype=complex)
     for tag, slots in layout.items():
-        w, v = np.linalg.eig(m[_BLOCK[tag]])
-        order = np.argsort(w.real, axis=1, kind="stable")
-        vals[:, slots] = np.take_along_axis(w, order, axis=1)
-        # column order[n, j] of v[n] into slot j
-        vecs[:, _BASIS[tag], slots] = np.take_along_axis(
-            v, order[:, None, :], axis=2)
+        if tag == OUT_OF_PLANE:
+            w, v = _out_of_plane_pair(m)
+        else:
+            w, v = np.linalg.eig(m[_BLOCK[tag]])
+            order = np.argsort(w.real, axis=1, kind="stable")
+            # column order[n, j] of v[n] into slot j
+            w = np.take_along_axis(w, order, axis=1)
+            v = np.take_along_axis(v, order[:, None, :], axis=2)
+        vals[:, slots] = w
+        vecs[:, _BASIS[tag], slots] = v
 
     r = m @ vecs - vecs * vals[:, None, :]
     res = np.sqrt((r.conj() * r).real.sum(axis=1)).max(axis=1)

@@ -485,12 +485,14 @@ def main(argv=None) -> int:
             raise ConfigError(f"{args.command} supports a single mode per run")
         if cfg.block == "all" and args.command in _NEEDS_BLOCK:
             raise ConfigError(f"{args.command} requires an explicit block")
-        # format defaults to csv; only a format asked for is checked
+        # format defaults to csv; only a format asked for is checked, and
+        # the config echoes the format the command writes
         written = _ONE_FORMAT.get(args.command, cfg.format)
         if cfg.format != written and (
                 "format" in file_updates or "format" in flag_updates):
             raise ConfigError(f"{args.command} writes {written} only, got "
                               f"format={cfg.format}")
+        cfg = replace(cfg, format=written)
         if cfg.out:
             _check_out(cfg.out)
         _emit(cfg, _COMMANDS[args.command](cfg))

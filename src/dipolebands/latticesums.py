@@ -94,35 +94,47 @@ are the terms summed over the request and est_error is its worst, so the
 counts of N one-point calls and of one batch agree. The working set grows
 as N times the terms of one k, so bloch.solve_k hands the sums at most
 bloch._PASS_SIZE points per pass: a 128-point "bloch" pass at d0 0.1, beta
-0.9 peaks at about 15.8 KB per k cold and 11 KB per k when it reads a
-stored beta-free half (tracemalloc). The (terms, 5) spectral block is its
-largest array, and it is written column by column in place (see
-_spectral_terms).
+0.9 over the zone peaks at about 10.8 KB per k cold and 5.8 KB per k when
+it reads a stored beta-free half (tracemalloc). The (terms, 5) spectral
+block is its largest array, and it is written column by column in place
+(see _spectral_terms).
 
 The offset "bloch" returns the three sums of a Bloch matrix from that one
-pass: D gains a leading axis of 3, [D_same(k), D_ab(k), D_ba(k)], each
-bitwise the single-offset sum ("same" at k, "a_to_b" at k, "a_to_b" at
--k). The dyadic is even, so D_ba(k) = D_ab(-k), and the kernels at k
-serve all three: D_same weighs them by 1 and D_ab by e^{i(k+g).rho}. The
-order list is symmetric (its reverse is its negation), so the run about
--reduce_to_bz(k) is the one about reduce_to_bz(k) negated and reversed:
-the D_ba runs are the D_ab runs reversed as a whole, under the conjugate
-phases (every term is even in k + g, so k + g is left as it is), and the
-spatial terms those of the a_to_b table under the
-conjugate Bloch phase. Where reduce_to_bz(-k) is not -reduce_to_bz(k)
-(ties on the zone boundary, such as M), the kernels of that -k are one
-more row of the same pass, whose run gives the tie's D_ba. k_reduced and
+pass: D gains a leading axis of 3, [D_same(k), D_ab(k), D_ba(k)], the
+first two bitwise the single-offset sums ("same" and "a_to_b" at k). The
+dyadic is even, so D_ba(k) = D_ab(-k). Where no diffraction order
+propagates (every quasistatic row, and every retarded row with
+n_propagating 0) the sums carry no radiative part and D_ab(-k) =
+conj(D_ab(k)): such a row takes D_ba = conj(D_ab) from the same pass,
+exactly, with D_ab's summed magnitudes, so that the Bloch matrix's
+coupling blocks are exactly Hermitian there. It lies within the rounding
+bound, a small multiple of u sum|terms|, of the single-offset "a_to_b" sum
+at -k, which sums the same terms in another order. Only the rows where an
+order propagates sum D_ba as a -k run, bitwise that single-offset sum, and
+the kernels at k serve it: the order list is symmetric (its reverse is its
+negation), so the run about -reduce_to_bz(k) is the one about
+reduce_to_bz(k) negated and reversed. Those rows' D_ba runs are their D_ab
+runs, last row first, reversed as a whole, under the conjugate phases
+(every term is even in k + g, so k + g is left as it is), and their
+spatial terms those of the a_to_b table under the conjugate Bloch phase.
+Where reduce_to_bz(-k) is not -reduce_to_bz(k) (ties on the zone boundary,
+such as M inside the light cone), the kernels of that -k are one more run
+of the same pass, which gives the tie's D_ba. Both rules depend on k alone,
+so each row is still bitwise its one-point sum, and a pass in which no
+order propagates reduces no -k and sums no -k run. k_reduced and
 n_propagating are the same-site sum's, n_spatial and n_spectral count the
-terms of all three and est_error is the worst.
+terms summed (D_same's, D_ab's and the -k runs') and est_error is the
+worst.
 
 Only the basis offset rho depends on beta, so a "bloch" pass is built in
-two halves. The beta-free half (_PassHalf) is the zone reduction of k and
--k with the tie rows, the run lengths, every row's k + g and spectral
-kernels, n_propagating, and D_same's five columns (spectral, then spatial,
-then the self term) with their summed magnitudes and term counts. The rho
-half weighs the kernels by e^{i(k+g).rho} into the a_to_b runs, the
-reversed -k block and the tie runs, sums the a_to_b table against its Bloch
-phases and applies the rounding gate. A pass that builds its half sums
+two halves. The beta-free half (_PassHalf) is the zone reduction of k (and
+of -k where an order propagates, with the tie runs), the run lengths, every
+run's k + g and spectral kernels, n_propagating, and D_same's five columns
+(spectral, then spatial, then the self term) with their summed magnitudes
+and term counts. The rho half weighs the kernels by e^{i(k+g).rho} into the
+a_to_b runs, the reversed -k block and the tie runs, sums the a_to_b table
+against its Bloch phases, applies the rounding gate and conjugates D_ab
+into the other rows' D_ba. A pass that builds its half sums
 D_same's runs in the same segment reduction, ahead of the a_to_b runs, as
 the one pass of the three sums does without the split, and keeps D_same's
 rows for the half; a pass that reads a stored half leaves that block out
@@ -231,8 +243,12 @@ class LatticeSumRequest:
             'b_to_a' (rho = -d), d the basis offset; or 'bloch', the three
             sums of a Bloch matrix from one pass: D is (3, ..., 3, 3),
             k's leading shape between, holding [D_same(k), D_ab(k),
-            D_ab(-k)], each bitwise its single-offset sum (see the module
-            docstring for the -k order and the zone-boundary ties).
+            D_ba(k)], the first two bitwise their single-offset sums.
+            D_ba(k) = D_ab(-k) is summed at -k, bitwise the single-offset
+            sum, only where an order propagates (retarded n_propagating
+            > 0); every other row takes D_ba = conj(D_ab), exactly (see
+            the module docstring for the -k order and the zone-boundary
+            ties).
         mode: 'retarded' or 'quasistatic'.
         splitting: Ewald parameter E; None selects default_splitting.
     """
@@ -253,13 +269,17 @@ class LatticeSumResult:
 
     Attributes:
         D: (..., 3, 3) complex dyadics, units 1/length; a 'bloch' request
-            stacks its three sums on a leading axis of 3.
+            stacks its three sums on a leading axis of 3, D_ba =
+            conj(D_ab) exactly at the rows where no order propagates.
         n_spatial, n_spectral: Number of lattice vectors in the spatial
             and spectral truncation disks, i.e. the terms summed (over all
-            k of a batch, and over the three sums of a 'bloch' request).
+            k of a batch; for a 'bloch' request, those of D_same and D_ab
+            and of D_ba's -k runs, which only the rows where an order
+            propagates sum).
         est_error: A priori relative truncation bound, _TOLERANCE/10 times
             the summed term magnitudes over |D| (an overestimate); the
-            largest over a batch and over the sums of a 'bloch' request.
+            largest over a batch and over the sums of a 'bloch' request (a
+            conjugated D_ba carries D_ab's magnitudes).
         k_reduced: (..., 2) the zone-reduced k the series were summed at,
             reduce_to_bz(reciprocal(spec), k); callers read the light
             cone off it instead of reducing k again.
@@ -448,9 +468,11 @@ class _PassHalf:
 
     Attributes:
         k: (N, 2) the points reduced to the first zone.
-        tie: (N,) for 'bloch', where reduce_to_bz(-k) is not -k_reduced (a
-            zone-boundary tie); empty otherwise.
-        neg: (ties, 2) those points' reduced -k.
+        ba: for 'bloch', the rows whose D_ba is summed at -k, those where
+            an order propagates (retarded n_prop > 0), in the order of
+            their runs: the rows whose -k reduces to -k_reduced, last
+            first, then the zone-boundary ties; empty otherwise.
+        neg: (ties, 2) the ties' reduced -k.
         counts: (N + ties,) the run lengths of the k rows, then the ties'.
         qv, kern, zker: Per term of those runs, k + g and its spectral
             kernels (_spectral_kernels); None in a pass that does not
@@ -464,7 +486,7 @@ class _PassHalf:
     """
 
     k: np.ndarray
-    tie: np.ndarray
+    ba: np.ndarray
     neg: np.ndarray
     counts: np.ndarray
     qv: np.ndarray | None
@@ -613,12 +635,12 @@ def _spectral_kernels(cell: _CellTable, k, k0_eff, e, lead):
     _spectral_terms weighs the kernels by a Bloch phase.
 
     Args:
-        k: (rows, 2) zone-reduced Bloch vectors: the request's N rows,
-            possibly followed by the -k rows of zone-boundary ties, which
-            are not checked for grazing orders (their |k+g| are those of
-            their k).
+        k: (rows, 2) zone-reduced Bloch vectors: the request's N rows, or
+            the -k rows of zone-boundary ties.
         lead: The request k's leading shape, () for one point; it shapes
-            RayleighAnomaly.direction like the request's k.
+            RayleighAnomaly.direction like the request's k. None for tie
+            rows, which are not checked for grazing orders (their |k+g|
+            are those of their k) and whose n_prop is left 0.
 
     Returns:
         (counts, qv, kern, zker, n_prop): per row its run length (0 where
@@ -637,16 +659,14 @@ def _spectral_kernels(cell: _CellTable, k, k0_eff, e, lead):
     qv = v[disk]
     q = np.linalg.norm(qv, axis=1)
     n_prop = np.zeros(len(k), dtype=int)
-    if k0_eff != 0.0:
+    if k0_eff != 0.0 and lead is not None:
         row = np.nonzero(disk)[0]  # the k of each term
-        n = math.prod(lead)
-        grazing = (np.abs(q - k0_eff) < RAYLEIGH_REL_THRESHOLD * k0_eff) \
-            & (row < n)
+        grazing = np.abs(q - k0_eff) < RAYLEIGH_REL_THRESHOLD * k0_eff
         if np.any(grazing):
             # the first grazing order of each grazing row
             rows, first = np.unique(row[grazing], return_index=True)
             at = np.nonzero(grazing)[0][first]
-            direction = np.zeros((n, 2))
+            direction = np.zeros((len(k), 2))
             direction[rows] = qv[at] / q[at][:, None]
             raise RayleighAnomaly(
                 f"|k+g| within {RAYLEIGH_REL_THRESHOLD:g}*k0 of the light "
@@ -801,29 +821,49 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
         # are read (for 'bloch', once concatenated)
         half = replace(half, qv=None, kern=None, zker=None)
     unit = np.exp(1j * (qv @ rho))
+    # a 'bloch' pass sums D_ba at -k only for the rows of half.ba: the
+    # first r whose -k reduces to -k_reduced, then the ties
+    ba = half.ba
+    r = len(ba) - len(half.neg)
     if not bloch:
         spatial = [(t_rho, _bloch_phase(t_rho, k))]
     else:
-        # the runs of [same, a_to_b at k, a_to_b at -k, each tie's own -k],
-        # the first only where D_same is summed here: the terms at -k are
-        # those at k negated, each run reversed, under the conjugate
-        # phases, i.e. the a_to_b block reversed as a whole (its k + g are
-        # left unnegated: every term is even in k + g)
+        # the runs of [same, a_to_b at k, a_to_b at -k], the first only
+        # where D_same is summed here, the last only for the rows of ba:
+        # the terms at -k are those at k negated, each run reversed, under
+        # the conjugate phases, i.e. the a_to_b runs of ba[:r] (last row
+        # first) reversed as a whole (their k + g are left unnegated: every
+        # term is even in k + g); a tie's follow from its own -k run
         t = int(runs[:n].sum())
         same = t_same is not None
-        first = 0 if same else 1
-        runs, qv, kern, zker, unit = (
-            np.concatenate([a[:m], a[:m], a[:m][::-1], a[m:]][first:])
-            for a, m in ((runs, n), (qv, t), (kern, t), (zker, t), (unit, t)))
         ab = t if same else 0  # where the a_to_b terms start
-        ba = slice(ab + t, ab + 2 * t)
-        unit[:ab], unit[ba] = 1.0, unit[ba].conj()  # e^{i (k+g).0} = 1
-        ph_ab = _bloch_phase(t_rho, k)
-        ph_ba = ph_ab.conj()
+        back = back_terms = None  # the rows of ba[:r], and their terms
+        if len(ba):
+            back = np.zeros(n, dtype=bool)
+            back[ba[:r]] = True
+            back_terms = np.repeat(back, runs[:n])
+
+        def layout(a, m, pick):
+            parts = [a[:m]] * (1 + same)
+            if pick is not None:
+                parts += [a[:m][pick][::-1], a[m:]]
+            return np.concatenate(parts) if len(parts) > 1 else parts[0]
+
+        runs = layout(runs, n, back)
+        qv, kern, zker, unit = (layout(a, t, back_terms)
+                                for a in (qv, kern, zker, unit))
+        unit[:ab] = 1.0  # e^{i (k+g).0} = 1
+        if len(ba):
+            minus = slice(ab + t, ab + t + np.count_nonzero(back_terms))
+            unit[minus] = unit[minus].conj()
+        phases = [_bloch_phase(t_rho, k)]
+        if len(ba):
+            phases.append(phases[0][ba[:r]].conj())
         if len(half.neg):
-            ph_ba[half.tie] = _bloch_phase(t_rho, half.neg)
+            phases.append(_bloch_phase(t_rho, half.neg))
         spatial = ([(t_same, _bloch_phase(t_same, k))] if same else []) \
-            + [(t_rho, np.concatenate([ph_ab, ph_ba]))]
+            + [(t_rho, np.concatenate(phases) if len(phases) > 1
+                else phases[0])]
     terms = _spectral_terms(qv, kern, zker, unit, cell.area2)
     del qv, kern, zker, unit  # unread from here: free them for the sums
     # one segment reduction over the non-empty runs, each summed as one k
@@ -835,14 +875,6 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
     sums[full] = np.add.reduceat(terms, starts, axis=0)
     mags[full] = np.add.reduceat(np.abs(terms), starts, axis=0)
     n_spectral = len(terms)
-    if bloch:
-        # D_ba back in row order, a tie's from its own run
-        m = len(runs) - len(half.neg)
-        pick = np.arange(m)
-        pick[m - n:] = pick[m - n:][::-1]
-        pick[m - n:][half.tie] = np.arange(m, len(runs))
-        sums, mags = sums[pick], mags[pick]
-        n_spectral -= int(half.counts[:n][half.tie].sum())
     # the spatial series: per table, its Bloch phases against its weights
     total = sums + np.concatenate([np.einsum("nr,rc->nc", ph, t.weights)
                                    for t, ph in spatial])
@@ -867,14 +899,21 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
     rounding = est * (np.finfo(float).eps / (0.1 * _TOLERANCE))
     if rounding.max(initial=0.0) > _MAX_ROUNDING:
         at = int(np.argmax(rounding))
+        row = ba[at - 2 * n] if at >= 2 * n else at % n  # the sum's k
         raise NonConvergent(
             f"rounding bound {rounding[at]:.3g} past {_MAX_ROUNDING:g} at "
-            f"k={k[at % n]}: splitting {e:g} cancels too many digits")
-    if bloch and t_same is not None:
-        _pass_done(pass_key, replace(
-            half, total=total[:n].copy(), mags=mags[:n].copy(),
-            n_spectral=t, n_spatial=n * len(t_same.lattice)) if keep
-            else None)
+            f"k={k[row]}: splitting {e:g} cancels too many digits")
+    if bloch:
+        if t_same is not None:
+            _pass_done(pass_key, replace(
+                half, total=total[:n].copy(), mags=mags[:n].copy(),
+                n_spectral=t, n_spatial=n * len(t_same.lattice)) if keep
+                else None)
+        # D_ba = conj(D_ab), exactly, where no order propagates
+        d_ba = d[n:2 * n].conj()
+        if len(ba):
+            d_ba[ba] = d[2 * n:]
+        d = np.concatenate([d[:2 * n], d_ba])
     return LatticeSumResult(
         D=d.reshape(((3,) if bloch else ()) + lead + (3, 3)),
         n_spatial=n_spatial,
@@ -888,23 +927,33 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
 
 def _pass_half(cell: _CellTable, k, bloch, k0_eff, e, lead) -> _PassHalf:
     """The beta-free half of a pass at k (N, 2): the zone reduction and the
-    spectral kernels, without D_same's sums (the pass adds them).
+    spectral kernels, without D_same's sums (the pass adds them). For
+    'bloch', the rows where an order propagates also reduce -k, and the
+    zone-boundary ties among them add the kernels of their own -k runs.
 
     Raises:
         RayleighAnomaly: an order of one of the points grazes the light
             line.
     """
-    n = len(k)
-    red = reduce_to_bz(cell.recip, np.concatenate([k, -k]) if bloch else k)
-    # for 'bloch', -k mostly reduces to -k_reduced, whose terms are those at
-    # k negated; a zone-boundary tie reduces elsewhere and gets a row
-    k, neg = red[:n], red[n:]
-    tie = np.any(neg != -k, axis=1) if bloch else np.zeros(0, dtype=bool)
-    neg = neg[tie]
-    counts, qv, kern, zker, n_prop = _spectral_kernels(
-        cell, np.concatenate([k, neg]), k0_eff, e, lead)
-    return _PassHalf(k=k, tie=tie, neg=neg, counts=counts, qv=qv, kern=kern,
-                     zker=zker, n_prop=n_prop[:n], total=None, mags=None,
+    red = reduce_to_bz(cell.recip, k)
+    counts, qv, kern, zker, n_prop = _spectral_kernels(cell, red, k0_eff, e,
+                                                       lead)
+    ba, neg = np.zeros(0, dtype=int), np.zeros((0, 2))
+    prop = np.flatnonzero(n_prop) if bloch else ba
+    if len(prop):
+        # -k mostly reduces to -k_reduced, whose terms are those at k
+        # negated; a zone-boundary tie reduces elsewhere, and its kernels
+        # are one more run
+        neg = reduce_to_bz(cell.recip, -k[prop])
+        tie = np.any(neg != -red[prop], axis=1)
+        ba, neg = np.concatenate([prop[~tie][::-1], prop[tie]]), neg[tie]
+        if len(neg):
+            counts, qv, kern, zker = (
+                np.concatenate(pair) for pair in zip(
+                    (counts, qv, kern, zker),
+                    _spectral_kernels(cell, neg, k0_eff, e, None)[:4]))
+    return _PassHalf(k=red, ba=ba, neg=neg, counts=counts, qv=qv, kern=kern,
+                     zker=zker, n_prop=n_prop, total=None, mags=None,
                      n_spectral=0, n_spatial=0)
 
 

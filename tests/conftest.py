@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from dipolebands import build_lattice, reciprocal
+from dipolebands import (LatticeSumRequest, build_lattice, ewald_sum,
+                         latticesums, reciprocal)
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -43,3 +44,15 @@ def spectrum(spec, k, mode="retarded"):
 
     bs = eigensolve(assemble(spec, k, mode=mode))
     return np.sort(bs.detuning)
+
+
+def minus_k_sum(spec, k, mode="retarded"):
+    """The one-point a_to_b sum at -k, and 16 u sum|terms| of it (u the
+    float epsilon): how far a sum of the same terms in another order, such
+    as D_ba = conj(D_ab(k)) where no order propagates, may lie from it.
+    sum|terms| is read off est_error, _TOLERANCE/10 times it over |D|."""
+    res = ewald_sum(LatticeSumRequest(spec=spec, k=-np.asarray(k, float),
+                                      offset="a_to_b", mode=mode))
+    terms = (res.est_error * np.linalg.norm(res.D)
+             / (0.1 * latticesums._TOLERANCE))
+    return res, 16 * np.finfo(float).eps * terms

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from dipolebands import (
@@ -21,12 +21,13 @@ from dipolebands import (
     build_lattice,
     eigensolve,
     ewald_sum,
+    latticesums,
     reciprocal,
     reduce_to_bz,
     solve_k,
 )
 from dipolebands.greens import K0
-from tests.conftest import spectrum
+from tests.conftest import minus_k_sum, spectrum
 
 
 def test_polarization_blocks_decouple(iso_lattice):
@@ -68,18 +69,20 @@ def test_eigenpair_residuals(iso_lattice):
 
 @pytest.mark.parametrize("block", ["oop", "ip"])
 def test_eigen_failure_on_inaccurate_pair(iso_lattice, monkeypatch, block):
-    # an eigenvalue off by 1e-6 in one block's solves (2x2 out-of-plane,
-    # 4x4 in-plane) misses the 1e-10 ||m|| residual bound
+    # an eigenvalue off by 1e-6 in one block's solves (the 2x2 out-of-plane
+    # closed form, the 4x4 in-plane eig) misses the 1e-10 ||m|| residual
+    # bound
     size = 2 if block == "oop" else 4
-    eig = np.linalg.eig
+    solve = bloch._out_of_plane_pair if block == "oop" else np.linalg.eig
 
     def shifted(mat):
-        vals, vecs = eig(mat)
-        if mat.shape[-1] == size:
-            vals = vals + np.eye(size)[0] * 1e-6
-        return vals, vecs
+        vals, vecs = solve(mat)
+        return vals + np.eye(size)[0] * 1e-6, vecs
 
-    monkeypatch.setattr(bloch.np.linalg, "eig", shifted)
+    if block == "oop":
+        monkeypatch.setattr(bloch, "_out_of_plane_pair", shifted)
+    else:
+        monkeypatch.setattr(bloch.np.linalg, "eig", shifted)
     with pytest.raises(EigenFailure, match="residual"):
         eigensolve(assemble(iso_lattice, [7.0, 13.0]))
 
@@ -107,6 +110,85 @@ def test_eigensolve_diagonal_and_defective_out_of_plane_blocks(iso_lattice):
         one = eigensolve(BlochMatrix(m=mat, k=ks[n], in_light_cone=False))
         for name in ("detuning", "decay", "vectors"):
             assert np.array_equal(getattr(batch, name)[n], getattr(one, name))
+
+
+def _eig_pairs(blocks):
+    """np.linalg.eig of each 2x2 block, sorted by detuning (stable), as
+    eigensolve sorted them before the closed form (reference)."""
+    w, v = np.linalg.eig(blocks)
+    order = np.argsort(w.real, axis=1, kind="stable")
+    return (np.take_along_axis(w, order, axis=1),
+            np.take_along_axis(v, order[:, None, :], axis=2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(d0=st.floats(0.05, 0.4), beta=st.floats(BETA_MIN, BETA_MAX),
+       mode=st.sampled_from(("retarded", "quasistatic")),
+       fracs=st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+                      min_size=1, max_size=6))
+def test_out_of_plane_closed_form_matches_eig(d0, beta, mode, fracs):
+    # the closed-form pair against eig of the same 2x2 block, within
+    # 1e-14 ||m||: eigenvalues, and eigenvectors up to phase (within
+    # 1e-14 ||m|| over the pair's gap, their sensitivity); with hand-built
+    # diagonal (b = c = 0) and defective (c = 0) rows
+    spec = build_lattice(d0, beta)
+    recip = reciprocal(spec)
+    ks = np.array([f0 * recip.b1 + f1 * recip.b2 for f0, f1 in fracs])
+    try:
+        m = assemble(spec, ks, mode).m
+    except RayleighAnomaly:
+        reject()
+    diagonal, defective = m.copy(), m.copy()
+    diagonal[:, 2, 5] = diagonal[:, 5, 2] = 0.0
+    defective[:, 5, 2] = 0.0
+    rows = np.concatenate([m, diagonal, defective])
+    vals, vecs = bloch._out_of_plane_pair(rows)
+    want, want_vecs = _eig_pairs(rows[bloch._BLOCK[OUT_OF_PLANE]])
+    n = len(m)
+    for i, mat in enumerate(rows):
+        tol = 1e-14 * np.linalg.norm(mat)
+        assert np.abs(vals[i] - want[i]).max() <= tol
+        gap = abs(vals[i, 1] - vals[i, 0])
+        for j in range(2):
+            v, w = vecs[i][:, j], want_vecs[i][:, j]
+            phase = np.vdot(w, v) / abs(np.vdot(w, v))
+            assert np.linalg.norm(v - phase * w) * gap <= tol
+    a = rows[n:2 * n, 2, 2]
+    assert np.array_equal(vals[n:2 * n], np.stack([a, a], axis=1))
+    assert np.array_equal(vecs[n:2 * n], np.broadcast_to(np.eye(2), (n, 2, 2)))
+    # the defective pair's two vectors are both (b, 0) normalized
+    assert not vecs[2 * n:, 1].any()
+    np.testing.assert_allclose(np.abs(vecs[2 * n:, 0]), 1.0, rtol=0,
+                               atol=1e-15)
+
+
+@pytest.mark.parametrize("mode", ["retarded", "quasistatic"])
+@pytest.mark.parametrize("d0", [0.1, 0.4])
+def test_mixed_batch_rows_are_one_point_solves(d0, mode):
+    # one batch of rows where an order propagates (near Gamma), rows where
+    # none does, and the zone-boundary ties M, M_top and M_bottom, which
+    # lie inside the light cone at d0 0.4 and outside it at d0 0.1: each row
+    # is bitwise its one-point solve_k, cold, then in the pass that stores
+    # its beta-free half, then read from that half at another beta
+    recip = reciprocal(build_lattice(d0, 0.9))
+    ks = np.array([[0.5, 0.3], recip.M, recip.M_top, recip.M_bottom,
+                   recip.M + recip.b1, recip.K,
+                   0.3 * recip.b1 + 0.2 * recip.b2, [-9.0, 16.0]])
+    prop = ewald_sum(LatticeSumRequest(spec=build_lattice(d0, 0.9), k=ks,
+                                       mode=mode)).n_propagating > 0
+    assert prop[0] == (mode == "retarded")
+    assert prop[1:4].all() == (mode == "retarded" and d0 == 0.4)
+    latticesums._PASS_HALVES.clear()
+    latticesums._PASS_KEYS.clear()
+    for beta in (0.9, 0.9, 0.95):
+        spec = build_lattice(d0, beta)
+        batch = solve_k(spec, ks, mode)
+        for n, k in enumerate(ks):
+            one = solve_k(spec, k, mode)
+            for name in bloch._PER_K:
+                assert np.array_equal(getattr(batch, name)[n],
+                                      getattr(one, name)), (beta, n, name)
+    assert ks.tobytes() in [key[-1] for key in latticesums._PASS_HALVES]
 
 
 def test_quasistatic_decay_is_single_emitter_rate():
@@ -314,6 +396,29 @@ def test_grid_refinement_converges_near_k(iso_lattice):
     assert gaps[2] < 0.2
 
 
+def _assert_coupling_reciprocity(spec, k, m, flipped, mode="retarded"):
+    """The coupling blocks of m = m(k) and flipped = m(-k) at one k.
+
+    Where an order propagates, D_ba(k) is summed as D_ab(-k), so m(-k) =
+    m(k)^T holds in both coupling blocks bit for bit. Elsewhere D_ba(k) is
+    conj(D_ab(k)), bit for bit (m is Hermitian there), which lies within
+    the rounding bound 16 u sum|terms| of the one-point a_to_b sum at -k
+    (times the coupling prefactor 3/2 of m).
+    """
+    coupling = (np.s_[:3, 3:], np.s_[3:, :3])
+    prop = ewald_sum(LatticeSumRequest(spec=spec, k=k, mode=mode)
+                     ).n_propagating > 0
+    if prop:
+        for block in coupling:
+            assert np.array_equal(flipped[block], m.T[block])
+        return
+    assert np.array_equal(m[3:, :3], m[:3, 3:].conj())
+    assert np.array_equal(flipped[3:, :3], flipped[:3, 3:].conj())
+    minus, bound = minus_k_sum(spec, k, mode)
+    assert np.linalg.norm(flipped[:3, 3:] - m.T[:3, 3:]) <= 1.5 * bound
+    assert np.linalg.norm(-1.5 * minus.D - m.T[:3, 3:]) <= 1.5 * bound
+
+
 @settings(max_examples=20, deadline=None)
 @given(d0=st.floats(0.08, 0.2), beta=st.floats(0.55, 1.3),
        radius=st.floats(1.1 * K0, 40.0), angle=st.floats(0.0, 2.0 * np.pi),
@@ -346,15 +451,13 @@ def test_solve_k_properties(d0, beta, radius, angle, shift):
     assert bs.block == bloch.BLOCKS
     for slots in bloch.SLOTS.values():
         assert np.all(np.diff(bs.detuning[slots]) >= 0.0)
-    # reciprocity: m(-k) = m(k)^T, exact in the coupling blocks since
-    # D_ba(k) is summed as D_ab(-k)
+    # reciprocity: m(-k) = m(k)^T (see _assert_coupling_reciprocity)
     scale = np.linalg.norm(bm.m)
     flipped, want = assemble(spec, -k).m, bm.m.T
     for block in (np.s_[:3, :3], np.s_[3:, 3:]):
         np.testing.assert_allclose(flipped[block], want[block], rtol=0,
                                    atol=1e-9 * scale)
-    for block in (np.s_[:3, 3:], np.s_[3:, :3]):
-        assert np.array_equal(flipped[block], want[block])
+    _assert_coupling_reciprocity(spec, k, bm.m, flipped)
     # both mirrors of the lattice: ky -> -ky flips p_y (sites A and B lie on
     # the x axis); kx -> -kx swaps A and B and flips p_x
     flip_x = np.diag([-1.0, 1.0, 1.0])
@@ -577,10 +680,9 @@ def test_batch_symmetry_and_reciprocity(d0, beta, fracs):
     assert not bm.m[:, z][:, :, xy].any()
     assert not bm.m[:, xy][:, :, z].any()
     for n in range(len(ks)):
-        # reciprocity: m(-k) = m(k)^T, exact in the coupling blocks
+        # reciprocity: m(-k) = m(k)^T
         want = bm.m[n].T
         for block in (np.s_[:3, :3], np.s_[3:, 3:]):
             assert (np.abs(flipped.m[n][block] - want[block]).max()
                     <= 1e-12 * np.abs(bm.m[n]).max())
-        for block in (np.s_[:3, 3:], np.s_[3:, :3]):
-            assert np.array_equal(flipped.m[n][block], want[block])
+        _assert_coupling_reciprocity(spec, ks[n], bm.m[n], flipped.m[n])

@@ -609,6 +609,22 @@ def test_unwritable_format_is_config_error(argv, cfg_text, tmp_path, capsys,
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["find-cones", "--block", "out_of_plane", "--beta", "0.9"],
+    ["classify", "--block", "out_of_plane", "--set", "k_point=K"],
+    ["sweep-beta", "--block", "in_plane", "--set", "beta_start=0.63",
+     "--set", "beta_stop=0.635"],
+])
+def test_config_echoes_the_format_written(argv, capsys):
+    # with no format given, a command that writes JSON only echoes
+    # "format": "json" in its embedded config, as it does when asked for it
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    assert json.loads(out)["config"]["format"] == "json"
+    code, asked = run_cli(argv + ["--format", "json"], capsys)
+    assert code == 0 and asked == out
+
+
 def test_light_line_point_nudged_and_flagged(capsys):
     # at d0 = 1 a path midpoint puts a g != 0 order on the light line; the
     # nudge must step off it along that order's |k+g| = k0 normal

@@ -918,7 +918,8 @@ def test_critical_beta_lattice_builds_at_anchors(monkeypatch, d0, block,
 def test_critical_beta_computes_m_kernels_twice(monkeypatch):
     # every gap evaluation solves M on a lattice of its own: the first
     # records the pass, the second stores its beta-free half and the rest
-    # read it. M's -k is a zone-boundary tie, a row of its own
+    # read it. M's -k is a zone-boundary tie, but at d0 0.1 M lies outside
+    # the light cone, so D_ba is conj(D_ab) and the tie needs no row
     _clear_tables()
     rows = _count_kernel_rows(monkeypatch)
     betas = []
@@ -933,7 +934,7 @@ def test_critical_beta_computes_m_kernels_twice(monkeypatch):
                            bracket_tol=1e-6)
     assert round(beta_c, 6) == 0.840603
     assert len(betas) > 5
-    assert rows == [2, 2]
+    assert rows == [1, 1]
 
 
 def _fake_lattices(mp, gap):
