@@ -86,6 +86,15 @@ _BLOCK = {tag: (slice(None),) + np.ix_(idx, idx)
 _ORDERS = {len(idx): np.array(list(itertools.permutations(range(len(idx)))))
            for idx in _BASIS.values()}
 
+# The lattice's two mirrors as operators on the basis (A_x, A_y, A_z, B_x,
+# B_y, B_z), sites A and B lying on the x axis: kx -> -kx swaps A and B and
+# flips p_x, m(-kx, ky) = S m(k) S; ky -> -ky flips p_y, m(kx, -ky) =
+# U m(k) U. At a k either maps onto itself modulo the reciprocal lattice
+# (M is fixed by both), m(k) commutes with it.
+_FLIP_X = np.diag([-1.0, 1.0, 1.0])
+MIRROR_S = np.block([[np.zeros((3, 3)), _FLIP_X], [_FLIP_X, np.zeros((3, 3))]])
+MIRROR_U = np.diag([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
+
 # Overlap differences below this are treated as matching ties and resolved
 # by energy order (documented arbitrary choice).
 TIE_THRESHOLD = 1e-6

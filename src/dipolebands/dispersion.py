@@ -24,11 +24,12 @@ one band going locally flat along some direction.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bloch import BLOCKS, SLOTS, solve_k
+from .bloch import BLOCKS, MIRROR_S, MIRROR_U, SLOTS, solve_k
 from .greens import K0
 from .lattice import LatticeSpec, build_lattice, reciprocal, reduce_to_bz
 
@@ -48,6 +49,7 @@ DROP_RTOL = 1e-3  # a step lowering gap^2 by less than this fraction ends it
 STENCIL_FLOOR = 1e-3  # smallest stencil step relative to the step tolerance
 DEDUP_FRAC = 1e-4  # merge radius in units of |b1|
 GOLDEN_STEP = 0.5 * (3.0 - np.sqrt(5.0))  # golden-section fraction of a side
+PARITY_TOL = 1e-6  # |<v|P|v>| this close to 1: v has the mirror parity +-1
 
 # diag(s) of the ky, kx and (kx, ky) mirrors: m(kx, -ky) = U m U and
 # m(-kx, ky) = S m S
@@ -825,16 +827,98 @@ def _min_gap_beta(gap_at, lo: float, hi: float, tol: float):
             gap.insert(i, gap_at(x))
 
 
+def _signed_root(s_at, a: float, b: float, fa: float, fb: float,
+                 tol: float):
+    """A root of s in [a, b], s(a) = fa and s(b) = fb of opposite signs, by
+    regula falsi with the Illinois step.
+
+    Each step evaluates the zero x of the line through the bracket ends and
+    keeps the part of the bracket whose ends differ in sign; an end kept
+    twice in a row has its value halved in that line (Illinois), so that
+    both ends close in. Where x lies within tol/2 of an end, it is moved
+    tol/2 away from that end before it is evaluated: one evaluation just
+    past the root then closes a bracket no wider than tol (the straddle
+    finish). A bisection replaces the step when the bracket has not halved
+    over the last three steps, and a tol below 8 float spacings at the ends
+    acts as 8 spacings.
+
+    Returns:
+        (root, smallest |s| evaluated): root is the zero of the line
+        through the ends of the first bracket no wider than tol, on their
+        own values.
+    """
+    tol = max(tol, 8.0 * np.spacing(max(abs(a), abs(b))))
+    la, lb = fa, fb  # the values on the line, halved by the Illinois step
+    kept = None  # the end the last step kept
+    best = min(abs(fa), abs(fb))
+    widths = [b - a]
+    while b - a > tol:
+        if len(widths) > 3 and widths[-1] > 0.5 * widths[-4]:
+            x = 0.5 * (a + b)
+        else:
+            x = min(max(a - la * (b - a) / (lb - la), a), b)
+            # one spacing short of tol/2, so that the rounded bracket is no
+            # wider than tol
+            h = 0.5 * tol - np.spacing(x)
+            if x - a <= h:
+                x += h
+            elif b - x <= h:
+                x -= h
+        fx = s_at(x)
+        best = min(best, abs(fx))
+        if fx == 0.0:
+            return x, best
+        if (fx < 0.0) == (fb < 0.0):
+            b, fb, lb = x, fx, fx
+            if kept == "a":
+                la *= 0.5
+            kept = "a"
+        else:
+            a, fa, la = x, fx, fx
+            if kept == "b":
+                lb *= 0.5
+            kept = "b"
+        widths.append(b - a)
+    return a - fa * (b - a) / (fb - fa), best
+
+
+def _pair_at(spec: LatticeSpec, k, block: str, band_pair, mode: str):
+    """The pair's gap at one k and the parities <v|P|v> of its upper band v
+    under the mirrors P = S and U, from one block solve.
+
+    The gap is bitwise make_gap_function's. The vectors have unit norm, so
+    a parity is +-1 where P maps k onto itself and the band is simple.
+    """
+    lower, upper = band_pair
+    bs = solve_k(spec, k, mode, block)
+    v = bs.vectors[:, upper]
+    return (bs.detuning[upper] - bs.detuning[lower],
+            tuple(float(np.vdot(v, op @ v).real)
+                  for op in (MIRROR_S, MIRROR_U)))
+
+
 def critical_beta(d0: float, block: str, band_pair, target_point,
                   beta_bracket, mode: str = "retarded",
                   bracket_tol: float = 1e-4) -> float:
     """Beta at which a band pair closes its gap at a fixed k-point.
 
-    Minimizes gap(beta) at target_point over beta_bracket with a
-    safeguarded secant search on the V the closing gap makes (see
-    _min_gap_beta): about ten Bloch solves, each on its own lattice, for a
-    linear closing at bracket_tol 1e-6. The result is the middle of a final
-    beta bracket no wider than bracket_tol around the smallest gap found.
+    At a target that a mirror P maps onto itself (M is fixed by both S and
+    U), the block commutes with P, so each simple band has the parity
+    <v|P|v> = +-1, and two bands of opposite parity cross without a gap
+    opening. The gap times the sign of the upper band's parity, s(beta),
+    then changes sign at the crossing. When S or U (tried in that order)
+    gives the upper band a parity +-1 at both ends of beta_bracket, and
+    opposite ones, beta_c is the root of s (_signed_root): 7 or 8 Bloch
+    solves, each on its own lattice, at bracket_tol 1e-6. Where no gap
+    evaluated is below EPS_DEG (a coarse bracket_tol), the root itself is
+    evaluated once more.
+
+    Otherwise, or where the gap at the root is not below EPS_DEG either (the
+    sign change is a pole, or a jump where a third band crosses), gap(beta)
+    is minimized over beta_bracket by a safeguarded secant search on the V
+    the closing gap makes (_min_gap_beta), which reuses the solves made; the
+    result is the middle of a final bracket no wider than bracket_tol around
+    the smallest gap found.
 
     Args:
         d0: Cell scale.
@@ -849,10 +933,11 @@ def critical_beta(d0: float, block: str, band_pair, target_point,
         beta_c as a float.
 
     Raises:
-        ValueError: bracket_tol not positive and finite, or an empty or
-            reversed beta_bracket.
+        ValueError: a bad block or band_pair, bracket_tol not positive and
+            finite, or an empty or reversed beta_bracket.
         NoClosure: the smallest gap found stayed at or above EPS_DEG.
     """
+    pair = _check_pair(block, band_pair)
     _check_positive("bracket_tol", bracket_tol)
     lo, hi = (float(beta_bracket[0]), float(beta_bracket[1]))
     if not lo < hi:
@@ -862,11 +947,37 @@ def critical_beta(d0: float, block: str, band_pair, target_point,
         k_t = recip.point(target_point)
     else:
         k_t = np.asarray(target_point, dtype=float)
+    solved = {}
+
+    def at(beta):
+        """(gap, parities) at beta, solved once."""
+        if beta not in solved:
+            solved[beta] = _pair_at(build_lattice(d0, beta), k_t, block,
+                                    pair, mode)
+        return solved[beta]
 
     def gap_at(beta):
-        spec = build_lattice(d0, beta)
-        return make_gap_function(spec, block, band_pair, mode)(k_t)
+        return at(beta)[0]
 
+    def signed(beta, i):
+        """s(beta) under mirror i: the gap with the sign of the parity."""
+        g, parity = at(beta)
+        return math.copysign(g, parity[i])
+
+    def definite(parity):
+        return abs(abs(parity) - 1.0) <= PARITY_TOL
+
+    (_, p_lo), (_, p_hi) = at(lo), at(hi)
+    for i, (a, b) in enumerate(zip(p_lo, p_hi)):
+        if definite(a) and definite(b) and a * b < 0.0:
+            root, best = _signed_root(lambda beta: signed(beta, i), lo, hi,
+                                      signed(lo, i), signed(hi, i),
+                                      bracket_tol)
+            if best >= EPS_DEG:
+                best = gap_at(root)
+            if best < EPS_DEG:
+                return float(root)
+            break
     beta_c, best = _min_gap_beta(gap_at, lo, hi, bracket_tol)
     if best >= EPS_DEG:
         raise NoClosure(

@@ -59,19 +59,29 @@ two small least-recently-used caches:
 
 - a cell table, keyed on (a1, a2, mode, E): the reciprocal
   lattice and one list of reciprocal orders g, in "ij" order, that holds
-  every order of the spectral disk about any zone-reduced k;
+  every order of the spectral disk about any zone-reduced k; and one
+  list of lattice vectors R, the frame, in "ij" order too, that holds
+  every R of the spatial disk |R + rho| <= reach about any basis offset
+  rho with |rho| <= |a1| (build_lattice gives at most 0.866 |a1|);
 - a spatial table, keyed on (a1, a2, rho, mode, E): the R + rho
   disk and, per lattice vector, the k-free weights of its five columns
   (the Faddeeva kernels phi, phi' and phi'' - phi'/r times the direction
-  factors, see _SpatialTable), with their summed magnitudes.
+  factors, see _SpatialTable), with their summed magnitudes, and for the
+  same-site table (rho = 0) the R = 0 exclusion.
 
 The keys hold no beta: a1 and a2 do not depend on it, so every lattice of
-one d0 shares the cell table and the same-site (rho = 0) spatial table. Per
-k, ewald_sum reduces k to the first zone once (the result carries it as
-k_reduced), keeps the rows of the order list with k + g inside the spectral
-disk and evaluates the offset-free spectral kernels (erfc and the z kernel)
-on them; then it weighs those kernels by the phase e^{i(k+g).rho}, and
-sums the spatial weights against the Bloch phases e^{-ik.R}. The Bloch
+one d0 shares the cell table and the same-site (rho = 0) spatial table.
+An offset's table is built by filtering the frame to its disk, as each k
+filters the order list: the same vectors in the same order as a _disk
+about rho, bit for bit, with rho's own index-cap test (the frame's box is
+cut at the cap, which loses no vector of a disk that passes it). So _disk
+runs twice per cell table, and a new beta pays only for its offset's
+kernels. Per k, ewald_sum reduces k to the first zone once (the result
+carries it as k_reduced), keeps the rows of the order list with k + g
+inside the spectral disk and evaluates the offset-free spectral kernels
+(erfc and the z kernel) on them; then it weighs those kernels by the
+phase e^{i(k+g).rho}, and sums the spatial weights against the Bloch
+phases e^{-ik.R}. The Bloch
 phase has unit modulus, so the spatial terms' summed magnitudes, which
 enter est_error and the rounding bound, are the table's at every k. The
 spectral terms are those of a fresh _disk about k, in the same order, so
@@ -304,26 +314,42 @@ def default_splitting(spec: LatticeSpec, mode: str = "retarded") -> float:
     return e
 
 
-def _disk(basis: np.ndarray, centre: np.ndarray, reach: float) -> np.ndarray:
-    """Vectors v = n @ basis + centre, n integer, with |v| <= reach.
+def _index_box(dual: np.ndarray, centre: np.ndarray, reach: float,
+               clip: bool = False):
+    """The index box (lo, hi) of the disk |n @ basis + centre| <= reach.
 
     Column j of dual = inv(basis) is the dual vector d_j with
-    n_j = (v - centre).d_j, so the disk lies in the index box
-    |n_j + centre.d_j| <= reach |d_j|; n runs over it in "ij" order (first
-    index slowest).
+    n_j = (v - centre).d_j, so the disk lies in the box
+    |n_j + centre.d_j| <= reach |d_j|.
 
     Raises:
-        NonConvergent: the box needs an index beyond _MAX_INDEX.
+        NonConvergent: the box needs an index beyond _MAX_INDEX (with clip,
+            the box is cut at +-_MAX_INDEX instead).
     """
-    dual = np.linalg.inv(basis)
     mid = -centre @ dual
     half = reach * np.linalg.norm(dual, axis=0)
+    lo, hi = mid - half, mid + half
     if np.any(np.abs(mid) + half > _MAX_INDEX):
-        raise NonConvergent(
-            f"truncation radius {reach:.3g} needs lattice indices beyond "
-            f"{_MAX_INDEX}"
-        )
-    lo, hi = np.floor(mid - half).astype(int), np.ceil(mid + half).astype(int)
+        if not clip:
+            raise NonConvergent(
+                f"truncation radius {reach:.3g} needs lattice indices beyond "
+                f"{_MAX_INDEX}"
+            )
+        lo, hi = np.maximum(lo, -_MAX_INDEX), np.minimum(hi, _MAX_INDEX)
+    return np.floor(lo).astype(int), np.ceil(hi).astype(int)
+
+
+def _disk(basis: np.ndarray, centre: np.ndarray, reach: float,
+          clip: bool = False) -> np.ndarray:
+    """Vectors v = n @ basis + centre, n integer, with |v| <= reach.
+
+    n runs over the index box of _index_box in "ij" order (first index
+    slowest).
+
+    Raises:
+        NonConvergent: as _index_box.
+    """
+    lo, hi = _index_box(np.linalg.inv(basis), centre, reach, clip)
     n = np.empty((hi[0] - lo[0] + 1, hi[1] - lo[1] + 1, 2), dtype=int)
     n[..., 0] = np.arange(lo[0], hi[0] + 1)[:, None]
     n[..., 1] = np.arange(lo[1], hi[1] + 1)
@@ -420,7 +446,8 @@ def _read_only(table):
 
 @dataclass(frozen=True)
 class _CellTable:
-    """The k-independent part of the spectral series on one lattice.
+    """The k-independent part of the spectral series on one lattice, and
+    the offset-free part of the spatial one.
 
     Attributes:
         recip: Reciprocal lattice of (a1, a2).
@@ -428,12 +455,21 @@ class _CellTable:
         orders: (n, 2) reciprocal vectors g in "ij" order: every order of
             the spectral disk |k + g| <= reach about any zone-reduced k.
         area2: Twice the cell area.
+        dual: inv([a1, a2]), whose columns are the dual vectors of the
+            spatial disks' index boxes.
+        spatial_reach: Spatial disk radius sqrt(_DEPTH + k0^2/4E^2) / E.
+        frame: (n, 2) lattice vectors n @ [a1, a2] in "ij" order: every R
+            of the spatial disk |R + rho| <= spatial_reach about any offset
+            |rho| <= |a1| whose index box lies within the cap.
     """
 
     recip: ReciprocalSpec
     reach: float
     orders: np.ndarray
     area2: float
+    dual: np.ndarray
+    spatial_reach: float
+    frame: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -453,13 +489,14 @@ class _SpatialTable:
             phi'' - phi'/r and (ux, uy) = (R + rho)/r.
         magnitudes: (5,) sum over n of |weights|, the spatial series'
             summed term magnitudes at any k.
-        self_term: (5,) the R = 0 exclusion, added when rho = 0 (same-site).
+        self_term: (5,) the R = 0 exclusion of a same-site (rho = 0)
+            table; None for any other offset.
     """
 
     lattice: np.ndarray
     weights: np.ndarray
     magnitudes: np.ndarray
-    self_term: np.ndarray
+    self_term: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -566,11 +603,18 @@ def _pass_done(key, half: _PassHalf | None) -> None:
 
 
 def _cell_table(spec: LatticeSpec, k0_eff: float, e: float) -> _CellTable:
-    """The order list covers every spectral disk about a zone-reduced k.
+    """The order list covers every spectral disk about a zone-reduced k, and
+    the frame every spatial disk about a basis offset.
+
+    build_lattice puts the offset at |rho| <= 0.866 |a1| (at BETA_MAX), so a
+    frame of radius spatial_reach + |a1| holds each offset's disk. Its index
+    box is cut at the cap, which loses no vector of a disk that passes its
+    own index-cap test.
 
     Raises:
         NonConvergent: the order list needs an index beyond _MAX_INDEX, so
-            the spectral disk is out of reach at every k of this lattice.
+            the spectral disk is out of reach at every k of this lattice; or
+            the spatial prefactor exp(k0^2/4E^2) would overflow.
     """
     recip = reciprocal(spec)
     reach = np.sqrt(k0_eff**2 + 4.0 * e**2 * _DEPTH)
@@ -578,32 +622,44 @@ def _cell_table(spec: LatticeSpec, k0_eff: float, e: float) -> _CellTable:
     # absorbs rounding at the disk edge
     kmax = 0.5 * (np.linalg.norm(recip.b1) + np.linalg.norm(recip.b2))
     orders = _disk(np.array([recip.b1, recip.b2]), np.zeros(2), reach + kmax)
-    return _read_only(_CellTable(recip=recip, reach=reach, orders=orders,
-                                 area2=2.0 * spec.cell_area))
-
-
-def _spatial_table(spec: LatticeSpec, rho: np.ndarray, k0_eff: float,
-                   e: float) -> _SpatialTable:
-    """Kernels over |R + rho|^2 E^2 <= _DEPTH + k0^2/4E^2.
-
-    Raises:
-        NonConvergent: the prefactor exp(k0^2/4E^2) would overflow, or the
-            disk needs an index beyond _MAX_INDEX.
-    """
     gau_cap = k0_eff**2 / (4.0 * e**2)
     if gau_cap > 650.0:
         raise NonConvergent(
             f"splitting {e:g} too small: spatial prefactor exp({gau_cap:.1f}) "
             "overflows"
         )
-    rvecs = _disk(np.array([spec.a1, spec.a2]), rho,
-                  np.sqrt(_DEPTH + gau_cap) / e)
+    basis = np.array([spec.a1, spec.a2])
+    spatial_reach = np.sqrt(_DEPTH + gau_cap) / e
+    frame = _disk(basis, np.zeros(2),
+                  spatial_reach + np.linalg.norm(spec.a1), clip=True)
+    return _read_only(_CellTable(recip=recip, reach=reach, orders=orders,
+                                 area2=2.0 * spec.cell_area,
+                                 dual=np.linalg.inv(basis),
+                                 spatial_reach=spatial_reach, frame=frame))
+
+
+def _spatial_table(cell: _CellTable, rho: np.ndarray, k0_eff: float,
+                   e: float) -> _SpatialTable:
+    """Kernels over |R + rho|^2 E^2 <= _DEPTH + k0^2/4E^2.
+
+    The disk is the cell's frame filtered to it, bitwise the _disk about
+    rho, in the same order.
+
+    Raises:
+        NonConvergent: the disk needs an index beyond _MAX_INDEX.
+    """
+    _index_box(cell.dual, rho, cell.spatial_reach)
+    v = cell.frame + rho
+    rvecs = v[np.einsum("ij,ij->i", v, v)
+              <= cell.spatial_reach * cell.spatial_reach]
     rv = np.linalg.norm(rvecs, axis=1)
     keep = rv > 0.0
     rvecs, rv = rvecs[keep], rv[keep]
+    gau_cap = k0_eff**2 / (4.0 * e**2)
     gau = np.exp(-(rv**2) * e**2 + gau_cap)
     # w(-conj z) = conj w(z) gives the kernels at i r E - k0/2E; the last
-    # argument, k0/2E, is the self-corrections'
+    # argument, k0/2E, is the self-corrections' (an element's bits may
+    # depend on its neighbours, so every table passes it)
     b = k0_eff / (2.0 * e)
     w = _wofz(np.append(1j * rv * e + b, b))
     tp = gau * w[:-1]
@@ -618,11 +674,13 @@ def _spatial_table(spec: LatticeSpec, rho: np.ndarray, k0_eff: float,
     ux, uy = rvecs[:, 0] / rv, rvecs[:, 1] / rv
     weights = np.stack([f / rv, c1 + c2 * ux * ux, c2 * ux * uy,
                         c1 + c2 * uy * uy, c1], axis=-1) / (8.0 * np.pi)
-    h0, h2 = _self_corrections(k0_eff, e, w[-1])
+    self_term = None
+    if not rho.any():
+        h0, h2 = _self_corrections(k0_eff, e, w[-1])
+        self_term = np.array([h0, 2.0 * h2, 0.0, 2.0 * h2, 2.0 * h2])
     return _read_only(_SpatialTable(
         lattice=rvecs - rho, weights=weights,
-        magnitudes=np.abs(weights).sum(axis=0),
-        self_term=np.array([h0, 2.0 * h2, 0.0, 2.0 * h2, 2.0 * h2])))
+        magnitudes=np.abs(weights).sum(axis=0), self_term=self_term))
 
 
 def _spectral_kernels(cell: _CellTable, k, k0_eff, e, lead):
@@ -797,11 +855,12 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
 
     def table(r):
         return _cached(_SPATIAL_TABLES, key + (r.tobytes(),),
-                       lambda: _spatial_table(spec, r, k0_eff, e))
+                       lambda: _spatial_table(cell, r, k0_eff, e))
 
-    # the spatial tables before the spectral kernels: a prefactor past
-    # overflow raises NonConvergent there, before e^{y^2} overflows in
-    # _spectral_kernels
+    # the spatial tables before the spectral kernels: a disk past the index
+    # cap raises NonConvergent ahead of a RayleighAnomaly (the cell table
+    # has already refused a prefactor e^{k0^2/4E^2} past overflow, before
+    # e^{y^2} overflows in _spectral_kernels)
     t_rho = table(rho)
     # a 'bloch' pass's beta-free half, stored from its second request
     pass_key = key + (k.tobytes(),)

@@ -458,13 +458,10 @@ def test_solve_k_properties(d0, beta, radius, angle, shift):
         np.testing.assert_allclose(flipped[block], want[block], rtol=0,
                                    atol=1e-9 * scale)
     _assert_coupling_reciprocity(spec, k, bm.m, flipped)
-    # both mirrors of the lattice: ky -> -ky flips p_y (sites A and B lie on
-    # the x axis); kx -> -kx swaps A and B and flips p_x
-    flip_x = np.diag([-1.0, 1.0, 1.0])
-    swap = np.block([[np.zeros((3, 3)), flip_x], [flip_x, np.zeros((3, 3))]])
-    flip_y = np.diag([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
+    # both mirrors of the lattice: m(kx, -ky) = U m U, m(-kx, ky) = S m S
     tol = 1e-12 * np.abs(bm.m).max()
-    for image, op in (([k[0], -k[1]], flip_y), ([-k[0], k[1]], swap)):
+    for image, op in (([k[0], -k[1]], bloch.MIRROR_U),
+                      ([-k[0], k[1]], bloch.MIRROR_S)):
         assert np.abs(assemble(spec, image).m - op @ bm.m @ op).max() <= tol
         np.testing.assert_allclose(solve_k(spec, image).detuning,
                                    bs.detuning, rtol=0, atol=tol)

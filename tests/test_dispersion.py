@@ -906,13 +906,99 @@ def test_critical_beta_lattice_builds_at_anchors(monkeypatch, d0, block,
 
     monkeypatch.setattr(dispersion, "build_lattice", counting_build)
     bc = critical_beta(d0, block, (0, 1), "M", bracket, bracket_tol=1e-6)
-    assert len(betas) <= 12
+    # the signed root takes 7 gap evaluations here, the V search took 9
+    assert len(betas) <= 9
 
     k_m = reciprocal(build(d0, 0.5 * sum(bracket))).M
     ref, _ = _golden_section(
         lambda beta: dispersion.make_gap_function(
             build(d0, beta), block, (0, 1))(k_m), *bracket, 1e-6)
     assert bc == pytest.approx(ref, abs=1e-6)
+
+
+def test_critical_beta_builds_two_disks_per_cell(monkeypatch):
+    # every lattice of one d0 shares a cell table: its order list and its
+    # frame are the only _disk calls, each offset table a filtered frame
+    # (the V search made one _disk per gap evaluation, 11 here)
+    _clear_tables()
+    calls = []
+    disk = latticesums._disk
+
+    def counting_disk(*args, **kwargs):
+        calls.append(args[2])
+        return disk(*args, **kwargs)
+
+    monkeypatch.setattr(latticesums, "_disk", counting_disk)
+    critical_beta(0.1, OUT_OF_PLANE, (0, 1), "M", (0.80, 0.88),
+                  bracket_tol=1e-6)
+    assert len(latticesums._CELL_TABLES) == 1
+    assert len(calls) <= 2 * len(latticesums._CELL_TABLES)
+
+
+@settings(max_examples=12, deadline=None)
+@given(d0=st.floats(0.08, 0.2),
+       block=st.sampled_from((OUT_OF_PLANE, IN_PLANE)))
+def test_signed_root_matches_v_search(d0, block):
+    # at M the pair has opposite parity under S (out-of-plane) or U
+    # (in-plane) at both bracket ends, so critical_beta takes the signed
+    # root, never the V search; it lands within bracket_tol of the V
+    # search on the same gap function, on a closed gap
+    bracket, tol = {OUT_OF_PLANE: (0.80, 0.94), IN_PLANE: (0.52, 0.66)}[
+        block], 1e-6
+
+    def no_v_search(*args):
+        raise AssertionError("the V search ran")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dispersion, "_min_gap_beta", no_v_search)
+        got = critical_beta(d0, block, (0, 1), "M", bracket,
+                            bracket_tol=tol)
+    k_m = reciprocal(build_lattice(d0, bracket[0])).M
+
+    def gap_at(beta):
+        return dispersion.make_gap_function(build_lattice(d0, beta), block,
+                                            (0, 1))(k_m)
+
+    want, _ = dispersion._min_gap_beta(gap_at, *bracket, tol)
+    assert abs(got - want) <= tol
+    assert gap_at(got) < dispersion.EPS_DEG
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=st.sampled_from(["smooth", "pole", "jump"]),
+       lo=st.floats(0.3, 1.2), log_width=st.floats(-3.0, -0.5),
+       root_frac=st.floats(0.001, 0.999), log_tol=st.floats(-14.0, -3.0),
+       log_slope=st.floats(-2.0, 2.0), falling=st.booleans(),
+       curv_frac=st.floats(-0.3, 3.0), log_g0=st.floats(-3.0, 1.0))
+def test_signed_root_closes_on_the_sign_change(shape, lo, log_width,
+                                               root_frac, log_tol,
+                                               log_slope, falling,
+                                               curv_frac, log_g0):
+    # a simple root with curvature, a pole and a jump: each sign change is
+    # bracketed to within tol (or 8 float spacings), in at most four
+    # evaluations per halving of the bracket (three steps that do not halve
+    # it are followed by a bisection)
+    width, tol = 10.0 ** log_width, 10.0 ** log_tol
+    hi, root = lo + width, lo + root_frac * width
+    slope = (-1.0 if falling else 1.0) * 10.0 ** log_slope
+    seen = []  # |s| at each beta evaluated
+
+    def s(beta):
+        x = beta - root
+        if shape == "smooth":
+            value = slope * x * (1.0 + curv_frac * abs(x) / width)
+        elif shape == "pole":
+            value = slope / x if x else np.copysign(1e300, slope)
+        else:
+            value = np.copysign(10.0 ** log_g0 + abs(x), slope * x)
+        seen.append(abs(value))
+        return value
+
+    got, best = dispersion._signed_root(s, lo, hi, s(lo), s(hi), tol)
+    tol = max(tol, 8.0 * np.spacing(hi))
+    assert abs(got - root) <= tol
+    assert best == min(seen)
+    assert len(seen) - 2 <= 4 * max(np.ceil(np.log2(width / tol)), 1)
 
 
 def test_critical_beta_computes_m_kernels_twice(monkeypatch):
@@ -939,10 +1025,11 @@ def test_critical_beta_computes_m_kernels_twice(monkeypatch):
 
 def _fake_lattices(mp, gap):
     """Let the lattice critical_beta builds at beta be beta itself, and its
-    Bloch solve gap(beta)."""
+    Bloch solve gap(beta) with no mirror parities, which turns the signed
+    root off: the search is the V search alone."""
     mp.setattr(dispersion, "build_lattice", lambda d0, beta: beta)
-    mp.setattr(dispersion, "make_gap_function",
-               lambda beta, block, pair, mode: lambda k: gap(beta))
+    mp.setattr(dispersion, "_pair_at",
+               lambda beta, k, block, pair, mode: (gap(beta), ()))
 
 
 def _synthetic_gap(shape, root, slopes, curvatures, g0):

@@ -594,6 +594,22 @@ def _ref_ewald_sum(req, per_term=False):
         k_reduced=k, n_propagating=n_prop)
 
 
+def _ref_spatial_table(spec, rho, k0_eff, e):
+    """The offset's spatial table built as before the frame: its own _disk
+    about rho, and the self-corrections for the same-site table."""
+    lattice, ux, uy, phi, c1, c2, w_b = _ref_spatial_kernels(
+        spec, rho, k0_eff, e, latticesums._DEPTH)
+    weights = np.stack([phi, c1 + c2 * ux * ux, c2 * ux * uy,
+                        c1 + c2 * uy * uy, c1], axis=-1) / (8.0 * np.pi)
+    self_term = None
+    if not rho.any():
+        h0, h2 = latticesums._self_corrections(k0_eff, e, w_b)
+        self_term = np.array([h0, 2.0 * h2, 0.0, 2.0 * h2, 2.0 * h2])
+    return latticesums._SpatialTable(
+        lattice=lattice, weights=weights,
+        magnitudes=np.abs(weights).sum(axis=0), self_term=self_term)
+
+
 def _clear_tables():
     latticesums._CELL_TABLES.clear()
     latticesums._SPATIAL_TABLES.clear()
@@ -732,6 +748,59 @@ def test_bloch_offset_matches_single_offsets(d0, beta, mode, fracs, shift,
         assert bits(got.value.direction) == bits(want.value.direction)
 
 
+@settings(max_examples=150, deadline=None)
+@given(log_d0=st.floats(np.log(0.05), np.log(11.0)),
+       beta=st.floats(BETA_MIN, BETA_MAX),
+       mode=st.sampled_from(("retarded", "quasistatic")),
+       offset=st.sampled_from(("same", "a_to_b", "b_to_a")),
+       log_scale=st.floats(np.log(0.5), np.log(2.0)))
+# splittings this small need indices up to 39.5 about rho = 0 and 40.7
+# for the frame, whose box is cut at the cap; 39.7 and 40.4 about the
+# offset at BETA_MAX, which the cut frame holds and which raises
+@example(log_d0=np.log(0.1), beta=1.0, mode="quasistatic", offset="same",
+         log_scale=np.log(0.0893))
+@example(log_d0=np.log(0.1), beta=BETA_MAX, mode="quasistatic",
+         offset="a_to_b", log_scale=np.log(0.09))
+@example(log_d0=np.log(0.1), beta=BETA_MAX, mode="quasistatic",
+         offset="a_to_b", log_scale=np.log(0.0885))
+def test_spatial_tables_filter_the_frame(log_d0, beta, mode, offset,
+                                         log_scale):
+    # an offset's table filtered from the cell's frame is, field by field
+    # and bit for bit, the one built on its own _disk, and it raises where
+    # that disk needs an index past the cap, as that build does
+    spec = build_lattice(float(np.exp(log_d0)), beta)
+    k0_eff = K0 if mode == "retarded" else 0.0
+    e = float(np.exp(log_scale)) * default_splitting(spec, mode)
+    rho = latticesums._resolve_offset(spec, offset)
+    try:
+        cell = latticesums._cell_table(spec, k0_eff, e)
+    except NonConvergent:
+        # only where the spectral order list is out of reach (large d0 at
+        # 2E): every sum on this lattice raises before it reads a spatial
+        # table
+        recip = reciprocal(spec)
+        reach = np.sqrt(k0_eff**2 + 4.0 * e**2 * latticesums._DEPTH)
+        kmax = 0.5 * (np.linalg.norm(recip.b1) + np.linalg.norm(recip.b2))
+        with pytest.raises(NonConvergent):
+            _ref_disk(np.array([recip.b1, recip.b2]), np.zeros(2),
+                      reach + kmax)
+        return
+    want = _outcome(lambda _: _ref_spatial_table(spec, rho, k0_eff, e), None)
+    got = _outcome(lambda _: latticesums._spatial_table(cell, rho, k0_eff, e),
+                   None)
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want), (got, want)
+        return
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if b is None:
+            assert a is None, field.name
+        else:
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), \
+                field.name
+            assert not a.flags.writeable, field.name
+
+
 def test_tables_shared_across_beta():
     # a1, a2 do not depend on beta: one cell table and one same-site
     # spatial table serve every beta of a d0
@@ -859,7 +928,9 @@ def test_cold_pass_lets_its_kernels_go(monkeypatch):
 
 def test_tables_shared_by_threads(monkeypatch):
     # more threads than cores on three lattices with room for two tables
-    # per cache: every sum keeps its bits and the caches their bound
+    # per cache: every sum keeps its bits and the caches their bound. The
+    # a_to_b sums of a beta sweep at one d0 filter their tables from one
+    # cell's frame
     monkeypatch.setattr(latticesums, "_CACHE_SIZE", 2)
     monkeypatch.setattr(latticesums, "_PASS_KEY_SIZE", 2)
     _clear_tables()
@@ -867,6 +938,10 @@ def test_tables_shared_by_threads(monkeypatch):
                               offset=offset)
             for spec in (build_lattice(d0, 0.9) for d0 in (0.08, 0.1, 0.12))
             for t in (0.3, 1.2) for offset in ("same", "a_to_b")]
+    reqs += [LatticeSumRequest(spec=spec, k=0.3 * reciprocal(spec).K,
+                               offset="a_to_b")
+             for spec in (build_lattice(0.1, beta)
+                          for beta in np.linspace(0.8, 0.9, 6))]
     want = [_ref_ewald_sum(req).D for req in reqs]
     # and Bloch passes at two betas, which share their beta-free halves
     for d0 in (0.08, 0.1, 0.12):
