@@ -23,8 +23,8 @@ BLOCK = "out_of_plane"
 # gap at M as a function of beta: V-shaped around the merging point. The
 # two bands have opposite parity under the kx mirror S, and the upper band's
 # parity flips where they cross, so the gap signed by that parity is
-# smooth through zero: critical_beta finds its root (regula falsi) in a
-# bracket no wider than bracket_tol
+# smooth through zero: critical_beta finds its root by inverse quadratic
+# steps, in a bracket no wider than bracket_tol
 print("beta    gap at M")
 for beta in (0.80, 0.82, 0.84, 0.86, 0.88):
     spec = build_lattice(D0, beta)

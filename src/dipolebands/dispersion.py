@@ -828,35 +828,52 @@ def _min_gap_beta(gap_at, lo: float, hi: float, tol: float):
 
 
 def _signed_root(s_at, a: float, b: float, fa: float, fb: float,
-                 tol: float):
+                 tol: float, floor: float = math.inf):
     """A root of s in [a, b], s(a) = fa and s(b) = fb of opposite signs, by
-    regula falsi with the Illinois step.
+    bracketing inverse quadratic interpolation (Chandrupatla's method).
 
-    Each step evaluates the zero x of the line through the bracket ends and
-    keeps the part of the bracket whose ends differ in sign; an end kept
-    twice in a row has its value halved in that line (Illinois), so that
-    both ends close in. Where x lies within tol/2 of an end, it is moved
-    tol/2 away from that end before it is evaluated: one evaluation just
-    past the root then closes a bracket no wider than tol (the straddle
-    finish). A bisection replaces the step when the bracket has not halved
-    over the last three steps, and a tol below 8 float spacings at the ends
-    acts as 8 spacings.
+    Each step evaluates a point x inside the bracket and keeps the part of
+    it whose ends differ in sign; x becomes the newest end, and the end the
+    step dropped becomes c, on the side of x. The first step takes the zero
+    of the line through the two ends. Each later step fits beta(s) as a
+    quadratic through the newest end, the other end and c, and takes its
+    value at s = 0 where Chandrupatla's test finds that fit monotone over
+    the bracket; elsewhere it bisects (Chandrupatla, Adv. Eng. Softw. 28,
+    145 (1997)). Where x lies within tol/2 of an end, it is moved tol/2 away
+    from that end before it is evaluated: one evaluation just past the root
+    then closes a bracket no wider than tol (the straddle finish). A
+    bisection replaces the step when the bracket has not halved over the
+    last three steps, and a tol below 8 float spacings at the ends acts as
+    8 spacings.
+
+    The search ends at the first bracket no wider than tol once an |s|
+    evaluated is below floor (the default, inf, admits any). Until then it
+    narrows the bracket on, to a sixteenth of its width per round, for as
+    long as each round after the first at least halves the larger |s| at
+    the bracket ends and the bracket is wider than 8 float spacings: a
+    simple root's |s| shrinks with its bracket, a pole's or a jump's does
+    not.
 
     Returns:
         (root, smallest |s| evaluated): root is the zero of the line
-        through the ends of the first bracket no wider than tol, on their
-        own values.
+        through the ends of the last bracket, on their own values.
     """
-    tol = max(tol, 8.0 * np.spacing(max(abs(a), abs(b))))
-    la, lb = fa, fb  # the values on the line, halved by the Illinois step
-    kept = None  # the end the last step kept
+    tiny = 8.0 * np.spacing(max(abs(a), abs(b)))
+    span = tol = max(tol, tiny)  # tol: the width that ends this round
     best = min(abs(fa), abs(fb))
+    last = math.inf  # the larger end |s| when the last round began
+    x = c = fc = None  # the newest end; the end the last step dropped
     widths = [b - a]
-    while b - a > tol:
+    while not (b - a <= span and best < floor):
+        if b - a <= tol:
+            ends = max(abs(fa), abs(fb))
+            if tol == tiny or not ends <= 0.5 * last:
+                break
+            last, tol = ends, max((b - a) / 16.0, tiny)
         if len(widths) > 3 and widths[-1] > 0.5 * widths[-4]:
             x = 0.5 * (a + b)
         else:
-            x = min(max(a - la * (b - a) / (lb - la), a), b)
+            x = _interpolated_step(a, b, fa, fb, x, c, fc)
             # one spacing short of tol/2, so that the rounded bracket is no
             # wider than tol
             h = 0.5 * tol - np.spacing(x)
@@ -869,17 +886,29 @@ def _signed_root(s_at, a: float, b: float, fa: float, fb: float,
         if fx == 0.0:
             return x, best
         if (fx < 0.0) == (fb < 0.0):
-            b, fb, lb = x, fx, fx
-            if kept == "a":
-                la *= 0.5
-            kept = "a"
+            c, fc, b, fb = b, fb, x, fx
         else:
-            a, fa, la = x, fx, fx
-            if kept == "b":
-                lb *= 0.5
-            kept = "b"
+            c, fc, a, fa = a, fa, x, fx
         widths.append(b - a)
     return a - fa * (b - a) / (fb - fa), best
+
+
+def _interpolated_step(a, b, fa, fb, x, c, fc):
+    """_signed_root's next point in [a, b] given the newest end x and the
+    dropped end c: the secant zero before there is a c, the inverse
+    quadratic zero through x, the other end and c where Chandrupatla's test
+    accepts it, the middle of the bracket where it does not."""
+    if c is None:
+        return min(max(a - fa * (b - a) / (fb - fa), a), b)
+    (x1, f1), (x2, f2) = ((a, fa), (b, fb)) if x == a else ((b, fb), (a, fa))
+    xi, phi = (x1 - x2) / (c - x2), (f1 - f2) / (fc - f2)
+    # phi^2 < xi and (1 - phi)^2 < 1 - xi, without squaring phi: the test
+    # fails where s(x) = s(c), so no quotient below divides by zero
+    if not 1.0 - math.sqrt(1.0 - xi) < phi < math.sqrt(xi):
+        return 0.5 * (a + b)
+    t = (f1 / (f2 - f1) * fc / (f2 - fc)
+         + (c - x1) / (x2 - x1) * f1 / (fc - f1) * f2 / (fc - f2))
+    return min(max(x1 + t * (x2 - x1), a), b)
 
 
 def _pair_at(spec: LatticeSpec, k, block: str, band_pair, mode: str):
@@ -908,13 +937,15 @@ def critical_beta(d0: float, block: str, band_pair, target_point,
     opening. The gap times the sign of the upper band's parity, s(beta),
     then changes sign at the crossing. When S or U (tried in that order)
     gives the upper band a parity +-1 at both ends of beta_bracket, and
-    opposite ones, beta_c is the root of s (_signed_root): 7 or 8 Bloch
-    solves, each on its own lattice, at bracket_tol 1e-6. Where no gap
-    evaluated is below EPS_DEG (a coarse bracket_tol), the root itself is
-    evaluated once more.
+    opposite ones, beta_c is the root of s (_signed_root), found by
+    inverse quadratic steps with a straddle finish: about 6 Bloch solves,
+    both ends included and each on its own lattice, at bracket_tol 1e-6.
+    Where no gap evaluated in a bracket no wider than bracket_tol is below
+    EPS_DEG (a coarse bracket_tol), the same sign-change bracket is narrowed
+    on, while the gaps at its ends keep halving, until one is.
 
-    Otherwise, or where the gap at the root is not below EPS_DEG either (the
-    sign change is a pole, or a jump where a third band crosses), gap(beta)
+    Otherwise, or where the gaps at the ends stop halving first (the sign
+    change is a pole, or a jump where a third band crosses), gap(beta)
     is minimized over beta_bracket by a safeguarded secant search on the V
     the closing gap makes (_min_gap_beta), which reuses the solves made; the
     result is the middle of a final bracket no wider than bracket_tol around
@@ -972,9 +1003,7 @@ def critical_beta(d0: float, block: str, band_pair, target_point,
         if definite(a) and definite(b) and a * b < 0.0:
             root, best = _signed_root(lambda beta: signed(beta, i), lo, hi,
                                       signed(lo, i), signed(hi, i),
-                                      bracket_tol)
-            if best >= EPS_DEG:
-                best = gap_at(root)
+                                      bracket_tol, EPS_DEG)
             if best < EPS_DEG:
                 return float(root)
             break

@@ -896,7 +896,8 @@ def _golden_section(gap_at, lo, hi, tol):
 def test_critical_beta_lattice_builds_at_anchors(monkeypatch, d0, block,
                                                  bracket):
     # the acceptance anchors; golden section built 27 lattices (26 gap
-    # evaluations and the M lookup)
+    # evaluations and the M lookup), the V search 10 and the Illinois
+    # signed root 8
     betas = []
     build = dispersion.build_lattice
 
@@ -906,8 +907,9 @@ def test_critical_beta_lattice_builds_at_anchors(monkeypatch, d0, block,
 
     monkeypatch.setattr(dispersion, "build_lattice", counting_build)
     bc = critical_beta(d0, block, (0, 1), "M", bracket, bracket_tol=1e-6)
-    # the signed root takes 7 gap evaluations here, the V search took 9
-    assert len(betas) <= 9
+    # the M lookup, both bracket ends and four steps: the secant, two
+    # inverse quadratic steps and the straddle finish
+    assert len(betas) <= 7
 
     k_m = reciprocal(build(d0, 0.5 * sum(bracket))).M
     ref, _ = _golden_section(
@@ -999,6 +1001,85 @@ def test_signed_root_closes_on_the_sign_change(shape, lo, log_width,
     assert abs(got - root) <= tol
     assert best == min(seen)
     assert len(seen) - 2 <= 4 * max(np.ceil(np.log2(width / tol)), 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lo=st.floats(0.3, 1.2), log_width=st.floats(-3.0, -0.5),
+       root_frac=st.floats(0.001, 0.999), log_tol=st.floats(-14.0, -3.0),
+       log_slope=st.floats(-2.0, 2.0), falling=st.booleans(),
+       curv_frac=st.floats(-0.3, 3.0))
+# Illinois regula falsi took 12 evaluations here, past the bound of 11
+@example(lo=0.5, log_width=-2.0, root_frac=0.125, log_tol=-6.0,
+         log_slope=0.0, falling=False, curv_frac=3.0)
+def test_signed_root_steps_on_a_smooth_root(lo, log_width, root_frac,
+                                            log_tol, log_slope, falling,
+                                            curv_frac):
+    # the smooth shape of test_signed_root_closes_on_the_sign_change: where
+    # bisection takes n = ceil(log2(width / tol)) evaluations, the inverse
+    # quadratic steps take at most 3 + 2 ceil(log2 n)
+    width, tol = 10.0 ** log_width, 10.0 ** log_tol
+    hi, root = lo + width, lo + root_frac * width
+    slope = (-1.0 if falling else 1.0) * 10.0 ** log_slope
+    calls = []
+
+    def s(beta):
+        calls.append(beta)
+        x = beta - root
+        return slope * x * (1.0 + curv_frac * abs(x) / width)
+
+    got, _ = dispersion._signed_root(s, lo, hi, s(lo), s(hi), tol)
+    tol = max(tol, 8.0 * np.spacing(hi))
+    assert abs(got - root) <= tol
+    n = max(np.ceil(np.log2(width / tol)), 1)
+    assert len(calls) - 2 <= 3 + 2 * np.ceil(np.log2(n))
+
+
+@pytest.mark.parametrize("shape", ["smooth", "pole", "jump"])
+def test_signed_root_narrows_on_while_the_ends_fall(shape):
+    # at tol 1e-2 no |s| evaluated is below the floor 1e-3. A root's |s|
+    # shrinks with its bracket, so the narrowing finds one below it; a
+    # pole's and a jump's end values do not halve, so the narrowing stops
+    # after one round, here of four evaluations
+    root, tol, floor = 0.8406, 1e-2, 1e-3
+    f = {"smooth": lambda x: 3.0 * x * (1.0 + 10.0 * abs(x)),
+         "pole": lambda x: -1e-3 / x,
+         "jump": lambda x: np.copysign(0.05 + abs(x), x)}[shape]
+
+    def search(floor):
+        seen = []
+
+        def s(beta):
+            seen.append(beta)
+            return f(beta - root)
+
+        got, best = dispersion._signed_root(s, 0.80, 0.90, s(0.80), s(0.90),
+                                            tol, floor)
+        assert abs(got - root) <= tol
+        return best, len(seen)
+
+    coarse, n_coarse = search(np.inf)
+    best, n = search(floor)
+    assert coarse >= floor
+    assert (best < floor) == (shape == "smooth")
+    assert n <= n_coarse + 4
+
+
+@pytest.mark.parametrize("block,bracket,bracket_tol,beta_c", [
+    (IN_PLANE, (0.55, 0.63), 3e-2, 0.5870762089),
+    (IN_PLANE, (0.55, 0.63), 2e-2, 0.5870762089),
+    (IN_PLANE, (0.55, 0.63), 1e-2, 0.5870762089),
+    (OUT_OF_PLANE, (0.80, 0.88), 3e-2, 0.8406030864),
+])
+def test_critical_beta_closes_at_a_coarse_tolerance(block, bracket,
+                                                    bracket_tol, beta_c):
+    # the first bracket no wider than bracket_tol holds no gap below
+    # EPS_DEG, so the signed root narrows it on while the gaps at its ends
+    # halve; regula falsi, which tried only the root interpolated in that
+    # bracket before the V search, raised NoClosure at all four (beta_c is
+    # brentq's on s, xtol 1e-12)
+    got = critical_beta(0.1, block, (0, 1), "M", bracket,
+                        bracket_tol=bracket_tol)
+    assert abs(got - beta_c) <= bracket_tol
 
 
 def test_critical_beta_computes_m_kernels_twice(monkeypatch):
