@@ -45,7 +45,8 @@ rep = classify(spec, contact, BLOCK, (0, 1))
 print(f"kind: {rep.kind}")
 i_quad = int(np.argmax(rep.exponents))
 for i in range(2):
-    axis = rep.principal_axes[:, i]
+    # + 0.0: a component that rounds to zero prints without a sign
+    axis = np.round(rep.principal_axes[:, i], 3) + 0.0
     role = "quadratic" if i == i_quad else "linear"
     print(f"  axis ({axis[0]:+.3f}, {axis[1]:+.3f}): "
           f"gap exponent {rep.exponents[i]:.3f} ({role})")

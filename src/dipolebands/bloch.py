@@ -13,8 +13,9 @@ G(r), so D_ba(k) = D_ab(-k): assemble makes one ewald_sum call per pass,
 offset 'bloch', which returns all three D blocks from one spectral pass
 over the k of the pass. Where no diffraction order propagates (every
 quasistatic k, and the bound modes outside the light cone) that D_ba is
-conj(D_ab), exactly, so the coupling blocks are Hermitian; only the k
-where an order propagates sum D_ba at -k. Only D_ab and D_ba depend on
+conj(D_ab), exactly, so the coupling blocks are Hermitian; where one
+propagates, D_ba is the k's own D_ab terms, reversed, under the conjugate
+phases: the terms at -k. Only D_ab and D_ba depend on
 beta: the lattice sums keep the beta-free half of a pass asked for twice
 (see latticesums), so the lattices of one d0 share the zone reduction,
 the spectral kernels and D_same of a k-set they all solve, bit for bit,
@@ -164,10 +165,10 @@ def assemble(spec: LatticeSpec, k, mode: str = "retarded") -> BlochMatrix:
     One ewald_sum request with offset 'bloch' returns D_same(k), D_ab(k)
     and D_ba(k) = D_ab(-k) (the dyadic is even, G(-r) = G(r)) from one
     spectral pass, at the lattice-sum layer's own truncation target and
-    splitting (LatticeSumRequest defaults). D_same and D_ab are bitwise
-    their single-offset sums; D_ba is too where an order propagates, and
-    elsewhere it is conj(D_ab) exactly, so m is Hermitian there up to its
-    -i/2 diagonal and the radiation reaction of D_same (see latticesums).
+    splitting (LatticeSumRequest defaults). Where no order propagates D_ba
+    is conj(D_ab) exactly, so m is Hermitian there up to its -i/2 diagonal
+    and the radiation reaction of D_same; where one does, D_ba sums D_ab's
+    terms at -k (see latticesums).
     The lattice sums are the only layer that reduces k to the first zone:
     in_light_cone is read off the result's k_reduced.
 

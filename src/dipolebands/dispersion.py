@@ -854,10 +854,16 @@ def _signed_root(s_at, a: float, b: float, fa: float, fb: float,
     simple root's |s| shrinks with its bracket, a pole's or a jump's does
     not.
 
+    The search ends at the first s that is not finite, at an end or at a
+    step: it has no root, and reports its smallest |s| as inf.
+
     Returns:
         (root, smallest |s| evaluated): root is the zero of the line
-        through the ends of the last bracket, on their own values.
+        through the ends of the last bracket, on their own values; (nan,
+        inf) where an s was not finite.
     """
+    if not (math.isfinite(fa) and math.isfinite(fb)):
+        return math.nan, math.inf
     tiny = 8.0 * np.spacing(max(abs(a), abs(b)))
     span = tol = max(tol, tiny)  # tol: the width that ends this round
     best = min(abs(fa), abs(fb))
@@ -882,6 +888,8 @@ def _signed_root(s_at, a: float, b: float, fa: float, fb: float,
             elif b - x <= h:
                 x -= h
         fx = s_at(x)
+        if not math.isfinite(fx):
+            return math.nan, math.inf
         best = min(best, abs(fx))
         if fx == 0.0:
             return x, best
@@ -966,7 +974,8 @@ def critical_beta(d0: float, block: str, band_pair, target_point,
     Raises:
         ValueError: a bad block or band_pair, bracket_tol not positive and
             finite, or an empty or reversed beta_bracket.
-        NoClosure: the smallest gap found stayed at or above EPS_DEG.
+        NoClosure: the smallest gap found stayed at or above EPS_DEG (or
+            was NaN).
     """
     pair = _check_pair(block, band_pair)
     _check_positive("bracket_tol", bracket_tol)
@@ -1008,7 +1017,7 @@ def critical_beta(d0: float, block: str, band_pair, target_point,
                 return float(root)
             break
     beta_c, best = _min_gap_beta(gap_at, lo, hi, bracket_tol)
-    if best >= EPS_DEG:
+    if not best < EPS_DEG:  # a NaN gap closes nothing
         raise NoClosure(
             f"gap at {np.asarray(k_t)} stayed above {EPS_DEG:g} over "
             f"beta in [{lo}, {hi}] (best {best:.3e})"

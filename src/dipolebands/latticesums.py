@@ -91,87 +91,83 @@ would need an index past it, the table is not built and every k fails with
 NonConvergent. A build that raises stores nothing, and every table array is
 read-only.
 
-A request's k is any array (..., 2): its N points, in C order, are one
-pass. Per spatial table one product, np.einsum("nr,rc->nc"), of the (N, n)
-Bloch phases and the (n, 5) weights, whose row n is bitwise the one-point
-product, and the spectral terms of all N laid out as runs, one per k in
-its one-point order. One segment reduction (np.add.reduceat) sums the runs
-(an empty one, left by a small splitting override, is zero), and the sum of
-a run depends on its own terms only, so each point is bitwise the
-one-point sum at its k. Per-k result fields (D, k_reduced, n_propagating)
-follow k's leading shape, empty for one point; n_spatial and n_spectral
-are the terms summed over the request and est_error is its worst, so the
-counts of N one-point calls and of one batch agree. The working set grows
-as N times the terms of one k, so bloch.solve_k hands the sums at most
-bloch._PASS_SIZE points per pass: a 128-point "bloch" pass at d0 0.1, beta
-0.9 over the zone peaks at about 10.8 KB per k cold and 5.8 KB per k when
-it reads a stored beta-free half (tracemalloc). The (terms, 5) spectral
-block is its largest array, and it is written column by column in place
-(see _spectral_terms).
+Every request is one pass over its k, an array (..., 2) whose N points,
+in C order, are summed together, and every pass sums the three sums of a
+Bloch matrix: D_same(k), D_ab(k) (rho = +d, d the basis offset) and
+D_ba(k). The offset only picks what D returns: "bloch" the three on a
+leading axis of 3, "same", "a_to_b" and "b_to_a" one of them. Per spatial
+table one product, np.einsum("nr,rc->nc"), of the (N, n) Bloch phases and
+the (n, 5) weights, whose row n is bitwise the one-point product, and the
+spectral terms of all N laid out as runs, one per k in its one-point
+order. One segment reduction (np.add.reduceat) sums the runs (an empty
+one, left by a small splitting override, is zero), and the sum of a run
+depends on its own terms only, so each point is bitwise the one-point sum
+at its k. Per-k result fields (D, k_reduced, n_propagating) follow k's
+leading shape, empty for one point; n_spatial and n_spectral are the
+terms summed over the pass and est_error is its worst, whichever offset
+is asked for, so the counts of N one-point calls and of one batch agree.
+The working set grows as N times the terms of one k, so bloch.solve_k
+hands the sums at most bloch._PASS_SIZE points per pass: a 128-point pass
+at d0 0.1, beta 0.9 over the zone peaks at about 10.8 KB per k cold and
+5.8 KB per k when it reads a stored beta-free half (tracemalloc). The
+(terms, 5) spectral block is its largest array, and it is written column
+by column in place (see _spectral_terms).
 
-The offset "bloch" returns the three sums of a Bloch matrix from that one
-pass: D gains a leading axis of 3, [D_same(k), D_ab(k), D_ba(k)], the
-first two bitwise the single-offset sums ("same" and "a_to_b" at k). The
-dyadic is even, so D_ba(k) = D_ab(-k). Where no diffraction order
+The dyadic is even, so D_ba(k) = D_ab(-k). Where no diffraction order
 propagates (every quasistatic row, and every retarded row with
 n_propagating 0) the sums carry no radiative part and D_ab(-k) =
 conj(D_ab(k)): such a row takes D_ba = conj(D_ab) from the same pass,
 exactly, with D_ab's summed magnitudes, so that the Bloch matrix's
-coupling blocks are exactly Hermitian there. It lies within the rounding
-bound, a small multiple of u sum|terms|, of the single-offset "a_to_b" sum
-at -k, which sums the same terms in another order. Only the rows where an
-order propagates sum D_ba as a -k run, bitwise that single-offset sum, and
-the kernels at k serve it: the order list is symmetric (its reverse is its
-negation), so the run about -reduce_to_bz(k) is the one about
-reduce_to_bz(k) negated and reversed. Those rows' D_ba runs are their D_ab
-runs, last row first, reversed as a whole, under the conjugate phases
-(every term is even in k + g, so k + g is left as it is), and their
-spatial terms those of the a_to_b table under the conjugate Bloch phase.
-Where reduce_to_bz(-k) is not -reduce_to_bz(k) (ties on the zone boundary,
-such as M inside the light cone), the kernels of that -k are one more run
-of the same pass, which gives the tie's D_ba. Both rules depend on k alone,
-so each row is still bitwise its one-point sum, and a pass in which no
-order propagates reduces no -k and sums no -k run. k_reduced and
-n_propagating are the same-site sum's, n_spatial and n_spectral count the
-terms summed (D_same's, D_ab's and the -k runs') and est_error is the
-worst.
+coupling blocks are exactly Hermitian there. A row where an order
+propagates sums D_ba as its own a_to_b run, reversed, under the conjugate
+phases: the order list is symmetric (its reverse is its negation), so the
+run about -k_reduced is the one about k_reduced negated and reversed, and
+every term is even in k + g, so k + g is left as it is. Those rows' runs,
+last row first, are reversed as a whole into one more block of the pass,
+and their spatial terms are those of the a_to_b table under the conjugate
+Bloch phase. Where -k reduces to -k_reduced, D_ba is bitwise the a_to_b
+sum at -k. Where it does not (ties on the zone boundary, such as M inside
+the light cone), that sum's Bloch phases differ from these by rounding,
+and D_ba lies within the rounding bound, a small multiple of u
+sum|terms|, of it, as a conjugated row does. Both rules depend on k
+alone, so each row is still bitwise its one-point sum; no pass reduces
+-k, and a pass in which no order propagates sums no -k block.
+k_reduced and n_propagating are D_same's.
 
-Only the basis offset rho depends on beta, so a "bloch" pass is built in
-two halves. The beta-free half (_PassHalf) is the zone reduction of k (and
-of -k where an order propagates, with the tie runs), the run lengths, every
-run's k + g and spectral kernels, n_propagating, and D_same's five columns
-(spectral, then spatial, then the self term) with their summed magnitudes
-and term counts. The rho half weighs the kernels by e^{i(k+g).rho} into the
-a_to_b runs, the reversed -k block and the tie runs, sums the a_to_b table
-against its Bloch phases, applies the rounding gate and conjugates D_ab
-into the other rows' D_ba. A pass that builds its half sums
-D_same's runs in the same segment reduction, ahead of the a_to_b runs, as
-the one pass of the three sums does without the split, and keeps D_same's
-rows for the half; a pass that reads a stored half leaves that block out
-and prepends the stored rows. Every term and every run sum depends on its
-own inputs only, so a hit returns every result field bitwise as a cold call
-does; it reads no same-site spatial table. A third least-recently-used
-cache, of at most _CACHE_SIZE entries, keeps beta-free halves read-only,
-keyed on the cell table's key (which holds no beta) and the bytes of the
-pass's k. A half is stored on its key's second request only, decided at
-the pass's one lookup (_pass_lookup: the stored half, and whether the key
-is recorded). A pass that finds its key recorded stores its half once it
-has succeeded (_pass_done), any other records the key then: so a pass
-asked for once keeps no arrays (a Newton stencil, classify's rays, a path
-point) and lets its half's kernels go as soon as it has read them, while a
-k-set that every lattice of one d0 solves, such as the degeneracy scan's
-grid or critical_beta's M, is summed twice and then read. The one-off
-passes fill the key record too, so it has a bound of its own,
-_PASS_KEY_SIZE keys, least recently used out: find-cones records about 20 keys per search, and a
-full record holds about 0.36 MB of keys on find-cones and 0.15 MB on bands
-paths. A pass that raises stores and records nothing. The Rayleigh test
-holds on a hit (a half that grazes is never stored), and the NonConvergent
-checks run in the same order, the rounding gate on every row of every call.
-On twelve find-cones searches at d0 0.1 the stored halves hold about 1.6 MB
-(tracemalloc). Two other layouts were slower on the cones benchmark (op_s,
-10 s runs): D_same in a block of its own, 0.0775 -> 0.0825 s (+6%, slower
-in 10 of 10 alternating pairs), and a half of the kernels alone, 0.0779 ->
-0.0928 s (+19%, 4 of 4).
+Only the basis offset rho depends on beta, so a pass is built in two halves.
+The beta-free half (_PassHalf) is the zone reduction of k, the run lengths,
+every run's k + g and spectral kernels, n_propagating, and D_same's five
+columns (spectral, then spatial, then the self term) with their summed
+magnitudes and term counts. The rho half weighs the kernels by
+e^{i(k+g).rho} into the a_to_b runs and the reversed -k block, sums the
+a_to_b table against its Bloch phases, applies the rounding gate and
+conjugates D_ab into the other rows' D_ba. A pass that builds its half sums
+D_same's runs in the same segment reduction, ahead of the a_to_b runs, and
+keeps D_same's rows for the half; a pass that reads a stored half leaves
+that block out and prepends the stored rows. Every term and every run sum
+depends on its own inputs only, so a hit returns every result field bitwise
+as a cold call does; it reads no same-site spatial table. A third
+least-recently-used cache, of at most _CACHE_SIZE entries, keeps beta-free
+halves read-only, keyed on the cell table's key (which holds no beta) and
+the bytes of the pass's k. A half is stored on its key's second request
+only, decided at the pass's one lookup (_pass_lookup: the stored half, and
+whether the key is recorded). A pass that finds its key recorded stores its
+half once it has succeeded (_pass_done), any other records the key then: so
+a pass asked for once keeps no arrays (a Newton stencil, classify's rays, a
+path point) and lets its half's kernels go as soon as it has read them,
+while a k-set that every lattice of one d0 solves, such as the degeneracy
+scan's grid or critical_beta's M, is summed twice and then read. The one-off
+passes fill the key record too, so it has a bound of its own, _PASS_KEY_SIZE
+keys, least recently used out: find-cones records about 20 keys per search,
+and a full record holds about 0.36 MB of keys on find-cones and 0.15 MB on
+bands paths. A pass that raises stores and records nothing. The Rayleigh
+test holds on a hit (a half that grazes is never stored), and the
+NonConvergent checks run in the same order, the rounding gate on every row
+of every call. On twelve find-cones searches at d0 0.1 the stored halves
+hold about 1.6 MB (tracemalloc). Two other layouts were slower on the cones
+benchmark (op_s, 10 s runs): D_same in a block of its own, 0.0775 -> 0.0825
+s (+6%, slower in 10 of 10 alternating pairs), and a half of the kernels
+alone, 0.0779 -> 0.0928 s (+19%, 4 of 4).
 """
 
 from __future__ import annotations
@@ -249,16 +245,15 @@ class LatticeSumRequest:
         spec: Lattice geometry.
         k: Bloch vectors, an array (..., 2); each is reduced internally
             to the first zone.
-        offset: 'same' (rho = 0, R = 0 excluded), 'a_to_b' (rho = +d) or
-            'b_to_a' (rho = -d), d the basis offset; or 'bloch', the three
-            sums of a Bloch matrix from one pass: D is (3, ..., 3, 3),
-            k's leading shape between, holding [D_same(k), D_ab(k),
-            D_ba(k)], the first two bitwise their single-offset sums.
-            D_ba(k) = D_ab(-k) is summed at -k, bitwise the single-offset
-            sum, only where an order propagates (retarded n_propagating
-            > 0); every other row takes D_ba = conj(D_ab), exactly (see
-            the module docstring for the -k order and the zone-boundary
-            ties).
+        offset: Which sums of the pass D holds (every request sums the
+            three of a Bloch matrix at k in one pass): 'bloch' all three,
+            D (3, ..., 3, 3) with k's leading shape between, holding
+            [D_same(k), D_ab(k), D_ba(k)]; or one of them, 'same' (rho =
+            0, R = 0 excluded), 'a_to_b' (rho = +d) or 'b_to_a' (rho = -d,
+            D_ba(k) = D_ab(-k)), d the basis offset. D_ba is conj(D_ab),
+            exactly, where no order propagates, and the row's own a_to_b
+            run reversed under the conjugate phases where one does (see
+            the module docstring).
         mode: 'retarded' or 'quasistatic'.
         splitting: Ewald parameter E; None selects default_splitting.
     """
@@ -282,13 +277,13 @@ class LatticeSumResult:
             stacks its three sums on a leading axis of 3, D_ba =
             conj(D_ab) exactly at the rows where no order propagates.
         n_spatial, n_spectral: Number of lattice vectors in the spatial
-            and spectral truncation disks, i.e. the terms summed (over all
-            k of a batch; for a 'bloch' request, those of D_same and D_ab
-            and of D_ba's -k runs, which only the rows where an order
-            propagates sum).
+            and spectral truncation disks, i.e. the terms the pass summed,
+            whichever offset was asked for: over all k of a batch, those
+            of D_same and D_ab and of D_ba's -k block, which only the rows
+            where an order propagates sum.
         est_error: A priori relative truncation bound, _TOLERANCE/10 times
             the summed term magnitudes over |D| (an overestimate); the
-            largest over a batch and over the sums of a 'bloch' request (a
+            largest over a batch and over the three sums of the pass (a
             conjugated D_ba carries D_ab's magnitudes).
         k_reduced: (..., 2) the zone-reduced k the series were summed at,
             reduce_to_bz(reciprocal(spec), k); callers read the light
@@ -505,12 +500,7 @@ class _PassHalf:
 
     Attributes:
         k: (N, 2) the points reduced to the first zone.
-        ba: for 'bloch', the rows whose D_ba is summed at -k, those where
-            an order propagates (retarded n_prop > 0), in the order of
-            their runs: the rows whose -k reduces to -k_reduced, last
-            first, then the zone-boundary ties; empty otherwise.
-        neg: (ties, 2) the ties' reduced -k.
-        counts: (N + ties,) the run lengths of the k rows, then the ties'.
+        counts: (N,) the run lengths.
         qv, kern, zker: Per term of those runs, k + g and its spectral
             kernels (_spectral_kernels); None in a pass that does not
             store its half, once it has read them.
@@ -523,24 +513,22 @@ class _PassHalf:
     """
 
     k: np.ndarray
-    ba: np.ndarray
-    neg: np.ndarray
     counts: np.ndarray
     qv: np.ndarray | None
     kern: np.ndarray | None
     zker: np.ndarray | None
     n_prop: np.ndarray
-    total: np.ndarray | None
-    mags: np.ndarray | None
-    n_spectral: int
-    n_spatial: int
+    total: np.ndarray | None = None
+    mags: np.ndarray | None = None
+    n_spectral: int = 0
+    n_spatial: int = 0
 
 
 # Entries kept per cache; past it the least recently used one is dropped.
 _CACHE_SIZE = 64
 _CELL_TABLES: dict = {}
 _SPATIAL_TABLES: dict = {}
-# The beta-free halves of "bloch" passes stored, and the keys of passes
+# The beta-free halves of passes stored, and the keys of passes
 # requested once (see _pass_done). The key record has its own bound:
 # one-off passes fill it too, and a k-set asked for again is stored only
 # while its key is still there.
@@ -693,22 +681,18 @@ def _spectral_kernels(cell: _CellTable, k, k0_eff, e, lead):
     _spectral_terms weighs the kernels by a Bloch phase.
 
     Args:
-        k: (rows, 2) zone-reduced Bloch vectors: the request's N rows, or
-            the -k rows of zone-boundary ties.
+        k: (N, 2) zone-reduced Bloch vectors.
         lead: The request k's leading shape, () for one point; it shapes
-            RayleighAnomaly.direction like the request's k. None for tie
-            rows, which are not checked for grazing orders (their |k+g|
-            are those of their k) and whose n_prop is left 0.
+            RayleighAnomaly.direction like the request's k.
 
     Returns:
         (counts, qv, kern, zker, n_prop): per row its run length (0 where
-        a small splitting override puts reach below |k|) and propagating
-        orders; per term k + g, the kernel erfc(gamma/2E)/gamma (0 at
-        gamma = 0) and the z column's kernel.
+        a small splitting override puts reach below |k|); per term k + g,
+        the kernel erfc(gamma/2E)/gamma (0 at gamma = 0) and the z
+        column's kernel; per row its propagating orders.
 
     Raises:
-        RayleighAnomaly: an order of one of the request's rows grazes the
-            light line.
+        RayleighAnomaly: an order of a row grazes the light line.
     """
     v = cell.orders + k[:, None, :]
     flat = v.reshape(-1, 2)
@@ -717,7 +701,7 @@ def _spectral_kernels(cell: _CellTable, k, k0_eff, e, lead):
     qv = v[disk]
     q = np.linalg.norm(qv, axis=1)
     n_prop = np.zeros(len(k), dtype=int)
-    if k0_eff != 0.0 and lead is not None:
+    if k0_eff != 0.0:
         row = np.nonzero(disk)[0]  # the k of each term
         grazing = np.abs(q - k0_eff) < RAYLEIGH_REL_THRESHOLD * k0_eff
         if np.any(grazing):
@@ -807,13 +791,14 @@ def _norms(a: np.ndarray) -> np.ndarray:
 
 
 def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
-    """Evaluate one quasi-periodic dyadic lattice sum, or the three of a
-    Bloch matrix (offset 'bloch'), at each point of k (..., 2).
+    """The three quasi-periodic dyadic lattice sums of a Bloch matrix at
+    each point of k (..., 2), from one pass; the offset picks which of them
+    D holds.
 
     The k-independent set-up comes from the per-lattice tables, and a batch
     is summed in one pass (see the module docstring); only the k-dependent
     terms are evaluated here, the offset-free spectral kernels once for
-    every sum of the request.
+    the three sums.
 
     Args:
         req: Request; see LatticeSumRequest.
@@ -827,8 +812,7 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
         ValueError: unknown mode or offset, k not of shape (..., 2), a k
             that reduce_to_bz refuses (not finite or too large), or a
             splitting that is not finite and positive.
-        RayleighAnomaly: retarded mode with |k+g| on the light line (for
-            'bloch', as the same-site request at k raises it).
+        RayleighAnomaly: retarded mode with |k+g| on the light line.
         NonConvergent: truncation disk past the index cap (the spectral
             cap holds per lattice: past it every k fails), spatial
             prefactor overflow or a rounding bound past _MAX_ROUNDING (an
@@ -842,8 +826,9 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
     lead = k.shape[:-1]
     k = k.reshape(-1, 2)
     spec = req.spec
-    bloch = req.offset == "bloch"
-    rho = _resolve_offset(spec, "a_to_b" if bloch else req.offset)
+    if req.offset != "bloch":
+        _resolve_offset(spec, req.offset)  # an unknown offset raises
+    rho = np.asarray(spec.basis_offset, dtype=float)
     e = (default_splitting(spec, req.mode) if req.splitting is None
          else float(req.splitting))
     if not (np.isfinite(e) and e > 0.0):
@@ -862,67 +847,53 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
     # has already refused a prefactor e^{k0^2/4E^2} past overflow, before
     # e^{y^2} overflows in _spectral_kernels)
     t_rho = table(rho)
-    # a 'bloch' pass's beta-free half, stored from its second request
+    # the pass's beta-free half, stored from its second request; a pass
+    # that does not read one sums D_same against the same-site table
     pass_key = key + (k.tobytes(),)
-    half, keep = _pass_lookup(pass_key) if bloch else (None, False)
-    # the same-site table where this pass sums D_same: offset 'same', or a
-    # 'bloch' pass whose half does not hold its sums
+    half, keep = _pass_lookup(pass_key)
     t_same = None
-    fresh = half is None
-    if fresh:
-        t_same = (table(np.zeros(2)) if bloch
-                  else t_rho if req.offset == "same" else None)
-        half = _pass_half(cell, k, bloch, k0_eff, e, lead)
-    n, k = len(k), half.k
+    if half is None:
+        t_same = table(np.zeros(2))
+        red = reduce_to_bz(cell.recip, k)
+        half = _PassHalf(red, *_spectral_kernels(cell, red, k0_eff, e, lead))
+    n, k, same = len(k), half.k, t_same is not None
     runs, qv, kern, zker = half.counts, half.qv, half.kern, half.zker
-    if fresh and not keep:
+    if same and not keep:
         # a half this pass will not store lets its kernels go once they
-        # are read (for 'bloch', once concatenated)
+        # are concatenated
         half = replace(half, qv=None, kern=None, zker=None)
     unit = np.exp(1j * (qv @ rho))
-    # a 'bloch' pass sums D_ba at -k only for the rows of half.ba: the
-    # first r whose -k reduces to -k_reduced, then the ties
-    ba = half.ba
-    r = len(ba) - len(half.neg)
-    if not bloch:
-        spatial = [(t_rho, _bloch_phase(t_rho, k))]
-    else:
-        # the runs of [same, a_to_b at k, a_to_b at -k], the first only
-        # where D_same is summed here, the last only for the rows of ba:
-        # the terms at -k are those at k negated, each run reversed, under
-        # the conjugate phases, i.e. the a_to_b runs of ba[:r] (last row
-        # first) reversed as a whole (their k + g are left unnegated: every
-        # term is even in k + g); a tie's follow from its own -k run
-        t = int(runs[:n].sum())
-        same = t_same is not None
-        ab = t if same else 0  # where the a_to_b terms start
-        back = back_terms = None  # the rows of ba[:r], and their terms
-        if len(ba):
-            back = np.zeros(n, dtype=bool)
-            back[ba[:r]] = True
-            back_terms = np.repeat(back, runs[:n])
+    # the runs of [same, a_to_b at k, a_to_b at -k], the first only where
+    # D_same is summed here, the last only for the rows where an order
+    # propagates (ba, last row first): the terms at -k are those at k
+    # negated, each run reversed, under the conjugate phases, i.e. the
+    # a_to_b runs of ba reversed as a whole (their k + g are left
+    # unnegated: every term is even in k + g)
+    ba = np.flatnonzero(half.n_prop)[::-1]
+    t = int(runs.sum())
+    ab = t if same else 0  # where the a_to_b terms start
+    back = back_terms = None  # the rows of ba, and their terms
+    if len(ba):
+        back = np.zeros(n, dtype=bool)
+        back[ba] = True
+        back_terms = np.repeat(back, runs)
 
-        def layout(a, m, pick):
-            parts = [a[:m]] * (1 + same)
-            if pick is not None:
-                parts += [a[:m][pick][::-1], a[m:]]
-            return np.concatenate(parts) if len(parts) > 1 else parts[0]
+    def layout(a, pick):
+        parts = [a] * (1 + same)
+        if pick is not None:
+            parts.append(a[pick][::-1])
+        return np.concatenate(parts) if len(parts) > 1 else parts[0]
 
-        runs = layout(runs, n, back)
-        qv, kern, zker, unit = (layout(a, t, back_terms)
-                                for a in (qv, kern, zker, unit))
-        unit[:ab] = 1.0  # e^{i (k+g).0} = 1
-        if len(ba):
-            minus = slice(ab + t, ab + t + np.count_nonzero(back_terms))
-            unit[minus] = unit[minus].conj()
-        phases = [_bloch_phase(t_rho, k)]
-        if len(ba):
-            phases.append(phases[0][ba[:r]].conj())
-        if len(half.neg):
-            phases.append(_bloch_phase(t_rho, half.neg))
-        spatial = ([(t_same, _bloch_phase(t_same, k))] if same else []) \
-            + [(t_rho, np.concatenate(phases) if len(phases) > 1
-                else phases[0])]
+    runs = layout(runs, back)
+    qv, kern, zker, unit = (layout(a, back_terms)
+                            for a in (qv, kern, zker, unit))
+    unit[:ab] = 1.0  # e^{i (k+g).0} = 1
+    phases = _bloch_phase(t_rho, k)
+    if len(ba):
+        unit[ab + t:] = unit[ab + t:].conj()
+        phases = np.concatenate([phases, phases[ba].conj()])
+    spatial = ([(t_same, _bloch_phase(t_same, k))] if same else []) \
+        + [(t_rho, phases)]
     terms = _spectral_terms(qv, kern, zker, unit, cell.area2)
     del qv, kern, zker, unit  # unread from here: free them for the sums
     # one segment reduction over the non-empty runs, each summed as one k
@@ -937,8 +908,6 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
     # the spatial series: per table, its Bloch phases against its weights
     total = sums + np.concatenate([np.einsum("nr,rc->nc", ph, t.weights)
                                    for t, ph in spatial])
-    if t_same is not None:
-        total[:n] += t_same.self_term
     # each omitted term is below _TOLERANCE/10 of the leading scale, so the
     # tail is bounded by _TOLERANCE/10 times the summed magnitudes,
     # component-wise; a spatial term's is its weight's, the Bloch phase
@@ -946,7 +915,9 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
     mags += np.concatenate([np.broadcast_to(t.magnitudes, (len(ph), 5))
                             for t, ph in spatial])
     n_spatial = sum(ph.size for _, ph in spatial)
-    if bloch and t_same is None:
+    if same:
+        total[:n] += t_same.self_term
+    else:
         # D_same's rows from the stored half
         total = np.concatenate([half.total, total])
         mags = np.concatenate([half.mags, mags])
@@ -962,19 +933,18 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
         raise NonConvergent(
             f"rounding bound {rounding[at]:.3g} past {_MAX_ROUNDING:g} at "
             f"k={k[row]}: splitting {e:g} cancels too many digits")
-    if bloch:
-        if t_same is not None:
-            _pass_done(pass_key, replace(
-                half, total=total[:n].copy(), mags=mags[:n].copy(),
-                n_spectral=t, n_spatial=n * len(t_same.lattice)) if keep
-                else None)
-        # D_ba = conj(D_ab), exactly, where no order propagates
-        d_ba = d[n:2 * n].conj()
-        if len(ba):
-            d_ba[ba] = d[2 * n:]
-        d = np.concatenate([d[:2 * n], d_ba])
+    if same:
+        _pass_done(pass_key, replace(
+            half, total=total[:n].copy(), mags=mags[:n].copy(),
+            n_spectral=t, n_spatial=n * len(t_same.lattice)) if keep
+            else None)
+    # D_ba = conj(D_ab), exactly, where no order propagates
+    d_ba = d[n:2 * n].conj()
+    if len(ba):
+        d_ba[ba] = d[2 * n:]
+    d = np.concatenate([d[:2 * n], d_ba]).reshape((3,) + lead + (3, 3))
     return LatticeSumResult(
-        D=d.reshape(((3,) if bloch else ()) + lead + (3, 3)),
+        D=d if req.offset == "bloch" else d[_OFFSETS.index(req.offset)],
         n_spatial=n_spatial,
         n_spectral=n_spectral,
         est_error=float(est.max(initial=0.0)),
@@ -982,38 +952,6 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
         k_reduced=k.reshape(lead + (2,)).copy(),
         n_propagating=half.n_prop.reshape(lead).copy()[()],
     )
-
-
-def _pass_half(cell: _CellTable, k, bloch, k0_eff, e, lead) -> _PassHalf:
-    """The beta-free half of a pass at k (N, 2): the zone reduction and the
-    spectral kernels, without D_same's sums (the pass adds them). For
-    'bloch', the rows where an order propagates also reduce -k, and the
-    zone-boundary ties among them add the kernels of their own -k runs.
-
-    Raises:
-        RayleighAnomaly: an order of one of the points grazes the light
-            line.
-    """
-    red = reduce_to_bz(cell.recip, k)
-    counts, qv, kern, zker, n_prop = _spectral_kernels(cell, red, k0_eff, e,
-                                                       lead)
-    ba, neg = np.zeros(0, dtype=int), np.zeros((0, 2))
-    prop = np.flatnonzero(n_prop) if bloch else ba
-    if len(prop):
-        # -k mostly reduces to -k_reduced, whose terms are those at k
-        # negated; a zone-boundary tie reduces elsewhere, and its kernels
-        # are one more run
-        neg = reduce_to_bz(cell.recip, -k[prop])
-        tie = np.any(neg != -red[prop], axis=1)
-        ba, neg = np.concatenate([prop[~tie][::-1], prop[tie]]), neg[tie]
-        if len(neg):
-            counts, qv, kern, zker = (
-                np.concatenate(pair) for pair in zip(
-                    (counts, qv, kern, zker),
-                    _spectral_kernels(cell, neg, k0_eff, e, None)[:4]))
-    return _PassHalf(k=red, ba=ba, neg=neg, counts=counts, qv=qv, kern=kern,
-                     zker=zker, n_prop=n_prop, total=None, mags=None,
-                     n_spectral=0, n_spatial=0)
 
 
 def _rolloff(x: np.ndarray) -> np.ndarray:
@@ -1167,17 +1105,19 @@ _LEGS = (2.0, 0.5, 1.5, 1.1, 0.95, 0.9)
 def sum_diagnostics(spec: LatticeSpec, k) -> dict:
     """Cross-checks of the Ewald engine at one k-point.
 
-    Runs the same-sublattice (offset 'same') ewald_sum in both modes at the
-    default splitting E and at the first two of 2E, E/2, 1.5E, 1.1E, 0.95E
-    and 0.9E that converge, E/2 left out where it breaks the cap k0^2/4E^2
-    <= _MAX_GAU: 2E and E/2 (or 1.5E) up to d0 ~ 6.2, 0.95E and 0.9E at d0
-    11. It compares the quasistatic result against the direct-sum oracle.
+    Sums the three sums of a Bloch matrix (offset 'bloch') in both modes at
+    the default splitting E and at the first two of 2E, E/2, 1.5E, 1.1E,
+    0.95E and 0.9E that converge, E/2 left out where it breaks the cap
+    k0^2/4E^2 <= _MAX_GAU: 2E and E/2 (or 1.5E) up to d0 ~ 6.2, 0.95E and
+    0.9E at d0 11. It compares the quasistatic D_same and D_ab against the
+    direct-sum oracle.
 
     Returns:
-        Dict with relative deviations per mode ('retarded_splitting_dev',
-        'quasistatic_splitting_dev', 'quasistatic_direct_dev'), term counts,
-        and 'rayleigh_anomaly' (None, or the message when the retarded
-        series is singular at this k).
+        Dict with the worst relative deviation per mode over the three sums
+        ('retarded_splitting_dev', 'quasistatic_splitting_dev') and over
+        D_same and D_ab ('quasistatic_direct_dev'), the term counts of the
+        default-splitting passes, and 'rayleigh_anomaly' (None, or the
+        message when the retarded series is singular at this k).
     """
     report: dict = {
         "k": np.asarray(k, dtype=float).tolist(),
@@ -1192,8 +1132,8 @@ def sum_diagnostics(spec: LatticeSpec, k) -> dict:
                    if s != 0.5 or k0_eff**2 / e0**2 <= _MAX_GAU]
 
         def at(s):
-            return ewald_sum(LatticeSumRequest(spec=spec, k=k, mode=mode,
-                                               splitting=s * e0))
+            return ewald_sum(LatticeSumRequest(spec=spec, k=k, offset="bloch",
+                                               mode=mode, splitting=s * e0))
 
         res, legs = at(1.0), []
         for s in factors:
@@ -1203,8 +1143,9 @@ def sum_diagnostics(spec: LatticeSpec, k) -> dict:
                 continue
             if len(legs) == 2:
                 break
-        base = np.linalg.norm(res.D)
-        return max(np.linalg.norm(leg.D - res.D) / base for leg in legs), res
+        return max(np.linalg.norm(leg.D[i] - res.D[i])
+                   / np.linalg.norm(res.D[i])
+                   for leg in legs for i in range(3)), res
 
     try:
         dev, res = _dev("retarded")
@@ -1217,10 +1158,10 @@ def sum_diagnostics(spec: LatticeSpec, k) -> dict:
     dev, res = _dev("quasistatic")
     report["quasistatic_splitting_dev"] = dev
     report["quasistatic_terms"] = (res.n_spatial, res.n_spectral)
-    direct = direct_sum_quasistatic(
-        LatticeSumRequest(spec=spec, k=k, mode="quasistatic")
-    )
-    report["quasistatic_direct_dev"] = float(
-        np.linalg.norm(direct.D - res.D) / np.linalg.norm(direct.D)
-    )
+    direct = [direct_sum_quasistatic(LatticeSumRequest(
+        spec=spec, k=k, offset=offset, mode="quasistatic")).D
+        for offset in ("same", "a_to_b")]
+    report["quasistatic_direct_dev"] = max(
+        float(np.linalg.norm(want - got) / np.linalg.norm(want))
+        for want, got in zip(direct, res.D))
     return report

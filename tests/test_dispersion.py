@@ -1064,6 +1064,46 @@ def test_signed_root_narrows_on_while_the_ends_fall(shape):
     assert n <= n_coarse + 4
 
 
+def _capped(s, calls: int = 200):
+    """s, raising once it is called more than calls times: a search that
+    does not end fails the test instead of hanging."""
+    seen = []
+
+    def capped(x):
+        seen.append(x)
+        if len(seen) > calls:
+            raise AssertionError(f"{calls} evaluations and no end")
+        return s(x)
+
+    return capped
+
+
+@pytest.mark.parametrize("ends, step", [
+    ((-np.inf, np.inf), lambda x: np.copysign(np.inf, x - 0.85)),
+    ((-1.0, 1.0), lambda x: np.nan),
+    ((-0.05, 0.05), lambda x: np.inf),
+])
+def test_signed_root_ends_at_a_non_finite_s(ends, step):
+    # s infinite at both ends, or not finite at the first step: the search
+    # ends there, with no root and its smallest |s| inf
+    root, best = dispersion._signed_root(_capped(step), 0.80, 0.90, *ends,
+                                         1e-6, dispersion.EPS_DEG)
+    assert np.isnan(root) and best == np.inf
+
+
+@pytest.mark.parametrize("gap", [np.inf, np.nan])
+def test_critical_beta_falls_back_on_non_finite_gaps(monkeypatch, gap):
+    # gaps that are not finite, with opposite parities at the bracket ends:
+    # the signed root ends at once, and the V search finds no closure
+    parities = iter([(1.0, 1.0), (-1.0, -1.0)])
+    pair_at = _capped(lambda x: (gap, next(parities, (1.0, 1.0))))
+    monkeypatch.setattr(dispersion, "_pair_at",
+                        lambda spec, *args: pair_at(spec.beta))
+    with pytest.raises(NoClosure):
+        critical_beta(0.1, OUT_OF_PLANE, (0, 1), "M", (0.80, 0.88),
+                      bracket_tol=1e-6)
+
+
 @pytest.mark.parametrize("block,bracket,bracket_tol,beta_c", [
     (IN_PLANE, (0.55, 0.63), 3e-2, 0.5870762089),
     (IN_PLANE, (0.55, 0.63), 2e-2, 0.5870762089),

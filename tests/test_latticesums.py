@@ -28,7 +28,8 @@ from dipolebands import (
     sum_diagnostics,
 )
 from dipolebands.greens import K0
-from tests.conftest import minus_k_sum
+from tests.conftest import (_ref_disk, _ref_ewald_sum, _ref_pass,
+                            _ref_spatial_kernels, minus_k_sum, summed_terms)
 
 
 def _ewald(spec, k, offset="same", mode="retarded", splitting=None):
@@ -297,6 +298,30 @@ def test_sum_diagnostics_clean_points(beta, label):
     assert report["quasistatic_direct_dev"] < 1e-7
 
 
+def test_sum_diagnostics_checks_every_sum(monkeypatch):
+    # D_ab moved by 1e-6 in the retarded 2E leg alone: the retarded
+    # deviation sees it, the quasistatic one does not
+    spec = build_lattice(0.1, 1.0)
+    k = reciprocal(spec).K
+    clean = sum_diagnostics(spec, k)
+    leg = 2.0 * default_splitting(spec)
+
+    def skewed(req):
+        res = ewald_sum(req)
+        if (req.offset, req.mode, req.splitting) == ("bloch", "retarded",
+                                                     leg):
+            d = res.D.copy()
+            d[1] *= 1.0 + 1e-6
+            res = dataclasses.replace(res, D=d)
+        return res
+
+    monkeypatch.setattr(latticesums, "ewald_sum", skewed)
+    report = sum_diagnostics(spec, k)
+    assert report["retarded_splitting_dev"] == pytest.approx(1e-6, rel=1e-3)
+    assert (report["quasistatic_splitting_dev"]
+            == clean["quasistatic_splitting_dev"])
+
+
 def test_sum_diagnostics_reports_anomaly():
     spec = build_lattice(0.1, 1.0)
     report = sum_diagnostics(spec, [2.0 * np.pi, 0.0])
@@ -461,138 +486,9 @@ def test_bloch_sums_match_mpmath_reference(mode):
 
 
 # -- per-lattice tables --------------------------------------------------------
-# The reference below is the per-call series that the tables replaced: every
-# ewald_sum rebuilt its disks and kernels. The tabled engine must return the
-# same bits.
-
-def _ref_disk(basis, centre, reach):
-    dual = np.linalg.inv(basis)
-    mid = -centre @ dual
-    half = reach * np.linalg.norm(dual, axis=0)
-    if np.any(np.abs(mid) + half > latticesums._MAX_INDEX):
-        raise NonConvergent(
-            f"truncation radius {reach:.3g} needs lattice indices beyond "
-            f"{latticesums._MAX_INDEX}"
-        )
-    lo = np.floor(mid - half).astype(int)
-    hi = np.ceil(mid + half).astype(int)
-    m, n = np.meshgrid(np.arange(lo[0], hi[0] + 1),
-                       np.arange(lo[1], hi[1] + 1), indexing="ij")
-    v = np.stack([m.ravel(), n.ravel()], axis=1) @ basis + centre
-    return v[np.einsum("ij,ij->i", v, v) <= reach * reach]
-
-
-def _ref_spectral_terms(spec, recip, k, rho, k0_eff, e, depth):
-    qv = _ref_disk(np.array([recip.b1, recip.b2]), k,
-                   np.sqrt(k0_eff**2 + 4.0 * e**2 * depth))
-    q = np.linalg.norm(qv, axis=1)
-    n_prop = 0
-    if k0_eff != 0.0:
-        thr = latticesums.RAYLEIGH_REL_THRESHOLD
-        grazing = np.abs(q - k0_eff) < thr * k0_eff
-        if np.any(grazing):
-            i = int(np.argmax(grazing))
-            raise RayleighAnomaly(
-                f"|k+g| within {thr:g}*k0 of the light line at "
-                f"k={np.asarray(k)}", direction=qv[i] / q[i])
-        n_prop = int(np.count_nonzero(q < k0_eff))
-    d = k0_eff**2 - q**2
-    gamma = -1j * np.sqrt(d.astype(complex))
-    phase = np.exp(1j * (qv @ rho)) / (2.0 * spec.cell_area)
-    ec = latticesums._erfc_spectral(gamma / (2.0 * e))
-    kern = np.zeros_like(gamma)
-    np.divide(ec, gamma, out=kern, where=gamma != 0.0)
-    pk = phase * kern
-    zker = 2.0 * gamma * ec - (4.0 * e / np.sqrt(np.pi)) * np.exp(
-        d / (4.0 * e**2))
-    qx, qy = qv[:, 0], qv[:, 1]
-    w = np.stack([pk, -pk * qx * qx, -pk * qx * qy, -pk * qy * qy,
-                  0.5 * phase * zker], axis=1)
-    return w, n_prop
-
-
-def _ref_spatial_kernels(spec, rho, k0_eff, e, depth):
-    """The spatial disk and its radial kernels, rebuilt per call: the lattice
-    vectors R, r = |R + rho|, the unit vector (ux, uy), phi, phi'/r (c1),
-    phi'' - phi'/r (c2) and w(k0/2E) for the self-corrections."""
-    gau_cap = k0_eff**2 / (4.0 * e**2)
-    if gau_cap > 650.0:
-        raise NonConvergent(
-            f"splitting {e:g} too small: spatial prefactor "
-            f"exp({gau_cap:.1f}) overflows")
-    rvecs = _ref_disk(np.array([spec.a1, spec.a2]), rho,
-                      np.sqrt(depth + gau_cap) / e)
-    rv = np.linalg.norm(rvecs, axis=1)
-    keep = rv > 0.0
-    rvecs, rv = rvecs[keep], rv[keep]
-    gau = np.exp(-(rv**2) * e**2 + gau_cap)
-    # the package's kernels on the arguments the tables pass them, so that
-    # the sums agree bit for bit: w at i r E + k0/2E, then at k0/2E for the
-    # self-corrections
-    b = k0_eff / (2.0 * e)
-    w = latticesums._wofz(np.append(1j * rv * e + b, b))
-    tp = gau * w[:-1]
-    tm = gau * w[:-1].conj()
-    f = tp + tm
-    sqrt_pi = np.sqrt(np.pi)
-    fp = 1j * k0_eff * (tm - tp) - (4.0 * e / sqrt_pi) * gau
-    fpp = -(k0_eff**2) * f + (8.0 * rv * e**3 / sqrt_pi) * gau
-    phip = fp / rv - f / rv**2
-    phipp = fpp / rv - 2.0 * fp / rv**2 + 2.0 * f / rv**3
-    c1 = phip / rv
-    return (rvecs - rho, rvecs[:, 0] / rv, rvecs[:, 1] / rv, f / rv, c1,
-            phipp - c1, w[-1])
-
-
-def _ref_spatial_sums(spec, k, rho, k0_eff, e, depth, per_term=False):
-    """The spatial series at k as (sum, summed magnitudes, terms, w(k0/2E)).
-
-    By default in the weights form: the Bloch phases against k-free
-    weights, whose magnitudes are the series'. per_term=True builds each
-    term phase times kernels and sums the terms and their magnitudes, as
-    the engine did before the weights form (a second, looser reference).
-    """
-    lattice, ux, uy, phi, c1, c2, w_b = _ref_spatial_kernels(
-        spec, rho, k0_eff, e, depth)
-    phase = np.exp(-1j * (lattice @ k))
-    if per_term:
-        pre = phase / (8.0 * np.pi)
-        c1, c2 = pre * c1, pre * c2
-        terms = np.stack([pre * phi, c1 + c2 * ux * ux, c2 * ux * uy,
-                          c1 + c2 * uy * uy, c1], axis=1)
-        return terms.sum(axis=0), np.abs(terms).sum(axis=0), len(terms), w_b
-    weights = np.stack([phi, c1 + c2 * ux * ux, c2 * ux * uy,
-                        c1 + c2 * uy * uy, c1], axis=1) / (8.0 * np.pi)
-    return (np.einsum("nr,rc->nc", phase[None], weights)[0],
-            np.abs(weights).sum(axis=0), len(weights), w_b)
-
-
-def _ref_ewald_sum(req, per_term=False):
-    spec, tol = req.spec, latticesums._TOLERANCE
-    recip = reciprocal(spec)
-    k = reduce_to_bz(recip, np.asarray(req.k, dtype=float))
-    rho = latticesums._resolve_offset(spec, req.offset)
-    e = default_splitting(spec) if req.splitting is None else req.splitting
-    retarded = req.mode == "retarded"
-    k0_eff = K0 if retarded else 0.0
-    depth = np.log(10.0 / tol) + latticesums._MARGIN
-    w_g, n_prop = _ref_spectral_terms(spec, recip, k, rho, k0_eff, e, depth)
-    s_r, m_r, n_r, w_b = _ref_spatial_sums(spec, k, rho, k0_eff, e, depth,
-                                           per_term)
-    # the spectral terms are summed as the package sums one k's run
-    total = np.add.reduceat(w_g, [0], axis=0)[0] + s_r
-    if req.offset == "same":
-        h0, h2 = latticesums._self_corrections(k0_eff, e, w_b)
-        total += np.array([h0, 2.0 * h2, 0.0, 2.0 * h2, 2.0 * h2])
-    d = latticesums._dyadic(total, retarded)
-    magnitude = latticesums._dyadic(
-        np.add.reduceat(np.abs(w_g), [0], axis=0)[0] + m_r, retarded)
-    return LatticeSumResult(
-        D=d, n_spatial=n_r, n_spectral=len(w_g),
-        est_error=float(0.1 * tol * np.linalg.norm(magnitude)
-                        / np.linalg.norm(d)),
-        k_reduced=k, n_propagating=n_prop)
-
+# The reference (conftest._ref_ewald_sum) is the per-call series that the
+# tables replaced: every ewald_sum rebuilt its disks and kernels. The tabled
+# engine must return the same bits.
 
 def _ref_spatial_table(spec, rho, k0_eff, e):
     """The offset's spatial table built as before the frame: its own _disk
@@ -655,7 +551,9 @@ _VERTICES = ("K", "Kprime", "M", "M_top", "M_bottom", "Gamma")
 def test_tables_match_per_call_series(d0, beta, offset, mode, scale, k_at,
                                       shift):
     # k inside and outside the first zone, zone vertices included; the
-    # first call builds the tables, the second reads them
+    # first call builds the tables, the second reads them. D is the
+    # offset's row of the reference pass, and the terms and est_error are
+    # the whole pass's
     spec = build_lattice(d0, beta)
     recip = reciprocal(spec)
     if isinstance(k_at, str):
@@ -665,7 +563,17 @@ def test_tables_match_per_call_series(d0, beta, offset, mode, scale, k_at,
     k = base + shift[0] * recip.b1 + shift[1] * recip.b2
     req = LatticeSumRequest(spec=spec, k=k, offset=offset, mode=mode,
                             splitting=scale * default_splitting(spec))
-    want = _outcome(_ref_ewald_sum, req)
+    row = latticesums._OFFSETS.index(offset)
+
+    def reference(per_term=False):
+        """The request's result from the reference pass, and its sum."""
+        res = _outcome(lambda r: _ref_pass(r, per_term), req)
+        if isinstance(res, Exception):
+            return res, None
+        whole, sums = res
+        return dataclasses.replace(whole, D=whole.D[row]), sums[row]
+
+    want, want_sum = reference()
     _clear_tables()
     _assert_same_bits(_outcome(ewald_sum, req), want)  # cold
     got = _outcome(ewald_sum, req)
@@ -673,14 +581,12 @@ def test_tables_match_per_call_series(d0, beta, offset, mode, scale, k_at,
     # the weights form moves the per-term series by rounding only: a small
     # multiple of u sum|terms| (u the float epsilon), the sum's own
     # rounding bound, which est_error gives as est_error |D| / (0.1 target)
-    old = _outcome(lambda r: _ref_ewald_sum(r, per_term=True), req)
+    old, _ = reference(per_term=True)
     if isinstance(want, Exception):
         assert type(old) is type(want) and str(old) == str(want)
         return
-    magnitudes = (got.est_error * np.linalg.norm(got.D)
-                  / (0.1 * latticesums._TOLERANCE))
     assert (np.linalg.norm(got.D - old.D)
-            <= 16 * np.finfo(float).eps * magnitudes)
+            <= 16 * np.finfo(float).eps * summed_terms(want_sum))
     assert abs(got.est_error - old.est_error) <= 1e-12 * old.est_error
     assert (got.n_spatial, got.n_spectral, got.n_propagating) == \
         (old.n_spatial, old.n_spectral, old.n_propagating)
@@ -716,28 +622,38 @@ def test_bloch_offset_matches_single_offsets(d0, beta, mode, fracs, shift,
 
     for k in (sum_ks, sum_ks[at % len(sum_ks)]):  # a batch and one point
         got = _ewald(spec, k, "bloch", mode)
-        want = [_ewald(spec, k, "same", mode), _ewald(spec, k, "a_to_b", mode)]
-        assert got.D.shape == (3,) + want[0].D.shape
-        for d, w in zip(got.D, want):
-            assert bits(d) == bits(w.D)
-        assert bits(got.k_reduced) == bits(want[0].k_reduced)
-        assert bits(got.n_propagating) == bits(want[0].n_propagating)
-        # D_ba is the a_to_b sum at -k where an order propagates; elsewhere
-        # it is conj(D_ab), bit for bit, within the rounding bound of that
-        # sum. The terms and est_error are those of the sums summed
-        d_ab, d_ba = got.D[1].reshape(-1, 3, 3), got.D[2].reshape(-1, 3, 3)
-        prop = np.reshape(want[0].n_propagating, -1) > 0
+        assert got.D.shape == (3,) + k.shape[:-1] + (3, 3)
+        rows = got.D.reshape(3, -1, 3, 3)
+        passes = []
         for n, kn in enumerate(k.reshape(-1, 2)):
+            want, (same, ab, _) = _ref_pass(LatticeSumRequest(
+                spec=spec, k=kn, mode=mode))
+            passes.append(want)
+            # D_same and D_ab are bitwise the reference's single offsets
+            assert bits(rows[0, n]) == bits(same.D)
+            assert bits(rows[1, n]) == bits(ab.D)
+            assert bits(rows[2, n]) == bits(want.D[2])
+            # D_ba is conj(D_ab), bit for bit, where no order propagates;
+            # where one does, it is bitwise the a_to_b sum at -k unless -k
+            # reduces to another zone vertex (a tie). Ties and conjugated
+            # rows lie within the rounding bound of that sum
             minus, bound = minus_k_sum(spec, kn, mode)
-            if prop[n]:
-                assert bits(d_ba[n]) == bits(minus.D)
-                want.append(minus)
+            tie = not np.array_equal(minus.k_reduced, -same.k_reduced)
+            if not same.n_propagating:
+                assert bits(rows[2, n]) == bits(rows[1, n].conj())
+            if same.n_propagating and not tie:
+                assert bits(rows[2, n]) == bits(minus.D)
             else:
-                assert bits(d_ba[n]) == bits(d_ab[n].conj())
-                assert np.linalg.norm(d_ba[n] - minus.D) <= bound
-        assert got.n_spatial + got.n_spectral == sum(
-            w.n_spatial + w.n_spectral for w in want)
-        assert got.est_error == max(w.est_error for w in want)
+                assert np.linalg.norm(rows[2, n] - minus.D) <= bound
+        assert bits(got.k_reduced.reshape(-1, 2)) == \
+            bits([w.k_reduced for w in passes])
+        assert bits(np.reshape(got.n_propagating, -1)) == \
+            bits([w.n_propagating for w in passes])
+        # the terms summed, D_ba's only where an order propagates, and the
+        # worst est_error of the three sums
+        assert got.n_spatial == sum(w.n_spatial for w in passes)
+        assert got.n_spectral == sum(w.n_spectral for w in passes)
+        assert got.est_error == max(w.est_error for w in passes)
     if retarded:
         with pytest.raises(RayleighAnomaly) as want:
             _ewald(spec, ks, "same", mode)
@@ -803,7 +719,8 @@ def test_spatial_tables_filter_the_frame(log_d0, beta, mode, offset,
 
 def test_tables_shared_across_beta():
     # a1, a2 do not depend on beta: one cell table and one same-site
-    # spatial table serve every beta of a d0
+    # spatial table serve every beta of a d0. Every request sums D_ba(k)
+    # as D_ab(-k): one a_to_b table per beta and no b_to_a table
     betas = np.linspace(0.6, 1.6, 5)
     _clear_tables()
     for beta in betas:
@@ -812,8 +729,7 @@ def test_tables_shared_across_beta():
             ewald_sum(LatticeSumRequest(spec=spec, k=reciprocal(spec).M,
                                         offset=offset))
     assert len(latticesums._CELL_TABLES) == 1
-    assert len(latticesums._SPATIAL_TABLES) == 1 + 2 * 5
-    # a Bloch matrix sums D_ba(k) as D_ab(-k): no b_to_a table
+    assert len(latticesums._SPATIAL_TABLES) == 1 + 5
     _clear_tables()
     for beta in betas:
         spec = build_lattice(0.1, beta)
