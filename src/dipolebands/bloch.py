@@ -100,10 +100,10 @@ MIRROR_U = np.diag([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
 # by energy order (documented arbitrary choice).
 TIE_THRESHOLD = 1e-6
 # Most k-points solve_k takes in one pass: it bounds the lattice sums'
-# (k, term) arrays. At d0 0.1 a 48 x 48 out-of-plane grid raised the peak
-# RSS by about 2.0 MB in passes of 128, 0.6 MB in passes of 48 and 41 MB
-# in one pass; the cone search ran as fast in passes of 96 to 256, and
-# about 14% slower in passes of 48.
+# (k, term) arrays. At d0 0.1, beta 0.9 a 48 x 48 out-of-plane grid over
+# the zone raised the peak RSS by about 0.8 MB in passes of 128, 0.5 MB in
+# passes of 48 and 17 MB in one pass; the cone search ran as fast in passes
+# of 96 to 256, and about 14% slower in passes of 48.
 _PASS_SIZE = 128
 
 

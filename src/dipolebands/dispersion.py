@@ -91,9 +91,8 @@ class DegeneracyReport:
         principal_axes: Columns are the principal directions of A; kx
             and ky where its eigenvalues agree within ISO_RTOL.
         top_curvatures: Signed quadratic coefficients of the upper band
-            along the two principal axes, each one quadratic over both
-            halves of its axis; along an axis where the gap is linear it
-            also takes up the cone's |q| term.
+            along the two principal axes, each fitted over both halves of
+            its axis with the cone's |q| term, the tilt and an offset.
         beta, d0: Lattice parameters.
         mode: 'retarded' or 'quasistatic'.
     """
@@ -545,13 +544,16 @@ def classify(spec: LatticeSpec, location, block: str, band_pair,
     gaps = np.maximum(hi - lo, 1e-300).reshape(2, len(signed))
     ups = (hi - hi0).reshape(2, len(signed))
     logr = np.log(np.abs(signed))
+    # curvature, the cone's |q| term, tilt and offset drift
+    xc = np.stack([signed**2, np.abs(signed), signed, np.ones_like(signed)],
+                  axis=1)
     exps, rms_e, curvs = [], [], []
     for gvals, upvals in zip(gaps, ups):
         p, _b = np.polyfit(logr, np.log(gvals), 1)
         fit = np.polyval([p, _b], logr)
         exps.append(float(p))
         rms_e.append(float(np.sqrt(np.mean((fit - np.log(gvals)) ** 2))))
-        cs = np.polyfit(signed, upvals, 2)  # curvature + tilt + offset drift
+        cs, *_ = np.linalg.lstsq(xc, upvals, rcond=None)
         curvs.append(float(cs[0]))
 
     # The nearer class; fallback marks an exponent outside both windows.

@@ -99,19 +99,19 @@ leading axis of 3, "same", "a_to_b" and "b_to_a" one of them. Per spatial
 table one product, np.einsum("nr,rc->nc"), of the (N, n) Bloch phases and
 the (n, 5) weights, whose row n is bitwise the one-point product, and the
 spectral terms of all N laid out as runs, one per k in its one-point
-order. One segment reduction (np.add.reduceat) sums the runs (an empty
-one, left by a small splitting override, is zero), and the sum of a run
-depends on its own terms only, so each point is bitwise the one-point sum
-at its k. Per-k result fields (D, k_reduced, n_propagating) follow k's
-leading shape, empty for one point; n_spatial and n_spectral are the
-terms summed over the pass and est_error is its worst, whichever offset
-is asked for, so the counts of N one-point calls and of one batch agree.
-The working set grows as N times the terms of one k, so bloch.solve_k
-hands the sums at most bloch._PASS_SIZE points per pass: a 128-point pass
-at d0 0.1, beta 0.9 over the zone peaks at about 10.8 KB per k cold and
-5.8 KB per k when it reads a stored beta-free half (tracemalloc). The
-(terms, 5) spectral block is its largest array, and it is written column
-by column in place (see _spectral_terms).
+order. A segment reduction (np.add.reduceat, _sum_runs) sums a block of
+runs (an empty one, left by a small splitting override, is zero), and the
+sum of a run depends on its own terms only, so each point is bitwise the
+one-point sum at its k. Per-k result fields (D, k_reduced, n_propagating)
+follow k's leading shape, empty for one point; n_spatial and n_spectral
+are the terms summed over the pass and est_error is its worst, whichever
+offset is asked for, so the counts of N one-point calls and of one batch
+agree. The working set grows as N times the terms of one k, so
+bloch.solve_k hands the sums at most bloch._PASS_SIZE points per pass: a
+128-point pass at d0 0.1, beta 0.9 over the zone peaks at about 6.6 KiB
+per k when it builds its beta-free half and 5.3 KiB per k when it reads a
+stored one (tracemalloc). A (terms, 5) spectral block is its largest
+array, and it is written column by column in place (see _spectral_terms).
 
 The dyadic is even, so D_ba(k) = D_ab(-k). Where no diffraction order
 propagates (every quasistatic row, and every retarded row with
@@ -135,46 +135,45 @@ alone, so each row is still bitwise its one-point sum; no pass reduces
 k_reduced and n_propagating are D_same's.
 
 Only the basis offset rho depends on beta, so a pass is built in two halves.
-The beta-free half (_PassHalf) is the zone reduction of k, the run lengths,
-every run's k + g and spectral kernels, n_propagating, and D_same's five
-columns (spectral, then spatial, then the self term) with their summed
-magnitudes and term counts. The rho half weighs the kernels by
-e^{i(k+g).rho} into the a_to_b runs and the reversed -k block, sums the
-a_to_b table against its Bloch phases, applies the rounding gate and
-conjugates D_ab into the other rows' D_ba. A pass that builds its half sums
-D_same's runs in the same segment reduction, ahead of the a_to_b runs, and
-keeps D_same's rows for the half; a pass that reads a stored half leaves
-that block out and prepends the stored rows. Every term and every run sum
-depends on its own inputs only, so a hit returns every result field bitwise
-as a cold call does; it reads no same-site spatial table. A third
-least-recently-used cache, of at most _CACHE_SIZE entries, keeps beta-free
-halves read-only, keyed on the cell table's key (which holds no beta) and
-the bytes of the pass's k. A half is stored on its key's second request
-only, decided at the pass's one lookup (_pass_lookup: the stored half, and
-whether the key is recorded). A pass that finds its key recorded stores its
-half once it has succeeded (_pass_done), any other records the key then: so
-a pass asked for once keeps no arrays (a Newton stencil, classify's rays, a
-path point) and lets its half's kernels go as soon as it has read them,
-while a k-set that every lattice of one d0 solves, such as the degeneracy
-scan's grid or critical_beta's M, is summed twice and then read. The one-off
-passes fill the key record too, so it has a bound of its own, _PASS_KEY_SIZE
-keys, least recently used out: find-cones records about 20 keys per search,
-and a full record holds about 0.36 MB of keys on find-cones and 0.15 MB on
-bands paths. A pass that raises stores and records nothing. The Rayleigh
-test holds on a hit (a half that grazes is never stored), and the
-NonConvergent checks run in the same order, the rounding gate on every row
-of every call. On twelve find-cones searches at d0 0.1 the stored halves
-hold about 1.6 MB (tracemalloc). Two other layouts were slower on the cones
-benchmark (op_s, 10 s runs): D_same in a block of its own, 0.0775 -> 0.0825
-s (+6%, slower in 10 of 10 alternating pairs), and a half of the kernels
-alone, 0.0779 -> 0.0928 s (+19%, 4 of 4).
+The beta-free half (_PassHalf, built by _pass_half) is the zone reduction
+of k, the run lengths, every run's k + g and spectral kernels,
+n_propagating, and D_same's five columns (spectral, then spatial, then the
+self term) with their summed magnitudes and term counts: D_same's runs,
+under the unit phase, are one spectral block and one segment reduction of
+their own. The rho half weighs the kernels by e^{i(k+g).rho} into the
+a_to_b runs and the reversed -k block, sums that block and the a_to_b table
+against its Bloch phases, puts D_same's rows ahead of its own, applies the
+rounding gate and conjugates D_ab into the other rows' D_ba. A pass reads
+its half from the store or builds it, then runs the rho half alike either
+way. Every term and every run sum depends on its own inputs only, so a hit
+returns every result field bitwise as a cold call does; it reads no
+same-site spatial table. A third least-recently-used cache, of at most
+_CACHE_SIZE entries, keeps beta-free halves read-only, keyed on the cell
+table's key (which holds no beta) and the bytes of the pass's k. A half is
+stored on its key's second request only, decided at the pass's one lookup
+(_pass_lookup: the stored half, and whether the key is recorded). A pass
+that finds its key recorded stores its half once it has succeeded
+(_pass_done), any other records the key then: so a pass asked for once
+keeps no arrays (a Newton stencil, classify's rays, a path point) and lets
+its half go when it returns, while a k-set that every lattice of one d0
+solves, such as the degeneracy scan's grid or critical_beta's M, is summed
+twice and then read. The one-off passes fill the key record too, so it has
+a bound of its own, _PASS_KEY_SIZE keys, least recently used out:
+find-cones records about 20 keys per search, and a full record holds about
+0.36 MB of keys on find-cones and 0.15 MB on bands paths. A pass that
+raises stores and records nothing. The Rayleigh test holds on a hit (a half
+that grazes is never stored), and the NonConvergent checks run in the same
+order, the rounding gate on every row of every call. On twelve find-cones
+searches at d0 0.1 the stored halves hold about 1.6 MB (tracemalloc). A
+half of the kernels alone was slower on the cones benchmark (op_s, 10 s
+runs): 0.0779 -> 0.0928 s (+19%, 4 of 4).
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -496,32 +495,31 @@ class _SpatialTable:
 
 @dataclass(frozen=True)
 class _PassHalf:
-    """The part of a pass at N points k that no basis offset rho enters.
+    """The part of a pass at N points k that no basis offset rho enters
+    (built by _pass_half).
 
     Attributes:
         k: (N, 2) the points reduced to the first zone.
         counts: (N,) the run lengths.
         qv, kern, zker: Per term of those runs, k + g and its spectral
-            kernels (_spectral_kernels); None in a pass that does not
-            store its half, once it has read them.
+            kernels (_spectral_kernels).
         n_prop: (N,) propagating orders per point.
         total: (N, 5) D_same's columns (S, Txx, Txy, Tyy, Tzz): spectral,
-            then spatial, then the self term; None until the pass that
-            built the half has summed them (a stored half holds them).
-        mags: (N, 5) their summed term magnitudes, or None.
-        n_spectral, n_spatial: D_same's terms (0 while total is None).
+            then spatial, then the self term.
+        mags: (N, 5) their summed term magnitudes.
+        n_spectral, n_spatial: D_same's terms.
     """
 
     k: np.ndarray
     counts: np.ndarray
-    qv: np.ndarray | None
-    kern: np.ndarray | None
-    zker: np.ndarray | None
+    qv: np.ndarray
+    kern: np.ndarray
+    zker: np.ndarray
     n_prop: np.ndarray
-    total: np.ndarray | None = None
-    mags: np.ndarray | None = None
-    n_spectral: int = 0
-    n_spatial: int = 0
+    total: np.ndarray
+    mags: np.ndarray
+    n_spectral: int
+    n_spatial: int
 
 
 # Entries kept per cache; past it the least recently used one is dropped.
@@ -766,6 +764,50 @@ def _bloch_phase(t: _SpatialTable, k):
     return np.exp(-1j * kr)
 
 
+def _sum_runs(terms, runs, t: _SpatialTable, phases):
+    """The (N, 5) sums of N runs of spectral terms plus a table's spatial
+    series, and their summed term magnitudes.
+
+    One segment reduction over the non-empty runs, each summed as one k
+    alone (an empty run sums to zero: reduceat would read the next one's);
+    then the table's weights against its (N, n) Bloch phases. Each omitted
+    term is below _TOLERANCE/10 of the leading scale, so the tail is
+    bounded by _TOLERANCE/10 times the summed magnitudes, component-wise;
+    a spatial term's is its weight's, the Bloch phase having unit modulus.
+    """
+    full = runs > 0
+    starts = (np.cumsum(runs) - runs)[full]
+    sums = np.zeros((len(runs), 5), dtype=complex)
+    mags = np.zeros((len(runs), 5))
+    sums[full] = np.add.reduceat(terms, starts, axis=0)
+    mags[full] = np.add.reduceat(np.abs(terms), starts, axis=0)
+    mags += t.magnitudes
+    return sums + np.einsum("nr,rc->nc", phases, t.weights), mags
+
+
+def _pass_half(cell: _CellTable, t_same: _SpatialTable, k, k0_eff, e,
+               lead) -> _PassHalf:
+    """The beta-free half of a pass at k (N, 2): k reduced to the first
+    zone, its spectral kernels, and D_same summed against the same-site
+    table in a segment reduction of its own (e^{i (k+g).0} = 1).
+
+    Raises:
+        ValueError: a k that reduce_to_bz refuses.
+        RayleighAnomaly: as _spectral_kernels.
+    """
+    red = reduce_to_bz(cell.recip, k)
+    counts, qv, kern, zker, n_prop = _spectral_kernels(cell, red, k0_eff, e,
+                                                       lead)
+    terms = _spectral_terms(qv, kern, zker, np.ones(len(qv), dtype=complex),
+                            cell.area2)
+    total, mags = _sum_runs(terms, counts, t_same, _bloch_phase(t_same, red))
+    total += t_same.self_term
+    return _PassHalf(k=red, counts=counts, qv=qv, kern=kern, zker=zker,
+                     n_prop=n_prop, total=total, mags=mags,
+                     n_spectral=len(terms),
+                     n_spatial=len(red) * len(t_same.lattice))
+
+
 def _dyadic(v, retarded: bool) -> np.ndarray:
     """The (..., 3, 3) dyadics from (S, Txx, Txy, Tyy, Tzz) on v's last axis.
 
@@ -796,9 +838,10 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
     D holds.
 
     The k-independent set-up comes from the per-lattice tables, and a batch
-    is summed in one pass (see the module docstring); only the k-dependent
-    terms are evaluated here, the offset-free spectral kernels once for
-    the three sums.
+    is summed in one pass (see the module docstring): its beta-free half,
+    D_same and the offset-free spectral kernels, is read from the store or
+    built by _pass_half, and only the offset's terms, D_ab and D_ba's -k
+    block, are summed here.
 
     Args:
         req: Request; see LatticeSumRequest.
@@ -847,82 +890,33 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
     # has already refused a prefactor e^{k0^2/4E^2} past overflow, before
     # e^{y^2} overflows in _spectral_kernels)
     t_rho = table(rho)
-    # the pass's beta-free half, stored from its second request; a pass
-    # that does not read one sums D_same against the same-site table
+    # the pass's beta-free half, stored from its second request
     pass_key = key + (k.tobytes(),)
-    half, keep = _pass_lookup(pass_key)
-    t_same = None
-    if half is None:
-        t_same = table(np.zeros(2))
-        red = reduce_to_bz(cell.recip, k)
-        half = _PassHalf(red, *_spectral_kernels(cell, red, k0_eff, e, lead))
-    n, k, same = len(k), half.k, t_same is not None
-    runs, qv, kern, zker = half.counts, half.qv, half.kern, half.zker
-    if same and not keep:
-        # a half this pass will not store lets its kernels go once they
-        # are concatenated
-        half = replace(half, qv=None, kern=None, zker=None)
+    stored, keep = _pass_lookup(pass_key)
+    half = stored or _pass_half(cell, table(np.zeros(2)), k, k0_eff, e, lead)
+    n, k, runs = len(k), half.k, half.counts
+    qv, kern, zker = half.qv, half.kern, half.zker
     unit = np.exp(1j * (qv @ rho))
-    # the runs of [same, a_to_b at k, a_to_b at -k], the first only where
-    # D_same is summed here, the last only for the rows where an order
+    phases = _bloch_phase(t_rho, k)
+    # the a_to_b runs at k, then at -k for the rows where an order
     # propagates (ba, last row first): the terms at -k are those at k
     # negated, each run reversed, under the conjugate phases, i.e. the
     # a_to_b runs of ba reversed as a whole (their k + g are left
     # unnegated: every term is even in k + g)
     ba = np.flatnonzero(half.n_prop)[::-1]
-    t = int(runs.sum())
-    ab = t if same else 0  # where the a_to_b terms start
-    back = back_terms = None  # the rows of ba, and their terms
     if len(ba):
-        back = np.zeros(n, dtype=bool)
-        back[ba] = True
-        back_terms = np.repeat(back, runs)
-
-    def layout(a, pick):
-        parts = [a] * (1 + same)
-        if pick is not None:
-            parts.append(a[pick][::-1])
-        return np.concatenate(parts) if len(parts) > 1 else parts[0]
-
-    runs = layout(runs, back)
-    qv, kern, zker, unit = (layout(a, back_terms)
-                            for a in (qv, kern, zker, unit))
-    unit[:ab] = 1.0  # e^{i (k+g).0} = 1
-    phases = _bloch_phase(t_rho, k)
-    if len(ba):
-        unit[ab + t:] = unit[ab + t:].conj()
+        back = np.repeat(half.n_prop > 0, runs)
+        runs = np.concatenate([runs, runs[ba]])
+        qv, kern, zker = (np.concatenate([a, a[back][::-1]])
+                          for a in (qv, kern, zker))
+        unit = np.concatenate([unit, unit[back][::-1].conj()])
         phases = np.concatenate([phases, phases[ba].conj()])
-    spatial = ([(t_same, _bloch_phase(t_same, k))] if same else []) \
-        + [(t_rho, phases)]
     terms = _spectral_terms(qv, kern, zker, unit, cell.area2)
     del qv, kern, zker, unit  # unread from here: free them for the sums
-    # one segment reduction over the non-empty runs, each summed as one k
-    # alone; an empty run sums to zero (reduceat would read the next one's)
-    full = runs > 0
-    starts = (np.cumsum(runs) - runs)[full]
-    sums = np.zeros((len(runs), 5), dtype=complex)
-    mags = np.zeros((len(runs), 5))
-    sums[full] = np.add.reduceat(terms, starts, axis=0)
-    mags[full] = np.add.reduceat(np.abs(terms), starts, axis=0)
-    n_spectral = len(terms)
-    # the spatial series: per table, its Bloch phases against its weights
-    total = sums + np.concatenate([np.einsum("nr,rc->nc", ph, t.weights)
-                                   for t, ph in spatial])
-    # each omitted term is below _TOLERANCE/10 of the leading scale, so the
-    # tail is bounded by _TOLERANCE/10 times the summed magnitudes,
-    # component-wise; a spatial term's is its weight's, the Bloch phase
-    # having unit modulus
-    mags += np.concatenate([np.broadcast_to(t.magnitudes, (len(ph), 5))
-                            for t, ph in spatial])
-    n_spatial = sum(ph.size for _, ph in spatial)
-    if same:
-        total[:n] += t_same.self_term
-    else:
-        # D_same's rows from the stored half
-        total = np.concatenate([half.total, total])
-        mags = np.concatenate([half.mags, mags])
-        n_spectral += half.n_spectral
-        n_spatial += half.n_spatial
+    total, mags = _sum_runs(terms, runs, t_rho, phases)
+    # D_same's rows ahead of the offset's
+    total = np.concatenate([half.total, total])
+    mags = np.concatenate([half.mags, mags])
     d = _dyadic(total, retarded)
     est = 0.1 * _TOLERANCE * _norms(_dyadic(mags, retarded)) / _norms(d)
     # and u = eps times them bound its rounding error
@@ -933,11 +927,8 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
         raise NonConvergent(
             f"rounding bound {rounding[at]:.3g} past {_MAX_ROUNDING:g} at "
             f"k={k[row]}: splitting {e:g} cancels too many digits")
-    if same:
-        _pass_done(pass_key, replace(
-            half, total=total[:n].copy(), mags=mags[:n].copy(),
-            n_spectral=t, n_spatial=n * len(t_same.lattice)) if keep
-            else None)
+    if stored is None:
+        _pass_done(pass_key, half if keep else None)
     # D_ba = conj(D_ab), exactly, where no order propagates
     d_ba = d[n:2 * n].conj()
     if len(ba):
@@ -945,8 +936,8 @@ def ewald_sum(req: LatticeSumRequest) -> LatticeSumResult:
     d = np.concatenate([d[:2 * n], d_ba]).reshape((3,) + lead + (3, 3))
     return LatticeSumResult(
         D=d if req.offset == "bloch" else d[_OFFSETS.index(req.offset)],
-        n_spatial=n_spatial,
-        n_spectral=n_spectral,
+        n_spatial=half.n_spatial + phases.size,
+        n_spectral=half.n_spectral + len(terms),
         est_error=float(est.max(initial=0.0)),
         # copies: the half's arrays may be stored and shared
         k_reduced=k.reshape(lead + (2,)).copy(),

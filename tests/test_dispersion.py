@@ -748,6 +748,20 @@ def test_mirror_images_take_their_orbit_classification(request, monkeypatch,
             _assert_close(getattr(rep, field), getattr(direct[i], field))
 
 
+def test_top_curvatures_do_not_scale_with_fit_radius(search_09):
+    # the upper band at a linear cone is c q^2 + v |q| + w q + h: fitted
+    # without the |q| column, its slope v read as a curvature of about
+    # v / fit_radius, 0.081 and 0.184 at 0.05 |b1|, twice that at half the
+    # radius; with it both read about 0.001 and 0.008
+    found = search_09[0]
+    spec = build_lattice(found[0].d0, found[0].beta)
+    b1 = float(np.linalg.norm(reciprocal(spec).b1))
+    wide, narrow = (classify(spec, found[0].k_star, OUT_OF_PLANE, (0, 1),
+                             fit_radius=f * b1).top_curvatures
+                    for f in (0.05, 0.025))
+    assert np.allclose(wide, narrow, rtol=0.0, atol=0.01), (wide, narrow)
+
+
 def test_gap_batch_rows_match_one_point_calls():
     # a zone vertex, a point moved by a reciprocal vector, a light-line
     # point and generic ones, in both blocks

@@ -811,23 +811,29 @@ def test_tables_bounded_and_read_only(monkeypatch):
 
 
 def test_cold_pass_lets_its_kernels_go(monkeypatch):
-    # a 'bloch' pass that will not store its beta-free half drops the
-    # half's per-term kernels once it has concatenated them: a cold
-    # 128-point pass at d0 0.1, beta 0.9 peaks at about 10.8 KiB per point
-    # (tracemalloc; 12.0 KiB with the half's kernels kept alongside)
+    # a 'bloch' pass sums D_same's runs and the offset's in two spectral
+    # blocks, so a 128-point pass at d0 0.1, beta 0.9 peaks at about 6.6
+    # KiB per point (tracemalloc), whether it stores its beta-free half or
+    # lets the half's kernels go with it (10.3 and 11.5 KiB with D_same's
+    # runs in the offset's block)
     spec = build_lattice(0.1, 0.9)
     recip = reciprocal(spec)
     mx, ky = abs(recip.M[0]), float(np.linalg.norm(recip.K))
     k = np.random.default_rng(2).uniform([-mx, -ky], [mx, ky], (128, 2))
     _clear_tables()
     _ewald(spec, recip.M, "bloch")  # the tables, built outside the trace
-    tracemalloc.start()
-    try:
-        cold = _ewald(spec, k, "bloch")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / len(k) <= 11.4 * 1024
+
+    def traced():
+        tracemalloc.start()
+        try:
+            res = _ewald(spec, k, "bloch")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / len(k) <= 8 * 1024
+        return res
+
+    cold = traced()
     # a pass decides at its lookup whether it stores its half: one that
     # sees its key unrecorded there (faked: another pass records it while
     # this one runs) lets its kernels go and only records the key; the
@@ -838,7 +844,7 @@ def test_cold_pass_lets_its_kernels_go(monkeypatch):
         assert _ewald(spec, k, "bloch").D.tobytes() == cold.D.tobytes()
     assert not latticesums._PASS_HALVES
     assert list(latticesums._PASS_KEYS)[-1] == key
-    assert _ewald(spec, k, "bloch").D.tobytes() == cold.D.tobytes()
+    assert traced().D.tobytes() == cold.D.tobytes()
     assert list(latticesums._PASS_HALVES) == [key]
 
 
@@ -964,13 +970,13 @@ def test_pass_hit_reads_no_same_site_table():
     assert zero not in [key[-1] for key in latticesums._SPATIAL_TABLES]
 
 
-def test_one_spectral_block_per_pass(monkeypatch):
-    # a 'bloch' pass builds one spectral block and sums it in one segment
-    # reduction, with D_same's runs in it on a miss and out of it on a hit.
-    # Both alternatives measured slower on the cones benchmark (op_s, 10 s
-    # runs): a block of its own for D_same, 0.0775 -> 0.0825 s (+6%, 10 of
-    # 10 alternating pairs slower), and storing only the kernels, 0.0779 ->
-    # 0.0928 s (+19%, 4 of 4)
+def test_spectral_blocks_per_pass(monkeypatch):
+    # a 'bloch' pass that builds its beta-free half sums D_same's runs in a
+    # spectral block of their own, then the offset's runs in another; a hit
+    # builds the offset's block only. On the cones benchmark (op_s, 10 s
+    # runs) it read 0.0370 -> 0.0360 s against D_same's runs in the
+    # offset's block (faster in 6 of 6 alternating pairs); storing only the
+    # kernels measured slower, 0.0779 -> 0.0928 s (+19%, 4 of 4)
     calls = []
     spectral_terms = latticesums._spectral_terms
 
@@ -980,14 +986,17 @@ def test_one_spectral_block_per_pass(monkeypatch):
 
     monkeypatch.setattr(latticesums, "_spectral_terms", counted)
     recip = reciprocal(build_lattice(0.1, 0.9))
-    k = np.array([recip.M, recip.K, 0.3 * recip.b1])
+    # 0.05 b1 lies inside the light cone: its run is summed at -k too
+    k = np.array([recip.M, recip.K, 0.3 * recip.b1, 0.05 * recip.b1])
     _clear_tables()
     # cold, then the pass that stores its half, then hits at other betas
     blocks = []
     for beta in (0.9, 0.9, 0.95, 1.2):
         calls.clear()
-        _ewald(build_lattice(0.1, beta), k, "bloch")
-        assert len(calls) == 1, beta
-        blocks.append(calls[0])
-    # the hits leave D_same's runs out of their block
-    assert blocks[0] == blocks[1] > blocks[2] == blocks[3]
+        res = _ewald(build_lattice(0.1, beta), k, "bloch")
+        blocks.append(tuple(calls))
+        # D_same's terms, summed here or stored, then the offset's
+        assert res.n_spectral == blocks[0][0] + calls[-1], beta
+    same, offset = blocks[0]
+    assert blocks == [(same, offset), (same, offset), (offset,), (offset,)]
+    assert offset > same
